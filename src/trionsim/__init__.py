@@ -4,20 +4,20 @@ heralded hole spin, photon correlation, and damped-cosine parameter
 recovery."""
 
 from .core import (CIRCULAR, MU_B_EV_PER_T, PLANCK_EV_S, DeviceParams,
-                   NoiseKind, NoiseModel, NoiseTarget, PhysicalConstants,
-                   Pol, SpinHalfState, Subspace, jones_vector,
-                   larmor_frequency, larmor_halfperiod, orthogonal,
-                   pol_from_label, project, zeeman_splitting)
+                   NoiseKind, NoiseModel, NoiseTarget, Pol, SpinHalfState,
+                   Subspace, jones_vector, larmor_frequency,
+                   larmor_halfperiod, orthogonal, pol_from_label, project,
+                   zeeman_splitting)
 from .dynamics import (EmissionBranch, Propagator2, emit_amplitudes,
                        envelope_factor, heralded_docp, lifetime_docp,
-                       lifetime_trace, line_spectrum, line_splittings,
+                       lifetime_trace, line_splittings,
                        make_propagator, propagate, rotation_x,
                        transition_lines)
 from .montecarlo import (EVENT_DTYPE, EventStream, ProtocolConfig,
                          ProtocolKind, resolve_workers, run)
 from .correlator import (DocpTrace, Histogram1D, Map2D, bin_lifetime,
                          build_map2d, correlate_cw, docp,
-                         lifetime_docp_trace, slice_map,
+                         lifetime_docp_trace, plateau_normalized, slice_map,
                          write_docp_csv, write_histogram_csv,
                          write_map_csv)
 from .fitkit import (PARAM_NAMES, DampedCosineModel, FitResult,

@@ -14,16 +14,16 @@ from pathlib import Path
 import numpy as np
 
 from . import montecarlo
-from .core import Pol, orthogonal
-from .correlator import (build_map2d, correlate_cw, docp, bin_lifetime,
-                         lifetime_docp_trace, slice_map, write_docp_csv,
-                         write_map_csv, _write_csv)
+from .correlator import (CW_BIN_S, LIFETIME_BIN_S, docp, plateau_normalized,
+                         write_docp_csv)
 from .events_io import ensure_compatible, read_events, write_events
-from .fitkit import (fit_damped_cosine, fit_linear_zeeman,
-                     format_fit_report, window_average)
+from .fitkit import fit_damped_cosine, fit_linear_zeeman, format_fit_report
 from .montecarlo import ProtocolKind
 from .pipelines import (PRESETS, T1_SLICE_S, T1_SLICE_TOL_S,
-                        T2_FIT_WINDOW_S, fit_heralded_sweep, run_pipeline)
+                        T2_FIT_WINDOW_S, beat_fit, cw_histograms,
+                        delay_sweep_fits, digest_meta, herald_maps,
+                        lifetime_traces, run_pipeline, sliced_docp,
+                        write_delay_csv, write_g2_csv, write_herald_maps)
 from .scenarios import AnalysisOptions, ConfigError, load_scenario
 
 EXIT_OK = 0
@@ -120,13 +120,10 @@ def cmd_simulate(args) -> int:
 
 
 def _load_streams(paths):
-    streams = []
-    for path in paths:
-        try:
-            streams.append(read_events(path))
-        except ValueError as exc:
-            raise OSError(str(exc)) from exc
-    return streams
+    try:
+        return [read_events(path) for path in paths]
+    except ValueError as exc:
+        raise OSError(str(exc)) from exc
 
 
 def cmd_analyze(args) -> int:
@@ -140,56 +137,40 @@ def cmd_analyze(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     kind = streams[0].config.kind
-    if kind in (ProtocolKind.LIFETIME, ProtocolKind.DOCP_ZERO_FIELD):
-        if len(streams) != 1:
-            raise ConfigError("lifetime analysis takes exactly one file")
-        return _analyze_lifetime(streams[0], opts, outdir)
+    if kind is ProtocolKind.PULSED_2PC:
+        return _analyze_pulsed(streams, opts, outdir)
+    if len(streams) != 1:
+        raise ConfigError(f"{kind.value} analysis takes exactly one file")
     if kind is ProtocolKind.CW_G2:
-        if len(streams) != 1:
-            raise ConfigError("cw analysis takes exactly one file")
         return _analyze_cw(streams[0], opts, outdir)
-    return _analyze_pulsed(streams, opts, outdir)
+    return _analyze_lifetime(streams[0], opts, outdir)
 
 
-def _meta(stream) -> dict:
-    return {"input_digest": stream.content_digest[:16]}
+def _emit(text, path) -> None:
+    print(text, end="")
+    if path:
+        Path(path).write_text(text)
+        print(f"wrote {path}")
 
 
 def _emit_report(path, fit, title, digest) -> int:
-    text = format_fit_report(fit, title, digest)
-    path.write_text(text)
-    print(text, end="")
-    print(f"wrote {path}")
+    _emit(format_fit_report(fit, title, digest), path)
     return EXIT_OK if fit.converged else EXIT_NOCONV
 
 
 def _analyze_lifetime(stream, opts, outdir) -> int:
-    kwargs = {}
-    if opts.bin_s:
-        kwargs["bin_s"] = opts.bin_s
-    if opts.span_s:
-        kwargs["span_s"] = opts.span_s
-    co = bin_lifetime(stream, projection=stream.config.exc_pols[0],
-                      **kwargs)
-    cross = bin_lifetime(
-        stream, projection=orthogonal(stream.config.exc_pols[0]), **kwargs)
-    path = outdir / "fig1d_traces.csv"
-    _write_csv(path, [f"{k} = {v}" for k, v in _meta(stream).items()],
-               ("bin_center_s", "co_counts", "co_error", "cross_counts",
-                "cross_error"),
-               zip(co.centers, co.counts, co.errors, cross.counts,
-                   cross.errors))
-    trace = lifetime_docp_trace(stream, **kwargs)
+    path, co, cross = lifetime_traces(
+        outdir, stream, bin_s=opts.bin_s or LIFETIME_BIN_S,
+        span_s=opts.span_s or None)
+    trace = docp(co, cross)
     docp_path = outdir / "lifetime_docp.csv"
-    write_docp_csv(docp_path, trace, _meta(stream))
+    write_docp_csv(docp_path, trace, digest_meta(stream))
     print(f"wrote {path}")
     print(f"wrote {docp_path}")
     if not (opts.fit.enabled and stream.device.b_x_t > 0):
         return EXIT_OK
-    fixed = {"t2star": 1.0, "alpha": 1.0}
-    fixed.update(opts.fit.fixed)
-    fit = fit_damped_cosine(trace, variant=opts.fit.variant or "pulsed",
-                            t0=opts.fit.t0, fixed=fixed)
+    fit = beat_fit(trace, opts.fit.variant or "pulsed", opts.fit.t0,
+                   opts.fit.fixed)
     return _emit_report(outdir / "lifetime_fit_report.txt", fit,
                         "lifetime docp damped cosine",
                         stream.content_digest[:16])
@@ -197,23 +178,18 @@ def _analyze_lifetime(stream, opts, outdir) -> int:
 
 def _analyze_cw(stream, opts, outdir) -> int:
     window = opts.window_s or 100e-9
-    kwargs = {"window_s": window}
-    if opts.bin_s:
-        kwargs["bin_s"] = opts.bin_s
-    hists = {p: correlate_cw(stream, p, normalize=opts.normalize,
-                             start_stop=opts.start_stop, **kwargs)
-             for p in ("RR", "RL")}
+    binning = {"window_s": window, "bin_s": opts.bin_s or CW_BIN_S}
+    raw = cw_histograms(stream, **binning)
+    g2 = cw_histograms(stream, start_stop=True, **binning) \
+        if opts.start_stop else raw
+    if opts.normalize:
+        g2 = [plateau_normalized(h, window) for h in g2]
     path = outdir / "cw_g2.csv"
-    _write_csv(path, [f"{k} = {v}" for k, v in _meta(stream).items()],
-               ("delay_s", "g2_rr", "g2_rr_error", "g2_rl", "g2_rl_error"),
-               zip(hists["RR"].centers, hists["RR"].counts,
-                   hists["RR"].errors, hists["RL"].counts,
-                   hists["RL"].errors))
+    write_g2_csv(path, *g2, digest_meta(stream))
     print(f"wrote {path}")
-    raw = {p: correlate_cw(stream, p, **kwargs) for p in ("RR", "RL")}
-    trace = docp(raw["RR"], raw["RL"])
+    trace = docp(*raw)
     docp_path = outdir / "fig2b_docp.csv"
-    write_docp_csv(docp_path, trace, _meta(stream))
+    write_docp_csv(docp_path, trace, digest_meta(stream))
     print(f"wrote {docp_path}")
     if not opts.fit.enabled:
         return EXIT_OK
@@ -226,59 +202,34 @@ def _analyze_cw(stream, opts, outdir) -> int:
 
 
 def _analyze_pulsed(streams, opts, outdir) -> int:
-    t1_slice = opts.t1_slice_s or T1_SLICE_S
-    tol = opts.slice_tolerance_s or T1_SLICE_TOL_S
-    window = opts.t2_fit_window_s or T2_FIT_WINDOW_S
-    traces, delays, digests = [], [], []
-    maps = None
-    for stream in streams:
-        map_r = build_map2d(stream, ch2_projection=Pol.R)
-        map_l = build_map2d(stream, ch2_projection=Pol.L)
-        maps = (map_r, map_l)
-        traces.append(docp(slice_map(map_r, t1_slice, tol),
-                           slice_map(map_l, t1_slice, tol)))
-        delays.append(stream.config.pulse_delay_s)
-        digests.append(stream.content_digest[:16])
+    slicing = (opts.t1_slice_s or T1_SLICE_S,
+               opts.slice_tolerance_s or T1_SLICE_TOL_S)
     if len(streams) == 1:
-        meta = _meta(streams[0])
-        path = outdir / "fig3b_map.csv"
-        write_map_csv(path, maps[0], meta)
-        write_map_csv(outdir / "fig3b_map_rl.csv", maps[1], meta)
+        map_r, map_l = herald_maps(streams[0])
+        meta = digest_meta(streams[0])
+        path, _ = write_herald_maps(outdir, map_r, map_l, meta)
+        trace = sliced_docp(map_r, map_l, *slicing)
         slice_path = outdir / "fig3b_slice_docp.csv"
-        write_docp_csv(slice_path, traces[0], meta)
+        write_docp_csv(slice_path, trace, meta)
         print(f"wrote {path}")
         print(f"wrote {slice_path}")
         if not opts.fit.enabled:
             return EXIT_OK
-        fixed = {"t2star": 1.0, "alpha": 1.0}
-        fixed.update(opts.fit.fixed)
-        fit = fit_damped_cosine(traces[0],
-                                variant=opts.fit.variant or "pulsed",
-                                t0=opts.fit.t0, fixed=fixed)
+        fit = beat_fit(trace, opts.fit.variant or "pulsed", opts.fit.t0,
+                       opts.fit.fixed)
         return _emit_report(outdir / "fig3b_fit_report.txt", fit,
-                            "map slice damped cosine", digests[0])
-    order = np.argsort(delays)
-    delays = np.asarray(delays, dtype=float)[order]
-    traces = [traces[i] for i in order]
-    rows = []
-    for dt, tr in zip(delays, traces):
-        for t, v, e, n, ok in zip(tr.times, tr.values, tr.errors,
-                                  tr.n_total, tr.valid):
-            if ok and window[0] <= t <= window[1]:
-                rows.append((dt, t, v, e, n))
+                            "map slice damped cosine",
+                            streams[0].content_digest[:16])
+    window = opts.t2_fit_window_s or T2_FIT_WINDOW_S
+    meta = digest_meta(*streams)
+    streams = sorted(streams, key=lambda s: s.config.pulse_delay_s)
+    delays = [s.config.pulse_delay_s for s in streams]
+    traces = [sliced_docp(*herald_maps(s), *slicing) for s in streams]
     path = outdir / "fig3d_docp_vs_delay.csv"
-    _write_csv(path, [f"input_digest = {'+'.join(digests)}"],
-               ("pulse_delay_s", "t2_s", "docp", "error", "n_total"), rows)
+    write_delay_csv(path, delays, traces, meta, window)
     print(f"wrote {path}")
-    fits = fit_heralded_sweep(delays, traces, window)
-    t2s = [t for t, _ in fits]
-    f_avg = window_average(t2s, [f["frequency"] for _, f in fits], window)
-    tau_avg = window_average(t2s, [f["t2star"] for _, f in fits], window)
-    fit_path = outdir / "fig3d_fits.csv"
-    _write_csv(fit_path, [],
-               ("t2_s", "f_hz", "f_sigma_hz", "t2star_s", "t2star_sigma_s"),
-               ((t, f["frequency"], f.sigmas["frequency"], f["t2star"],
-                 f.sigmas["t2star"]) for t, f in fits))
+    fit_path, f_avg, tau_avg = delay_sweep_fits(outdir, delays, traces,
+                                                window)
     report = (f"delay sweep window average over t2 in "
               f"[{window[0]:.3g}, {window[1]:.3g}] s\n"
               f"f_hz = {f_avg.mean:.9g} +/- {f_avg.sigma:.9g}\n"
@@ -334,13 +285,8 @@ def cmd_fit(args) -> int:
     fit = fit_damped_cosine(trace, variant=args.variant, t0=args.t0,
                             exclusion_window_s=args.exclusion_window,
                             fixed=fixed)
-    text = format_fit_report(fit, f"{args.variant} damped cosine",
-                             str(args.trace))
-    print(text, end="")
-    if args.report:
-        Path(args.report).write_text(text)
-        print(f"wrote {args.report}")
-    return EXIT_OK if fit.converged else EXIT_NOCONV
+    return _emit_report(args.report, fit, f"{args.variant} damped cosine",
+                        str(args.trace))
 
 
 def cmd_pipeline(args) -> int:
@@ -385,10 +331,7 @@ def cmd_zeeman(args) -> int:
     text = ("four-line zeeman fit (larger splitting -> excited doublet)\n"
             f"g_e = {fit_e.g:.9g} +/- {fit_e.sigma_g:.9g}\n"
             f"g_h = {fit_h.g:.9g} +/- {fit_h.sigma_g:.9g}\n")
-    print(text, end="")
-    if args.report:
-        Path(args.report).write_text(text)
-        print(f"wrote {args.report}")
+    _emit(text, args.report)
     return EXIT_OK
 
 

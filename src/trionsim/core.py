@@ -19,17 +19,6 @@ MU_B_EV_PER_T = 5.7883818e-5
 PLANCK_EV_S = 4.135667696e-15
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA constants in spectroscopic units.  Not user-tunable."""
-
-    mu_b_ev_per_t: float = MU_B_EV_PER_T
-    h_ev_s: float = PLANCK_EV_S
-
-
-CODATA = PhysicalConstants()
-
-
 class Pol(enum.IntEnum):
     """Polarization basis labels.  Integer values double as wire codes."""
 

@@ -6,7 +6,6 @@ merge-associative, and invariant under bin refinement.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,7 +158,7 @@ def _pair_deltas_binned(t0: np.ndarray, t1: np.ndarray,
 
 
 def correlate_cw(stream: EventStream, pairing: str, window_s: float,
-                 bin_s: float = CW_BIN_S, normalize: bool = False,
+                 bin_s: float = CW_BIN_S,
                  start_stop: bool = False) -> Histogram1D:
     """Cross-correlate the two detection channels of a cw run.
 
@@ -167,8 +166,7 @@ def correlate_cw(stream: EventStream, pairing: str, window_s: float,
     the R-projected clicks of both channels, "RL" the L-projected ones.
     All channel-0 x channel-1 pairs within +/-window enter the histogram
     (or, with start_stop, only each channel-0 click's next channel-1
-    click).  `normalize` rescales to the plateau level estimated from
-    the outer quarter of the window.
+    click).
     """
     pairing = pairing.upper()
     if pairing not in ("RR", "RL"):
@@ -189,15 +187,20 @@ def correlate_cw(stream: EventStream, pairing: str, window_s: float,
         counts = _bin_values(t1[nxt[ok]] - t0[ok], edges)
     else:
         counts = _pair_deltas_binned(t0, t1, edges)
-    hist = Histogram1D(edges, counts, np.sqrt(counts))
-    if normalize:
-        centers = hist.centers
-        outer = np.abs(centers) >= 0.75 * window_s
-        plateau = hist.counts[outer].mean()
-        if plateau <= 0:
-            raise ValueError("cannot normalize: empty plateau")
-        hist = hist.scaled(1.0 / plateau)
-    return hist
+    return Histogram1D(edges, counts, np.sqrt(counts))
+
+
+def plateau_normalized(hist: Histogram1D, window_s: float) -> Histogram1D:
+    """Rescale a cw correlation to the plateau level of its outer quarter.
+
+    A histogram of a channel without clicks is returned as it is.
+    """
+    if hist.is_empty:
+        return hist
+    plateau = hist.counts[np.abs(hist.centers) >= 0.75 * window_s].mean()
+    if plateau <= 0:
+        raise ValueError("cannot normalize: empty plateau")
+    return hist.scaled(1.0 / plateau)
 
 
 def docp(h_rr: Histogram1D, h_rl: Histogram1D) -> DocpTrace:
@@ -235,13 +238,18 @@ def bin_lifetime(stream: EventStream, bin_s: float = LIFETIME_BIN_S,
                        is_empty=(ev.shape[0] == 0))
 
 
+def lifetime_histograms(stream: EventStream, bin_s: float = LIFETIME_BIN_S,
+                        span_s: float | None = None):
+    """Co- and cross-polarized (to the excitation) decay histograms."""
+    exc = stream.config.exc_pols[0]
+    return (bin_lifetime(stream, bin_s, span_s, projection=exc),
+            bin_lifetime(stream, bin_s, span_s, projection=orthogonal(exc)))
+
+
 def lifetime_docp_trace(stream: EventStream, bin_s: float = LIFETIME_BIN_S,
                         span_s: float | None = None) -> DocpTrace:
     """Co/cross circular contrast of a lifetime stream versus decay time."""
-    exc = stream.config.exc_pols[0]
-    h_co = bin_lifetime(stream, bin_s, span_s, projection=exc)
-    h_cross = bin_lifetime(stream, bin_s, span_s, projection=orthogonal(exc))
-    return docp(h_co, h_cross)
+    return docp(*lifetime_histograms(stream, bin_s, span_s))
 
 
 def build_map2d(stream: EventStream, t1_edges=None, t2_edges=None,
@@ -312,35 +320,30 @@ def _fmt(x) -> str:
     return x if isinstance(x, str) else f"{x:.9g}"
 
 
-def _write_csv(path, header_lines, column_names, rows):
+def write_csv(path, meta: dict | None, column_names, rows):
+    """CSV with one `# key = value` comment line per meta entry."""
     with open(path, "w") as f:
-        for line in header_lines:
-            f.write(f"# {line}\n")
+        for key, value in (meta or {}).items():
+            f.write(f"# {key} = {value}\n")
         f.write(",".join(column_names) + "\n")
         for row in rows:
             f.write(",".join(_fmt(x) for x in row) + "\n")
 
 
 def write_histogram_csv(path, hist: Histogram1D, meta: dict | None = None):
-    header = [f"{k} = {v}" for k, v in (meta or {}).items()]
-    rows = zip(hist.centers, hist.counts, hist.errors)
-    _write_csv(path, header, ("bin_center_s", "counts", "error"), rows)
+    write_csv(path, meta, ("bin_center_s", "counts", "error"),
+              zip(hist.centers, hist.counts, hist.errors))
 
 
 def write_docp_csv(path, trace: DocpTrace, meta: dict | None = None):
-    header = [f"{k} = {v}" for k, v in (meta or {}).items()]
     rows = ((t, v, e, n) for t, v, e, n, ok in
             zip(trace.times, trace.values, trace.errors, trace.n_total,
                 trace.valid) if ok)
-    _write_csv(path, header, ("time_s", "docp", "error", "n_total"), rows)
+    write_csv(path, meta, ("time_s", "docp", "error", "n_total"), rows)
 
 
 def write_map_csv(path, map2d: Map2D, meta: dict | None = None):
-    header = [f"{k} = {v}" for k, v in (meta or {}).items()]
-
-    def rows():
-        for i, t1 in enumerate(map2d.t1_centers):
-            for j, t2 in enumerate(map2d.t2_centers):
-                yield (t1, t2, map2d.counts[i, j])
-
-    _write_csv(path, header, ("t1_s", "t2_s", "counts"), rows())
+    rows = ((t1, t2, map2d.counts[i, j])
+            for i, t1 in enumerate(map2d.t1_centers)
+            for j, t2 in enumerate(map2d.t2_centers))
+    write_csv(path, meta, ("t1_s", "t2_s", "counts"), rows)

@@ -177,8 +177,7 @@ def transition_lines(params: DeviceParams, center_ev: float = 0.0):
     """The four emission lines as (energy_eV, linear polarization) tuples.
 
     H-polarized lines sit at the spectrum extremes, V-polarized ones in
-    between.  Returned sorted by energy.  Line shapes are delta peaks;
-    any broadening is a display concern (see `line_spectrum`).
+    between.  Returned sorted by energy.  Line shapes are delta peaks.
     """
     de, dh = params.delta_e_ev, params.delta_h_ev
     lines = [
@@ -188,17 +187,3 @@ def transition_lines(params: DeviceParams, center_ev: float = 0.0):
         (center_ev + (de + dh) / 2.0, Pol.H),
     ]
     return sorted(lines, key=lambda x: x[0])
-
-
-def line_spectrum(params: DeviceParams, energies_ev, linewidth_ev: float,
-                  center_ev: float = 0.0, pol: Pol | None = None):
-    """Gaussian-broadened view of the four-line pattern, for display only."""
-    if linewidth_ev <= 0:
-        raise ValueError("linewidth must be > 0")
-    e = np.asarray(energies_ev, dtype=float)
-    out = np.zeros_like(e)
-    for line_e, line_pol in transition_lines(params, center_ev):
-        if pol is not None and line_pol is not Pol(pol):
-            continue
-        out += np.exp(-0.5 * ((e - line_e) / linewidth_ev) ** 2)
-    return out

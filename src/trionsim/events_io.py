@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -91,16 +90,23 @@ def _read_binary_body(fh) -> EventStream:
 
 
 def _assemble(header: dict, events: np.ndarray, name) -> EventStream:
-    if len(events) != header["n_events"]:
+    try:
+        n_events = header["n_events"]
+        content, compat = header["content_digest"], header["compat_digest"]
+        stream = EventStream(
+            events=events,
+            device=DeviceParams.from_dict(header["device"]),
+            config=ProtocolConfig.from_dict(header["config"]),
+            diagnostics=dict(header["diagnostics"]),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: malformed header ({exc!r})") from exc
+    if len(events) != n_events:
         raise ValueError(f"{name}: truncated event block")
-    stream = EventStream(
-        events=events,
-        device=DeviceParams.from_dict(header["device"]),
-        config=ProtocolConfig.from_dict(header["config"]),
-        diagnostics=dict(header["diagnostics"]),
-    )
-    if stream.content_digest != header["content_digest"]:
+    if stream.content_digest != content:
         raise ValueError(f"{name}: content digest mismatch (corrupt file)")
+    if compat_digest(stream.device, stream.config) != compat:
+        raise ValueError(f"{name}: header digest mismatch (corrupt header)")
     return stream
 
 

@@ -1,4 +1,5 @@
-"""Named end-to-end presets: simulate, correlate, fit, emit datasets.
+"""Named end-to-end presets and the per-protocol analyses they share
+with `trionsim analyze`: simulate, correlate, fit, emit datasets.
 
 Each preset runs a full protocol with the published device parameters,
 recovers them back out of the synthetic data, and writes plot-ready CSV
@@ -16,9 +17,10 @@ import numpy as np
 from . import montecarlo
 from .core import (DeviceParams, MU_B_EV_PER_T, NoiseModel, PLANCK_EV_S,
                    Pol, larmor_frequency)
-from .correlator import (bin_lifetime, build_map2d, correlate_cw, docp,
-                         lifetime_docp_trace, slice_map, write_docp_csv,
-                         write_map_csv, _write_csv)
+from .correlator import (CW_BIN_S, build_map2d, correlate_cw, docp,
+                         lifetime_docp_trace, lifetime_histograms,
+                         plateau_normalized, slice_map, write_csv,
+                         write_docp_csv, write_map_csv)
 from .fitkit import (fft_frequency, fit_damped_cosine, fit_linear_zeeman,
                      format_fit_report, loglog_trend, window_average)
 from .montecarlo import ProtocolConfig
@@ -86,7 +88,8 @@ def _device(b_t: float, g_h: float = 0.35, noise: NoiseModel | None = None,
                         b_x_t=b_t, noise=noise or NoiseModel.quiet())
 
 
-def _digest_meta(*streams) -> dict:
+def digest_meta(*streams) -> dict:
+    """CSV header block naming the event streams a dataset came from."""
     return {"input_digest": "+".join(s.content_digest[:16] for s in streams)}
 
 
@@ -99,14 +102,34 @@ def run_pipeline(name: str, outdir, seed: int = 20260815, scale: float = 1.0,
     outdir.mkdir(parents=True, exist_ok=True)
     rows, files = PRESETS[name](outdir, seed, scale, workers)
     summary = outdir / "summary.csv"
-    _write_csv(summary, [f"preset = {name}", f"seed = {seed}",
-                         f"scale = {scale:.9g}"],
-               ("preset", "quantity", "configured", "recovered", "sigma",
-                "reference"),
-               ((r.preset, r.quantity, r.configured, r.recovered, r.sigma,
-                 r.reference) for r in rows))
+    write_csv(summary, {"preset": name, "seed": seed,
+                        "scale": f"{scale:.9g}"},
+              ("preset", "quantity", "configured", "recovered", "sigma",
+               "reference"),
+              ((r.preset, r.quantity, r.configured, r.recovered, r.sigma,
+                r.reference) for r in rows))
     files.append(str(summary))
     return PipelineResult(name, rows, files)
+
+
+def beat_fit(trace, variant="pulsed", t0=0.0, fixed=None):
+    """Damped-cosine fit of a beat trace, T2* and alpha pinned to 1 unless
+    `fixed` says otherwise."""
+    return fit_damped_cosine(trace, variant=variant, t0=t0, fixed={
+        "t2star": 1.0, "alpha": 1.0, **(fixed or {})})
+
+
+def lifetime_traces(outdir, stream, **binning):
+    """Co- and cross-polarized decay histograms, written to
+    fig1d_traces.csv; `binning` takes bin_s and span_s."""
+    co, cross = lifetime_histograms(stream, **binning)
+    path = outdir / "fig1d_traces.csv"
+    write_csv(path, digest_meta(stream),
+              ("bin_center_s", "co_counts", "co_error", "cross_counts",
+               "cross_error"),
+              zip(co.centers, co.counts, co.errors, cross.counts,
+                  cross.errors))
+    return path, co, cross
 
 
 def _run_fig1d(outdir, seed, scale, workers):
@@ -114,15 +137,7 @@ def _run_fig1d(outdir, seed, scale, workers):
     config = ProtocolConfig.docp_zero_field(
         n_shots=_n_of(scale, 1_000_000), rng_seed=seed)
     stream = montecarlo.run(device, config, workers=workers)
-    co = bin_lifetime(stream, projection=Pol.R)
-    cross = bin_lifetime(stream, projection=Pol.L)
-    path = outdir / "fig1d_traces.csv"
-    meta = _digest_meta(stream)
-    _write_csv(path, [f"{k} = {v}" for k, v in meta.items()],
-               ("bin_center_s", "co_counts", "co_error", "cross_counts",
-                "cross_error"),
-               zip(co.centers, co.counts, co.errors, cross.counts,
-                   cross.errors))
+    path, co, cross = lifetime_traces(outdir, stream)
     n_r, n_l = co.total, cross.total
     memory = (n_r - n_l) / (n_r + n_l)
     sigma = math.sqrt((1.0 - memory ** 2) / (n_r + n_l))
@@ -139,9 +154,7 @@ def _run_fig1f(outdir, seed, scale, workers):
         config = ProtocolConfig.lifetime(n_shots=_n_of(scale, 500_000),
                                          rng_seed=derive_seed(seed, "b", i))
         stream = montecarlo.run(device, config, workers=workers)
-        trace = lifetime_docp_trace(stream)
-        fit = fit_damped_cosine(trace, variant="pulsed",
-                                fixed={"t2star": 1.0, "alpha": 1.0})
+        fit = beat_fit(lifetime_docp_trace(stream))
         freqs.append(fit["frequency"])
         f_sigmas.append(fit.sigmas["frequency"])
     freqs, f_sigmas = np.array(freqs), np.array(f_sigmas)
@@ -149,9 +162,8 @@ def _run_fig1f(outdir, seed, scale, workers):
     zfit = fit_linear_zeeman(np.array(fields), de_ev,
                              errors_ev=PLANCK_EV_S * f_sigmas)
     path = outdir / "fig1f_zeeman.csv"
-    _write_csv(path, [],
-               ("b_t", "f_hz", "f_sigma_hz", "delta_e_ev"),
-               zip(fields, freqs, f_sigmas, de_ev))
+    write_csv(path, {}, ("b_t", "f_hz", "f_sigma_hz", "delta_e_ev"),
+              zip(fields, freqs, f_sigmas, de_ev))
     report = outdir / "fig1f_fit_report.txt"
     report.write_text(
         f"linear zeeman fit\ng_e = {zfit.g:.9g} +/- {zfit.sigma_g:.9g}\n"
@@ -172,23 +184,29 @@ def _run_cw(device, n_segments, seed, pump_rate_hz, workers):
     return montecarlo.run(device, config, workers=workers)
 
 
-def _cw_histograms(stream, window_s, normalize=False):
-    h_rr = correlate_cw(stream, "RR", window_s=window_s, normalize=normalize)
-    h_rl = correlate_cw(stream, "RL", window_s=window_s, normalize=normalize)
-    return h_rr, h_rl
+def cw_histograms(stream, window_s, bin_s=CW_BIN_S, start_stop=False):
+    """Raw RR and RL pair correlations of a cw stream."""
+    return tuple(correlate_cw(stream, p, window_s=window_s, bin_s=bin_s,
+                              start_stop=start_stop) for p in ("RR", "RL"))
 
 
-def _cw_osc_params(stream, window_s) -> dict:
-    """Oscillation parameters from the normalized RR and RL fits.
+def write_g2_csv(path, h_rr, h_rl, meta):
+    write_csv(path, meta,
+              ("delay_s", "g2_rr", "g2_rr_error", "g2_rl", "g2_rl_error"),
+              zip(h_rr.centers, h_rr.counts, h_rr.errors, h_rl.counts,
+                  h_rl.errors))
+
+
+def cw_osc_params(h_rr, h_rl, window_s) -> dict:
+    """Oscillation parameters from fits of the plateau-normalized raw RR
+    and RL correlations.
 
     Emissions between a pair re-synchronize the phase, skewing the RR
     and RL envelopes in opposite directions; the pair mean cancels the
     skew to first order, so tau/f/alpha are reported as pair means.
     """
-    fit_rr = fit_damped_cosine(correlate_cw(stream, "RR", window_s=window_s,
-                                            normalize=True), variant="cw")
-    fit_rl = fit_damped_cosine(correlate_cw(stream, "RL", window_s=window_s,
-                                            normalize=True), variant="cw")
+    fit_rr, fit_rl = (fit_damped_cosine(plateau_normalized(h, window_s),
+                                        variant="cw") for h in (h_rr, h_rl))
     out = {"fit_rr": fit_rr, "fit_rl": fit_rl}
     for name in ("frequency", "t2star", "alpha", "amplitude"):
         out[name] = 0.5 * (fit_rr[name] + fit_rl[name])
@@ -201,14 +219,16 @@ def _cw_osc_params(stream, window_s) -> dict:
     return out
 
 
+def _cw_osc_params(stream, window_s) -> dict:
+    return cw_osc_params(*cw_histograms(stream, window_s), window_s)
+
+
 def _run_fig2a(outdir, seed, scale, workers):
     stream = _run_cw(_cw_device(), _n_of(scale, 8192), seed, 1e7, workers)
-    h_rr, h_rl = _cw_histograms(stream, 100e-9, normalize=True)
+    h_rr, h_rl = (plateau_normalized(h, 100e-9)
+                  for h in cw_histograms(stream, 100e-9))
     path = outdir / "fig2a_g2.csv"
-    _write_csv(path, [f"{k} = {v}" for k, v in _digest_meta(stream).items()],
-               ("delay_s", "g2_rr", "g2_rr_error", "g2_rl", "g2_rl_error"),
-               zip(h_rr.centers, h_rr.counts, h_rr.errors, h_rl.counts,
-                   h_rl.errors))
+    write_g2_csv(path, h_rr, h_rl, digest_meta(stream))
     center = np.argmin(np.abs(h_rr.centers))
     dip = float(h_rr.counts[center])
     rows = [SummaryRow("fig2a", "g2_rr_zero_delay", 0.0, dip,
@@ -219,10 +239,10 @@ def _run_fig2a(outdir, seed, scale, workers):
 def _run_fig2b(outdir, seed, scale, workers):
     device = _cw_device()
     stream = _run_cw(device, _n_of(scale, 49152), seed, 1e7, workers)
-    trace = docp(*_cw_histograms(stream, 100e-9))
+    hists = cw_histograms(stream, 100e-9)
     path = outdir / "fig2b_docp.csv"
-    write_docp_csv(path, trace, _digest_meta(stream))
-    osc = _cw_osc_params(stream, 100e-9)
+    write_docp_csv(path, docp(*hists), digest_meta(stream))
+    osc = cw_osc_params(*hists, 100e-9)
     f_hz = osc["frequency"]
     g_h = PLANCK_EV_S * f_hz / (MU_B_EV_PER_T * device.b_x_t)
     g_sigma = (PLANCK_EV_S * osc["frequency_sigma"]
@@ -251,8 +271,7 @@ def _run_fig2b(outdir, seed, scale, workers):
 
 def _run_fig2c(outdir, seed, scale, workers):
     fields = (0.025, 0.0375, 0.05, 0.075)
-    out_rows = []
-    freqs, f_sig, taus = [], [], []
+    oscs = []
     for i, b_t in enumerate(fields):
         # jitter width grows linearly with field (frequency-proportional
         # nuclear-field spread), pinned to the 37.5 mT reference point
@@ -260,17 +279,16 @@ def _run_fig2c(outdir, seed, scale, workers):
         device = _cw_device(b_t=b_t, t2star_s=t2star)
         stream = _run_cw(device, _n_of(scale, 16384),
                          derive_seed(seed, "b", i), 1e7, workers)
-        osc = _cw_osc_params(stream, 100e-9)
-        freqs.append(osc["frequency"])
-        f_sig.append(osc["frequency_sigma"])
-        taus.append(osc["t2star"])
-        out_rows.append((b_t, osc["frequency"], osc["frequency_sigma"],
-                         osc["t2star"], osc["t2star_sigma"], osc["alpha"]))
+        oscs.append(_cw_osc_params(stream, 100e-9))
+    freqs, f_sig, taus = (np.array([o[k] for o in oscs])
+                          for k in ("frequency", "frequency_sigma", "t2star"))
     path = outdir / "fig2c_field_sweep.csv"
-    _write_csv(path, [], ("b_t", "f_hz", "f_sigma_hz", "tau_s",
-                          "tau_sigma_s", "alpha"), out_rows)
-    zfit = fit_linear_zeeman(np.array(fields), PLANCK_EV_S * np.array(freqs),
-                             errors_ev=PLANCK_EV_S * np.array(f_sig))
+    write_csv(path, {}, ("b_t", "f_hz", "f_sigma_hz", "tau_s",
+                         "tau_sigma_s", "alpha"),
+              ((b, o["frequency"], o["frequency_sigma"], o["t2star"],
+                o["t2star_sigma"], o["alpha"]) for b, o in zip(fields, oscs)))
+    zfit = fit_linear_zeeman(np.array(fields), PLANCK_EV_S * freqs,
+                             errors_ev=PLANCK_EV_S * f_sig)
     decreasing = float(all(np.diff(taus) < 0))
     rows = [
         SummaryRow("fig2c", "g_h", REF_G_H_CW, zfit.g, zfit.sigma_g,
@@ -299,11 +317,11 @@ def _run_fig2d(outdir, seed, scale, workers):
     taus = [osc["t2star"] for _, _, osc in results]
     pumps = [pump for _, pump, _ in results]
     path = outdir / "fig2d_power.csv"
-    _write_csv(path, [],
-               ("power_uw", "pump_rate_hz", "amplitude", "tau_s",
-                "tau_sigma_s", "alpha"),
-               ((p, r, o["amplitude"], o["t2star"], o["t2star_sigma"],
-                 o["alpha"]) for p, r, o in results))
+    write_csv(path, {},
+              ("power_uw", "pump_rate_hz", "amplitude", "tau_s",
+               "tau_sigma_s", "alpha"),
+              ((p, r, o["amplitude"], o["t2star"], o["t2star_sigma"],
+                o["alpha"]) for p, r, o in results))
     slope, _ = loglog_trend(pumps, taus)
     rows = [SummaryRow("fig2d", "tau_strictly_decreasing", 1.0,
                        float(all(np.diff(taus) < 0)), 0.0, 1.0),
@@ -319,10 +337,10 @@ def _run_fig2d(outdir, seed, scale, workers):
 def _run_table_s1(outdir, seed, scale, workers):
     results = _pump_sweep(outdir, seed, scale, workers)
     path = outdir / "table_s1.csv"
-    _write_csv(path, [],
-               ("power_uw", "pump_rate_hz", "amplitude", "tau_ns", "alpha"),
-               ((p, r, o["amplitude"], o["t2star"] * 1e9, o["alpha"])
-                for p, r, o in results))
+    write_csv(path, {},
+              ("power_uw", "pump_rate_hz", "amplitude", "tau_ns", "alpha"),
+              ((p, r, o["amplitude"], o["t2star"] * 1e9, o["alpha"])
+               for p, r, o in results))
     rows = []
     for power_uw, _, osc in results:
         ref_a, ref_tau, ref_alpha = REF_POWER_TABLE[power_uw]
@@ -343,65 +361,73 @@ def _pulsed_device() -> DeviceParams:
                    noise=NoiseModel.lorentzian_from_t2star(REF_T2STAR_S))
 
 
-def _pulsed_maps(device, n_shots, seed, pulse_delay_s, workers):
+def _run_pulsed(device, n_shots, seed, pulse_delay_s, workers):
     config = ProtocolConfig.pulsed(n_shots=n_shots, rng_seed=seed,
                                    pulse_delay_s=pulse_delay_s)
-    stream = montecarlo.run(device, config, workers=workers)
-    map_r = build_map2d(stream, ch2_projection=Pol.R)
-    map_l = build_map2d(stream, ch2_projection=Pol.L)
-    return stream, map_r, map_l
+    return montecarlo.run(device, config, workers=workers)
 
 
-def _slice_docp(map_r, map_l):
-    slice_r = slice_map(map_r, T1_SLICE_S, T1_SLICE_TOL_S)
-    slice_l = slice_map(map_l, T1_SLICE_S, T1_SLICE_TOL_S)
-    return docp(slice_r, slice_l)
+def herald_maps(stream):
+    """Two-photon maps with the readout photon projected on R and on L."""
+    return (build_map2d(stream, ch2_projection=Pol.R),
+            build_map2d(stream, ch2_projection=Pol.L))
+
+
+def write_herald_maps(outdir, map_r, map_l, meta) -> list:
+    paths = [outdir / "fig3b_map.csv", outdir / "fig3b_map_rl.csv"]
+    for path, map2d in zip(paths, (map_r, map_l)):
+        write_map_csv(path, map2d, meta)
+    return paths
+
+
+def sliced_docp(map_r, map_l, t1_s=T1_SLICE_S, tolerance_s=T1_SLICE_TOL_S):
+    """Heralded DOCP versus t2 over the map rows at t1_s +/- tolerance_s."""
+    return docp(slice_map(map_r, t1_s, tolerance_s),
+                slice_map(map_l, t1_s, tolerance_s))
 
 
 def _run_fig3b(outdir, seed, scale, workers):
     device = _pulsed_device()
-    stream, map_r, map_l = _pulsed_maps(device, _n_of(scale, 2_400_000),
-                                        seed, 1.6e-9, workers)
-    meta = _digest_meta(stream)
-    path_r = outdir / "fig3b_map.csv"
-    path_l = outdir / "fig3b_map_rl.csv"
-    write_map_csv(path_r, map_r, meta)
-    write_map_csv(path_l, map_l, meta)
-    trace = _slice_docp(map_r, map_l)
-    fit = fit_damped_cosine(trace, variant="pulsed",
-                            fixed={"t2star": 1.0, "alpha": 1.0})
+    stream = _run_pulsed(device, _n_of(scale, 2_400_000), seed, 1.6e-9,
+                         workers)
+    map_r, map_l = herald_maps(stream)
+    paths = write_herald_maps(outdir, map_r, map_l, digest_meta(stream))
+    fit = beat_fit(sliced_docp(map_r, map_l))
     f_e = larmor_frequency(device.g_e, device.b_x_t)
     rows = [SummaryRow("fig3b", "f_e_hz", f_e, fit["frequency"],
                        fit.sigmas["frequency"], f_e)]
-    return rows, [str(path_r), str(path_l)]
+    return rows, [str(p) for p in paths]
+
+
+def write_delay_csv(path, delays, traces, meta, t2_window_s=None):
+    """The valid DOCP bins of every delay, with t2 inside the window if
+    one is given."""
+    lo, hi = t2_window_s or (-math.inf, math.inf)
+    write_csv(path, meta,
+              ("pulse_delay_s", "t2_s", "docp", "error", "n_total"),
+              ((dt, t, v, e, n) for dt, tr in zip(delays, traces)
+               for t, v, e, n, ok in zip(tr.times, tr.values, tr.errors,
+                                         tr.n_total, tr.valid)
+               if ok and lo <= t <= hi))
 
 
 def _run_fig3c(outdir, seed, scale, workers):
     device = _pulsed_device()
     delays = (3.1e-9, 3.75e-9)
-    phases, sigmas, out = [], [], []
-    for i, dt in enumerate(delays):
-        stream, map_r, map_l = _pulsed_maps(
-            device, _n_of(scale, 1_200_000), derive_seed(seed, "dt", i), dt,
-            workers)
-        trace = _slice_docp(map_r, map_l)
-        fit = fit_damped_cosine(trace, variant="pulsed",
-                                fixed={"t2star": 1.0, "alpha": 1.0})
-        phases.append(fit["phase"])
-        sigmas.append(fit.sigmas["phase"])
-        for t, v, e, n, ok in zip(trace.times, trace.values, trace.errors,
-                                  trace.n_total, trace.valid):
-            if ok:
-                out.append((dt, t, v, e, n))
+    traces = [sliced_docp(*herald_maps(_run_pulsed(
+        device, _n_of(scale, 1_200_000), derive_seed(seed, "dt", i), dt,
+        workers))) for i, dt in enumerate(delays)]
+    fits = [beat_fit(tr) for tr in traces]
     path = outdir / "fig3c_docp_vs_t2.csv"
-    _write_csv(path, [], ("pulse_delay_s", "t2_s", "docp", "error",
-                          "n_total"), out)
+    write_delay_csv(path, delays, traces, {})
     f_h = larmor_frequency(device.g_h, device.b_x_t)
     configured = 2.0 * math.pi * f_h * (delays[1] - delays[0])
     configured = abs(math.remainder(configured, 2.0 * math.pi))
-    shift = abs(math.remainder(phases[0] - phases[1], 2.0 * math.pi))
+    shift = abs(math.remainder(fits[0]["phase"] - fits[1]["phase"],
+                               2.0 * math.pi))
     rows = [SummaryRow("fig3c", "phase_shift_rad", configured, shift,
-                       math.hypot(*sigmas), configured)]
+                       math.hypot(*(f.sigmas["phase"] for f in fits)),
+                       configured)]
     return rows, [str(path)]
 
 
@@ -411,19 +437,23 @@ def delay_sweep_grid() -> np.ndarray:
 
 def heralded_sweep(device, delays, n_shots, seed, workers=None):
     """Per-delay sliced DOCP series, keyed by readout-time bin."""
-    per_delay = []
-    pairs = []
+    per_delay, pairs = [], []
     for i, dt in enumerate(delays):
-        _, map_r, map_l = _pulsed_maps(device, n_shots,
-                                       derive_seed(seed, "dt", i), float(dt),
-                                       workers)
-        per_delay.append(_slice_docp(map_r, map_l))
+        stream = _run_pulsed(device, n_shots, derive_seed(seed, "dt", i),
+                             float(dt), workers)
+        map_r, map_l = herald_maps(stream)
+        per_delay.append(sliced_docp(map_r, map_l))
         pairs.append(map_r.diagnostics["shots_used"])
     return per_delay, pairs
 
 
 def fit_heralded_sweep(delays, traces, t2_window_s=T2_FIT_WINDOW_S):
-    """Per-t2-bin damped-cosine fits across the delay axis."""
+    """Per-t2-bin damped-cosine fits across the delay axis.
+
+    Bins whose fit finds no oscillation (the fitter's flat-trace branch,
+    f = 0) carry no frequency or T2* and are dropped; fewer than 3
+    oscillating bins leave nothing to average and raise RuntimeError.
+    """
     delays = np.asarray(delays, dtype=float)
     t2 = traces[0].times
     lo, hi = t2_window_s
@@ -440,11 +470,29 @@ def fit_heralded_sweep(delays, traces, t2_window_s=T2_FIT_WINDOW_S):
                                     fixed={"alpha": 1.0, "offset": 0.0})
         except ValueError:
             continue
-        if fit.converged:
+        if fit.converged and fit.message != "no-oscillation":
             fits.append((float(t2[j]), fit))
-    if not fits:
-        raise RuntimeError("no per-bin fits converged in the delay sweep")
+    if len(fits) < 3:
+        raise RuntimeError(f"{len(fits)} per-bin fits of the delay sweep "
+                           f"converged on an oscillation; need 3")
     return fits
+
+
+def delay_sweep_fits(outdir, delays, traces, t2_window_s=T2_FIT_WINDOW_S):
+    """Per-bin fits written to fig3d_fits.csv, plus their window averages
+    of f and T2*; returns (path, f average, T2* average)."""
+    fits = fit_heralded_sweep(delays, traces, t2_window_s)
+    t2s = [t for t, _ in fits]
+    f_avg = window_average(t2s, [f["frequency"] for _, f in fits],
+                           t2_window_s)
+    tau_avg = window_average(t2s, [f["t2star"] for _, f in fits],
+                             t2_window_s)
+    path = outdir / "fig3d_fits.csv"
+    write_csv(path, {},
+              ("t2_s", "f_hz", "f_sigma_hz", "t2star_s", "t2star_sigma_s"),
+              ((t, f["frequency"], f.sigmas["frequency"], f["t2star"],
+                f.sigmas["t2star"]) for t, f in fits))
+    return path, f_avg, tau_avg
 
 
 def _run_fig3d(outdir, seed, scale, workers):
@@ -452,27 +500,10 @@ def _run_fig3d(outdir, seed, scale, workers):
     delays = delay_sweep_grid()
     traces, pairs = heralded_sweep(device, delays,
                                    _n_of(scale, 2_400_000), seed, workers)
-    rows_out = []
-    for dt, tr in zip(delays, traces):
-        for t, v, e, n, ok in zip(tr.times, tr.values, tr.errors,
-                                  tr.n_total, tr.valid):
-            if ok and T2_FIT_WINDOW_S[0] <= t <= T2_FIT_WINDOW_S[1]:
-                rows_out.append((dt, t, v, e, n))
     path = outdir / "fig3d_docp_vs_delay.csv"
-    _write_csv(path, [f"min_heralded_pairs = {min(pairs)}"],
-               ("pulse_delay_s", "t2_s", "docp", "error", "n_total"),
-               rows_out)
-    fits = fit_heralded_sweep(delays, traces)
-    t2_centers = [t for t, _ in fits]
-    f_avg = window_average(t2_centers, [f["frequency"] for _, f in fits],
-                           T2_FIT_WINDOW_S)
-    tau_avg = window_average(t2_centers, [f["t2star"] for _, f in fits],
-                             T2_FIT_WINDOW_S)
-    fit_path = outdir / "fig3d_fits.csv"
-    _write_csv(fit_path, [],
-               ("t2_s", "f_hz", "f_sigma_hz", "t2star_s", "t2star_sigma_s"),
-               ((t, f["frequency"], f.sigmas["frequency"], f["t2star"],
-                 f.sigmas["t2star"]) for t, f in fits))
+    write_delay_csv(path, delays, traces,
+                    {"min_heralded_pairs": min(pairs)}, T2_FIT_WINDOW_S)
+    fit_path, f_avg, tau_avg = delay_sweep_fits(outdir, delays, traces)
     f_h = larmor_frequency(device.g_h, device.b_x_t)
     rows = [
         SummaryRow("fig3d", "f_hz", f_h, f_avg.mean, f_avg.sigma,
@@ -487,12 +518,10 @@ def _run_fig3d(outdir, seed, scale, workers):
 
 def _run_figs6(outdir, seed, scale, workers):
     stream = _run_cw(_cw_device(), _n_of(scale, 8192), seed, 1e7, workers)
-    trace = docp(*_cw_histograms(stream, 100e-9))
-    est = fft_frequency(trace)
+    est = fft_frequency(docp(*cw_histograms(stream, 100e-9)))
     path = outdir / "figs6_fft.csv"
-    _write_csv(path, [f"{k} = {v}" for k, v in _digest_meta(stream).items()],
-               ("frequency_hz", "magnitude"),
-               zip(est.freqs_hz, est.magnitude))
+    write_csv(path, digest_meta(stream), ("frequency_hz", "magnitude"),
+              zip(est.freqs_hz, est.magnitude))
     f_ref = larmor_frequency(REF_G_H_CW, 0.0375)
     rows = [SummaryRow("figs6", "fft_peak_hz", f_ref, est.frequency_hz,
                        est.sigma_hz, f_ref)]

@@ -8,7 +8,7 @@ randomness anywhere else.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .core import DeviceParams
 from .fitkit import PARAM_NAMES
@@ -76,10 +76,7 @@ class FitOptions:
     fixed: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"enabled": self.enabled, "variant": self.variant,
-                "t0": self.t0,
-                "exclusion_window_s": self.exclusion_window_s,
-                "fixed": dict(self.fixed)}
+        return asdict(self)
 
 
 @dataclass
@@ -87,7 +84,6 @@ class AnalysisOptions:
     bin_s: float | None = None
     span_s: float | None = None
     window_s: float | None = None
-    pairings: tuple = ("RR", "RL")
     normalize: bool = True
     start_stop: bool = False
     t1_slice_s: float | None = None
@@ -96,14 +92,10 @@ class AnalysisOptions:
     fit: FitOptions = field(default_factory=FitOptions)
 
     def to_dict(self) -> dict:
-        return {"bin_s": self.bin_s, "span_s": self.span_s,
-                "window_s": self.window_s, "pairings": list(self.pairings),
-                "normalize": self.normalize, "start_stop": self.start_stop,
-                "t1_slice_s": self.t1_slice_s,
-                "slice_tolerance_s": self.slice_tolerance_s,
-                "t2_fit_window_s": (None if self.t2_fit_window_s is None
-                                    else list(self.t2_fit_window_s)),
-                "fit": self.fit.to_dict()}
+        d = asdict(self)
+        if self.t2_fit_window_s is not None:
+            d["t2_fit_window_s"] = list(self.t2_fit_window_s)
+        return d
 
 
 @dataclass
@@ -113,8 +105,7 @@ class OutputOptions:
     prefix: str = ""
 
     def to_dict(self) -> dict:
-        return {"directory": self.directory, "format": self.format,
-                "prefix": self.prefix}
+        return asdict(self)
 
 
 # protocol defaults mirror the ProtocolConfig constructors per kind
@@ -234,20 +225,14 @@ def _parse_protocol(d: dict):
 
 def _parse_analysis(d: dict) -> AnalysisOptions:
     _check_keys(d, "analysis", (),
-                ("bin_s", "span_s", "window_s", "pairings", "normalize",
-                 "start_stop", "t1_slice_s", "slice_tolerance_s",
-                 "t2_fit_window_s", "fit"))
+                ("bin_s", "span_s", "window_s", "normalize", "start_stop",
+                 "t1_slice_s", "slice_tolerance_s", "t2_fit_window_s",
+                 "fit"))
     opts = AnalysisOptions()
     for key in ("bin_s", "span_s", "window_s", "t1_slice_s",
                 "slice_tolerance_s"):
         if d.get(key) is not None:
             setattr(opts, key, _num(d[key], f"analysis.{key}"))
-    if "pairings" in d:
-        if not isinstance(d["pairings"], list) or not d["pairings"]:
-            raise ConfigError("analysis.pairings: expected a non-empty list")
-        opts.pairings = tuple(
-            _str(p, f"analysis.pairings[{i}]", ("RR", "RL"))
-            for i, p in enumerate(d["pairings"]))
     if "normalize" in d:
         opts.normalize = _bool(d["normalize"], "analysis.normalize")
     if "start_stop" in d:

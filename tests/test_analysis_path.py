@@ -1,0 +1,142 @@
+"""One analysis path: `analyze` on simulated event files writes the same
+datasets as the `pipeline` preset run with the same device, protocol and
+seed, and the delay-sweep fits reject bins without an oscillation."""
+
+import math
+
+import numpy as np
+import pytest
+
+from trionsim.cli import main
+from trionsim.core import DeviceParams, NoiseModel
+from trionsim.correlator import DocpTrace
+from trionsim.montecarlo import ProtocolConfig
+from trionsim.pipelines import (G_E, P_MEM, REF_G_H_CW, REF_G_H_PULSED,
+                                REF_T2STAR_S, REF_TAU_CW_S, T1_S,
+                                T2_FIT_WINDOW_S, fit_heralded_sweep,
+                                run_pipeline)
+from trionsim.scenarios import (AnalysisOptions, FitOptions, OutputOptions,
+                                Scenario, save_scenario)
+
+SEED = 20260815
+
+
+def _device(b_t, g_h=REF_G_H_CW, noise=None):
+    return DeviceParams(g_e=G_E, g_h=g_h, t1_s=T1_S, p_mem=P_MEM, b_x_t=b_t,
+                        noise=noise or NoiseModel.quiet())
+
+
+def _simulate_and_analyze(tmp_path, device, protocol, analysis=None,
+                          delay_sweep=None):
+    """`trionsim simulate` then `trionsim analyze` on every file written."""
+    events = tmp_path / "events"
+    scenario = Scenario(device, protocol, analysis or AnalysisOptions(),
+                        OutputOptions(directory=str(events)),
+                        delay_sweep)
+    path = tmp_path / "scenario.json"
+    save_scenario(path, scenario)
+    assert main(["simulate", str(path)]) == 0
+    out = tmp_path / "analysis"
+    code = main(["analyze", *sorted(str(p) for p in events.iterdir()),
+                 "-o", str(out), "--scenario", str(path)])
+    return code, out
+
+
+def _assert_same_files(names, preset_dir, analysis_dir):
+    for name in names:
+        assert (analysis_dir / name).read_bytes() == \
+            (preset_dir / name).read_bytes(), name
+
+
+def test_analyze_lifetime_matches_fig1d_preset(tmp_path):
+    scale = 0.02
+    run_pipeline("fig1d", tmp_path / "preset", seed=SEED, scale=scale)
+    protocol = ProtocolConfig.docp_zero_field(
+        n_shots=round(1_000_000 * scale), rng_seed=SEED)
+    code, out = _simulate_and_analyze(tmp_path, _device(0.0), protocol)
+    assert code == 0
+    _assert_same_files(["fig1d_traces.csv"], tmp_path / "preset", out)
+
+
+def test_analyze_cw_matches_fig2b_preset(tmp_path):
+    scale = 0.05
+    run_pipeline("fig2b", tmp_path / "preset", seed=SEED, scale=scale)
+    device = _device(0.0375,
+                     noise=NoiseModel.lorentzian_from_t2star(REF_TAU_CW_S))
+    protocol = ProtocolConfig.cw(n_segments=round(49152 * scale),
+                                 rng_seed=SEED, pump_rate_hz=1e7)
+    analysis = AnalysisOptions(fit=FitOptions(enabled=False))
+    code, out = _simulate_and_analyze(tmp_path, device, protocol, analysis)
+    assert code == 0
+    _assert_same_files(["fig2b_docp.csv"], tmp_path / "preset", out)
+    assert (out / "cw_g2.csv").exists()
+
+
+def test_analyze_pulsed_matches_fig3b_preset(tmp_path):
+    scale = 0.1
+    run_pipeline("fig3b", tmp_path / "preset", seed=SEED, scale=scale)
+    device = _device(0.15, g_h=REF_G_H_PULSED,
+                     noise=NoiseModel.lorentzian_from_t2star(REF_T2STAR_S))
+    protocol = ProtocolConfig.pulsed(n_shots=round(2_400_000 * scale),
+                                     rng_seed=SEED, pulse_delay_s=1.6e-9)
+    analysis = AnalysisOptions(fit=FitOptions(enabled=False))
+    code, out = _simulate_and_analyze(tmp_path, device, protocol, analysis)
+    assert code == 0
+    _assert_same_files(["fig3b_map.csv", "fig3b_map_rl.csv"],
+                       tmp_path / "preset", out)
+    assert (out / "fig3b_slice_docp.csv").exists()
+
+
+def test_analyze_short_delay_sweep_writes_data_then_exits_4(tmp_path):
+    # three delays are far too few for a per-bin fit across the delay
+    # axis: the dataset is still written, and the sweep fit reports
+    # non-convergence rather than a configuration error
+    device = _device(0.15, g_h=REF_G_H_PULSED,
+                     noise=NoiseModel.lorentzian_from_t2star(REF_T2STAR_S))
+    protocol = ProtocolConfig.pulsed(n_shots=20_000, rng_seed=SEED,
+                                     pulse_delay_s=1.0e-9)
+    code, out = _simulate_and_analyze(tmp_path, device, protocol,
+                                      delay_sweep=(1.0e-9, 1.6e-9, 2.2e-9))
+    assert code == 4
+    lines = (out / "fig3d_docp_vs_delay.csv").read_text().splitlines()
+    assert lines[1] == "pulse_delay_s,t2_s,docp,error,n_total"
+    delays = {float(line.split(",")[0]) for line in lines[2:]}
+    assert delays == {1.0e-9, 1.6e-9, 2.2e-9}
+
+
+def _synthetic_sweep(flat_bin=None):
+    """Noiseless heralded DOCP versus delay for 12 t2 bins in the window.
+
+    Every bin oscillates at 760 MHz with T2* = 15.9 ns, except `flat_bin`,
+    which reads a constant 0 across all delays.
+    """
+    delays = np.round(np.arange(0.6e-9, 10.5e-9 + 1e-13, 0.3e-9), 12)
+    t2 = np.linspace(T2_FIT_WINDOW_S[0], T2_FIT_WINDOW_S[1], 12)
+    traces = []
+    for dt in delays:
+        values = 0.5 * math.exp(-dt / 15.9e-9) * np.cos(
+            2 * math.pi * 760e6 * (dt - 228e-12) + 40e9 * t2)
+        if flat_bin is not None:
+            values[flat_bin] = 0.0
+        traces.append(DocpTrace(t2, values, np.full(t2.size, 0.01),
+                                np.full(t2.size, 1e4),
+                                np.ones(t2.size, dtype=bool)))
+    return delays, traces
+
+
+def test_fit_heralded_sweep_drops_bins_without_oscillation():
+    delays, traces = _synthetic_sweep(flat_bin=5)
+    fits = fit_heralded_sweep(delays, traces)
+    assert len(fits) == 11
+    assert all(f.message != "no-oscillation" for _, f in fits)
+    assert traces[0].times[5] not in [t for t, _ in fits]
+    for _, fit in fits:
+        assert fit["frequency"] == pytest.approx(760e6, rel=1e-6)
+
+
+def test_fit_heralded_sweep_needs_three_oscillating_bins():
+    delays, traces = _synthetic_sweep()
+    for tr in traces:
+        tr.values[2:] = 0.0
+    with pytest.raises(RuntimeError, match="2 per-bin fits"):
+        fit_heralded_sweep(delays, traces)

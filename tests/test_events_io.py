@@ -1,8 +1,11 @@
 """Event file formats: exact round trips, layout, and corruption checks."""
 
+import json
+
 import numpy as np
 import pytest
 
+from trionsim.cli import main
 from trionsim.core import DeviceParams, NoiseModel
 from trionsim.events_io import (
     MAGIC,
@@ -144,3 +147,55 @@ def test_empty_stream_round_trips(tmp_path):
         back = read_events(path)
         assert len(back) == 0
         assert back.content_digest == empty.content_digest
+
+
+def _edit_header(path, fmt, edit):
+    """Rewrite the header block of an event file through `edit(header)`."""
+    if fmt == "binary":
+        blob = path.read_bytes()
+        end = blob.index(b"\n", len(MAGIC))
+        header = json.loads(blob[len(MAGIC):end])
+        edit(header)
+        path.write_bytes(MAGIC + json.dumps(header).encode() + blob[end:])
+        return
+    first, *rest = path.read_text().splitlines(keepends=True)
+    header = {}
+    for line in rest:
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(" = ")
+            header[key] = json.loads(value)
+    edit(header)
+    path.write_text(first
+                    + "".join(f"# {k} = {json.dumps(v)}\n"
+                              for k, v in header.items())
+                    + "".join(x for x in rest if not x.startswith("#")))
+
+
+def _drop_event_count(header):
+    del header["n_events"]
+
+
+def _mistype_g_e(header):
+    header["device"]["g_e"] = "fast"
+
+
+def _change_g_e(header):
+    header["device"]["g_e"] = 9.99
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_tampered_header_rejected(tmp_path, stream, fmt, capsys):
+    # a missing or ill-typed key and an edited physics block are all
+    # refused with the file named, and `analyze` exits 3 (i/o failure)
+    for edit, message in ((_drop_event_count, "malformed header"),
+                          (_mistype_g_e, "malformed header"),
+                          (_change_g_e, "header digest mismatch")):
+        path = tmp_path / f"events.{fmt}"
+        write_events(path, stream, fmt=fmt)
+        _edit_header(path, fmt, edit)
+        with pytest.raises(ValueError, match=message) as info:
+            read_events(path)
+        assert str(path) in str(info.value)
+        assert main(["analyze", str(path), "-o", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err

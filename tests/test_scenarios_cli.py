@@ -32,7 +32,7 @@ def _write_scenario(path, d):
 def test_scenario_round_trip():
     d = _scenario_dict("pulsed_2pc", pulse_delay_s=1.6e-9,
                        detection_efficiency=0.5)
-    d["analysis"] = {"bin_s": 20e-12, "pairings": ["RR"],
+    d["analysis"] = {"bin_s": 20e-12,
                      "fit": {"variant": "pulsed",
                              "fixed": {"alpha": 1.0}}}
     d["outputs"] = {"format": "csv", "prefix": "run_"}
@@ -51,10 +51,12 @@ def test_unknown_keys_name_the_field_path():
         (_scenario_dict(), "device.gee"),
         (_scenario_dict(), "device.noise.hue"),
         (_scenario_dict(), "analysis.fit.fixed.zeta"),
+        (_scenario_dict(), "analysis.pairings"),
     ]
     cases[2][0]["device"]["gee"] = 2.0
     cases[3][0]["device"]["noise"]["hue"] = "red"
     cases[4][0]["analysis"] = {"fit": {"fixed": {"zeta": 1.0}}}
+    cases[5][0]["analysis"] = {"pairings": ["RR"]}
     for d, path in cases:
         with pytest.raises(ConfigError, match=rf"{path.replace('$', '[$]')}"):
             Scenario.from_dict(d)
