@@ -18,8 +18,7 @@ from .montecarlo import (EVENT_DTYPE, EventStream, ProtocolConfig,
 from .correlator import (DocpTrace, Histogram1D, Map2D, bin_lifetime,
                          build_map2d, correlate_cw, docp,
                          lifetime_docp_trace, plateau_normalized, slice_map,
-                         write_docp_csv, write_histogram_csv,
-                         write_map_csv)
+                         write_docp_csv, write_map_csv)
 from .fitkit import (PARAM_NAMES, DampedCosineModel, FitResult,
                      FrequencyEstimate, WindowAverage, ZeemanFit,
                      fft_frequency, fit_damped_cosine, fit_linear_zeeman,

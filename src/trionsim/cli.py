@@ -161,7 +161,7 @@ def _emit_report(path, fit, title, digest) -> int:
 def _analyze_lifetime(stream, opts, outdir) -> int:
     path, co, cross = lifetime_traces(
         outdir, stream, bin_s=opts.bin_s or LIFETIME_BIN_S,
-        span_s=opts.span_s or None)
+        span_s=opts.span_s)
     trace = docp(co, cross)
     docp_path = outdir / "lifetime_docp.csv"
     write_docp_csv(docp_path, trace, digest_meta(stream))
@@ -202,7 +202,7 @@ def _analyze_cw(stream, opts, outdir) -> int:
 
 
 def _analyze_pulsed(streams, opts, outdir) -> int:
-    slicing = (opts.t1_slice_s or T1_SLICE_S,
+    slicing = (T1_SLICE_S if opts.t1_slice_s is None else opts.t1_slice_s,
                opts.slice_tolerance_s or T1_SLICE_TOL_S)
     if len(streams) == 1:
         map_r, map_l = herald_maps(streams[0])

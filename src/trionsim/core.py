@@ -1,4 +1,5 @@
-"""Domain types, polarization algebra, and physical constants.
+"""Domain types, polarization algebra, physical constants, and the strict
+field checks every configuration block is parsed with.
 
 Unit conventions used throughout the package: energies in eV, times in
 seconds, frequencies in Hz, magnetic fields in tesla.  Conversions to
@@ -11,12 +12,74 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 MU_B_EV_PER_T = 5.7883818e-5
 PLANCK_EV_S = 4.135667696e-15
+
+
+class ConfigError(ValueError):
+    """Invalid configuration content; message starts with the field path."""
+
+
+def check_keys(d, path: str, required, optional=()) -> None:
+    """Reject a non-object, an unknown key or a missing required key."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected an object")
+    allowed = set(required) | set(optional)
+    for key in d:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}: unknown key")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{path}.{key}: missing required key")
+
+
+def as_number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number")
+    try:
+        return float(value)
+    except OverflowError:   # an integer beyond the float range
+        raise ConfigError(f"{path}: out of range") from None
+
+
+def as_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer")
+    return value
+
+
+def as_bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true/false")
+    return value
+
+
+def as_str(value, path: str, choices=()) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string")
+    if choices and value not in choices:
+        raise ConfigError(f"{path}: expected one of {', '.join(choices)}")
+    return value
+
+
+def as_enum(value, path: str, enum_cls):
+    """The member of a string-valued enum named by `value`."""
+    return enum_cls(as_str(value, path, tuple(m.value for m in enum_cls)))
+
+
+def construct(cls, path: str, *args, **kwargs):
+    """`cls(*args, **kwargs)`; a constructor's ValueError becomes a
+    ConfigError under the block path `path`."""
+    try:
+        return cls(*args, **kwargs)
+    except ConfigError as exc:   # already names a field of the block
+        raise ConfigError(f"{path}.{exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 class Pol(enum.IntEnum):
@@ -66,6 +129,14 @@ def pol_from_label(label: str) -> Pol:
         return Pol[label.strip().upper()]
     except KeyError:
         raise ValueError(f"unknown polarization label {label!r}") from None
+
+
+def as_pols(value, path: str) -> tuple:
+    """A non-empty list of exact polarization labels, as Pol members."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list")
+    return tuple(Pol[as_str(v, f"{path}[{i}]", tuple(Pol.__members__))]
+                 for i, v in enumerate(value))
 
 
 def project(state_jones, onto) -> float:
@@ -229,9 +300,12 @@ class NoiseModel:
                 "applies_to": self.applies_to.value}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NoiseModel":
-        return cls(NoiseKind(d["kind"]), float(d["width_hz"]),
-                   NoiseTarget(d["applies_to"]))
+    def from_dict(cls, d: dict, path: str = "noise") -> "NoiseModel":
+        check_keys(d, path, ("kind", "width_hz", "applies_to"))
+        return construct(
+            cls, path, as_enum(d["kind"], f"{path}.kind", NoiseKind),
+            as_number(d["width_hz"], f"{path}.width_hz"),
+            as_enum(d["applies_to"], f"{path}.applies_to", NoiseTarget))
 
 
 @dataclass(frozen=True)
@@ -290,10 +364,13 @@ class DeviceParams:
                 "noise": self.noise.to_dict()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DeviceParams":
-        return cls(g_e=float(d["g_e"]), g_h=float(d["g_h"]), t1_s=float(d["t1_s"]),
-                   p_mem=float(d["p_mem"]), b_x_t=float(d["b_x_t"]),
-                   noise=NoiseModel.from_dict(d["noise"]))
+    def from_dict(cls, d: dict, path: str = "device") -> "DeviceParams":
+        names = [f.name for f in fields(cls)]
+        check_keys(d, path, names)
+        noise = NoiseModel.from_dict(d["noise"], f"{path}.noise")
+        return construct(cls, path, noise=noise, **{
+            key: as_number(d[key], f"{path}.{key}")
+            for key in names if key != "noise"})
 
 
 def zeeman_splitting(g: float, b_t: float) -> float:

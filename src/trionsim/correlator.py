@@ -110,10 +110,6 @@ class Map2D:
     def t2_centers(self) -> np.ndarray:
         return 0.5 * (self.t2_edges[:-1] + self.t2_edges[1:])
 
-    def marginal_t2(self) -> Histogram1D:
-        counts = self.counts.sum(axis=0)
-        return Histogram1D(self.t2_edges, counts, np.sqrt(counts))
-
 
 def _bin_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(edges, values, side="right") - 1
@@ -132,28 +128,26 @@ def _window_edges(window_s: float, bin_s: float) -> np.ndarray:
 
 def _pair_deltas_binned(t0: np.ndarray, t1: np.ndarray,
                         edges: np.ndarray) -> np.ndarray:
-    """Counts of t1-t0 over all pairs within the edge span, chunked."""
+    """Counts of t1-t0 over all pairs within the edge span, in chunks of
+    about _PAIR_CHUNK pairs."""
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     lo_all = np.searchsorted(t1, t0 + edges[0], side="left")
-    hi_all = np.searchsorted(t1, t0 + edges[-1], side="right")
-    n_pairs = hi_all - lo_all
-    start = 0
-    while start < t0.size:
-        stop = start
-        budget = 0
-        while stop < t0.size and budget < _PAIR_CHUNK:
-            budget += n_pairs[stop]
-            stop += 1
-        lo, hi = lo_all[start:stop], hi_all[start:stop]
-        m = hi - lo
+    n_pairs = np.searchsorted(t1, t0 + edges[-1], side="right") - lo_all
+    cum = np.cumsum(n_pairs)
+    # chunk k ends after the first t0 whose running pair count reaches
+    # k * _PAIR_CHUNK, so it holds below _PAIR_CHUNK + max(n_pairs) pairs
+    stops = np.searchsorted(
+        cum, np.arange(_PAIR_CHUNK, cum[-1] if cum.size else 0, _PAIR_CHUNK))
+    bounds = np.unique(np.concatenate(([0], stops + 1, [t0.size])))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        m = n_pairs[start:stop]
         total = int(m.sum())
         if total:
-            # flat indices of each [lo_i, hi_i) run
+            # flat indices of each [lo_i, lo_i + m_i) run
             offs = np.arange(total) - np.repeat(np.cumsum(m) - m, m)
-            j = np.repeat(lo, m) + offs
+            j = np.repeat(lo_all[start:stop], m) + offs
             d = t1[j] - np.repeat(t0[start:stop], m)
             counts += _bin_values(d, edges)
-        start = stop
     return counts
 
 
@@ -328,11 +322,6 @@ def write_csv(path, meta: dict | None, column_names, rows):
         f.write(",".join(column_names) + "\n")
         for row in rows:
             f.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def write_histogram_csv(path, hist: Histogram1D, meta: dict | None = None):
-    write_csv(path, meta, ("bin_center_s", "counts", "error"),
-              zip(hist.centers, hist.counts, hist.errors))
 
 
 def write_docp_csv(path, trace: DocpTrace, meta: dict | None = None):

@@ -14,7 +14,8 @@ import json
 
 import numpy as np
 
-from .core import DeviceParams
+from .core import (ConfigError, DeviceParams, as_int, as_str,
+                   check_keys)
 from .montecarlo import EVENT_DTYPE, EventStream, ProtocolConfig
 
 MAGIC = b"TRIONSIM-EVENTS 1\n"
@@ -23,6 +24,9 @@ MAGIC = b"TRIONSIM-EVENTS 1\n"
 _RUN_ONLY_KEYS = ("rng_seed", "n_shots", "pulse_delay_s")
 
 _CSV_COLUMNS = "shot,channel,projection,time_s"
+
+_HEADER_KEYS = ("compat_digest", "config", "content_digest", "device",
+                "diagnostics", "n_events")
 
 
 def _canonical(obj) -> str:
@@ -76,13 +80,6 @@ def write_events_binary(path, stream: EventStream) -> None:
         fh.write(stream.events.tobytes())
 
 
-def read_events_binary(path) -> EventStream:
-    with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise ValueError(f"{path}: not an event stream file")
-        return _read_binary_body(fh)
-
-
 def _read_binary_body(fh) -> EventStream:
     header = json.loads(fh.readline().decode())
     events = np.frombuffer(fh.read(), dtype=EVENT_DTYPE).copy()
@@ -90,17 +87,29 @@ def _read_binary_body(fh) -> EventStream:
 
 
 def _assemble(header: dict, events: np.ndarray, name) -> EventStream:
+    """Check every header key against the schema scenario files use, and
+    the payload and physics blocks against their digests."""
     try:
-        n_events = header["n_events"]
-        content, compat = header["content_digest"], header["compat_digest"]
+        check_keys(header, "$", _HEADER_KEYS)
+        n_events = as_int(header["n_events"], "$.n_events")
+        content = as_str(header["content_digest"], "$.content_digest")
+        compat = as_str(header["compat_digest"], "$.compat_digest")
+        if not isinstance(header["diagnostics"], dict):
+            raise ConfigError("$.diagnostics: expected an object")
         stream = EventStream(
             events=events,
-            device=DeviceParams.from_dict(header["device"]),
-            config=ProtocolConfig.from_dict(header["config"]),
-            diagnostics=dict(header["diagnostics"]),
+            device=DeviceParams.from_dict(header["device"], "device"),
+            config=ProtocolConfig.from_dict(header["config"], "config"),
+            diagnostics=header["diagnostics"],
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{name}: malformed header ({exc!r})") from exc
+        # a block must be exactly what its writer stores, so that a
+        # dropped key or a re-typed value is not read back as a default
+        for key in ("config", "device"):
+            if _canonical(header[key]) != \
+                    _canonical(getattr(stream, key).to_dict()):
+                raise ConfigError(f"{key}: not as written")
+    except ConfigError as exc:
+        raise ValueError(f"{name}: malformed header ({exc})") from exc
     if len(events) != n_events:
         raise ValueError(f"{name}: truncated event block")
     if stream.content_digest != content:
@@ -127,8 +136,8 @@ def read_events_csv(path) -> EventStream:
     header = {}
     rows = io.StringIO()
     with open(path, "r") as fh:
-        first = fh.readline()
-        if not first.startswith("# trionsim-events"):
+        line = fh.readline()
+        if not line.startswith("# trionsim-events"):
             raise ValueError(f"{path}: not an event stream file")
         for line in fh:
             if line.startswith("#"):
@@ -136,6 +145,8 @@ def read_events_csv(path) -> EventStream:
                 header[key.strip()] = json.loads(value)
             elif line.strip() and line.strip() != _CSV_COLUMNS:
                 rows.write(line)
+    if not line.endswith("\n"):
+        raise ValueError(f"{path}: truncated file")
     rows.seek(0)
     if rows.getvalue().strip():
         table = np.loadtxt(rows, delimiter=",", ndmin=2)

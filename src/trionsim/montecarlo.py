@@ -21,13 +21,15 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from hashlib import sha256
 
 import numpy as np
 
-from .core import CIRCULAR, DeviceParams, Pol, jones_vector, orthogonal
+from .core import (CIRCULAR, ConfigError, DeviceParams, Pol, as_enum,
+                   as_int, as_number, as_pols, check_keys, construct,
+                   jones_vector, orthogonal, pol_from_label)
 from .rng import substream
 
 EVENT_DTYPE = np.dtype([
@@ -38,12 +40,15 @@ EVENT_DTYPE = np.dtype([
 ])
 
 LIFETIME_BATCH = 65536
-PULSED_BATCH = 65536
 CW_SEGMENT_BATCH = 8192
 
 # Quasi-static jitter redraw interval for cw runs.  One draw per shot is
 # used for the pulsed protocols.
 CW_REDRAW_WINDOW_S = 100e-9
+
+# Bound on the rows x redraw-windows jitter matrix of one cw batch
+# (128 MiB of float64); 8192 segments of 1 s would need about 650 GB.
+CW_JITTER_CELLS_MAX = 2 ** 24
 
 # |<b|a>|^2 for all label pairs, indexed by the Pol wire codes.
 _PROJ = np.array([[abs(np.vdot(jones_vector(Pol(b)), jones_vector(Pol(a)))) ** 2
@@ -60,8 +65,20 @@ class ProtocolKind(str, Enum):
     DOCP_ZERO_FIELD = "docp_zero_field"
 
 
+# values of the fields a config leaves unset (None); the polarizations
+# depend on the protocol kind
+_DEFAULTS = {"rep_period_s": 12.5e-9, "segment_length_s": 20e-6,
+             "detection_efficiency": 1.0}
+_DEFAULT_POLS = {
+    ProtocolKind.LIFETIME: ((Pol.R,), ((Pol.R, Pol.L),)),
+    ProtocolKind.DOCP_ZERO_FIELD: ((Pol.R,), ((Pol.R, Pol.L),)),
+    ProtocolKind.CW_G2: ((Pol.R,), ((Pol.R, Pol.L), (Pol.R, Pol.L))),
+    ProtocolKind.PULSED_2PC: ((Pol.R, Pol.H), ((Pol.R,), (Pol.R, Pol.L))),
+}
+
+
 def _as_pol_tuple(pols) -> tuple:
-    return tuple(Pol(p) if not isinstance(p, str) else Pol[p.strip().upper()]
+    return tuple(pol_from_label(p) if isinstance(p, str) else Pol(p)
                  for p in pols)
 
 
@@ -75,22 +92,29 @@ class ProtocolConfig:
     dropped), an orthogonal pair is a polarizing splitter recording every
     photon with its outcome label.  Photons route uniformly over the
     channels.  For cw runs `n_shots` counts independent segments of
-    `segment_length_s` live time each.
+    `segment_length_s` live time each.  A field left as None takes its
+    value from `_DEFAULTS`, or from `_DEFAULT_POLS` for the polarizations.
     """
 
     kind: ProtocolKind
     n_shots: int
     rng_seed: int
-    exc_pols: tuple = (Pol.R,)
-    det_pols: tuple = ((Pol.R, Pol.L),)
-    rep_period_s: float = 12.5e-9
+    exc_pols: tuple | None = None
+    det_pols: tuple | None = None
+    rep_period_s: float | None = None
     pulse_delay_s: float | None = None
     pump_rate_hz: float | None = None
-    segment_length_s: float = 20e-6
-    detection_efficiency: float = 1.0
+    segment_length_s: float | None = None
+    detection_efficiency: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", ProtocolKind(self.kind))
+        kind = ProtocolKind(self.kind)
+        exc_pols, det_pols = _DEFAULT_POLS[kind]
+        for name, value in dict(_DEFAULTS, exc_pols=exc_pols,
+                                det_pols=det_pols).items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "exc_pols", _as_pol_tuple(self.exc_pols))
         object.__setattr__(self, "det_pols",
                            tuple(_as_pol_tuple(ch) for ch in self.det_pols))
@@ -108,9 +132,8 @@ class ProtocolConfig:
                     raise ValueError("two-label channels must be an orthogonal pair")
             elif len(ch) != 1:
                 raise ValueError("each channel takes 1 or 2 polarization labels")
-        if self.rep_period_s <= 0.0:
-            raise ValueError("rep_period_s must be > 0")
-        kind = self.kind
+        if not 0.0 < self.rep_period_s < math.inf:
+            raise ValueError("rep_period_s must be finite and > 0")
         if kind in (ProtocolKind.LIFETIME, ProtocolKind.DOCP_ZERO_FIELD):
             if len(self.exc_pols) != 1 or self.exc_pols[0] not in CIRCULAR:
                 raise ValueError(f"{kind.value} takes one circular excitation")
@@ -119,8 +142,14 @@ class ProtocolConfig:
                 raise ValueError("cw_g2 takes one circular pump polarization")
             if not (self.pump_rate_hz and self.pump_rate_hz > 0.0):
                 raise ValueError("cw_g2 requires pump_rate_hz > 0")
-            if self.segment_length_s <= 0.0:
-                raise ValueError("segment_length_s must be > 0")
+            if not 0.0 < self.segment_length_s < math.inf:
+                raise ValueError("segment_length_s must be finite and > 0")
+            cells = min(self.n_shots, CW_SEGMENT_BATCH) * (
+                math.ceil(self.segment_length_s / CW_REDRAW_WINDOW_S) + 1)
+            if cells > CW_JITTER_CELLS_MAX:
+                raise ConfigError(
+                    f"segment_length_s: {cells:.3g} jitter values per cw "
+                    f"batch exceed the limit of {CW_JITTER_CELLS_MAX}")
             if len(self.det_pols) != 2:
                 raise ValueError("cw_g2 needs exactly 2 detection channels")
         else:
@@ -138,34 +167,31 @@ class ProtocolConfig:
                 raise ValueError("pulse_delay_s must be below rep_period_s")
 
     @classmethod
-    def lifetime(cls, n_shots, rng_seed, exc_pol=Pol.R,
-                 det_pols=((Pol.R, Pol.L),), rep_period_s=12.5e-9,
-                 detection_efficiency=1.0):
-        return cls(ProtocolKind.LIFETIME, n_shots, rng_seed, (exc_pol,),
-                   det_pols, rep_period_s,
-                   detection_efficiency=detection_efficiency)
+    def lifetime(cls, n_shots, rng_seed, exc_pol=None, det_pols=None,
+                 rep_period_s=None, detection_efficiency=None):
+        return cls(ProtocolKind.LIFETIME, n_shots, rng_seed,
+                   None if exc_pol is None else (exc_pol,), det_pols,
+                   rep_period_s, detection_efficiency=detection_efficiency)
 
     @classmethod
-    def docp_zero_field(cls, n_shots, rng_seed, exc_pol=Pol.R,
-                        det_pols=((Pol.R, Pol.L),), rep_period_s=12.5e-9,
-                        detection_efficiency=1.0):
-        return cls(ProtocolKind.DOCP_ZERO_FIELD, n_shots, rng_seed, (exc_pol,),
-                   det_pols, rep_period_s,
-                   detection_efficiency=detection_efficiency)
+    def docp_zero_field(cls, n_shots, rng_seed, exc_pol=None, det_pols=None,
+                        rep_period_s=None, detection_efficiency=None):
+        return cls(ProtocolKind.DOCP_ZERO_FIELD, n_shots, rng_seed,
+                   None if exc_pol is None else (exc_pol,), det_pols,
+                   rep_period_s, detection_efficiency=detection_efficiency)
 
     @classmethod
-    def cw(cls, n_segments, rng_seed, pump_rate_hz, exc_pol=Pol.R,
-           det_pols=((Pol.R, Pol.L), (Pol.R, Pol.L)), segment_length_s=20e-6,
-           detection_efficiency=1.0):
-        return cls(ProtocolKind.CW_G2, n_segments, rng_seed, (exc_pol,),
-                   det_pols, pump_rate_hz=pump_rate_hz,
+    def cw(cls, n_segments, rng_seed, pump_rate_hz, exc_pol=None,
+           det_pols=None, segment_length_s=None, detection_efficiency=None):
+        return cls(ProtocolKind.CW_G2, n_segments, rng_seed,
+                   None if exc_pol is None else (exc_pol,), det_pols,
+                   pump_rate_hz=pump_rate_hz,
                    segment_length_s=segment_length_s,
                    detection_efficiency=detection_efficiency)
 
     @classmethod
-    def pulsed(cls, n_shots, rng_seed, pulse_delay_s,
-               exc_pols=(Pol.R, Pol.H), det_pols=((Pol.R,), (Pol.R, Pol.L)),
-               rep_period_s=12.5e-9, detection_efficiency=1.0):
+    def pulsed(cls, n_shots, rng_seed, pulse_delay_s, exc_pols=None,
+               det_pols=None, rep_period_s=None, detection_efficiency=None):
         return cls(ProtocolKind.PULSED_2PC, n_shots, rng_seed, exc_pols,
                    det_pols, rep_period_s, pulse_delay_s=pulse_delay_s,
                    detection_efficiency=detection_efficiency)
@@ -185,21 +211,28 @@ class ProtocolConfig:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ProtocolConfig":
-        return cls(
-            kind=ProtocolKind(d["kind"]),
-            n_shots=int(d["n_shots"]),
-            rng_seed=int(d["rng_seed"]),
-            exc_pols=_as_pol_tuple(d["exc_pols"]),
-            det_pols=tuple(_as_pol_tuple(ch) for ch in d["det_pols"]),
-            rep_period_s=float(d["rep_period_s"]),
-            pulse_delay_s=(None if d.get("pulse_delay_s") is None
-                           else float(d["pulse_delay_s"])),
-            pump_rate_hz=(None if d.get("pump_rate_hz") is None
-                          else float(d["pump_rate_hz"])),
-            segment_length_s=float(d["segment_length_s"]),
-            detection_efficiency=float(d["detection_efficiency"]),
-        )
+    def from_dict(cls, d: dict, path: str = "protocol") -> "ProtocolConfig":
+        """Strict parse of a config block; an absent or null field takes
+        its default."""
+        names = [f.name for f in fields(cls)]
+        check_keys(d, path, names[:3], names[3:])
+        kw = {"kind": as_enum(d["kind"], f"{path}.kind", ProtocolKind),
+              "n_shots": as_int(d["n_shots"], f"{path}.n_shots"),
+              "rng_seed": as_int(d["rng_seed"], f"{path}.rng_seed")}
+        for key in names[3:]:
+            value = d.get(key)
+            if value is None:
+                continue
+            if key == "exc_pols":
+                kw[key] = as_pols(value, f"{path}.{key}")
+            elif key == "det_pols":
+                if not isinstance(value, list) or not value:
+                    raise ConfigError(f"{path}.{key}: expected a list")
+                kw[key] = tuple(as_pols(ch, f"{path}.{key}[{i}]")
+                                for i, ch in enumerate(value))
+            else:
+                kw[key] = as_number(value, f"{path}.{key}")
+        return construct(cls, path, **kw)
 
 
 @dataclass
@@ -491,13 +524,14 @@ def _batch_size(kind: ProtocolKind) -> int:
 
 
 def resolve_workers(workers=None) -> int:
-    """Worker count with the TRIONSIM_WORKERS environment override."""
+    """Worker count with the TRIONSIM_WORKERS environment override,
+    capped at the CPU count."""
     if workers is None:
         env = os.environ.get("TRIONSIM_WORKERS", "").strip()
         workers = int(env) if env else 1
     if workers < 1:
         raise ValueError("worker count must be >= 1")
-    return workers
+    return min(workers, os.cpu_count() or 1)
 
 
 def run(device: DeviceParams, config: ProtocolConfig, workers=None) -> EventStream:

@@ -8,63 +8,13 @@ randomness anywhere else.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
-from .core import DeviceParams
+from .core import (ConfigError, DeviceParams, as_bool, as_number, as_str,
+                   check_keys)
 from .fitkit import PARAM_NAMES
 from .montecarlo import ProtocolConfig, ProtocolKind
 from .rng import derive_seed
-
-
-class ConfigError(ValueError):
-    """Invalid scenario content; message starts with the field path."""
-
-
-_POL_NAMES = ("H", "V", "D", "A", "R", "L")
-
-
-def _check_keys(d: dict, path: str, required: tuple, optional: tuple):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    allowed = set(required) | set(optional)
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key")
-    for key in required:
-        if key not in d:
-            raise ConfigError(f"{path}.{key}: missing required key")
-
-
-def _num(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number")
-    return float(value)
-
-
-def _int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer")
-    return value
-
-
-def _bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true/false")
-    return value
-
-
-def _str(value, path: str, choices: tuple = ()) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string")
-    if choices and value not in choices:
-        raise ConfigError(f"{path}: expected one of {', '.join(choices)}")
-    return value
-
-
-def _pol_list(value, path: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list")
-    return [_str(v, f"{path}[{i}]", _POL_NAMES) for i, v in enumerate(value)]
 
 
 @dataclass
@@ -81,6 +31,12 @@ class FitOptions:
 
 @dataclass
 class AnalysisOptions:
+    """Analysis knobs; None takes the protocol's default.
+
+    `start_stop` and `normalize` shape only `cw_g2.csv`: the cw DOCP
+    (`fig2b_docp.csv`) and its fit always use raw all-pairs correlations.
+    """
+
     bin_s: float | None = None
     span_s: float | None = None
     window_s: float | None = None
@@ -108,22 +64,6 @@ class OutputOptions:
         return asdict(self)
 
 
-# protocol defaults mirror the ProtocolConfig constructors per kind
-_PROTO_DEFAULTS = {
-    ProtocolKind.LIFETIME: {"exc_pols": ["R"], "det_pols": [["R", "L"]]},
-    ProtocolKind.DOCP_ZERO_FIELD: {"exc_pols": ["R"],
-                                   "det_pols": [["R", "L"]]},
-    ProtocolKind.CW_G2: {"exc_pols": ["R"],
-                         "det_pols": [["R", "L"], ["R", "L"]]},
-    ProtocolKind.PULSED_2PC: {"exc_pols": ["R", "H"],
-                              "det_pols": [["R"], ["R", "L"]]},
-}
-
-_PROTO_OPTIONAL = ("exc_pols", "det_pols", "rep_period_s", "pulse_delay_s",
-                   "pump_rate_hz", "segment_length_s",
-                   "detection_efficiency")
-
-
 @dataclass
 class Scenario:
     device: DeviceParams
@@ -134,8 +74,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
-        _check_keys(d, "$", ("device", "protocol"), ("analysis", "outputs"))
-        device = _parse_device(d["device"])
+        check_keys(d, "$", ("device", "protocol"), ("analysis", "outputs"))
+        device = DeviceParams.from_dict(d["device"], "device")
         protocol, sweep = _parse_protocol(d["protocol"])
         analysis = _parse_analysis(d.get("analysis", {}))
         outputs = _parse_outputs(d.get("outputs", {}))
@@ -160,129 +100,75 @@ class Scenario:
                 for i, dt in enumerate(self.delay_sweep)]
 
 
-def _parse_device(d: dict) -> DeviceParams:
-    _check_keys(d, "device",
-                ("g_e", "g_h", "t1_s", "p_mem", "b_x_t", "noise"), ())
-    noise = d["noise"]
-    _check_keys(noise, "device.noise", ("kind", "width_hz", "applies_to"), ())
-    _str(noise["kind"], "device.noise.kind")
-    _num(noise["width_hz"], "device.noise.width_hz")
-    _str(noise["applies_to"], "device.noise.applies_to")
-    for key in ("g_e", "g_h", "t1_s", "p_mem", "b_x_t"):
-        _num(d[key], f"device.{key}")
-    try:
-        return DeviceParams.from_dict(d)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"device: {exc}") from exc
-
-
-def _parse_protocol(d: dict):
-    _check_keys(d, "protocol", ("kind", "n_shots", "rng_seed"),
-                _PROTO_OPTIONAL)
-    kind_name = _str(d["kind"], "protocol.kind",
-                     tuple(k.value for k in ProtocolKind))
-    kind = ProtocolKind(kind_name)
-    _int(d["n_shots"], "protocol.n_shots")
-    _int(d["rng_seed"], "protocol.rng_seed")
-
-    merged = {"kind": kind_name, "n_shots": d["n_shots"],
-              "rng_seed": d["rng_seed"], "rep_period_s": 12.5e-9,
-              "pulse_delay_s": None, "pump_rate_hz": None,
-              "segment_length_s": 20e-6, "detection_efficiency": 1.0}
-    merged.update(_PROTO_DEFAULTS[kind])
-
-    sweep = None
-    for key in _PROTO_OPTIONAL:
-        # explicit null means "use the kind default", same as absent
-        if d.get(key) is None:
-            continue
-        value = d[key]
-        if key == "exc_pols":
-            merged[key] = _pol_list(value, "protocol.exc_pols")
-        elif key == "det_pols":
-            if not isinstance(value, list) or not value:
-                raise ConfigError("protocol.det_pols: expected a list")
-            merged[key] = [_pol_list(ch, f"protocol.det_pols[{i}]")
-                           for i, ch in enumerate(value)]
-        elif key == "pulse_delay_s" and isinstance(value, list):
-            if kind is not ProtocolKind.PULSED_2PC:
-                raise ConfigError("protocol.pulse_delay_s: sweep lists are "
-                                  "only valid for pulsed_2pc")
-            sweep = tuple(_num(v, f"protocol.pulse_delay_s[{i}]")
-                          for i, v in enumerate(value))
-            if not sweep:
-                raise ConfigError("protocol.pulse_delay_s: empty sweep")
-            merged[key] = sweep[0]
-        else:
-            merged[key] = _num(value, f"protocol.{key}")
-    try:
-        return ProtocolConfig.from_dict(merged), sweep
-    except ValueError as exc:
-        raise ConfigError(f"protocol: {exc}") from exc
+def _parse_protocol(d):
+    """The protocol block; a `pulse_delay_s` list is a delay sweep, and
+    the config carries its first delay."""
+    delays = d.get("pulse_delay_s") if isinstance(d, dict) else None
+    if not isinstance(delays, list):
+        return ProtocolConfig.from_dict(d, "protocol"), None
+    sweep = tuple(as_number(v, f"protocol.pulse_delay_s[{i}]")
+                  for i, v in enumerate(delays))
+    if not sweep:
+        raise ConfigError("protocol.pulse_delay_s: empty sweep")
+    protocol = ProtocolConfig.from_dict({**d, "pulse_delay_s": sweep[0]},
+                                        "protocol")
+    if protocol.kind is not ProtocolKind.PULSED_2PC:
+        raise ConfigError("protocol.pulse_delay_s: sweep lists are only "
+                          "valid for pulsed_2pc")
+    return protocol, sweep
 
 
 def _parse_analysis(d: dict) -> AnalysisOptions:
-    _check_keys(d, "analysis", (),
-                ("bin_s", "span_s", "window_s", "normalize", "start_stop",
-                 "t1_slice_s", "slice_tolerance_s", "t2_fit_window_s",
-                 "fit"))
+    check_keys(d, "analysis", (), [f.name for f in fields(AnalysisOptions)])
     opts = AnalysisOptions()
-    for key in ("bin_s", "span_s", "window_s", "t1_slice_s",
-                "slice_tolerance_s"):
-        if d.get(key) is not None:
-            setattr(opts, key, _num(d[key], f"analysis.{key}"))
-    if "normalize" in d:
-        opts.normalize = _bool(d["normalize"], "analysis.normalize")
-    if "start_stop" in d:
-        opts.start_stop = _bool(d["start_stop"], "analysis.start_stop")
-    if d.get("t2_fit_window_s") is not None:
-        win = d["t2_fit_window_s"]
-        if not isinstance(win, list) or len(win) != 2:
-            raise ConfigError("analysis.t2_fit_window_s: expected [lo, hi]")
-        opts.t2_fit_window_s = tuple(
-            _num(v, f"analysis.t2_fit_window_s[{i}]")
-            for i, v in enumerate(win))
-    if "fit" in d:
-        opts.fit = _parse_fit(d["fit"])
+    for key, value in d.items():
+        at = f"analysis.{key}"
+        if key in ("normalize", "start_stop"):
+            setattr(opts, key, as_bool(value, at))
+        elif key == "fit":
+            opts.fit = _parse_fit(value)
+        elif value is None:   # null takes the default
+            continue
+        elif key == "t2_fit_window_s":
+            if not isinstance(value, list) or len(value) != 2:
+                raise ConfigError(f"{at}: expected [lo, hi]")
+            opts.t2_fit_window_s = tuple(as_number(v, f"{at}[{i}]")
+                                         for i, v in enumerate(value))
+        else:
+            value = as_number(value, at)
+            if key != "t1_slice_s" and not value > 0.0:
+                raise ConfigError(f"{at}: must be > 0")
+            setattr(opts, key, value)
     return opts
 
 
 def _parse_fit(d: dict) -> FitOptions:
-    _check_keys(d, "analysis.fit", (),
-                ("enabled", "variant", "t0", "exclusion_window_s", "fixed"))
+    check_keys(d, "analysis.fit", (),
+               ("enabled", "variant", "t0", "exclusion_window_s", "fixed"))
     opts = FitOptions()
     if "enabled" in d:
-        opts.enabled = _bool(d["enabled"], "analysis.fit.enabled")
+        opts.enabled = as_bool(d["enabled"], "analysis.fit.enabled")
     if d.get("variant") is not None:
-        opts.variant = _str(d["variant"], "analysis.fit.variant",
-                            ("pulsed", "cw"))
+        opts.variant = as_str(d["variant"], "analysis.fit.variant",
+                              ("pulsed", "cw"))
     if "t0" in d:
-        opts.t0 = _num(d["t0"], "analysis.fit.t0")
+        opts.t0 = as_number(d["t0"], "analysis.fit.t0")
     if d.get("exclusion_window_s") is not None:
-        opts.exclusion_window_s = _num(d["exclusion_window_s"],
-                                       "analysis.fit.exclusion_window_s")
+        opts.exclusion_window_s = as_number(
+            d["exclusion_window_s"], "analysis.fit.exclusion_window_s")
     if "fixed" in d:
-        if not isinstance(d["fixed"], dict):
-            raise ConfigError("analysis.fit.fixed: expected an object")
-        for name, value in d["fixed"].items():
-            if name not in PARAM_NAMES:
-                raise ConfigError(f"analysis.fit.fixed.{name}: unknown key")
-            opts.fixed[name] = _num(value, f"analysis.fit.fixed.{name}")
+        check_keys(d["fixed"], "analysis.fit.fixed", (), PARAM_NAMES)
+        opts.fixed = {name: as_number(value, f"analysis.fit.fixed.{name}")
+                      for name, value in d["fixed"].items()}
     return opts
 
 
 def _parse_outputs(d: dict) -> OutputOptions:
-    _check_keys(d, "outputs", (), ("directory", "format", "prefix"))
-    opts = OutputOptions()
-    if "directory" in d:
-        opts.directory = _str(d["directory"], "outputs.directory")
-    if "format" in d:
-        opts.format = _str(d["format"], "outputs.format", ("binary", "csv"))
-    if "prefix" in d:
-        opts.prefix = _str(d["prefix"], "outputs.prefix")
-    return opts
+    check_keys(d, "outputs", (), ("directory", "format", "prefix"))
+    return OutputOptions(**{
+        key: as_str(value, f"outputs.{key}",
+                    ("binary", "csv") if key == "format" else ())
+        for key, value in d.items()})
 
 
 def load_scenario(path) -> Scenario:

@@ -9,12 +9,14 @@ import pytest
 
 from trionsim.cli import main
 from trionsim.core import DeviceParams, NoiseModel
-from trionsim.correlator import DocpTrace
+from trionsim.correlator import DocpTrace, write_docp_csv
+from trionsim.events_io import read_events
 from trionsim.montecarlo import ProtocolConfig
 from trionsim.pipelines import (G_E, P_MEM, REF_G_H_CW, REF_G_H_PULSED,
                                 REF_T2STAR_S, REF_TAU_CW_S, T1_S,
-                                T2_FIT_WINDOW_S, fit_heralded_sweep,
-                                run_pipeline)
+                                T1_SLICE_TOL_S, T2_FIT_WINDOW_S, digest_meta,
+                                fit_heralded_sweep, herald_maps,
+                                run_pipeline, sliced_docp)
 from trionsim.scenarios import (AnalysisOptions, FitOptions, OutputOptions,
                                 Scenario, save_scenario)
 
@@ -85,6 +87,45 @@ def test_analyze_pulsed_matches_fig3b_preset(tmp_path):
     _assert_same_files(["fig3b_map.csv", "fig3b_map_rl.csv"],
                        tmp_path / "preset", out)
     assert (out / "fig3b_slice_docp.csv").exists()
+
+
+def test_cw_start_stop_shapes_only_the_g2_dataset(tmp_path):
+    # start_stop changes cw_g2.csv; the DOCP and its fit always use the
+    # all-pairs correlations
+    device = _device(0.0375,
+                     noise=NoiseModel.lorentzian_from_t2star(REF_TAU_CW_S))
+    protocol = ProtocolConfig.cw(n_segments=2048, rng_seed=SEED,
+                                 pump_rate_hz=2e7)
+    runs = []
+    for tag, start_stop in (("all", False), ("start_stop", True)):
+        (tmp_path / tag).mkdir()
+        runs.append(_simulate_and_analyze(
+            tmp_path / tag, device, protocol,
+            AnalysisOptions(start_stop=start_stop)))
+    (code_a, out_a), (code_b, out_b) = runs
+    assert code_a == code_b
+    _assert_same_files(["fig2b_docp.csv", "fig2b_fit_report.txt"],
+                       out_a, out_b)
+    assert (out_a / "cw_g2.csv").read_bytes() != \
+        (out_b / "cw_g2.csv").read_bytes()
+
+
+def test_analyze_honours_an_explicit_zero_t1_slice(tmp_path):
+    device = _device(0.15, g_h=REF_G_H_PULSED,
+                     noise=NoiseModel.lorentzian_from_t2star(REF_T2STAR_S))
+    protocol = ProtocolConfig.pulsed(n_shots=20_000, rng_seed=SEED,
+                                     pulse_delay_s=1.6e-9)
+    analysis = AnalysisOptions(t1_slice_s=0.0,
+                               fit=FitOptions(enabled=False))
+    code, out = _simulate_and_analyze(tmp_path, device, protocol, analysis)
+    assert code == 0
+    stream = read_events(next((tmp_path / "events").iterdir()))
+    expected = tmp_path / "expected.csv"
+    write_docp_csv(expected,
+                   sliced_docp(*herald_maps(stream), 0.0, T1_SLICE_TOL_S),
+                   digest_meta(stream))
+    assert (out / "fig3b_slice_docp.csv").read_bytes() == \
+        expected.read_bytes()
 
 
 def test_analyze_short_delay_sweep_writes_data_then_exits_4(tmp_path):

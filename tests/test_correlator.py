@@ -14,7 +14,7 @@ from trionsim.correlator import (
     correlate_cw,
     docp,
     slice_map,
-    write_histogram_csv,
+    write_csv,
     write_map_csv,
 )
 from trionsim.fitkit import fft_frequency
@@ -235,7 +235,6 @@ def test_map2d_slice_and_marginal():
     config = ProtocolConfig.pulsed(3, 1, pulse_delay_s=delay)
     m = build_map2d(EventStream(events, _device(), config))
     assert m.counts.sum() == 3
-    assert np.array_equal(m.marginal_t2().counts, m.counts.sum(axis=0))
     # a 10 ps tolerance keeps only the two shots near t1 = 105 ps
     sliced = slice_map(m, 0.105e-9, tolerance_s=10e-12)
     assert sliced.total == 2
@@ -263,7 +262,8 @@ def test_csv_writers(tmp_path):
                        np.array([1.0 / 3.0, 2.0]),
                        np.array([0.1, 0.2]))
     path = tmp_path / "hist.csv"
-    write_histogram_csv(path, hist, {"run": "demo"})
+    write_csv(path, {"run": "demo"}, ("bin_center_s", "counts", "error"),
+              zip(hist.centers, hist.counts, hist.errors))
     lines = path.read_text().splitlines()
     assert lines[0] == "# run = demo"
     assert lines[1] == "bin_center_s,counts,error"

@@ -1,6 +1,7 @@
 """Stochastic engines: determinism, physics round trips, white-box hooks."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from trionsim.montecarlo import (
     ProtocolConfig,
     ProtocolKind,
     _pulsed_batch,
+    resolve_workers,
     run,
 )
 
@@ -54,6 +56,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(ProtocolKind.PULSED_2PC, 100, 1, (Pol.R,),
                        ((Pol.R,), (Pol.R, Pol.L)), pulse_delay_s=1e-9)
+
+
+def test_worker_count_capped_at_cpu_count(monkeypatch):
+    # only the resolved count is checked; no process is started
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert resolve_workers(65536) == 2
+    assert resolve_workers(1) == 1
+    monkeypatch.setenv("TRIONSIM_WORKERS", "64")
+    assert resolve_workers() == 2
 
 
 def test_config_round_trip():

@@ -85,6 +85,42 @@ def test_type_checks_reject_bools_and_floats():
     d["analysis"] = {"normalize": "yes"}
     with pytest.raises(ConfigError, match="analysis.normalize"):
         Scenario.from_dict(d)
+    for key, value in (("bin_s", 0), ("span_s", -1e-9), ("window_s", 0.0),
+                       ("slice_tolerance_s", 0)):
+        d = _scenario_dict()
+        d["analysis"] = {key: value}
+        with pytest.raises(ConfigError, match=f"analysis.{key}: must be > 0"):
+            Scenario.from_dict(d)
+    d = _scenario_dict()
+    d["analysis"] = {"t1_slice_s": 0}
+    assert Scenario.from_dict(d).analysis.t1_slice_s == 0.0
+
+
+def test_out_of_range_numbers_are_config_errors(tmp_path, capsys):
+    d = _scenario_dict()
+    d["device"]["g_e"] = 10 ** 400   # no float holds it
+    with pytest.raises(ConfigError, match="device.g_e: out of range"):
+        Scenario.from_dict(d)
+    assert main(["simulate", _write_scenario(tmp_path / "g.json", d)]) == 2
+    assert "device.g_e: out of range" in capsys.readouterr().err
+    d = _scenario_dict(rep_period_s=float("inf"))
+    with pytest.raises(ConfigError, match="rep_period_s must be finite"):
+        Scenario.from_dict(d)
+
+
+def test_oversized_cw_segments_exit_2(tmp_path, capsys):
+    # 8192 segments of 1 s would draw an 8192 x 1e7 jitter matrix per
+    # batch (about 650 GB); the config is refused before any allocation
+    d = _scenario_dict("cw_g2", n_shots=8192, pump_rate_hz=1e6,
+                       segment_length_s=1.0)
+    with pytest.raises(ConfigError, match="protocol.segment_length_s"):
+        Scenario.from_dict(d)
+    scn = _write_scenario(tmp_path / "big.json", d)
+    assert main(["simulate", scn, "-o", str(tmp_path)]) == 2
+    assert "protocol.segment_length_s" in capsys.readouterr().err
+    # one 1 s segment, as in the correlator oracle's stream, stays legal
+    d["protocol"]["n_shots"] = 1
+    assert Scenario.from_dict(d).protocol.segment_length_s == 1.0
 
 
 def test_delay_sweep_expands_with_derived_seeds():
