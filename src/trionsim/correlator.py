@@ -110,6 +110,16 @@ class Map2D:
     def t2_centers(self) -> np.ndarray:
         return 0.5 * (self.t2_edges[:-1] + self.t2_edges[1:])
 
+    def __add__(self, other: "Map2D") -> "Map2D":
+        """Counts and diagnostics of two maps of disjoint shot ranges."""
+        if not (np.array_equal(self.t1_edges, other.t1_edges)
+                and np.array_equal(self.t2_edges, other.t2_edges)):
+            raise ValueError("maps have different binning")
+        keys = {**self.diagnostics, **other.diagnostics}
+        return Map2D(self.t1_edges, self.t2_edges, self.counts + other.counts,
+                     {k: self.diagnostics.get(k, 0) + other.diagnostics.get(k, 0)
+                      for k in keys})
+
 
 def _bin_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(edges, values, side="right") - 1
@@ -256,10 +266,20 @@ def build_map2d(stream: EventStream, t1_edges=None, t2_edges=None,
     restricts channel-1 clicks to one projection label first, which is
     how the per-polarization maps are built.
     """
-    if stream.config.kind is not ProtocolKind.PULSED_2PC:
+    return count_map2d(stream.events, stream.config, 0, stream.config.n_shots,
+                       t1_edges, t2_edges, ch2_projection)
+
+
+def count_map2d(events: np.ndarray, config, first_shot: int, n_shots: int,
+                t1_edges=None, t2_edges=None, ch2_projection=None) -> Map2D:
+    """`build_map2d` of the events of shots [first_shot, first_shot +
+    n_shots) of a run with `config`, in any order.
+
+    Maps of disjoint shot ranges add up (`Map2D.__add__`) to the map of
+    their union, so each engine batch can be reduced on its own.
+    """
+    if config.kind is not ProtocolKind.PULSED_2PC:
         raise ValueError("two-photon maps need a pulsed_2pc stream")
-    rep = stream.config.rep_period_s
-    delay = stream.config.pulse_delay_s
     if t1_edges is None:
         t1_edges = MAP_BIN_S * np.arange(0, int(round(MAP_SPAN_S / MAP_BIN_S)) + 1)
     if t2_edges is None:
@@ -267,20 +287,25 @@ def build_map2d(stream: EventStream, t1_edges=None, t2_edges=None,
     t1_edges = np.asarray(t1_edges, dtype=float)
     t2_edges = np.asarray(t2_edges, dtype=float)
 
-    ev = stream.events
-    n_shots = stream.config.n_shots
-    m0 = ev["channel"] == 0
-    m1 = ev["channel"] == 1
+    shot = events["shot"]
+    idx = shot.astype(np.int64) - first_shot
+    m0 = events["channel"] == 0
+    m1 = events["channel"] == 1
     if ch2_projection is not None:
-        m1 &= ev["projection"] == int(Pol(ch2_projection))
-    c0 = np.bincount(ev["shot"][m0], minlength=n_shots)
-    c1 = np.bincount(ev["shot"][m1], minlength=n_shots)
+        m1 &= events["projection"] == int(Pol(ch2_projection))
+    c0 = np.bincount(idx[m0], minlength=n_shots)
+    c1 = np.bincount(idx[m1], minlength=n_shots)
     used = (c0 == 1) & (c1 == 1)
-    keep0 = m0 & used[ev["shot"]]
-    keep1 = m1 & used[ev["shot"]]
-    # events are shot-sorted, so the kept clicks align shot by shot
-    t1 = ev["time"][keep0] - ev["shot"][keep0] * rep
-    t2 = ev["time"][keep1] - ev["shot"][keep1] * rep - delay
+    # scatter each used shot's two clicks to its shot index, which aligns
+    # them shot by shot whatever the event order
+    t1 = np.empty(n_shots)
+    t2 = np.empty(n_shots)
+    keep0 = m0 & used[idx]
+    keep1 = m1 & used[idx]
+    t1[idx[keep0]] = events["time"][keep0] - shot[keep0] * config.rep_period_s
+    t2[idx[keep1]] = (events["time"][keep1] - shot[keep1] * config.rep_period_s
+                      - config.pulse_delay_s)
+    t1, t2 = t1[used], t2[used]
 
     k1 = np.searchsorted(t1_edges, t1, side="right") - 1
     k2 = np.searchsorted(t2_edges, t2, side="right") - 1

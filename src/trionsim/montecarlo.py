@@ -15,6 +15,14 @@ from its own counter-based stream keyed by (seed, protocol, batch index).
 Batch boundaries depend only on n_shots, so the merged event stream is
 bit-identical for any worker count.  Shots (and cw segments) are
 statistically independent of each other.
+
+Workers: `map_batches` runs a per-batch function over a task list, in
+task order, in this process at one worker and otherwise through one
+process pool for the whole list.  `run` maps the engine
+over the batches of one config and merges the events in the parent; a
+caller that reduces inside the worker (the heralded delay sweep returns
+per-batch two-photon maps) can submit the batches of many configs to
+one pool and hold only one batch of events per worker at a time.
 """
 from __future__ import annotations
 
@@ -49,6 +57,10 @@ CW_REDRAW_WINDOW_S = 100e-9
 # Bound on the rows x redraw-windows jitter matrix of one cw batch
 # (128 MiB of float64); 8192 segments of 1 s would need about 650 GB.
 CW_JITTER_CELLS_MAX = 2 ** 24
+
+# Event times are stored as float64 shot * stride + t; from 2^13 s on
+# their ULP exceeds 1 ps, a tenth of the finest (10 ps) analysis bins.
+EVENT_TIME_MAX_S = 2.0 ** 13
 
 # |<b|a>|^2 for all label pairs, indexed by the Pol wire codes.
 _PROJ = np.array([[abs(np.vdot(jones_vector(Pol(b)), jones_vector(Pol(a)))) ** 2
@@ -94,6 +106,8 @@ class ProtocolConfig:
     channels.  For cw runs `n_shots` counts independent segments of
     `segment_length_s` live time each.  A field left as None takes its
     value from `_DEFAULTS`, or from `_DEFAULT_POLS` for the polarizations.
+    `pulse_delay_s` (pulsed_2pc) and `pump_rate_hz` (cw_g2) must stay None
+    for the kinds that do not read them.
     """
 
     kind: ProtocolKind
@@ -165,6 +179,17 @@ class ProtocolConfig:
                 raise ValueError("pulsed_2pc requires pulse_delay_s > 0")
             if self.pulse_delay_s >= self.rep_period_s:
                 raise ValueError("pulse_delay_s must be below rep_period_s")
+        if kind is not ProtocolKind.PULSED_2PC and self.pulse_delay_s is not None:
+            raise ConfigError(f"pulse_delay_s: not used by {kind.value}")
+        if kind is not ProtocolKind.CW_G2 and self.pump_rate_hz is not None:
+            raise ConfigError(f"pump_rate_hz: not used by {kind.value}")
+        stride = 2.0 * self.segment_length_s if kind is ProtocolKind.CW_G2 \
+            else self.rep_period_s
+        if self.n_shots * stride >= EVENT_TIME_MAX_S:
+            raise ConfigError(
+                f"n_shots: {self.n_shots} shots {stride:.3g} s apart reach "
+                f"{self.n_shots * stride:.3g} s, where float64 event times "
+                f"are coarser than 1 ps (limit {EVENT_TIME_MAX_S:g} s)")
 
     @classmethod
     def lifetime(cls, n_shots, rng_seed, exc_pol=None, det_pols=None,
@@ -283,16 +308,15 @@ def _detect(photon_codes, rng, det_pols, efficiency):
     else:
         ch = np.zeros(n, dtype=np.uint8)
     u = rng.random(n)
-    keep = np.ones(n, dtype=bool)
-    proj = np.zeros(n, dtype=np.uint8)
-    for c, pols in enumerate(det_pols):
-        m = ch == c
-        if len(pols) == 2:
-            p_first = _PROJ[photon_codes[m], int(pols[0])]
-            proj[m] = np.where(u[m] < p_first, int(pols[0]), int(pols[1]))
-        else:
-            keep[m] = u[m] < _PROJ[photon_codes[m], int(pols[0])]
-            proj[m] = int(pols[0])
+    # per channel: the projected label, the label recorded when the photon
+    # does not pass (the same one for a lossy projector, which drops it),
+    # and whether a non-passing photon is recorded at all
+    first = np.array([int(p[0]) for p in det_pols], dtype=np.uint8)[ch]
+    second = np.array([int(p[-1]) for p in det_pols], dtype=np.uint8)[ch]
+    split = np.array([len(p) == 2 for p in det_pols])[ch]
+    passes = u < _PROJ[photon_codes, first]
+    proj = np.where(passes, first, second)
+    keep = passes | split
     if efficiency < 1.0:
         keep &= rng.random(n) < efficiency
     return ch, proj, keep
@@ -510,17 +534,24 @@ def _cw_batch(device, config, batch_index, start_seg, n):
                     "n_emitted": emissions}
 
 
-def _run_batch(task):
+def batch_tasks(device: DeviceParams, config: ProtocolConfig) -> list:
+    """The fixed batch cut of one run, as (device, config, batch index,
+    first shot, shot count) tasks for `run_batch`."""
+    size = CW_SEGMENT_BATCH if config.kind is ProtocolKind.CW_G2 \
+        else LIFETIME_BATCH
+    return [(device, config, b, b * size, min(size, config.n_shots - b * size))
+            for b in range((config.n_shots + size - 1) // size)]
+
+
+def run_batch(task):
+    """(events, counters) of one batch task; the events of a batch are
+    not sorted."""
     device, config, batch_index, start, count = task
     if config.kind in (ProtocolKind.LIFETIME, ProtocolKind.DOCP_ZERO_FIELD):
         return _lifetime_batch(device, config, batch_index, start, count)
     if config.kind is ProtocolKind.PULSED_2PC:
         return _pulsed_batch(device, config, batch_index, start, count)
     return _cw_batch(device, config, batch_index, start, count)
-
-
-def _batch_size(kind: ProtocolKind) -> int:
-    return CW_SEGMENT_BATCH if kind is ProtocolKind.CW_G2 else LIFETIME_BATCH
 
 
 def resolve_workers(workers=None) -> int:
@@ -534,18 +565,25 @@ def resolve_workers(workers=None) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
+def map_batches(fn, tasks: list, workers=None):
+    """Yield fn(task) for every task, in task order.
+
+    At one worker (or one task) the tasks run in this process; otherwise
+    one process pool serves the whole list, which may hold the tasks of
+    several configs.  `fn` must be a module-level function.
+    """
+    workers = min(resolve_workers(workers), len(tasks))
+    if workers < 2:
+        yield from map(fn, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, tasks)
+
+
 def run(device: DeviceParams, config: ProtocolConfig, workers=None) -> EventStream:
     """Simulate one protocol and return the merged, time-ordered stream."""
-    size = _batch_size(config.kind)
-    tasks = [(device, config, b, b * size, min(size, config.n_shots - b * size))
-             for b in range((config.n_shots + size - 1) // size)]
-    workers = resolve_workers(workers)
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_run_batch, tasks, chunksize=1))
-    else:
-        results = [_run_batch(t) for t in tasks]
-
+    results = list(map_batches(run_batch, batch_tasks(device, config),
+                               workers))
     events = np.concatenate([ev for ev, _ in results]) if results else \
         np.empty(0, dtype=EVENT_DTYPE)
     if events.shape[0]:

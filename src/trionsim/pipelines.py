@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,8 @@ import numpy as np
 from . import montecarlo
 from .core import (DeviceParams, MU_B_EV_PER_T, NoiseModel, PLANCK_EV_S,
                    Pol, larmor_frequency)
-from .correlator import (CW_BIN_S, build_map2d, correlate_cw, docp,
-                         lifetime_docp_trace, lifetime_histograms,
+from .correlator import (CW_BIN_S, build_map2d, correlate_cw, count_map2d,
+                         docp, lifetime_docp_trace, lifetime_histograms,
                          plateau_normalized, slice_map, write_csv,
                          write_docp_csv, write_map_csv)
 from .fitkit import (fft_frequency, fit_damped_cosine, fit_linear_zeeman,
@@ -435,13 +436,33 @@ def delay_sweep_grid() -> np.ndarray:
     return np.round(np.arange(0.6e-9, 10.5e-9 + 1e-13, 0.3e-9), 12)
 
 
+def _batch_herald_maps(task):
+    """`herald_maps` of one engine batch, computed where the batch ran."""
+    _, config, _, start, count = task
+    events, _ = montecarlo.run_batch(task)
+    return tuple(count_map2d(events, config, start, count, ch2_projection=p)
+                 for p in (Pol.R, Pol.L))
+
+
 def heralded_sweep(device, delays, n_shots, seed, workers=None):
-    """Per-delay sliced DOCP series, keyed by readout-time bin."""
+    """Per-delay sliced DOCP series, keyed by readout-time bin, and the
+    heralded pair count of every delay.
+
+    The batches of all delays go to one process pool, and each returns
+    its R and L maps, so no delay's events are ever merged; the maps sum
+    to those of `herald_maps` on the delay's whole stream.
+    """
+    configs = [ProtocolConfig.pulsed(n_shots=n_shots,
+                                     rng_seed=derive_seed(seed, "dt", i),
+                                     pulse_delay_s=float(dt))
+               for i, dt in enumerate(delays)]
+    tasks = [t for c in configs for t in montecarlo.batch_tasks(device, c)]
+    maps = montecarlo.map_batches(_batch_herald_maps, tasks, workers)
     per_delay, pairs = [], []
-    for i, dt in enumerate(delays):
-        stream = _run_pulsed(device, n_shots, derive_seed(seed, "dt", i),
-                             float(dt), workers)
-        map_r, map_l = herald_maps(stream)
+    for _ in configs:
+        # every delay has the same batch cut, and its batches come in order
+        map_r, map_l = (sum(m[1:], m[0]) for m in zip(
+            *islice(maps, len(tasks) // len(configs))))
         per_delay.append(sliced_docp(map_r, map_l))
         pairs.append(map_r.diagnostics["shots_used"])
     return per_delay, pairs

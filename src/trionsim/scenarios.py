@@ -106,15 +106,15 @@ def _parse_protocol(d):
     delays = d.get("pulse_delay_s") if isinstance(d, dict) else None
     if not isinstance(delays, list):
         return ProtocolConfig.from_dict(d, "protocol"), None
+    if d.get("kind") != ProtocolKind.PULSED_2PC.value:
+        raise ConfigError("protocol.pulse_delay_s: sweep lists are only "
+                          "valid for pulsed_2pc")
     sweep = tuple(as_number(v, f"protocol.pulse_delay_s[{i}]")
                   for i, v in enumerate(delays))
     if not sweep:
         raise ConfigError("protocol.pulse_delay_s: empty sweep")
     protocol = ProtocolConfig.from_dict({**d, "pulse_delay_s": sweep[0]},
                                         "protocol")
-    if protocol.kind is not ProtocolKind.PULSED_2PC:
-        raise ConfigError("protocol.pulse_delay_s: sweep lists are only "
-                          "valid for pulsed_2pc")
     return protocol, sweep
 
 

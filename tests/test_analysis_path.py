@@ -11,12 +11,13 @@ from trionsim.cli import main
 from trionsim.core import DeviceParams, NoiseModel
 from trionsim.correlator import DocpTrace, write_docp_csv
 from trionsim.events_io import read_events
-from trionsim.montecarlo import ProtocolConfig
+from trionsim.rng import derive_seed
+from trionsim.montecarlo import ProtocolConfig, run
 from trionsim.pipelines import (G_E, P_MEM, REF_G_H_CW, REF_G_H_PULSED,
                                 REF_T2STAR_S, REF_TAU_CW_S, T1_S,
                                 T1_SLICE_TOL_S, T2_FIT_WINDOW_S, digest_meta,
                                 fit_heralded_sweep, herald_maps,
-                                run_pipeline, sliced_docp)
+                                heralded_sweep, run_pipeline, sliced_docp)
 from trionsim.scenarios import (AnalysisOptions, FitOptions, OutputOptions,
                                 Scenario, save_scenario)
 
@@ -143,6 +144,28 @@ def test_analyze_short_delay_sweep_writes_data_then_exits_4(tmp_path):
     assert lines[1] == "pulse_delay_s,t2_s,docp,error,n_total"
     delays = {float(line.split(",")[0]) for line in lines[2:]}
     assert delays == {1.0e-9, 1.6e-9, 2.2e-9}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_heralded_sweep_matches_per_delay_streams(workers):
+    # 70,000 shots are one full and one partial engine batch per delay;
+    # the sweep reduces batches in the workers, the reference merges each
+    # delay's stream and builds its maps whole
+    device = _device(0.15, g_h=REF_G_H_PULSED,
+                     noise=NoiseModel.lorentzian_from_t2star(REF_T2STAR_S))
+    delays = (1.0e-9, 1.6e-9, 2.2e-9)
+    traces, pairs = heralded_sweep(device, delays, 70_000, SEED, workers)
+    assert len(traces) == len(pairs) == 3
+    for i, dt in enumerate(delays):
+        stream = run(device, ProtocolConfig.pulsed(
+            n_shots=70_000, rng_seed=derive_seed(SEED, "dt", i),
+            pulse_delay_s=dt))
+        map_r, map_l = herald_maps(stream)
+        ref = sliced_docp(map_r, map_l)
+        for name in ("times", "values", "errors", "n_total", "valid"):
+            assert getattr(traces[i], name).tobytes() == \
+                getattr(ref, name).tobytes()
+        assert pairs[i] == map_r.diagnostics["shots_used"]
 
 
 def _synthetic_sweep(flat_bin=None):

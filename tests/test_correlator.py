@@ -10,15 +10,18 @@ from trionsim.correlator import (
     DocpTrace,
     Histogram1D,
     bin_lifetime,
+    Map2D,
     build_map2d,
     correlate_cw,
+    count_map2d,
     docp,
     slice_map,
     write_csv,
     write_map_csv,
 )
 from trionsim.fitkit import fft_frequency
-from trionsim.montecarlo import EVENT_DTYPE, EventStream, ProtocolConfig, run
+from trionsim.montecarlo import (EVENT_DTYPE, EventStream, ProtocolConfig,
+                                 batch_tasks, run, run_batch)
 
 
 def _device(**kw):
@@ -220,6 +223,49 @@ def test_map2d_drops_ambiguous_shots():
     assert m.counts.sum() == 1
     with pytest.raises(ValueError):
         build_map2d(run(_device(), ProtocolConfig.lifetime(64, 1)))
+
+
+@pytest.mark.parametrize("projection", [Pol.R, Pol.L])
+def test_map2d_of_batches_sums_to_whole_stream_map(projection):
+    # three engine batches, the last one partial; each batch's events
+    # come unsorted straight from the engine
+    dev = _device(noise=NoiseModel.lorentzian_from_t2star(15.9e-9))
+    config = ProtocolConfig.pulsed(150_000, 21, pulse_delay_s=1.6e-9)
+    tasks = batch_tasks(dev, config)
+    assert len(tasks) == 3
+    parts = [count_map2d(run_batch(t)[0], config, t[3], t[4],
+                         ch2_projection=projection) for t in tasks]
+    whole = build_map2d(run(dev, config), ch2_projection=projection)
+    total = parts[0] + parts[1] + parts[2]
+    assert np.array_equal(total.counts, whole.counts)
+    assert total.counts.dtype == whole.counts.dtype
+    assert total.diagnostics == whole.diagnostics
+    assert whole.diagnostics["shots_used"] > 0
+
+
+def test_map2d_ignores_event_order():
+    dev = _device()
+    config = ProtocolConfig.pulsed(20_000, 22, pulse_delay_s=1.6e-9)
+    stream = run(dev, config)
+    shuffled = EventStream(
+        stream.events[np.random.default_rng(0).permutation(len(stream))],
+        dev, config)
+    for projection in (None, Pol.R):
+        a = build_map2d(stream, ch2_projection=projection)
+        b = build_map2d(shuffled, ch2_projection=projection)
+        assert np.array_equal(a.counts, b.counts)
+        assert a.diagnostics == b.diagnostics
+
+
+def test_map2d_add_rejects_different_binning():
+    edges = np.array([0.0, 1e-9, 2e-9])
+    a = Map2D(edges, edges, np.ones((2, 2), dtype=np.int64),
+              {"shots_used": 4})
+    assert (a + a).diagnostics == {"shots_used": 8}
+    for t1, t2 in ((2 * edges, edges), (edges, edges[:2])):
+        other = Map2D(t1, t2, np.ones((2, t2.size - 1), dtype=np.int64))
+        with pytest.raises(ValueError, match="different binning"):
+            a + other
 
 
 def test_map2d_slice_and_marginal():

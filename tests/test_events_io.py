@@ -211,7 +211,11 @@ def test_tampered_header_rejected(tmp_path, stream, fmt, capsys):
             (_set("config.detection_efficiency", True),
              "config.detection_efficiency: expected a number"),
             (_set("config.exc_pols", ["X"]),
-             "config.exc_pols[0]: expected one of")):
+             "config.exc_pols[0]: expected one of"),
+            (_set("config.pulse_delay_s", 5e-9),
+             "config.pulse_delay_s: not used by lifetime"),
+            (_set("config.pump_rate_hz", 1e7),
+             "config.pump_rate_hz: not used by lifetime")):
         path = tmp_path / f"events.{fmt}"
         write_events(path, stream, fmt=fmt)
         _edit_header(path, fmt, edit)

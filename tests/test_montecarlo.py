@@ -105,6 +105,36 @@ def test_worker_count_does_not_change_output():
         assert solo.content_digest == multi.content_digest
 
 
+# sha256 of the merged event records of small fixed-seed runs, two
+# batches each (lifetime: a lossy and a splitter channel at efficiency
+# 0.8); any change to the random numbers an engine draws, or to how it
+# turns them into events, moves one of these
+_GOLDEN_RUNS = {
+    "lifetime": (0.15, lambda: ProtocolConfig.lifetime(
+        70_000, 11, det_pols=((Pol.R,), (Pol.H, Pol.V)),
+        detection_efficiency=0.8),
+        "6830d3247cfe25e625c9e8bfe9f27c9fae1a984d0b2d72434d6da3af1fd42f00"),
+    "docp_zero_field": (0.0, lambda: ProtocolConfig.docp_zero_field(
+        70_000, 12),
+        "ae4801173a5911edc822fb111befe0618059d7a2164ec5c957991c4cc3465b3a"),
+    "cw_g2": (0.0375, lambda: ProtocolConfig.cw(
+        8_200, 13, pump_rate_hz=1e7, segment_length_s=2e-6),
+        "e5a389161376c5013f1c061c1db8f77116ecc3f02f2c1ace2958dac5e505e136"),
+    "pulsed_2pc": (0.15, lambda: ProtocolConfig.pulsed(
+        70_000, 14, pulse_delay_s=1.6e-9, detection_efficiency=0.9),
+        "dfd81275179503dc4decb2bc8f08120e141e39f9c9744086044fae3a3fb30a2b"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", sorted(_GOLDEN_RUNS))
+def test_golden_content_digests(kind, workers):
+    b_x_t, config, digest = _GOLDEN_RUNS[kind]
+    dev = _device(b_x_t=b_x_t,
+                  noise=NoiseModel.lorentzian_from_t2star(15.9e-9))
+    assert run(dev, config(), workers=workers).content_digest == digest
+
+
 def test_lifetime_t1_recovery():
     dev = _device(p_mem=1.0, b_x_t=0.0)
     stream = run(dev, ProtocolConfig.lifetime(1_000_000, 31))

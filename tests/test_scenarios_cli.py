@@ -123,6 +123,40 @@ def test_oversized_cw_segments_exit_2(tmp_path, capsys):
     assert Scenario.from_dict(d).protocol.segment_length_s == 1.0
 
 
+@pytest.mark.parametrize("kind, key", [
+    ("lifetime", "pulse_delay_s"), ("docp_zero_field", "pulse_delay_s"),
+    ("cw_g2", "pulse_delay_s"), ("lifetime", "pump_rate_hz"),
+    ("docp_zero_field", "pump_rate_hz"), ("pulsed_2pc", "pump_rate_hz")])
+def test_run_keys_of_other_kinds_exit_2(tmp_path, capsys, kind, key):
+    # a pulse delay or pump rate the engine of this kind never reads is
+    # refused, not ignored
+    needed = {"cw_g2": {"pump_rate_hz": 1e7},
+              "pulsed_2pc": {"pulse_delay_s": 1.6e-9}}.get(kind, {})
+    d = _scenario_dict(kind, **{**needed, key: 5e-9 if key ==
+                                "pulse_delay_s" else 1e7})
+    with pytest.raises(ConfigError, match=f"protocol.{key}: not used by "
+                                          f"{kind}"):
+        Scenario.from_dict(d)
+    scn = _write_scenario(tmp_path / "unused.json", d)
+    assert main(["simulate", scn, "-o", str(tmp_path)]) == 2
+    assert f"protocol.{key}" in capsys.readouterr().err
+
+
+def test_event_time_resolution_bounded_at_validation():
+    # event times are float64 shot * stride + t: from 2^13 s on their
+    # ULP exceeds 1 ps; the stride is the repetition period, or twice
+    # the segment length for cw (exact binary values, configs only)
+    for kind, proto, n_max in (
+            ("lifetime", {"rep_period_s": 2.0 ** -10}, 2 ** 23),
+            ("cw_g2", {"pump_rate_hz": 1e7, "segment_length_s": 2.0 ** -15},
+             2 ** 27)):
+        d = _scenario_dict(kind, n_shots=n_max, **proto)
+        with pytest.raises(ConfigError, match=r"^protocol\.n_shots: "):
+            Scenario.from_dict(d)
+        d["protocol"]["n_shots"] = n_max - 1
+        assert Scenario.from_dict(d).protocol.n_shots == n_max - 1
+
+
 def test_delay_sweep_expands_with_derived_seeds():
     d = _scenario_dict("pulsed_2pc", pulse_delay_s=[0.6e-9, 1.0e-9, 2.5e-9])
     scenario = Scenario.from_dict(d)
