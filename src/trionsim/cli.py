@@ -10,13 +10,14 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import montecarlo
-from .correlator import (CW_BIN_S, LIFETIME_BIN_S, docp, plateau_normalized,
-                         write_docp_csv)
-from .events_io import ensure_compatible, read_events, write_events
+from .correlator import (CW_BIN_S, LIFETIME_BIN_S, DocpTrace, docp,
+                         plateau_normalized, write_docp_csv)
+from .events_io import compat_digest, read_events, write_events
 from .fitkit import fit_damped_cosine, fit_linear_zeeman, format_fit_report
 from .montecarlo import ProtocolKind
 from .pipelines import (PRESETS, T1_SLICE_S, T1_SLICE_TOL_S,
@@ -119,31 +120,39 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_streams(paths):
-    try:
-        return [read_events(path) for path in paths]
-    except ValueError as exc:
-        raise OSError(str(exc)) from exc
+def _read_streams(paths):
+    """Yield the stream of each file, one at a time, each checked
+    against the header of the first."""
+    first = None
+    for path in paths:
+        try:
+            stream = read_events(path)
+        except ValueError as exc:
+            raise OSError(str(exc)) from exc
+        digest = compat_digest(stream.device, stream.config)
+        first = first or digest
+        if digest != first:
+            raise ConfigError(
+                "event files have mismatched device/config headers")
+        yield stream
+        del stream  # hold no stream while the next file is read
 
 
 def cmd_analyze(args) -> int:
-    streams = _load_streams(args.events)
-    try:
-        ensure_compatible(streams)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     opts = (load_scenario(args.scenario).analysis if args.scenario
             else AnalysisOptions())
     outdir = Path(args.outdir)
+    streams = _read_streams(args.events)
+    if len(args.events) > 1:
+        return _analyze_delay_sweep(streams, opts, outdir)
+    stream = next(streams)
     outdir.mkdir(parents=True, exist_ok=True)
-    kind = streams[0].config.kind
+    kind = stream.config.kind
     if kind is ProtocolKind.PULSED_2PC:
-        return _analyze_pulsed(streams, opts, outdir)
-    if len(streams) != 1:
-        raise ConfigError(f"{kind.value} analysis takes exactly one file")
+        return _analyze_pulsed(stream, opts, outdir)
     if kind is ProtocolKind.CW_G2:
-        return _analyze_cw(streams[0], opts, outdir)
-    return _analyze_lifetime(streams[0], opts, outdir)
+        return _analyze_cw(stream, opts, outdir)
+    return _analyze_lifetime(stream, opts, outdir)
 
 
 def _emit(text, path) -> None:
@@ -201,30 +210,54 @@ def _analyze_cw(stream, opts, outdir) -> int:
                         "cw docp damped cosine", stream.content_digest[:16])
 
 
-def _analyze_pulsed(streams, opts, outdir) -> int:
-    slicing = (T1_SLICE_S if opts.t1_slice_s is None else opts.t1_slice_s,
-               opts.slice_tolerance_s or T1_SLICE_TOL_S)
-    if len(streams) == 1:
-        map_r, map_l = herald_maps(streams[0])
-        meta = digest_meta(streams[0])
-        path, _ = write_herald_maps(outdir, map_r, map_l, meta)
-        trace = sliced_docp(map_r, map_l, *slicing)
-        slice_path = outdir / "fig3b_slice_docp.csv"
-        write_docp_csv(slice_path, trace, meta)
-        print(f"wrote {path}")
-        print(f"wrote {slice_path}")
-        if not opts.fit.enabled:
-            return EXIT_OK
-        fit = beat_fit(trace, opts.fit.variant or "pulsed", opts.fit.t0,
-                       opts.fit.fixed)
-        return _emit_report(outdir / "fig3b_fit_report.txt", fit,
-                            "map slice damped cosine",
-                            streams[0].content_digest[:16])
+def _slicing(opts):
+    return (T1_SLICE_S if opts.t1_slice_s is None else opts.t1_slice_s,
+            opts.slice_tolerance_s or T1_SLICE_TOL_S)
+
+
+def _analyze_pulsed(stream, opts, outdir) -> int:
+    map_r, map_l = herald_maps(stream)
+    meta = digest_meta(stream)
+    path, _ = write_herald_maps(outdir, map_r, map_l, meta)
+    trace = sliced_docp(map_r, map_l, *_slicing(opts))
+    slice_path = outdir / "fig3b_slice_docp.csv"
+    write_docp_csv(slice_path, trace, meta)
+    print(f"wrote {path}")
+    print(f"wrote {slice_path}")
+    if not opts.fit.enabled:
+        return EXIT_OK
+    fit = beat_fit(trace, opts.fit.variant or "pulsed", opts.fit.t0,
+                   opts.fit.fixed)
+    return _emit_report(outdir / "fig3b_fit_report.txt", fit,
+                        "map slice damped cosine", stream.content_digest[:16])
+
+
+class _SweepPoint(NamedTuple):
+    delay: float
+    content_digest: str
+    trace: DocpTrace
+
+
+def _analyze_delay_sweep(streams, opts, outdir) -> int:
+    """Reduce each file of a pulsed delay sweep to its sliced DOCP as it
+    is read, so that one stream is held at a time; nothing is written
+    before every file has been read and checked."""
     window = opts.t2_fit_window_s or T2_FIT_WINDOW_S
-    meta = digest_meta(*streams)
-    streams = sorted(streams, key=lambda s: s.config.pulse_delay_s)
-    delays = [s.config.pulse_delay_s for s in streams]
-    traces = [sliced_docp(*herald_maps(s), *slicing) for s in streams]
+    slicing = _slicing(opts)
+
+    def sweep_point(stream):
+        if stream.config.kind is not ProtocolKind.PULSED_2PC:
+            raise ConfigError(
+                f"{stream.config.kind.value} analysis takes exactly one file")
+        return _SweepPoint(stream.config.pulse_delay_s, stream.content_digest,
+                           sliced_docp(*herald_maps(stream), *slicing))
+
+    points = list(map(sweep_point, streams))
+    meta = digest_meta(*points)
+    points.sort(key=lambda p: p.delay)
+    delays = [p.delay for p in points]
+    traces = [p.trace for p in points]
+    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "fig3d_docp_vs_delay.csv"
     write_delay_csv(path, delays, traces, meta, window)
     print(f"wrote {path}")

@@ -122,9 +122,21 @@ class Map2D:
 
 
 def _bin_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(edges, values, side="right") - 1
-    ok = (idx >= 0) & (idx < edges.size - 1)
-    return np.bincount(idx[ok], minlength=edges.size - 1).astype(np.int64)
+    """Counts per half-open bin of the uniform `edges` (a bin width times
+    consecutive integers); values outside [edges[0], edges[-1]), NaN
+    included, are dropped.
+
+    The bin is guessed from the spacing and corrected by one against
+    `edges`, which gives the `searchsorted` bins at a fraction of the cost.
+    """
+    n = edges.size - 1
+    lo, hi = edges[0], edges[-1]
+    v = values[(values >= lo) & (values < hi)]
+    # the guess is off by at most one bin either way
+    idx = np.minimum(((v - lo) * (n / (hi - lo))).astype(np.intp), n - 1)
+    idx -= v < edges[idx]
+    idx += v >= edges[idx + 1]
+    return np.bincount(idx, minlength=n).astype(np.int64)
 
 
 def _window_edges(window_s: float, bin_s: float) -> np.ndarray:

@@ -400,7 +400,11 @@ def fit_linear_zeeman(b_t, delta_e_ev, errors_ev=None,
 
 
 def window_average(times, values, window) -> WindowAverage:
-    """Unweighted mean and standard error over points inside [lo, hi]."""
+    """Unweighted mean and standard error over points inside [lo, hi].
+
+    The values are scaled by a power of two near their largest magnitude,
+    which is exact, so that squaring them cannot overflow.
+    """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     lo, hi = window
@@ -408,8 +412,10 @@ def window_average(times, values, window) -> WindowAverage:
     n = int(np.count_nonzero(m))
     if n < 3:
         raise ValueError("need at least 3 points inside the window")
-    mean = float(values[m].mean())
-    sigma = float(values[m].std(ddof=1) / math.sqrt(n))
+    _, exp = np.frexp(np.abs(values[m]).max())
+    scaled = np.ldexp(values[m], -exp)
+    mean = float(np.ldexp(scaled.mean(), exp))
+    sigma = float(np.ldexp(scaled.std(ddof=1), exp) / math.sqrt(n))
     return WindowAverage(mean, sigma, n)
 
 

@@ -16,13 +16,18 @@ Batch boundaries depend only on n_shots, so the merged event stream is
 bit-identical for any worker count.  Shots (and cw segments) are
 statistically independent of each other.
 
+Order: every batch returns its events in (shot, time) order, and the
+batches cover increasing shot ranges, so `run` concatenates them and
+never sorts a whole stream.
+
 Workers: `map_batches` runs a per-batch function over a task list, in
 task order, in this process at one worker and otherwise through one
 process pool for the whole list.  `run` maps the engine
-over the batches of one config and merges the events in the parent; a
-caller that reduces inside the worker (the heralded delay sweep returns
-per-batch two-photon maps) can submit the batches of many configs to
-one pool and hold only one batch of events per worker at a time.
+over the batches of one config and concatenates the events in the
+parent; a caller that reduces inside the worker (the heralded delay
+sweep returns per-batch two-photon maps) can submit the batches of many
+configs to one pool and hold only one batch of events per worker at a
+time.
 """
 from __future__ import annotations
 
@@ -49,6 +54,8 @@ EVENT_DTYPE = np.dtype([
 
 LIFETIME_BATCH = 65536
 CW_SEGMENT_BATCH = 8192
+# a cw batch sorts its events on a uint16 in-batch segment index
+assert CW_SEGMENT_BATCH < 2 ** 16
 
 # Quasi-static jitter redraw interval for cw runs.  One draw per shot is
 # used for the pulsed protocols.
@@ -262,7 +269,8 @@ class ProtocolConfig:
 
 @dataclass
 class EventStream:
-    """Sorted detection events plus the configuration that produced them."""
+    """Detection events in (shot, time) order plus the configuration that
+    produced them; `run` builds one by concatenating sorted batches."""
 
     events: np.ndarray
     device: DeviceParams
@@ -411,12 +419,15 @@ def _pulsed_batch(device, config, batch_index, start_shot, n,
 
     shots = (start_shot + np.arange(n, dtype=np.int64)).astype(np.uint32)
     t0 = shots * config.rep_period_s
-    events = np.concatenate([
-        _make_events(shots[keep1], ch1[keep1], proj1[keep1],
-                     (t0 + tau1)[keep1]),
-        _make_events(shots[keep2], ch2[keep2], proj2[keep2],
-                     (t0 + dt + tau2)[keep2]),
-    ])
+    # one (photon 1, photon 2) slot pair per shot keeps the events in
+    # (shot, time) order: a shot records both photons only if tau1 < dt
+    keep = np.column_stack((keep1, keep2)).ravel()
+
+    def pairs(a, b):
+        return np.column_stack((a, b)).ravel()[keep]
+
+    events = _make_events(np.repeat(shots, 2)[keep], pairs(ch1, ch2),
+                          pairs(proj1, proj2), pairs(t0 + tau1, t0 + dt + tau2))
     diag = {"n_shots": n, "n_emitted": int(np.count_nonzero(addressed))
             + int(np.count_nonzero(success2))}
     if collect_state:
@@ -446,10 +457,16 @@ def _cw_batch(device, config, batch_index, start_seg, n):
     piecewise-constant jitter of its redraw window.  Segments are spaced
     two segment lengths apart so cross-segment pairs cannot fall inside
     any correlation window up to one segment length.
+
+    Every attempt round draws over all n rows, finished or not, so the
+    draws depend only on the round count; per-row state is updated in
+    place on the rows that succeed.  The events come back in (segment,
+    time) order: each segment emits in time order, and one stable sort
+    on the in-batch segment index interleaves the rounds.
     """
     rng = substream(config.rng_seed, config.kind.value, batch_index)
-    p = device.p_mem
-    f_e, f_h = device.f_e_hz, device.f_h_hz
+    p_half = device.p_mem * 0.5
+    w_h = 2.0 * math.pi * device.f_h_hz
     seg_len = config.segment_length_s
     pump = config.pump_rate_hz
     s_addr = _exc_sign(config.exc_pols[0])
@@ -457,81 +474,94 @@ def _cw_batch(device, config, batch_index, start_seg, n):
     n_win = int(math.ceil(seg_len / win)) + 1
     ground_noise = device.noise.affects_ground
     excited_noise = device.noise.affects_excited
-    rows = np.arange(n)
 
     if ground_noise:
         delta = device.noise.sample(rng, (n, n_win))
-        cum = np.concatenate(
-            [np.zeros((n, 1)), np.cumsum(delta * win, axis=1)], axis=1)
+        # cum[r, k]: jitter phase (in cycles) accumulated before window k
+        cum = np.cumsum(delta * win, axis=1)
+        cum[:, 1:] = cum[:, :-1]
+        cum[:, 0] = 0.0
+        cum, delta = cum.ravel(), delta.ravel()
+        all_rows = np.arange(n) * n_win
 
-        def noise_phase(t):
-            k = np.clip((t / win).astype(np.int64), 0, n_win - 1)
-            return 2.0 * math.pi * (cum[rows, k] + delta[rows, k] * (t - k * win))
-    else:
-        def noise_phase(t):
-            return 0.0
+        def noise_phase(t, row_base):
+            # t >= 0, so only the upper clip is needed
+            k = np.minimum((t / win).astype(np.int64), n_win - 1)
+            j = row_base + k
+            return 2.0 * math.pi * (cum[j] + delta[j] * (t - k * win))
+
+    def branch_r_probability(f_e):
+        omega_t1 = 2.0 * math.pi * f_e * device.t1_s
+        return 0.5 * (1.0 + s_addr * (1.0 / (1.0 + omega_t1 ** 2)))
+
+    if not excited_noise:
+        p_r = branch_r_probability(device.f_e_hz)
 
     t_clock = np.zeros(n)
     t_reset = np.zeros(n)
     ph_reset = np.zeros(n)
     s = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     active = np.ones(n, dtype=bool)
+    n_active = n
 
-    ev_shot, ev_code, ev_time = [], [], []
+    ev_seg = [np.zeros(0, dtype=np.uint16)]
+    ev_is_r = [np.zeros(0, dtype=bool)]
+    ev_time = [np.zeros(0)]
     attempts = 0
-    emissions = 0
     guard = int(3.0 * seg_len * pump + 10.0 * math.sqrt(seg_len * pump) + 200)
     for _ in range(guard):
-        if not active.any():
+        if not n_active:
             break
         t_att = t_clock + rng.exponential(1.0 / pump, n)
         active &= t_att < seg_len
-        ph_att = noise_phase(t_att)
-        theta = 2.0 * math.pi * f_h * (t_att - t_reset) + (ph_att - ph_reset)
-        b_z = s * np.cos(theta)
-        u1 = rng.random(n)
-        success = active & (u1 < p * 0.5 * (1.0 + s_addr * b_z))
-        tau = rng.exponential(device.t1_s, n)
-        df_e = device.noise.sample(rng, n) if excited_noise else 0.0
-        omega_t1 = 2.0 * math.pi * (f_e + df_e) * device.t1_s
-        c_bar = 1.0 / (1.0 + omega_t1 ** 2)
-        is_r = rng.random(n) < 0.5 * (1.0 + s_addr * c_bar)
-        t_em = t_att + tau
-        emit = success & (t_em < seg_len)
-        idx = np.flatnonzero(emit)
-        if idx.size:
-            ev_shot.append(idx.astype(np.uint32))
-            ev_code.append(np.where(is_r[idx], int(Pol.R),
-                                    int(Pol.L)).astype(np.uint8))
-            ev_time.append(t_em[idx])
-            emissions += idx.size
-        attempts += int(np.count_nonzero(active))
-        # a success consumes the hole until the emission re-creates it
-        t_clock = np.where(success, t_em, np.where(active, t_att, t_clock))
-        t_reset = np.where(success, t_em, t_reset)
+        n_active = int(np.count_nonzero(active))
+        attempts += n_active
+        theta = w_h * (t_att - t_reset)
         if ground_noise:
-            ph_em = noise_phase(t_em)
-            ph_reset = np.where(success, ph_em, ph_reset)
-        s = np.where(success, np.where(is_r, 1.0, -1.0), s)
+            theta += noise_phase(t_att, all_rows) - ph_reset
+        b_z = s * np.cos(theta)
+        success = rng.random(n) < p_half * (1.0 + s_addr * b_z)
+        success &= active
+        tau = rng.exponential(device.t1_s, n)
+        if excited_noise:
+            p_r = branch_r_probability(device.f_e_hz
+                                       + device.noise.sample(rng, n))
+        is_r = rng.random(n) < p_r
+        # a success consumes the hole until the emission re-creates it
+        np.copyto(t_clock, t_att, where=active)
+        hit = np.flatnonzero(success)
+        if not hit.size:
+            continue
+        t_em = t_att[hit] + tau[hit]
+        hit_r = is_r[hit]
+        emit = t_em < seg_len
+        ev_seg.append(hit[emit].astype(np.uint16))
+        ev_is_r.append(hit_r[emit])
+        ev_time.append(t_em[emit])
+        t_clock[hit] = t_em
+        t_reset[hit] = t_em
+        if ground_noise:
+            ph_reset[hit] = noise_phase(t_em, hit * n_win)
+        s[hit] = np.where(hit_r, 1.0, -1.0)
     else:
         raise RuntimeError("cw segment loop exceeded its iteration guard")
 
-    if ev_shot:
-        seg_idx = np.concatenate(ev_shot)
-        codes = np.concatenate(ev_code)
-        t_in_seg = np.concatenate(ev_time)
-    else:
-        seg_idx = np.zeros(0, dtype=np.uint32)
-        codes = np.zeros(0, dtype=np.uint8)
-        t_in_seg = np.zeros(0)
+    seg_idx = np.concatenate(ev_seg)
+    codes = np.where(np.concatenate(ev_is_r), int(Pol.R),
+                     int(Pol.L)).astype(np.uint8)
+    t_in_seg = np.concatenate(ev_time)
+    del ev_seg, ev_is_r, ev_time
+    emissions = seg_idx.shape[0]
     ch, proj, keep = _detect(codes, rng, config.det_pols,
                              config.detection_efficiency)
+    seg_idx = seg_idx[keep]
     shots = (start_seg + seg_idx.astype(np.int64)).astype(np.uint32)
-    stride = 2.0 * seg_len
-    times = shots * stride + t_in_seg
-    events = _make_events(shots[keep], ch[keep], proj[keep], times[keep])
-    return events, {"n_shots": n, "n_attempts": attempts,
-                    "n_emitted": emissions}
+    events = _make_events(shots, ch[keep], proj[keep],
+                          shots * (2.0 * seg_len) + t_in_seg[keep])
+    # free the per-photon arrays before the sort copies the records
+    del codes, ch, proj, keep, shots, t_in_seg
+    return events[np.argsort(seg_idx, kind="stable")], {
+        "n_shots": n, "n_attempts": attempts, "n_emitted": emissions}
 
 
 def batch_tasks(device: DeviceParams, config: ProtocolConfig) -> list:
@@ -544,8 +574,8 @@ def batch_tasks(device: DeviceParams, config: ProtocolConfig) -> list:
 
 
 def run_batch(task):
-    """(events, counters) of one batch task; the events of a batch are
-    not sorted."""
+    """(events, counters) of one batch task, the events in (shot, time)
+    order."""
     device, config, batch_index, start, count = task
     if config.kind in (ProtocolKind.LIFETIME, ProtocolKind.DOCP_ZERO_FIELD):
         return _lifetime_batch(device, config, batch_index, start, count)
@@ -581,14 +611,15 @@ def map_batches(fn, tasks: list, workers=None):
 
 
 def run(device: DeviceParams, config: ProtocolConfig, workers=None) -> EventStream:
-    """Simulate one protocol and return the merged, time-ordered stream."""
+    """Simulate one protocol and return the stream in (shot, time) order.
+
+    Batches cover increasing shot ranges and each comes back sorted, so
+    the stream is their concatenation.
+    """
     results = list(map_batches(run_batch, batch_tasks(device, config),
                                workers))
-    events = np.concatenate([ev for ev, _ in results]) if results else \
-        np.empty(0, dtype=EVENT_DTYPE)
-    if events.shape[0]:
-        order = np.lexsort((events["time"], events["shot"]))
-        events = events[order]
+    events = results[0][0] if len(results) == 1 else \
+        np.concatenate([ev for ev, _ in results])
     diagnostics: dict = {}
     for _, diag in results:
         for key, val in diag.items():

@@ -471,9 +471,14 @@ def heralded_sweep(device, delays, n_shots, seed, workers=None):
 def fit_heralded_sweep(delays, traces, t2_window_s=T2_FIT_WINDOW_S):
     """Per-t2-bin damped-cosine fits across the delay axis.
 
-    Bins whose fit finds no oscillation (the fitter's flat-trace branch,
-    f = 0) carry no frequency or T2* and are dropped; fewer than 3
-    oscillating bins leave nothing to average and raise RuntimeError.
+    Bins whose fit leaves T2* undetermined are dropped: those whose T2*
+    sigma is zero, non-finite or not below T2* itself, so that the decay
+    rate 1/T2* is not told apart from zero.  That covers a fit that finds
+    no oscillation (the fitter's flat-trace branch, f = 0, sigma 0), one
+    whose T2* ran off towards infinity until its derivative underflowed
+    (sigma 0), and an undamped bin that settles on some long T2* with a
+    far larger sigma.  Fewer than 3 usable bins leave nothing to average
+    and raise RuntimeError.
     """
     delays = np.asarray(delays, dtype=float)
     t2 = traces[0].times
@@ -491,11 +496,13 @@ def fit_heralded_sweep(delays, traces, t2_window_s=T2_FIT_WINDOW_S):
                                     fixed={"alpha": 1.0, "offset": 0.0})
         except ValueError:
             continue
-        if fit.converged and fit.message != "no-oscillation":
+        if fit.converged and \
+                0.0 < fit.sigmas["t2star"] < fit["t2star"] < math.inf:
             fits.append((float(t2[j]), fit))
     if len(fits) < 3:
         raise RuntimeError(f"{len(fits)} per-bin fits of the delay sweep "
-                           f"converged on an oscillation; need 3")
+                           f"converged on an oscillation with a "
+                           f"determined T2*; need 3")
     return fits
 
 

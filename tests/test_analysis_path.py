@@ -11,6 +11,7 @@ from trionsim.cli import main
 from trionsim.core import DeviceParams, NoiseModel
 from trionsim.correlator import DocpTrace, write_docp_csv
 from trionsim.events_io import read_events
+from trionsim.fitkit import fit_damped_cosine
 from trionsim.rng import derive_seed
 from trionsim.montecarlo import ProtocolConfig, run
 from trionsim.pipelines import (G_E, P_MEM, REF_G_H_CW, REF_G_H_PULSED,
@@ -196,6 +197,30 @@ def test_fit_heralded_sweep_drops_bins_without_oscillation():
     assert traces[0].times[5] not in [t for t, _ in fits]
     for _, fit in fits:
         assert fit["frequency"] == pytest.approx(760e6, rel=1e-6)
+
+
+@pytest.mark.parametrize("growth_s, sigma_zero", [
+    (math.inf, False),  # an undamped cosine: T2* settles, sigma far above
+    (30e-9, True),      # a growing one: T2* runs off until sigma reads 0
+])
+def test_fit_heralded_sweep_drops_bins_whose_t2star_is_undetermined(
+        growth_s, sigma_zero):
+    delays, traces = _synthetic_sweep()
+    t2 = traces[0].times
+    for dt, tr in zip(delays, traces):
+        tr.values[3] = 0.3 * math.exp(dt / growth_s) * math.cos(
+            2 * math.pi * 760e6 * (dt - 228e-12) + 40e9 * t2[3])
+    undamped = fit_damped_cosine(
+        (delays, np.array([tr.values[3] for tr in traces]),
+         np.full(delays.size, 0.01)),
+        variant="pulsed", t0=228e-12, fixed={"alpha": 1.0, "offset": 0.0})
+    assert undamped.converged and undamped["t2star"] > 1e-3
+    sigma = undamped.sigmas["t2star"]
+    assert sigma == 0.0 if sigma_zero else undamped["t2star"] < sigma < 1e4
+    fits = fit_heralded_sweep(delays, traces)
+    assert [t for t, _ in fits] == [t for i, t in enumerate(t2) if i != 3]
+    for _, fit in fits:
+        assert fit["t2star"] == pytest.approx(15.9e-9, rel=1e-6)
 
 
 def test_fit_heralded_sweep_needs_three_oscillating_bins():

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trionsim.core import DeviceParams, NoiseModel, Pol, larmor_frequency
 from trionsim.correlator import (
+    _bin_values,
     DocpTrace,
     Histogram1D,
     bin_lifetime,
@@ -330,3 +333,33 @@ def test_docp_trace_bounds():
     with pytest.raises(ValueError):
         DocpTrace(np.array([0.0]), np.array([1.5]), np.array([0.1]),
                   np.array([10.0]), np.array([True]))
+
+
+def _searchsorted_bins(values, edges):
+    idx = np.searchsorted(edges, values, side="right") - 1
+    ok = (idx >= 0) & (idx < edges.size - 1)
+    return np.bincount(idx[ok], minlength=edges.size - 1).astype(np.int64)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_bin_values_matches_searchsorted(data):
+    bin_s = data.draw(st.sampled_from((10e-12, 100e-12, 1e-9, 0.3, 1.0)))
+    first = data.draw(st.integers(-3000, 3000))
+    n_bins = data.draw(st.integers(1, 2500))
+    # the edge grids the analyses build: bin_s times consecutive integers
+    edges = bin_s * np.arange(first, first + n_bins + 1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+    span = edges[-1] - edges[0]
+    on_edge = rng.choice(edges, 300)
+    values = np.concatenate([
+        rng.uniform(edges[0] - 0.1 * span, edges[-1] + 0.1 * span, 2000),
+        on_edge,
+        np.nextafter(on_edge, np.inf),
+        np.nextafter(on_edge, -np.inf),
+        [np.nan, np.inf, -np.inf, edges[0] - span, edges[-1] + span],
+    ])
+    rng.shuffle(values)
+    counts = _bin_values(values, edges)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, _searchsorted_bins(values, edges))

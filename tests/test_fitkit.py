@@ -1,9 +1,12 @@
 """Deterministic fitting: recovery, Jacobians, seeding, linear fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trionsim.core import MU_B_EV_PER_T
 from trionsim.fitkit import (
@@ -231,6 +234,31 @@ def test_window_average():
     assert same.mean == 5.0 and same.sigma == 0.0
     with pytest.raises(ValueError):
         window_average((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), (10.0, 20.0))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(values=st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e100),
+                                 st.floats(-1e100, -1e-100)),
+                       min_size=3, max_size=40))
+def test_window_average_equals_plain_mean_and_std(values):
+    # the power-of-two scaling is exact, so wherever the plain squares
+    # neither overflow nor underflow the results are the plain ones
+    values = np.asarray(values)
+    res = window_average(np.zeros(values.size), values, (0.0, 0.0))
+    assert res.mean == float(values.mean())
+    assert res.sigma == float(values.std(ddof=1) / math.sqrt(values.size))
+
+
+def test_window_average_does_not_overflow():
+    # a runaway T2* of 9.8e252 s among ordinary ones, as a per-bin fit of
+    # the delay sweep once returned
+    values = (1.6e-8, 9.8e252, 1.5e-8, 1.7e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = window_average((1.0, 2.0, 3.0, 4.0), values, (0.0, 5.0))
+    assert res.mean == pytest.approx(9.8e252 / 4.0, rel=1e-12)
+    assert res.sigma == pytest.approx(9.8e252 / 4.0, rel=1e-9)
+    assert math.isfinite(res.sigma)
 
 
 def test_loglog_trend():

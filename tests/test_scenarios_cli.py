@@ -1,10 +1,12 @@
 """Scenario schema strictness and command-line exit-code contract."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from trionsim import cli
 from trionsim.cli import main
 from trionsim.core import MU_B_EV_PER_T
 from trionsim.events_io import read_events
@@ -244,6 +246,51 @@ def test_cli_analyze_rejects_mismatched_headers(tmp_path, capsys):
                  str(tmp_path / "b" / "events.bin"),
                  "-o", str(tmp_path)]) == 2
     assert "mismatched device/config" in capsys.readouterr().err
+
+
+def _simulate_sweep(tmp_path, tag, delays, g_e=2.09):
+    d = _scenario_dict("pulsed_2pc", n_shots=2000, pulse_delay_s=delays)
+    d["device"]["g_e"] = g_e
+    d["device"]["b_x_t"] = 0.15
+    scn = _write_scenario(tmp_path / f"{tag}.json", d)
+    assert main(["simulate", scn, "-o", str(tmp_path / tag)]) == 0
+    return sorted(str(p) for p in (tmp_path / tag).iterdir())
+
+
+def test_cli_analyze_checks_every_sweep_file_before_writing(tmp_path,
+                                                            capsys):
+    files = _simulate_sweep(tmp_path, "a", [0.6e-9, 1.0e-9])
+    other = _simulate_sweep(tmp_path, "b", [1.4e-9], g_e=2.10)
+    out = tmp_path / "out"
+    assert main(["analyze", *files, *other, "-o", str(out)]) == 2
+    assert "mismatched device/config" in capsys.readouterr().err
+    blob = bytearray((tmp_path / "a" / "events_dt1ns.bin").read_bytes())
+    blob[-5] ^= 0xFF
+    (tmp_path / "damaged.bin").write_bytes(bytes(blob))
+    assert main(["analyze", *files, str(tmp_path / "damaged.bin"),
+                 "-o", str(out)]) == 3
+    assert "digest mismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_analyze_holds_one_sweep_file_at_a_time(tmp_path, monkeypatch):
+    files = _simulate_sweep(tmp_path, "a", [0.6e-9, 1.0e-9, 1.4e-9])
+    alive = []
+
+    def read_events(path):
+        # every stream read before must be freed by now
+        assert all(ref() is None for ref in alive)
+        stream = read_events_unpatched(path)
+        alive.append(weakref.ref(stream))
+        return stream
+
+    read_events_unpatched = cli.read_events
+    monkeypatch.setattr(cli, "read_events", read_events)
+    # three delays are too few for the per-bin fits (exit 4), after the
+    # dataset is written
+    assert main(["analyze", *files, "-o", str(tmp_path / "out")]) == 4
+    assert len(alive) == 3
+    assert (tmp_path / "out" / "fig3d_docp_vs_delay.csv").exists()
 
 
 def test_cli_analyze_lifetime_writes_trace_csv(tmp_path):
