@@ -8,11 +8,11 @@ from .core import (CIRCULAR, MU_B_EV_PER_T, PLANCK_EV_S, DeviceParams,
                    Subspace, jones_vector, larmor_frequency,
                    larmor_halfperiod, orthogonal, pol_from_label, project,
                    zeeman_splitting)
-from .dynamics import (EmissionBranch, Propagator2, emit_amplitudes,
-                       envelope_factor, heralded_docp, lifetime_docp,
-                       lifetime_trace, line_splittings,
-                       make_propagator, propagate, rotation_x,
-                       transition_lines)
+from .dynamics import (EmissionBranch, Propagator2, addressed_z,
+                       cw_branch_contrast, emit_amplitudes, envelope_factor,
+                       heralded_docp, lifetime_docp, lifetime_trace,
+                       make_propagator, precessed_bloch, precessed_z,
+                       r_probability, readout_z, rotation_x)
 from .montecarlo import (EVENT_DTYPE, EventStream, ProtocolConfig,
                          ProtocolKind, resolve_workers, run)
 from .correlator import (DocpTrace, Histogram1D, Map2D, bin_lifetime,
@@ -23,8 +23,7 @@ from .fitkit import (PARAM_NAMES, DampedCosineModel, FitResult,
                      FrequencyEstimate, WindowAverage, ZeemanFit,
                      fft_frequency, fit_damped_cosine, fit_linear_zeeman,
                      format_fit_report, loglog_trend, window_average)
-from .events_io import (compat_digest, ensure_compatible, read_events,
-                        write_events)
+from .events_io import compat_digest, read_events, write_events
 from .scenarios import (AnalysisOptions, ConfigError, FitOptions,
                         OutputOptions, Scenario, load_scenario,
                         save_scenario)

@@ -1,10 +1,18 @@
-"""Noise-free spin dynamics and the closed-form observables.
+"""Spin dynamics: the precession and selection-rule kernel the engines
+call, the spinor layer it is checked against, and the closed-form traces.
 
 The in-plane field B_x drives Larmor precession about x in each doublet,
 H = (dE/2) sigma_x, so the propagator over dt is exp(-i pi f dt sigma_x)
 with f the doublet's Larmor frequency.  Recombination follows the
 circular selection rules: the spin-up trion decays to the spin-up hole
 emitting L, the spin-down trion to the spin-down hole emitting R.
+
+Kernel: the engines track a doublet as (b_y, b_z) of its Bloch vector,
+with b_z = |a_dn|^2 - |a_up|^2 (+1 for the hole |dn> and the trion
+|Tdn>, the pair R light couples) and b_y = 2 Im(conj(a_dn) a_up).
+Precession by th = 2 pi f dt rotates (b_y, b_z) about x, taking an
+eigenstate z0 to (-z0 sin th, z0 cos th).  The engines' events depend
+on the kernel's expressions bit for bit.
 """
 from __future__ import annotations
 
@@ -69,9 +77,38 @@ def make_propagator(params: DeviceParams, subspace: Subspace, dt_s: float) -> Pr
     return Propagator2(rotation_x(2.0 * math.pi * f * dt_s), dt_s, subspace)
 
 
-def propagate(state: SpinHalfState, params: DeviceParams, dt_s: float) -> SpinHalfState:
-    """Precess a doublet state about x for dt_s."""
-    return make_propagator(params, state.basis_tag, dt_s).apply(state)
+def addressed_z(pol: Pol) -> float:
+    """Bloch z of the hole and trion states a circular pulse couples:
+    R drives |dn> -> |Tdn> (z = +1), L the spin-up pair (z = -1)."""
+    return 1.0 if pol is Pol.R else -1.0
+
+
+def precessed_z(z0, theta):
+    """Bloch z of an eigenstate of Bloch z `z0` precessed by `theta`."""
+    return z0 * np.cos(theta)
+
+
+def precessed_bloch(z0, theta):
+    """(b_y, b_z) of an eigenstate of Bloch z `z0` precessed by `theta`."""
+    return -z0 * np.sin(theta), precessed_z(z0, theta)
+
+
+def readout_z(b_y, b_z, theta):
+    """Bloch z of the state (b_y, b_z) precessed by `theta`."""
+    return b_z * np.cos(theta) + b_y * np.sin(theta)
+
+
+def r_probability(b_z):
+    """Probability that a trion of Bloch z `b_z` decays through |Tdn>,
+    emitting R."""
+    return 0.5 * (1.0 + b_z)
+
+
+def cw_branch_contrast(f_e_hz, t1_s):
+    """Trion Bloch z at emission from the excited eigenstate z = 1, averaged
+    over the decay delay: <cos(2 pi f_e t)>_T1 = 1/(1 + (2 pi f_e T1)^2)."""
+    omega_t1 = 2.0 * math.pi * f_e_hz * t1_s
+    return 1.0 / (1.0 + omega_t1 ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,29 +198,3 @@ def heralded_docp(params: DeviceParams, dt_s):
     env = envelope_factor(params.noise, t) if params.noise.affects_ground else 1.0
     out = env * np.cos(2.0 * math.pi * params.f_h_hz * t)
     return out if out.ndim else float(out)
-
-
-def line_splittings(params: DeviceParams) -> tuple[float, float]:
-    """(outer, inner) energy splittings of the four-line emission pattern.
-
-    The co-linear pair (H) spans delta_e + delta_h, the counter pair (V)
-    delta_e - delta_h.
-    """
-    de, dh = params.delta_e_ev, params.delta_h_ev
-    return de + dh, abs(de - dh)
-
-
-def transition_lines(params: DeviceParams, center_ev: float = 0.0):
-    """The four emission lines as (energy_eV, linear polarization) tuples.
-
-    H-polarized lines sit at the spectrum extremes, V-polarized ones in
-    between.  Returned sorted by energy.  Line shapes are delta peaks.
-    """
-    de, dh = params.delta_e_ev, params.delta_h_ev
-    lines = [
-        (center_ev - (de + dh) / 2.0, Pol.H),
-        (center_ev - abs(de - dh) / 2.0, Pol.V),
-        (center_ev + abs(de - dh) / 2.0, Pol.V),
-        (center_ev + (de + dh) / 2.0, Pol.H),
-    ]
-    return sorted(lines, key=lambda x: x[0])

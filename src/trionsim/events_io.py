@@ -159,11 +159,3 @@ def read_events_csv(path) -> EventStream:
         events["projection"] = table[:, 2].astype(np.uint8)
         events["time"] = table[:, 3]
     return _assemble(header, events, path)
-
-
-def ensure_compatible(streams) -> str:
-    """All streams analyzed together must share the compat digest."""
-    digests = {compat_digest(s.device, s.config) for s in streams}
-    if len(digests) != 1:
-        raise ValueError("event files have mismatched device/config headers")
-    return digests.pop()

@@ -4,11 +4,8 @@ Four protocols share one event wire format: pulsed lifetime traces,
 cw polarization-resolved autocorrelation, pulsed two-photon heralding,
 and the zero-field circular-memory measurement.
 
-Spin bookkeeping uses the Bloch z component with the convention
-z = +1 for the spin-down states (hole |dn> and trion |Tdn>), i.e. the
-states addressed by and emitting R light.  Precession about the in-plane
-field rotates (b_y, b_z); from an eigenstate (0, 0, z0) after angle th
-the components are b_y = -z0 sin(th), b_z = z0 cos(th).
+Spin bookkeeping: every precession and selection rule, and the Bloch
+sign convention, comes from the kernel in `dynamics`.
 
 Determinism: work is cut into fixed-size batches and every batch draws
 from its own counter-based stream keyed by (seed, protocol, batch index).
@@ -42,7 +39,9 @@ import numpy as np
 
 from .core import (CIRCULAR, ConfigError, DeviceParams, Pol, as_enum,
                    as_int, as_number, as_pols, check_keys, construct,
-                   jones_vector, orthogonal, pol_from_label)
+                   jones_vector, orthogonal, pol_from_label, project)
+from .dynamics import (addressed_z, cw_branch_contrast, precessed_bloch,
+                       precessed_z, r_probability, readout_z)
 from .rng import substream
 
 EVENT_DTYPE = np.dtype([
@@ -70,8 +69,7 @@ CW_JITTER_CELLS_MAX = 2 ** 24
 EVENT_TIME_MAX_S = 2.0 ** 13
 
 # |<b|a>|^2 for all label pairs, indexed by the Pol wire codes.
-_PROJ = np.array([[abs(np.vdot(jones_vector(Pol(b)), jones_vector(Pol(a)))) ** 2
-                   for b in range(6)] for a in range(6)])
+_PROJ = np.array([[project(jones_vector(a), b) for b in Pol] for a in Pol])
 _PROJ.setflags(write=False)
 
 _LINEAR = (Pol.H, Pol.V, Pol.D, Pol.A)
@@ -330,15 +328,14 @@ def _detect(photon_codes, rng, det_pols, efficiency):
     return ch, proj, keep
 
 
-def _exc_sign(pol: Pol) -> float:
-    # R addresses |dn> -> |Tdn| (z = +1), L the opposite branch.
-    return 1.0 if pol is Pol.R else -1.0
+# the name the frozen reference cw loop in tests/test_engine_order.py uses
+_exc_sign = addressed_z
 
 
 def _lifetime_batch(device, config, batch_index, start_shot, n):
     """Independent excite-and-decay shots (lifetime and zero-field DOCP)."""
     rng = substream(config.rng_seed, config.kind.value, batch_index)
-    s_exc = _exc_sign(config.exc_pols[0])
+    s_exc = addressed_z(config.exc_pols[0])
     # depolarizing preparation: correct trion eigenstate with (1+p)/2
     correct = rng.random(n) < 0.5 * (1.0 + device.p_mem)
     z_t0 = s_exc * np.where(correct, 1.0, -1.0)
@@ -347,8 +344,8 @@ def _lifetime_batch(device, config, batch_index, start_shot, n):
         df = device.noise.sample(rng, n)
     else:
         df = 0.0
-    z_t = z_t0 * np.cos(2.0 * math.pi * (device.f_e_hz + df) * tau)
-    is_r = rng.random(n) < 0.5 * (1.0 + z_t)
+    z_t = precessed_z(z_t0, 2.0 * math.pi * (device.f_e_hz + df) * tau)
+    is_r = rng.random(n) < r_probability(z_t)
     codes = np.where(is_r, int(Pol.R), int(Pol.L)).astype(np.uint8)
     ch, proj, keep = _detect(codes, rng, config.det_pols,
                              config.detection_efficiency)
@@ -377,7 +374,7 @@ def _pulsed_batch(device, config, batch_index, start_shot, n,
     p = device.p_mem
     f_e, f_h = device.f_e_hz, device.f_h_hz
     dt = config.pulse_delay_s
-    s1 = _exc_sign(config.exc_pols[0])
+    s1 = addressed_z(config.exc_pols[0])
 
     z0 = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     correct = rng.random(n) < 0.5 * (1.0 + p)
@@ -391,22 +388,22 @@ def _pulsed_batch(device, config, batch_index, start_shot, n,
     u_b2 = rng.random(n)
 
     addressed = z0 == s1
-    z_t1 = z0 * np.where(correct, 1.0, -1.0) \
-        * np.cos(2.0 * math.pi * (f_e + df_e1) * tau1)
-    is_r1 = u_b1 < 0.5 * (1.0 + z_t1)
+    z_t1 = precessed_z(z0 * np.where(correct, 1.0, -1.0),
+                       2.0 * math.pi * (f_e + df_e1) * tau1)
+    is_r1 = u_b1 < r_probability(z_t1)
     z_h = np.where(is_r1, 1.0, -1.0)
 
-    # ground-state Bloch vector at the arrival of pulse 2
-    th_exc = 2.0 * math.pi * (f_h + df_h) * (dt - tau1)
-    th_unexc = 2.0 * math.pi * (f_h + df_h) * dt
-    b_y = np.where(addressed, -z_h * np.sin(th_exc), -z0 * np.sin(th_unexc))
-    b_z = np.where(addressed, z_h * np.cos(th_exc), z0 * np.cos(th_unexc))
+    # ground-state Bloch vector at the arrival of pulse 2: an addressed
+    # shot precesses from its heralded state since photon 1, an
+    # unaddressed one from its initial state since pulse 1
+    b_y, b_z = precessed_bloch(
+        np.where(addressed, z_h, z0),
+        2.0 * math.pi * (f_h + df_h) * np.where(addressed, dt - tau1, dt))
     in_ground = ~addressed | (tau1 < dt)
     success2 = in_ground & (u_s2 < p)
 
-    th2 = 2.0 * math.pi * (f_e + df_e2) * tau2
-    b_z_t = b_z * np.cos(th2) + b_y * np.sin(th2)
-    is_r2 = u_b2 < 0.5 * (1.0 + b_z_t)
+    b_z_t = readout_z(b_y, b_z, 2.0 * math.pi * (f_e + df_e2) * tau2)
+    is_r2 = u_b2 < r_probability(b_z_t)
 
     code1 = np.where(is_r1, int(Pol.R), int(Pol.L)).astype(np.uint8)
     code2 = np.where(is_r2, int(Pol.R), int(Pol.L)).astype(np.uint8)
@@ -469,7 +466,7 @@ def _cw_batch(device, config, batch_index, start_seg, n):
     w_h = 2.0 * math.pi * device.f_h_hz
     seg_len = config.segment_length_s
     pump = config.pump_rate_hz
-    s_addr = _exc_sign(config.exc_pols[0])
+    s_addr = addressed_z(config.exc_pols[0])
     win = CW_REDRAW_WINDOW_S
     n_win = int(math.ceil(seg_len / win)) + 1
     ground_noise = device.noise.affects_ground
@@ -490,12 +487,9 @@ def _cw_batch(device, config, batch_index, start_seg, n):
             j = row_base + k
             return 2.0 * math.pi * (cum[j] + delta[j] * (t - k * win))
 
-    def branch_r_probability(f_e):
-        omega_t1 = 2.0 * math.pi * f_e * device.t1_s
-        return 0.5 * (1.0 + s_addr * (1.0 / (1.0 + omega_t1 ** 2)))
-
     if not excited_noise:
-        p_r = branch_r_probability(device.f_e_hz)
+        p_r = r_probability(s_addr * cw_branch_contrast(device.f_e_hz,
+                                                        device.t1_s))
 
     t_clock = np.zeros(n)
     t_reset = np.zeros(n)
@@ -519,13 +513,13 @@ def _cw_batch(device, config, batch_index, start_seg, n):
         theta = w_h * (t_att - t_reset)
         if ground_noise:
             theta += noise_phase(t_att, all_rows) - ph_reset
-        b_z = s * np.cos(theta)
+        b_z = precessed_z(s, theta)
         success = rng.random(n) < p_half * (1.0 + s_addr * b_z)
         success &= active
         tau = rng.exponential(device.t1_s, n)
         if excited_noise:
-            p_r = branch_r_probability(device.f_e_hz
-                                       + device.noise.sample(rng, n))
+            p_r = r_probability(s_addr * cw_branch_contrast(
+                device.f_e_hz + device.noise.sample(rng, n), device.t1_s))
         is_r = rng.random(n) < p_r
         # a success consumes the hole until the emission re-creates it
         np.copyto(t_clock, t_att, where=active)

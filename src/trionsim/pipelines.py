@@ -255,8 +255,7 @@ def _run_fig2b(outdir, seed, scale, workers):
         + format_fit_report(osc["fit_rl"], "cw g2 RL damped cosine",
                             stream.content_digest[:16]))
     rows = [
-        SummaryRow("fig2b", "f_hz", larmor_frequency(device.g_h,
-                                                     device.b_x_t),
+        SummaryRow("fig2b", "f_hz", device.f_h_hz,
                    f_hz, osc["frequency_sigma"],
                    larmor_frequency(REF_G_H_CW, 0.0375)),
         SummaryRow("fig2b", "g_h", device.g_h, g_h, g_sigma, REF_G_H_CW),
@@ -394,7 +393,7 @@ def _run_fig3b(outdir, seed, scale, workers):
     map_r, map_l = herald_maps(stream)
     paths = write_herald_maps(outdir, map_r, map_l, digest_meta(stream))
     fit = beat_fit(sliced_docp(map_r, map_l))
-    f_e = larmor_frequency(device.g_e, device.b_x_t)
+    f_e = device.f_e_hz
     rows = [SummaryRow("fig3b", "f_e_hz", f_e, fit["frequency"],
                        fit.sigmas["frequency"], f_e)]
     return rows, [str(p) for p in paths]
@@ -421,7 +420,7 @@ def _run_fig3c(outdir, seed, scale, workers):
     fits = [beat_fit(tr) for tr in traces]
     path = outdir / "fig3c_docp_vs_t2.csv"
     write_delay_csv(path, delays, traces, {})
-    f_h = larmor_frequency(device.g_h, device.b_x_t)
+    f_h = device.f_h_hz
     configured = 2.0 * math.pi * f_h * (delays[1] - delays[0])
     configured = abs(math.remainder(configured, 2.0 * math.pi))
     shift = abs(math.remainder(fits[0]["phase"] - fits[1]["phase"],
@@ -532,7 +531,7 @@ def _run_fig3d(outdir, seed, scale, workers):
     write_delay_csv(path, delays, traces,
                     {"min_heralded_pairs": min(pairs)}, T2_FIT_WINDOW_S)
     fit_path, f_avg, tau_avg = delay_sweep_fits(outdir, delays, traces)
-    f_h = larmor_frequency(device.g_h, device.b_x_t)
+    f_h = device.f_h_hz
     rows = [
         SummaryRow("fig3d", "f_hz", f_h, f_avg.mean, f_avg.sigma,
                    REF_F_PULSED_HZ),

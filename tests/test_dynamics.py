@@ -1,9 +1,11 @@
-"""Analytic propagators, selection rules, and closed-form traces."""
+"""Analytic propagators, selection rules, the engines' precession and
+selection-rule kernel, and closed-form traces."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 from trionsim.core import (
@@ -19,16 +21,19 @@ from trionsim.core import (
 )
 from trionsim.dynamics import (
     Propagator2,
+    addressed_z,
+    cw_branch_contrast,
     emit_amplitudes,
     envelope_factor,
     heralded_docp,
     lifetime_docp,
     lifetime_trace,
-    line_splittings,
     make_propagator,
-    propagate,
+    precessed_bloch,
+    precessed_z,
+    r_probability,
+    readout_z,
     rotation_x,
-    transition_lines,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -44,6 +49,21 @@ def _random_state(rng, subspace):
     amps = rng.normal(size=2) + 1j * rng.normal(size=2)
     amps /= np.linalg.norm(amps)
     return SpinHalfState(amps, subspace)
+
+
+def _propagate(state, dev, dt):
+    return make_propagator(dev, state.basis_tag, dt).apply(state)
+
+
+def _bloch_yz(state):
+    """(b_y, b_z) of a spinor in the kernel's convention: b_z = +1 for the
+    spin-down states, b_y = 2 Im(conj(a_dn) a_up)."""
+    a_up, a_dn = state.amplitudes
+    return 2.0 * (np.conj(a_dn) * a_up).imag, abs(a_dn) ** 2 - abs(a_up) ** 2
+
+
+def _larmor(dev, subspace):
+    return dev.f_h_hz if subspace is Subspace.GROUND else dev.f_e_hz
 
 
 def test_propagator_validation():
@@ -77,7 +97,7 @@ def test_propagator_matches_matrix_exponential():
 def test_propagate_zero_field_is_identity():
     dev = _device(b_x_t=0.0)
     state = SpinHalfState.trion_up()
-    out = propagate(state, dev, 7e-9)
+    out = _propagate(state, dev, 7e-9)
     assert np.array_equal(out.amplitudes, state.amplitudes)
 
 
@@ -85,7 +105,7 @@ def test_propagate_half_period_flips_trion():
     dev = _device()
     dt = larmor_halfperiod(dev.g_e, dev.b_x_t)
     assert dt == pytest.approx(113.95e-12, rel=1e-3)
-    out = propagate(SpinHalfState.trion_up(), dev, dt)
+    out = _propagate(SpinHalfState.trion_up(), dev, dt)
     overlap = abs(np.vdot(SpinHalfState.trion_down().amplitudes,
                           out.amplitudes))
     assert overlap == pytest.approx(1.0, abs=1e-10)
@@ -95,7 +115,7 @@ def test_propagate_half_period_flips_hole():
     dev = _device(g_h=0.35, b_x_t=0.0375)
     dt = 0.5 / larmor_frequency(0.35, 0.0375)
     assert dt == pytest.approx(2.7218e-9, rel=1e-3)
-    out = propagate(SpinHalfState.hole_down(), dev, dt)
+    out = _propagate(SpinHalfState.hole_down(), dev, dt)
     overlap = abs(np.vdot(SpinHalfState.hole_up().amplitudes,
                           out.amplitudes))
     assert overlap == pytest.approx(1.0, abs=1e-10)
@@ -108,7 +128,7 @@ def test_propagate_preserves_norm():
                       b_x_t=rng.uniform(0.0, 0.5))
         sub = Subspace.GROUND if rng.random() < 0.5 else Subspace.TRION
         state = _random_state(rng, sub)
-        out = propagate(state, dev, rng.uniform(0.0, 50e-9))
+        out = _propagate(state, dev, rng.uniform(0.0, 50e-9))
         norm = float(np.vdot(out.amplitudes, out.amplitudes).real)
         assert abs(norm - 1.0) < 1e-10
 
@@ -119,8 +139,8 @@ def test_propagate_composition():
         dev = _device(g_h=rng.uniform(0.05, 3.0), b_x_t=rng.uniform(0.0, 0.5))
         state = _random_state(rng, Subspace.GROUND)
         dt1, dt2 = rng.uniform(0.0, 20e-9, 2)
-        once = propagate(state, dev, dt1 + dt2)
-        twice = propagate(propagate(state, dev, dt1), dev, dt2)
+        once = _propagate(state, dev, dt1 + dt2)
+        twice = _propagate(_propagate(state, dev, dt1), dev, dt2)
         assert np.abs(once.amplitudes - twice.amplitudes).max() < 1e-10
 
 
@@ -251,18 +271,75 @@ def test_heralded_docp_closed_form():
         math.cos(2.0 * math.pi * dev2.f_h_hz * 1e-9), rel=1e-12)
 
 
-def test_transition_lines_four_line_pattern():
-    dev = _device()
-    outer, inner = line_splittings(dev)
-    assert outer == pytest.approx(dev.delta_e_ev + dev.delta_h_ev, rel=1e-12)
-    assert inner == pytest.approx(dev.delta_e_ev - dev.delta_h_ev, rel=1e-12)
-    lines = transition_lines(dev, center_ev=1.3)
-    energies = [e for e, _ in lines]
-    pols = [p for _, p in lines]
-    assert energies == sorted(energies)
-    assert pols == [Pol.H, Pol.V, Pol.V, Pol.H]
-    assert energies[3] - energies[0] == pytest.approx(outer, rel=1e-12)
-    assert energies[2] - energies[1] == pytest.approx(inner, rel=1e-12)
-    # splittings recombine into the two doublet energies
-    assert (outer + inner) / 2.0 == pytest.approx(dev.delta_e_ev, rel=1e-12)
-    assert (outer - inner) / 2.0 == pytest.approx(dev.delta_h_ev, rel=1e-12)
+def test_addressed_z_follows_the_selection_rules():
+    # the trion eigenstate that emits a circular label, and the hole it
+    # leaves, are the states a pulse of that label addresses
+    for trion in (SpinHalfState.trion_up(), SpinHalfState.trion_down()):
+        branch = max(emit_amplitudes(trion), key=lambda b: b.weight)
+        assert addressed_z(branch.photon_pol) == _bloch_yz(trion)[1]
+        assert addressed_z(branch.photon_pol) == _bloch_yz(branch.ground)[1]
+    assert addressed_z(Pol.R) == 1.0
+    assert addressed_z(Pol.L) == -1.0
+
+
+def test_r_probability_is_the_r_branch_weight():
+    rng = np.random.default_rng(27)
+    states = [SpinHalfState.trion_up(), SpinHalfState.trion_down()] \
+        + [_random_state(rng, Subspace.TRION) for _ in range(30)]
+    b_z = np.array([_bloch_yz(t)[1] for t in states])
+    p_r = r_probability(b_z)
+    for t, p in zip(states, p_r):
+        up, down = emit_amplitudes(t)
+        assert down.photon_pol is Pol.R and up.photon_pol is Pol.L
+        assert abs(p - down.weight) < 1e-12
+        assert abs((1.0 - p) - up.weight) < 1e-12
+
+
+def test_precessed_eigenstates_match_the_propagator():
+    rng = np.random.default_rng(28)
+    for sub in (Subspace.GROUND, Subspace.TRION):
+        dev = _device(g_e=rng.uniform(0.05, 3.0), g_h=rng.uniform(0.05, 3.0))
+        eigen = (SpinHalfState(np.array([1.0, 0.0]), sub),
+                 SpinHalfState(np.array([0.0, 1.0]), sub))
+        z0, theta, want_y, want_z = [], [], [], []
+        for dt in rng.uniform(0.0, 20e-9, 40):
+            for state in eigen:
+                b_y, b_z = _bloch_yz(_propagate(state, dev, dt))
+                z0.append(_bloch_yz(state)[1])
+                theta.append(2.0 * math.pi * _larmor(dev, sub) * dt)
+                want_y.append(b_y)
+                want_z.append(b_z)
+        z0, theta = np.array(z0), np.array(theta)
+        got_y, got_z = precessed_bloch(z0, theta)
+        assert np.abs(got_y - want_y).max() < 1e-12
+        assert np.abs(got_z - want_z).max() < 1e-12
+        assert np.abs(precessed_z(z0, theta) - want_z).max() < 1e-12
+
+
+def test_readout_z_matches_the_propagator():
+    rng = np.random.default_rng(29)
+    for sub in (Subspace.GROUND, Subspace.TRION):
+        dev = _device(g_e=rng.uniform(0.05, 3.0), g_h=rng.uniform(0.05, 3.0))
+        states = [_random_state(rng, sub) for _ in range(60)]
+        dts = rng.uniform(0.0, 20e-9, len(states))
+        b_y, b_z = np.array([_bloch_yz(s) for s in states]).T
+        theta = 2.0 * math.pi * _larmor(dev, sub) * dts
+        want = [_bloch_yz(_propagate(s, dev, dt))[1]
+                for s, dt in zip(states, dts)]
+        assert np.abs(readout_z(b_y, b_z, theta) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("f_t1", [0.02, 0.1, 0.3, 1.0, 3.0])
+def test_cw_branch_contrast_is_the_t1_weighted_lifetime_docp(f_t1):
+    # at p_mem = 1 with no noise lifetime_docp(t) = cos(2 pi f_e t); the
+    # branch contrast is its mean over the decay delays, density
+    # exp(-t/T1)/T1.  Integrated in u = t/T1 up to u_max, the dropped tail
+    # is at most exp(-u_max).
+    f_e = _device().f_e_hz
+    dev = _device(p_mem=1.0, t1_s=f_t1 / f_e)
+    u_max = 60.0
+    mean, abserr = quad(
+        lambda u: math.exp(-u) * lifetime_docp(dev, u * dev.t1_s),
+        0.0, u_max, limit=1000, epsabs=1e-13, epsrel=0.0)
+    got = cw_branch_contrast(dev.f_e_hz, dev.t1_s)
+    assert abs(got - mean) <= abserr + math.exp(-u_max)

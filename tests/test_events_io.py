@@ -15,7 +15,6 @@ from trionsim.core import DeviceParams, NoiseModel
 from trionsim.events_io import (
     MAGIC,
     compat_digest,
-    ensure_compatible,
     read_events,
     read_events_csv,
     write_events,
@@ -123,18 +122,6 @@ def test_compat_digest_ignores_run_only_fields():
                                         rep_period_s=25e-9)
     assert compat_digest(dev, base) != compat_digest(dev, other_field)
     assert compat_digest(_device(g_e=2.10), base) != compat_digest(dev, base)
-
-
-def test_ensure_compatible(tmp_path):
-    dev = _device()
-    a = run(dev, ProtocolConfig.pulsed(2000, rng_seed=3, pulse_delay_s=1e-9))
-    b = run(dev, ProtocolConfig.pulsed(2000, rng_seed=4, pulse_delay_s=2e-9))
-    assert ensure_compatible([a, b]) == compat_digest(dev, a.config)
-
-    c = run(_device(g_h=0.35),
-            ProtocolConfig.pulsed(2000, rng_seed=3, pulse_delay_s=1e-9))
-    with pytest.raises(ValueError, match="mismatched device/config"):
-        ensure_compatible([a, c])
 
 
 def test_empty_stream_round_trips(tmp_path):
