@@ -11,8 +11,8 @@ from .core import (CIRCULAR, MU_B_EV_PER_T, PLANCK_EV_S, DeviceParams,
 from .dynamics import (EmissionBranch, Propagator2, addressed_z,
                        cw_branch_contrast, emit_amplitudes, envelope_factor,
                        heralded_docp, lifetime_docp, lifetime_trace,
-                       make_propagator, precessed_bloch, precessed_z,
-                       r_probability, readout_z, rotation_x)
+                       make_propagator, precessed_z, r_probability,
+                       rotation_x)
 from .montecarlo import (EVENT_DTYPE, EventStream, ProtocolConfig,
                          ProtocolKind, resolve_workers, run)
 from .correlator import (DocpTrace, Histogram1D, Map2D, bin_lifetime,

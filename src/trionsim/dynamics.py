@@ -11,8 +11,11 @@ Kernel: the engines track a doublet as (b_y, b_z) of its Bloch vector,
 with b_z = |a_dn|^2 - |a_up|^2 (+1 for the hole |dn> and the trion
 |Tdn>, the pair R light couples) and b_y = 2 Im(conj(a_dn) a_up).
 Precession by th = 2 pi f dt rotates (b_y, b_z) about x, taking an
-eigenstate z0 to (-z0 sin th, z0 cos th).  The engines' events depend
-on the kernel's expressions bit for bit.
+eigenstate z0 to (-z0 sin th, z0 cos th).  A pulse that lifts the hole
+amplitudes to the trion keeps the rotation axis, so precession in the
+ground doublet and then in the trion doublet is one rotation by the sum
+of the angles.  The engines' events depend on the kernel's expressions
+bit for bit.
 """
 from __future__ import annotations
 
@@ -86,16 +89,6 @@ def addressed_z(pol: Pol) -> float:
 def precessed_z(z0, theta):
     """Bloch z of an eigenstate of Bloch z `z0` precessed by `theta`."""
     return z0 * np.cos(theta)
-
-
-def precessed_bloch(z0, theta):
-    """(b_y, b_z) of an eigenstate of Bloch z `z0` precessed by `theta`."""
-    return -z0 * np.sin(theta), precessed_z(z0, theta)
-
-
-def readout_z(b_y, b_z, theta):
-    """Bloch z of the state (b_y, b_z) precessed by `theta`."""
-    return b_z * np.cos(theta) + b_y * np.sin(theta)
 
 
 def r_probability(b_z):

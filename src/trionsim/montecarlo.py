@@ -11,7 +11,9 @@ Determinism: work is cut into fixed-size batches and every batch draws
 from its own counter-based stream keyed by (seed, protocol, batch index).
 Batch boundaries depend only on n_shots, so the merged event stream is
 bit-identical for any worker count.  Shots (and cw segments) are
-statistically independent of each other.
+statistically independent of each other.  The pulsed engine draws only
+for the photons that exist, so its later draw sizes follow counts taken
+from its earlier draws, within the batch's own stream.
 
 Order: every batch returns its events in (shot, time) order, and the
 batches cover increasing shot ranges, so `run` concatenates them and
@@ -40,8 +42,8 @@ import numpy as np
 from .core import (CIRCULAR, ConfigError, DeviceParams, Pol, as_enum,
                    as_int, as_number, as_pols, check_keys, construct,
                    jones_vector, orthogonal, pol_from_label, project)
-from .dynamics import (addressed_z, cw_branch_contrast, precessed_bloch,
-                       precessed_z, r_probability, readout_z)
+from .dynamics import (addressed_z, cw_branch_contrast, precessed_z,
+                       r_probability)
 from .rng import substream
 
 EVENT_DTYPE = np.dtype([
@@ -355,8 +357,33 @@ def _lifetime_batch(device, config, batch_index, start_shot, n):
     return events, {"n_shots": n, "n_emitted": n}
 
 
-def _pulsed_batch(device, config, batch_index, start_shot, n,
-                  collect_state=False):
+def _merge_photons(n, start_shot, rep_period_s, photon1, photon2):
+    """Events of a pulsed batch's recorded photons 1 and 2, each given as
+    (in-batch shot, channel, projection, time in shot) in shot order,
+    merged into (shot, time) order without a sort: a shot records both
+    only if tau1 < dt, so photon 1 of shot s goes after every photon 2
+    of the shots before s and before its own."""
+    shot1, shot2 = photon1[0], photon2[0]
+    before = np.zeros(n + 1, dtype=np.int64)
+    before[shot2 + 1] = 1
+    np.cumsum(before, out=before)
+    pos1 = np.arange(shot1.size) + before[shot1]
+    is2 = np.ones(shot1.size + shot2.size, dtype=bool)
+    is2[pos1] = False
+    pos2 = np.flatnonzero(is2)
+
+    def merged(a1, a2):
+        out = np.empty(is2.size, dtype=a1.dtype)
+        out[pos1] = a1
+        out[pos2] = a2
+        return out
+
+    shot, ch, proj, t = (merged(a1, a2) for a1, a2 in zip(photon1, photon2))
+    shots = (start_shot + shot).astype(np.uint32)
+    return _make_events(shots, ch, proj, shots * rep_period_s + t)
+
+
+def _pulsed_batch(device, config, batch_index, start_shot, n):
     """Two-pulse heralding shots.
 
     Pulse 1 is spin-selective circular: it excites only the addressed
@@ -367,76 +394,54 @@ def _pulsed_batch(device, config, batch_index, start_shot, n,
     nothing otherwise.  Unexcited shots keep precessing and can still
     yield a (useless) photon 2; the map analysis drops them.
 
-    With collect_state=True the diagnostics carry per-shot internals for
-    white-box tests.
+    Only photons that exist are drawn: photon 1 for the addressed shots,
+    photon 2 for the shots pulse 2 excites.  The draw sizes follow those
+    counts, which come from earlier draws of the batch's own substream,
+    so the events still depend only on (seed, batch index).  Photon 2
+    precesses about x in the ground doublet and then in the trion
+    doublet, one rotation by the summed angle.
     """
     rng = substream(config.rng_seed, config.kind.value, batch_index)
     p = device.p_mem
-    f_e, f_h = device.f_e_hz, device.f_h_hz
     dt = config.pulse_delay_s
+    noise = device.noise
     s1 = addressed_z(config.exc_pols[0])
 
-    z0 = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    correct = rng.random(n) < 0.5 * (1.0 + p)
-    tau1 = rng.exponential(device.t1_s, n)
-    df_e1 = device.noise.sample(rng, n) if device.noise.affects_excited else 0.0
-    df_h = device.noise.sample(rng, n) if device.noise.affects_ground else 0.0
-    u_b1 = rng.random(n)
-    u_s2 = rng.random(n)
-    tau2 = rng.exponential(device.t1_s, n)
-    df_e2 = device.noise.sample(rng, n) if device.noise.affects_excited else 0.0
-    u_b2 = rng.random(n)
+    # hole Bloch z from the initial eigenstate; pulse 1 addresses s1
+    z_g = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    shot1 = np.flatnonzero(z_g == s1)
+    n1 = shot1.size
+    # depolarizing preparation: correct trion eigenstate with (1+p)/2
+    z_t1 = np.where(rng.random(n1) < 0.5 * (1.0 + p), s1, -s1)
+    tau1 = rng.exponential(device.t1_s, n1)
+    df_e1 = noise.sample(rng, n1) if noise.affects_excited else 0.0
+    is_r1 = rng.random(n1) < r_probability(precessed_z(
+        z_t1, 2.0 * math.pi * (device.f_e_hz + df_e1) * tau1))
 
-    addressed = z0 == s1
-    z_t1 = precessed_z(z0 * np.where(correct, 1.0, -1.0),
-                       2.0 * math.pi * (f_e + df_e1) * tau1)
-    is_r1 = u_b1 < r_probability(z_t1)
-    z_h = np.where(is_r1, 1.0, -1.0)
+    # ground state at pulse 2: an addressed shot precesses from its herald
+    # for dt - tau1 (still in the trion if not positive), an unaddressed
+    # one from its initial state for dt
+    z_g[shot1] = np.where(is_r1, 1.0, -1.0)
+    t_g = np.full(n, dt)
+    t_g[shot1] = dt - tau1
+    shot2 = np.flatnonzero(t_g > 0.0)
+    shot2 = shot2[rng.random(shot2.size) < p]
+    n2 = shot2.size
+    df_h = noise.sample(rng, n2) if noise.affects_ground else 0.0
+    tau2 = rng.exponential(device.t1_s, n2)
+    df_e2 = noise.sample(rng, n2) if noise.affects_excited else 0.0
+    theta = (2.0 * math.pi * (device.f_h_hz + df_h) * t_g[shot2]
+             + 2.0 * math.pi * (device.f_e_hz + df_e2) * tau2)
+    is_r2 = rng.random(n2) < r_probability(precessed_z(z_g[shot2], theta))
 
-    # ground-state Bloch vector at the arrival of pulse 2: an addressed
-    # shot precesses from its heralded state since photon 1, an
-    # unaddressed one from its initial state since pulse 1
-    b_y, b_z = precessed_bloch(
-        np.where(addressed, z_h, z0),
-        2.0 * math.pi * (f_h + df_h) * np.where(addressed, dt - tau1, dt))
-    in_ground = ~addressed | (tau1 < dt)
-    success2 = in_ground & (u_s2 < p)
-
-    b_z_t = readout_z(b_y, b_z, 2.0 * math.pi * (f_e + df_e2) * tau2)
-    is_r2 = u_b2 < r_probability(b_z_t)
-
-    code1 = np.where(is_r1, int(Pol.R), int(Pol.L)).astype(np.uint8)
-    code2 = np.where(is_r2, int(Pol.R), int(Pol.L)).astype(np.uint8)
-    ch1, proj1, keep1 = _detect(code1, rng, config.det_pols,
-                                config.detection_efficiency)
-    ch2, proj2, keep2 = _detect(code2, rng, config.det_pols,
-                                config.detection_efficiency)
-    keep1 &= addressed
-    keep2 &= success2
-
-    shots = (start_shot + np.arange(n, dtype=np.int64)).astype(np.uint32)
-    t0 = shots * config.rep_period_s
-    # one (photon 1, photon 2) slot pair per shot keeps the events in
-    # (shot, time) order: a shot records both photons only if tau1 < dt
-    keep = np.column_stack((keep1, keep2)).ravel()
-
-    def pairs(a, b):
-        return np.column_stack((a, b)).ravel()[keep]
-
-    events = _make_events(np.repeat(shots, 2)[keep], pairs(ch1, ch2),
-                          pairs(proj1, proj2), pairs(t0 + tau1, t0 + dt + tau2))
-    diag = {"n_shots": n, "n_emitted": int(np.count_nonzero(addressed))
-            + int(np.count_nonzero(success2))}
-    if collect_state:
-        diag["state"] = {
-            "photon1_exists": addressed,
-            "photon1_channel": ch1,
-            "photon1_projection": proj1,
-            "photon1_recorded": keep1,
-            "hole_z_after_emission": z_h,
-            "pulse2_success": success2,
-        }
-    return events, diag
+    photons = []
+    for shot, is_r, t in ((shot1, is_r1, tau1), (shot2, is_r2, dt + tau2)):
+        codes = np.where(is_r, int(Pol.R), int(Pol.L)).astype(np.uint8)
+        ch, proj, keep = _detect(codes, rng, config.det_pols,
+                                 config.detection_efficiency)
+        photons.append((shot[keep], ch[keep], proj[keep], t[keep]))
+    events = _merge_photons(n, start_shot, config.rep_period_s, *photons)
+    return events, {"n_shots": n, "n_emitted": n1 + n2}
 
 
 def _cw_batch(device, config, batch_index, start_seg, n):

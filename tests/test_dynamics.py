@@ -29,10 +29,8 @@ from trionsim.dynamics import (
     lifetime_docp,
     lifetime_trace,
     make_propagator,
-    precessed_bloch,
     precessed_z,
     r_probability,
-    readout_z,
     rotation_x,
 )
 
@@ -301,32 +299,35 @@ def test_precessed_eigenstates_match_the_propagator():
         dev = _device(g_e=rng.uniform(0.05, 3.0), g_h=rng.uniform(0.05, 3.0))
         eigen = (SpinHalfState(np.array([1.0, 0.0]), sub),
                  SpinHalfState(np.array([0.0, 1.0]), sub))
-        z0, theta, want_y, want_z = [], [], [], []
+        z0, theta, want_z = [], [], []
         for dt in rng.uniform(0.0, 20e-9, 40):
             for state in eigen:
-                b_y, b_z = _bloch_yz(_propagate(state, dev, dt))
                 z0.append(_bloch_yz(state)[1])
                 theta.append(2.0 * math.pi * _larmor(dev, sub) * dt)
-                want_y.append(b_y)
-                want_z.append(b_z)
+                want_z.append(_bloch_yz(_propagate(state, dev, dt))[1])
         z0, theta = np.array(z0), np.array(theta)
-        got_y, got_z = precessed_bloch(z0, theta)
-        assert np.abs(got_y - want_y).max() < 1e-12
-        assert np.abs(got_z - want_z).max() < 1e-12
         assert np.abs(precessed_z(z0, theta) - want_z).max() < 1e-12
 
 
-def test_readout_z_matches_the_propagator():
+def test_ground_then_trion_precession_is_one_rotation():
+    # the pulsed photon 2: a hole eigenstate precesses in the ground
+    # doublet, pulse 2 lifts its amplitudes to the trion doublet, and the
+    # trion precesses until it emits; both rotate about x, so the trion's
+    # Bloch z is precessed_z(z0, theta_h + theta_e)
     rng = np.random.default_rng(29)
-    for sub in (Subspace.GROUND, Subspace.TRION):
+    z0, theta, want = [], [], []
+    for _ in range(60):
         dev = _device(g_e=rng.uniform(0.05, 3.0), g_h=rng.uniform(0.05, 3.0))
-        states = [_random_state(rng, sub) for _ in range(60)]
-        dts = rng.uniform(0.0, 20e-9, len(states))
-        b_y, b_z = np.array([_bloch_yz(s) for s in states]).T
-        theta = 2.0 * math.pi * _larmor(dev, sub) * dts
-        want = [_bloch_yz(_propagate(s, dev, dt))[1]
-                for s, dt in zip(states, dts)]
-        assert np.abs(readout_z(b_y, b_z, theta) - want).max() < 1e-12
+        dt_h, dt_e = rng.uniform(0.0, 20e-9), rng.uniform(0.0, 3e-9)
+        for hole in (SpinHalfState.hole_up(), SpinHalfState.hole_down()):
+            ground = _propagate(hole, dev, dt_h)
+            trion = SpinHalfState(ground.amplitudes, Subspace.TRION)
+            want.append(_bloch_yz(_propagate(trion, dev, dt_e))[1])
+            z0.append(_bloch_yz(hole)[1])
+            theta.append(2.0 * math.pi * (dev.f_h_hz * dt_h
+                                          + dev.f_e_hz * dt_e))
+    assert np.abs(precessed_z(np.array(z0), np.array(theta))
+                  - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("f_t1", [0.02, 0.1, 0.3, 1.0, 3.0])

@@ -1,10 +1,15 @@
-"""Engine event order and the cw attempt loop.
+"""Engine event order, the cw attempt loop and the pulsed engine's
+statistics.
 
 Every engine batch returns its events in (shot, time) order, so `run`
 only concatenates batches.  The cw attempt loop was rewritten to make
 fewer array passes with the same random draws; `_reference_cw_batch`
 below is the loop as it was before, kept verbatim, and the rewrite must
-reproduce its events byte for byte.
+reproduce its events byte for byte.  The pulsed engine was rewritten to
+draw only for the photons that exist, which changes its random draws;
+`_reference_pulsed_batch` is the engine as it was before, and the
+rewrite must reproduce its counts and heralded contrast within
+statistical bounds.
 """
 
 import math
@@ -16,10 +21,14 @@ from hypothesis import strategies as st
 
 from trionsim import montecarlo
 from trionsim.core import DeviceParams, NoiseModel, NoiseTarget, Pol
-from trionsim.montecarlo import (CW_REDRAW_WINDOW_S, ProtocolConfig,
-                                 ProtocolKind, _cw_batch, _detect,
-                                 _exc_sign, _make_events, batch_tasks,
-                                 run, run_batch)
+from trionsim.correlator import count_map2d
+from trionsim.dynamics import addressed_z, precessed_z, r_probability
+from trionsim.montecarlo import (CW_REDRAW_WINDOW_S, LIFETIME_BATCH,
+                                 ProtocolConfig, ProtocolKind, _cw_batch,
+                                 _detect, _exc_sign, _make_events,
+                                 _pulsed_batch, batch_tasks, run,
+                                 run_batch)
+from trionsim.pipelines import sliced_docp
 from trionsim.rng import substream
 
 
@@ -126,6 +135,75 @@ def _reference_cw_batch(device, config, batch_index, start_seg, n):
                     "n_emitted": emissions}
 
 
+def _reference_pulsed_batch(device, config, batch_index, start_shot, n):
+    """The pulsed engine before it drew only for existing photons: every
+    quantity is drawn for all n shots.  Kept as it was, except that the
+    two kernel calls it used are written out as their one-line bodies
+    and its `collect_state` option is gone; the diagnostics also carry
+    the recorded count of each photon, for the comparison below.
+    """
+    rng = substream(config.rng_seed, config.kind.value, batch_index)
+    p = device.p_mem
+    f_e, f_h = device.f_e_hz, device.f_h_hz
+    dt = config.pulse_delay_s
+    s1 = addressed_z(config.exc_pols[0])
+
+    z0 = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    correct = rng.random(n) < 0.5 * (1.0 + p)
+    tau1 = rng.exponential(device.t1_s, n)
+    df_e1 = device.noise.sample(rng, n) if device.noise.affects_excited else 0.0
+    df_h = device.noise.sample(rng, n) if device.noise.affects_ground else 0.0
+    u_b1 = rng.random(n)
+    u_s2 = rng.random(n)
+    tau2 = rng.exponential(device.t1_s, n)
+    df_e2 = device.noise.sample(rng, n) if device.noise.affects_excited else 0.0
+    u_b2 = rng.random(n)
+
+    addressed = z0 == s1
+    z_t1 = precessed_z(z0 * np.where(correct, 1.0, -1.0),
+                       2.0 * math.pi * (f_e + df_e1) * tau1)
+    is_r1 = u_b1 < r_probability(z_t1)
+    z_h = np.where(is_r1, 1.0, -1.0)
+
+    # ground-state Bloch vector at the arrival of pulse 2: an addressed
+    # shot precesses from its heralded state since photon 1, an
+    # unaddressed one from its initial state since pulse 1
+    z_g = np.where(addressed, z_h, z0)
+    theta_g = 2.0 * math.pi * (f_h + df_h) * np.where(addressed, dt - tau1, dt)
+    b_y, b_z = -z_g * np.sin(theta_g), z_g * np.cos(theta_g)
+    in_ground = ~addressed | (tau1 < dt)
+    success2 = in_ground & (u_s2 < p)
+
+    theta_e = 2.0 * math.pi * (f_e + df_e2) * tau2
+    b_z_t = b_z * np.cos(theta_e) + b_y * np.sin(theta_e)
+    is_r2 = u_b2 < r_probability(b_z_t)
+
+    code1 = np.where(is_r1, int(Pol.R), int(Pol.L)).astype(np.uint8)
+    code2 = np.where(is_r2, int(Pol.R), int(Pol.L)).astype(np.uint8)
+    ch1, proj1, keep1 = _detect(code1, rng, config.det_pols,
+                                config.detection_efficiency)
+    ch2, proj2, keep2 = _detect(code2, rng, config.det_pols,
+                                config.detection_efficiency)
+    keep1 &= addressed
+    keep2 &= success2
+
+    shots = (start_shot + np.arange(n, dtype=np.int64)).astype(np.uint32)
+    t0 = shots * config.rep_period_s
+    # one (photon 1, photon 2) slot pair per shot keeps the events in
+    # (shot, time) order: a shot records both photons only if tau1 < dt
+    keep = np.column_stack((keep1, keep2)).ravel()
+
+    def pairs(a, b):
+        return np.column_stack((a, b)).ravel()[keep]
+
+    events = _make_events(np.repeat(shots, 2)[keep], pairs(ch1, ch2),
+                          pairs(proj1, proj2), pairs(t0 + tau1, t0 + dt + tau2))
+    diag = {"n_shots": n, "n_emitted": int(np.count_nonzero(addressed))
+            + int(np.count_nonzero(success2)),
+            "recorded": (int(np.count_nonzero(keep1)),
+                         int(np.count_nonzero(keep2)))}
+    return events, diag
+
 
 def _device(noise, b_x_t=0.0375):
     return DeviceParams(g_e=2.09, g_h=0.35, t1_s=300e-12, p_mem=0.865,
@@ -213,3 +291,97 @@ def test_run_is_the_concatenation_of_sorted_batches(workers, kind, n, seed):
     assert len(batches) == -(-config.n_shots // size)
     merged = _lexsorted(np.concatenate(batches))
     assert stream.events.tobytes() == merged.tobytes()
+
+
+# The fig3d device (ground Lorentzian jitter for T2* = 15.9 ns) at a
+# pulse delay below and above the typical tau1 of 300 ps, efficiency
+# 0.8, one lossy channel heralding R or L and one splitter.  An L herald
+# leaves the hole opposite to the state pulse 1 addressed, so photon 2
+# must precess from the herald, not from the initial state.
+_PULSED_BATCHES = 6
+_HERALDS = {"herald_r": Pol.R, "herald_l": Pol.L}
+
+
+def _pulsed_totals(batch, device, config):
+    """Summed counters and R/L maps (one t1 row up to min(dt, 0.4 ns),
+    25 ps t2 bins) of the first batches of a run."""
+    dt = config.pulse_delay_s
+    t1_edges = [0.0, min(dt, 0.4e-9)]
+    t2_edges = 25e-12 * np.arange(61)
+    totals = {"photon1": 0, "photon2": 0, "n_emitted": 0}
+    maps = []
+    for b in range(_PULSED_BATCHES):
+        start = b * LIFETIME_BATCH
+        events, diag = batch(device, config, b, start, LIFETIME_BATCH)
+        totals["photon1"] += diag["recorded"][0]
+        totals["photon2"] += diag["recorded"][1]
+        totals["n_emitted"] += diag["n_emitted"]
+        batch_maps = [count_map2d(events, config, start, LIFETIME_BATCH,
+                                  t1_edges, t2_edges, ch2_projection=pol)
+                      for pol in (Pol.R, Pol.L)]
+        maps = batch_maps if not maps else \
+            [a + m for a, m in zip(maps, batch_maps)]
+    for key, m in zip(("shots_used_r", "shots_used_l"), maps):
+        totals[key] = m.diagnostics["shots_used"]
+    rr, rl = (m.counts[0] for m in maps)
+    return totals, sliced_docp(*maps, t1_s=t1_edges[1] / 2,
+                               tolerance_s=t1_edges[1] / 2), rr, rl
+
+
+def _counted_pulsed_batch(device, config, batch_index, start_shot, n):
+    """`_pulsed_batch`, with the recorded count of each photon taken from
+    its two `_detect` calls (photon 1's, then photon 2's): the engine
+    detects only photons that exist."""
+    recorded = []
+
+    def counting_detect(*args):
+        ch, proj, keep = _detect(*args)
+        recorded.append(int(np.count_nonzero(keep)))
+        return ch, proj, keep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_detect", counting_detect)
+        events, diag = _pulsed_batch(device, config, batch_index,
+                                     start_shot, n)
+    assert len(recorded) == 2
+    return events, dict(diag, recorded=tuple(recorded))
+
+
+@pytest.mark.parametrize("herald", sorted(_HERALDS))
+@pytest.mark.parametrize("dt", [0.2e-9, 3e-9])
+def test_pulsed_batch_matches_reference_statistics(dt, herald):
+    device = DeviceParams(g_e=2.09, g_h=0.362, t1_s=300e-12, p_mem=0.865,
+                          b_x_t=0.15,
+                          noise=NoiseModel.lorentzian_from_t2star(_T2))
+    config = ProtocolConfig.pulsed(
+        _PULSED_BATCHES * LIFETIME_BATCH, 91, pulse_delay_s=dt,
+        det_pols=((_HERALDS[herald],), (Pol.R, Pol.L)),
+        detection_efficiency=0.8)
+    new, docp_new, rr_new, rl_new = _pulsed_totals(_counted_pulsed_batch,
+                                                   device, config)
+    ref, docp_ref, rr_ref, rl_ref = _pulsed_totals(_reference_pulsed_batch,
+                                                   device, config)
+    # The bounds follow from the variances alone.  Each count sums
+    # independent per-shot indicators, so its variance is at most its
+    # mean (twice its mean for n_emitted, 0-2 photons per shot); the two
+    # engines share their first draw, which only lowers the variance of
+    # the difference.  Allow 5 sigma of the difference.
+    for key in ref:
+        weight = 2.0 if key == "n_emitted" else 1.0
+        bound = 5.0 * math.sqrt(weight * (new[key] + ref[key]))
+        assert abs(new[key] - ref[key]) <= bound, (key, new[key], ref[key])
+    assert min(ref["shots_used_r"], ref["shots_used_l"]) > 2000
+    # The sliced DOCP of each t2 bin holding >= 20 pairs on both sides:
+    # the two binomial estimates must agree, chi^2 over the k bins at
+    # most k + 5 sqrt(2k).  The variance takes the pooled R fraction with
+    # one pseudo-count each way, which stays positive in a bin where
+    # every pair is R (or L).
+    n_new, n_ref = rr_new + rl_new, rr_ref + rl_ref
+    both = (n_new >= 20) & (n_ref >= 20)
+    k = int(np.count_nonzero(both))
+    assert k >= 10
+    p_r = (rr_new + rr_ref + 1.0)[both] / (n_new + n_ref + 2.0)[both]
+    var = 4.0 * p_r * (1.0 - p_r) * (1.0 / n_new[both] + 1.0 / n_ref[both])
+    diff = docp_new.values[both] - docp_ref.values[both]
+    chi2 = float(np.sum(diff ** 2 / var))
+    assert chi2 <= k + 5.0 * math.sqrt(2.0 * k), (chi2, k)

@@ -14,7 +14,6 @@ from trionsim.montecarlo import (
     EVENT_DTYPE,
     ProtocolConfig,
     ProtocolKind,
-    _pulsed_batch,
     resolve_workers,
     run,
 )
@@ -122,7 +121,7 @@ _GOLDEN_RUNS = {
         "e5a389161376c5013f1c061c1db8f77116ecc3f02f2c1ace2958dac5e505e136"),
     "pulsed_2pc": (0.15, lambda: ProtocolConfig.pulsed(
         70_000, 14, pulse_delay_s=1.6e-9, detection_efficiency=0.9),
-        "dfd81275179503dc4decb2bc8f08120e141e39f9c9744086044fae3a3fb30a2b"),
+        "10c1e6efe05b7a8ea1a23368266ea74be440f1957aa335f6854698797d7ec926"),
 }
 
 
@@ -165,20 +164,30 @@ def test_lifetime_oscillation_frequency():
 
 
 def test_heralding_is_exact():
-    # photon-1 circular label pins the post-emission hole state
-    dev = _device(p_mem=1.0)
-    config = ProtocolConfig.pulsed(50_000, 3, pulse_delay_s=1.6e-9)
-    _, diag = _pulsed_batch(dev, config, 0, 0, 50_000, collect_state=True)
-    state = diag["state"]
-    recorded = state["photon1_recorded"]
-    z_h = state["hole_z_after_emission"]
-    is_r = state["photon1_projection"] == int(Pol.R)
-    assert np.all(z_h[recorded & is_r] == 1.0)
-    assert np.all(z_h[recorded & ~is_r] == -1.0)
-    assert np.all(np.isin(z_h, (-1.0, 1.0)))
+    # photon-1 circular label pins the post-emission hole state: with no
+    # precession in either doublet and perfect memory, pulse 2 lifts the
+    # heralded hole to the same trion eigenstate, so photon 2 repeats the
+    # label of photon 1 (two circular splitters record every photon's
+    # label; a 1 ps T1 keeps every photon 1 before the 1.6 ns pulse 2)
+    dev = _device(g_e=0.0, g_h=0.0, t1_s=1e-12, p_mem=1.0)
+    n, dt = 50_000, 1.6e-9
+    config = ProtocolConfig.pulsed(n, 3, pulse_delay_s=dt,
+                                   det_pols=((Pol.R, Pol.L), (Pol.L, Pol.R)))
+    events = run(dev, config).events
+    photon1 = events["time"] - events["shot"] * config.rep_period_s < dt
+    shots, first, counts = np.unique(events["shot"], return_index=True,
+                                     return_counts=True)
+    two = first[counts == 2]
+    assert np.all(photon1[two]) and not np.any(photon1[two + 1])
+    assert np.array_equal(events["projection"][two],
+                          events["projection"][two + 1])
+    # every shot emits photon 1 (addressed) or photon 2, or both
+    assert shots.size == n
     # with perfect memory, exactly the addressed half of the shots emit
-    n_exist = int(np.count_nonzero(state["photon1_exists"]))
-    assert abs(n_exist - 25_000) < 5 * math.sqrt(50_000 * 0.25)
+    # photon 1, and each of them also records photon 2
+    n_photon1 = int(np.count_nonzero(photon1))
+    assert n_photon1 == two.size
+    assert abs(n_photon1 - n / 2) < 5 * math.sqrt(n * 0.25)
 
 
 def test_cw_antibunching_dip():
