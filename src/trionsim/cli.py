@@ -178,8 +178,7 @@ def _analyze_lifetime(stream, opts, outdir) -> int:
     print(f"wrote {docp_path}")
     if not (opts.fit.enabled and stream.device.b_x_t > 0):
         return EXIT_OK
-    fit = beat_fit(trace, opts.fit.variant or "pulsed", opts.fit.t0,
-                   opts.fit.fixed)
+    fit = beat_fit(trace, opts.fit)
     return _emit_report(outdir / "lifetime_fit_report.txt", fit,
                         "lifetime docp damped cosine",
                         stream.content_digest[:16])
@@ -226,8 +225,7 @@ def _analyze_pulsed(stream, opts, outdir) -> int:
     print(f"wrote {slice_path}")
     if not opts.fit.enabled:
         return EXIT_OK
-    fit = beat_fit(trace, opts.fit.variant or "pulsed", opts.fit.t0,
-                   opts.fit.fixed)
+    fit = beat_fit(trace, opts.fit)
     return _emit_report(outdir / "fig3b_fit_report.txt", fit,
                         "map slice damped cosine", stream.content_digest[:16])
 
@@ -261,6 +259,8 @@ def _analyze_delay_sweep(streams, opts, outdir) -> int:
     path = outdir / "fig3d_docp_vs_delay.csv"
     write_delay_csv(path, delays, traces, meta, window)
     print(f"wrote {path}")
+    if not opts.fit.enabled:
+        return EXIT_OK
     fit_path, f_avg, tau_avg = delay_sweep_fits(outdir, delays, traces,
                                                 window)
     report = (f"delay sweep window average over t2 in "

@@ -235,19 +235,16 @@ def docp(h_rr: Histogram1D, h_rl: Histogram1D) -> DocpTrace:
 
 
 def bin_lifetime(stream: EventStream, bin_s: float = LIFETIME_BIN_S,
-                 span_s: float | None = None, channel=None,
+                 span_s: float | None = None,
                  projection=None) -> Histogram1D:
     """Histogram of within-shot detection times."""
     rep = stream.config.rep_period_s
     if span_s is None:
         span_s = min(rep, 10.0 * stream.device.t1_s)
     edges = bin_s * np.arange(0, int(round(span_s / bin_s)) + 1)
-    mask = np.ones(len(stream), dtype=bool)
-    if channel is not None:
-        mask &= stream.events["channel"] == int(channel)
+    ev = stream.events
     if projection is not None:
-        mask &= stream.events["projection"] == int(Pol(projection))
-    ev = stream.events[mask]
+        ev = ev[ev["projection"] == int(Pol(projection))]
     t_rel = ev["time"] - ev["shot"] * rep
     counts = _bin_values(t_rel, edges)
     return Histogram1D(edges, counts, np.sqrt(counts),

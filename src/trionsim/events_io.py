@@ -1,32 +1,36 @@
-"""Event stream files: packed binary with a JSON header, or CSV.
+"""Event stream files, format 2: packed binary or CSV, each signed.
 
-Binary layout is a magic line, one line of canonical JSON carrying the
-device/config/diagnostics block and digests, then raw little-endian
-records (u32 shot, u8 channel, u8 projection, f64 time in seconds).
-Both formats round-trip bit-exactly and are deterministic for a given
-stream, so file digests are reproducible across reruns.
+Binary: a magic line, one canonical JSON line of the `config`, `device`
+and `diagnostics` blocks, then little-endian records (u32 shot, u8
+channel, u8 projection, f64 time in s).  CSV: a magic line, a `# key =
+json` line per block, the column line, one row per event.  Both end in
+`# sha256 = <64 hex>\n` over every byte before it, checked before any
+parsing, and round-trip bit-exactly.  Format-1 files are refused.
 """
 from __future__ import annotations
 
 import hashlib
 import io
 import json
+from itertools import chain
 
 import numpy as np
 
-from .core import (ConfigError, DeviceParams, as_int, as_str,
-                   check_keys)
+from .core import ConfigError, DeviceParams, check_keys
 from .montecarlo import EVENT_DTYPE, EventStream, ProtocolConfig
 
-MAGIC = b"TRIONSIM-EVENTS 1\n"
+MAGIC = b"TRIONSIM-EVENTS 2\n"
+_CSV_MAGIC = b"# trionsim-events 2\n"
+
+_CSV_COLUMNS = b"shot,channel,projection,time_s\n"
+_CSV_ROW = "%d,%d,%d,%.17g\n"
+_CSV_CHUNK = 2048  # rows formatted per call
+
+_TRAILER = "# sha256 = {}\n"
+_TRAILER_LEN = len(_TRAILER.format("0" * 64))
 
 # per-run knobs that may legitimately differ between files analyzed together
 _RUN_ONLY_KEYS = ("rng_seed", "n_shots", "pulse_delay_s")
-
-_CSV_COLUMNS = "shot,channel,projection,time_s"
-
-_HEADER_KEYS = ("compat_digest", "config", "content_digest", "device",
-                "diagnostics", "n_events")
 
 
 def _canonical(obj) -> str:
@@ -34,11 +38,8 @@ def _canonical(obj) -> str:
 
 
 def compat_digest(device: DeviceParams, config: ProtocolConfig) -> str:
-    """Digest of the physics-relevant header block.
-
-    Seed, shot count, and pulse delay are excluded: a delay sweep is
-    analyzed as one group, and only those fields vary across it.
-    """
+    """Digest of the physics-relevant header block, without the seed, shot
+    count and pulse delay that vary across the files of a delay sweep."""
     cfg = config.to_dict()
     for key in _RUN_ONLY_KEYS:
         cfg.pop(key, None)
@@ -47,61 +48,107 @@ def compat_digest(device: DeviceParams, config: ProtocolConfig) -> str:
 
 
 def _header_dict(stream: EventStream) -> dict:
-    return {
-        "compat_digest": compat_digest(stream.device, stream.config),
-        "config": stream.config.to_dict(),
-        "content_digest": stream.content_digest,
-        "device": stream.device.to_dict(),
-        "diagnostics": stream.diagnostics,
-        "n_events": int(len(stream)),
-    }
+    return {"config": stream.config.to_dict(),
+            "device": stream.device.to_dict(),
+            "diagnostics": stream.diagnostics}
+
+
+def _write_signed(path, parts) -> None:
+    """Write each bytes-like part, then the trailer that signs them all."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for part in parts:
+            digest.update(part)
+            fh.write(part)
+        fh.write(_TRAILER.format(digest.hexdigest()).encode())
 
 
 def write_events(path, stream: EventStream, fmt: str = "binary") -> None:
-    if fmt == "binary":
-        write_events_binary(path, stream)
-    elif fmt == "csv":
-        write_events_csv(path, stream)
-    else:
+    writers = {"binary": write_events_binary, "csv": write_events_csv}
+    if fmt not in writers:
         raise ValueError(f"unknown event file format {fmt!r}")
-
-
-def read_events(path) -> EventStream:
-    with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) == MAGIC:
-            return _read_binary_body(fh)
-    return read_events_csv(path)
+    writers[fmt](path, stream)
 
 
 def write_events_binary(path, stream: EventStream) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_canonical(_header_dict(stream)).encode() + b"\n")
-        fh.write(stream.events.tobytes())
+    header = _canonical(_header_dict(stream)).encode() + b"\n"
+    _write_signed(path, (MAGIC, header,
+                         np.ascontiguousarray(stream.events).view(np.uint8)))
 
 
-def _read_binary_body(fh) -> EventStream:
-    header = json.loads(fh.readline().decode())
-    events = np.frombuffer(fh.read(), dtype=EVENT_DTYPE).copy()
-    return _assemble(header, events, fh.name)
+def write_events_csv(path, stream: EventStream) -> None:
+    def parts():
+        yield _CSV_MAGIC
+        for key, block in sorted(_header_dict(stream).items()):
+            yield f"# {key} = {_canonical(block)}\n".encode()
+        yield _CSV_COLUMNS
+        for start in range(0, len(stream), _CSV_CHUNK):
+            rows = stream.events[start:start + _CSV_CHUNK].tolist()
+            yield (_CSV_ROW * len(rows) % tuple(chain(*rows))).encode()
+    _write_signed(path, parts())
+
+
+def read_events(path) -> EventStream:
+    """Read an event file of either format once its trailer checks out."""
+    with open(path, "rb") as fh:
+        magic = fh.readline(len(_CSV_MAGIC))
+        if magic in (b"TRIONSIM-EVENTS 1\n", b"# trionsim-events 1\n"):
+            raise ValueError(f"{path}: event file format 1 is no longer "
+                             f"read; regenerate it with `trionsim simulate`")
+        if magic not in (MAGIC, _CSV_MAGIC):
+            raise ValueError(f"{path}: not an event stream file")
+        end = _signed_length(fh, path)
+        fh.seek(len(magic))
+        try:
+            header, events = _parse(fh, magic == MAGIC, end)
+        except ValueError as exc:
+            raise ValueError(f"{path}: unreadable body ({exc})") from exc
+    return _assemble(header, events, path)
+
+
+def _signed_length(fh, path) -> int:
+    """Length of the file before its trailer, once the trailer holds the
+    sha256 of all those bytes (streamed a block at a time)."""
+    end = fh.seek(0, io.SEEK_END) - _TRAILER_LEN
+    digest = hashlib.sha256()
+    fh.seek(0)
+    while fh.tell() < end:
+        digest.update(fh.read(min(1 << 20, end - fh.tell())))
+    if end < 0 or fh.read() != _TRAILER.format(digest.hexdigest()).encode():
+        raise ValueError(f"{path}: corrupt or truncated (digest mismatch)")
+    return end
+
+
+def _parse(fh, binary, end):
+    """Header and events of a checked file (loadtxt skips the trailer)."""
+    if binary:
+        header = json.loads(fh.readline())
+        n, rest = divmod(end - fh.tell(), EVENT_DTYPE.itemsize)
+        if n < 0 or rest:
+            raise ValueError("not a whole number of records")
+        return header, np.fromfile(fh, dtype=EVENT_DTYPE, count=n)
+    header, line = {}, fh.readline()
+    while line.startswith(b"# "):
+        key, _, value = line[2:].partition(b" = ")
+        header[key.decode()] = json.loads(value)
+        line = fh.readline()
+    if line != _CSV_COLUMNS:
+        raise ValueError("no column line")
+    if fh.tell() == end:
+        return header, np.zeros(0, dtype=EVENT_DTYPE)
+    return header, np.loadtxt(fh, dtype=EVENT_DTYPE, delimiter=",", ndmin=1)
 
 
 def _assemble(header: dict, events: np.ndarray, name) -> EventStream:
-    """Check every header key against the schema scenario files use, and
-    the payload and physics blocks against their digests."""
+    """Check every header key against the schema scenario files use."""
     try:
-        check_keys(header, "$", _HEADER_KEYS)
-        n_events = as_int(header["n_events"], "$.n_events")
-        content = as_str(header["content_digest"], "$.content_digest")
-        compat = as_str(header["compat_digest"], "$.compat_digest")
+        check_keys(header, "$", ("config", "device", "diagnostics"))
         if not isinstance(header["diagnostics"], dict):
             raise ConfigError("$.diagnostics: expected an object")
         stream = EventStream(
-            events=events,
-            device=DeviceParams.from_dict(header["device"], "device"),
-            config=ProtocolConfig.from_dict(header["config"], "config"),
-            diagnostics=header["diagnostics"],
-        )
+            events, DeviceParams.from_dict(header["device"], "device"),
+            ProtocolConfig.from_dict(header["config"], "config"),
+            header["diagnostics"])
         # a block must be exactly what its writer stores, so that a
         # dropped key or a re-typed value is not read back as a default
         for key in ("config", "device"):
@@ -110,52 +157,4 @@ def _assemble(header: dict, events: np.ndarray, name) -> EventStream:
                 raise ConfigError(f"{key}: not as written")
     except ConfigError as exc:
         raise ValueError(f"{name}: malformed header ({exc})") from exc
-    if len(events) != n_events:
-        raise ValueError(f"{name}: truncated event block")
-    if stream.content_digest != content:
-        raise ValueError(f"{name}: content digest mismatch (corrupt file)")
-    if compat_digest(stream.device, stream.config) != compat:
-        raise ValueError(f"{name}: header digest mismatch (corrupt header)")
     return stream
-
-
-def write_events_csv(path, stream: EventStream) -> None:
-    header = _header_dict(stream)
-    with open(path, "w", newline="") as fh:
-        fh.write("# trionsim-events 1\n")
-        for key in sorted(header):
-            fh.write(f"# {key} = {_canonical(header[key])}\n")
-        fh.write(_CSV_COLUMNS + "\n")
-        ev = stream.events
-        for i in range(len(ev)):
-            fh.write(f"{ev['shot'][i]},{ev['channel'][i]},"
-                     f"{ev['projection'][i]},{ev['time'][i]:.17g}\n")
-
-
-def read_events_csv(path) -> EventStream:
-    header = {}
-    rows = io.StringIO()
-    with open(path, "r") as fh:
-        line = fh.readline()
-        if not line.startswith("# trionsim-events"):
-            raise ValueError(f"{path}: not an event stream file")
-        for line in fh:
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                header[key.strip()] = json.loads(value)
-            elif line.strip() and line.strip() != _CSV_COLUMNS:
-                rows.write(line)
-    if not line.endswith("\n"):
-        raise ValueError(f"{path}: truncated file")
-    rows.seek(0)
-    if rows.getvalue().strip():
-        table = np.loadtxt(rows, delimiter=",", ndmin=2)
-    else:
-        table = np.zeros((0, 4))
-    events = np.zeros(table.shape[0] if table.size else 0, dtype=EVENT_DTYPE)
-    if table.size:
-        events["shot"] = table[:, 0].astype(np.uint32)
-        events["channel"] = table[:, 1].astype(np.uint8)
-        events["projection"] = table[:, 2].astype(np.uint8)
-        events["time"] = table[:, 3]
-    return _assemble(header, events, path)

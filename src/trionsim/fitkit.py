@@ -240,8 +240,7 @@ def _domain_ok(p) -> bool:
 
 def fit_damped_cosine(trace, variant: str = "pulsed", t0: float = 0.0,
                       exclusion_window_s: float | None = None,
-                      fixed: dict | None = None,
-                      max_iterations: int = _MAX_ITER) -> FitResult:
+                      fixed: dict | None = None) -> FitResult:
     """Weighted least-squares damped-cosine fit of a trace.
 
     `fixed` pins parameters by name (e.g. {"alpha": 1.0}).  For the cw
@@ -302,7 +301,7 @@ def fit_damped_cosine(trace, variant: str = "pulsed", t0: float = 0.0,
     converged = False
     message = "max iterations reached"
     n_iter = 0
-    while n_iter < max_iterations:
+    while n_iter < _MAX_ITER:
         n_iter += 1
         resid = weights * (model.evaluate(p_cur, t) - y)
         jac = (weights[:, None] * model.jacobian(p_cur, t))[:, idx_free]

@@ -26,6 +26,7 @@ from .fitkit import (fft_frequency, fit_damped_cosine, fit_linear_zeeman,
                      format_fit_report, loglog_trend, window_average)
 from .montecarlo import ProtocolConfig
 from .rng import derive_seed
+from .scenarios import FitOptions
 
 # shared device constants used by every preset
 T1_S = 300e-12
@@ -79,13 +80,13 @@ class PipelineResult:
     files: list
 
 
-def _n_of(scale: float, nominal: int, floor: int = 64) -> int:
-    return max(int(round(nominal * scale)), floor)
+def _n_of(scale: float, nominal: int) -> int:
+    return max(int(round(nominal * scale)), 64)
 
 
-def _device(b_t: float, g_h: float = 0.35, noise: NoiseModel | None = None,
-            g_e: float = G_E) -> DeviceParams:
-    return DeviceParams(g_e=g_e, g_h=g_h, t1_s=T1_S, p_mem=P_MEM,
+def _device(b_t: float, g_h: float = 0.35,
+            noise: NoiseModel | None = None) -> DeviceParams:
+    return DeviceParams(g_e=G_E, g_h=g_h, t1_s=T1_S, p_mem=P_MEM,
                         b_x_t=b_t, noise=noise or NoiseModel.quiet())
 
 
@@ -113,11 +114,13 @@ def run_pipeline(name: str, outdir, seed: int = 20260815, scale: float = 1.0,
     return PipelineResult(name, rows, files)
 
 
-def beat_fit(trace, variant="pulsed", t0=0.0, fixed=None):
-    """Damped-cosine fit of a beat trace, T2* and alpha pinned to 1 unless
-    `fixed` says otherwise."""
-    return fit_damped_cosine(trace, variant=variant, t0=t0, fixed={
-        "t2star": 1.0, "alpha": 1.0, **(fixed or {})})
+def beat_fit(trace, opts: FitOptions | None = None):
+    """Damped-cosine fit of a beat trace under a scenario's `analysis.fit`
+    options, T2* and alpha pinned to 1 unless `opts.fixed` says otherwise."""
+    opts = opts or FitOptions()
+    return fit_damped_cosine(
+        trace, opts.variant or "pulsed", opts.t0, opts.exclusion_window_s,
+        {"t2star": 1.0, "alpha": 1.0, **opts.fixed})
 
 
 def lifetime_traces(outdir, stream, **binning):

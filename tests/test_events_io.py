@@ -1,6 +1,7 @@
 """Event file formats: exact round trips, layout, and corruption checks."""
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -16,12 +17,14 @@ from trionsim.events_io import (
     MAGIC,
     compat_digest,
     read_events,
-    read_events_csv,
     write_events,
     write_events_binary,
     write_events_csv,
 )
 from trionsim.montecarlo import ProtocolConfig, run
+
+# "# sha256 = <64 hex>\n", the last line of every event file
+_TRAILER_LEN = len("# sha256 = \n") + 64
 
 
 def _device(**kw):
@@ -53,7 +56,7 @@ def test_binary_round_trip_exact(tmp_path, stream):
 def test_csv_round_trip_exact(tmp_path, stream):
     path = tmp_path / "events.csv"
     write_events_csv(path, stream)
-    _assert_streams_equal(read_events_csv(path), stream)
+    _assert_streams_equal(read_events(path), stream)
 
 
 def test_read_events_detects_format(tmp_path, stream):
@@ -67,11 +70,15 @@ def test_read_events_detects_format(tmp_path, stream):
 
 def test_binary_payload_layout(tmp_path, stream):
     # magic line, one JSON header line, then packed 14-byte records:
-    # u32 shot, u8 channel, u8 projection, f64 time, all little endian
+    # u32 shot, u8 channel, u8 projection, f64 time, all little endian,
+    # then a trailer line with the sha256 of every byte before it
     path = tmp_path / "events.bin"
     write_events_binary(path, stream)
     blob = path.read_bytes()
+    blob, trailer = blob[:-_TRAILER_LEN], blob[-_TRAILER_LEN:]
     assert blob.startswith(MAGIC)
+    digest = hashlib.sha256(blob).hexdigest()
+    assert trailer == f"# sha256 = {digest}\n".encode()
     payload = blob[blob.index(b"\n", len(MAGIC)) + 1:]
     assert len(payload) == 14 * len(stream)
     records = np.frombuffer(
@@ -89,9 +96,9 @@ def test_corrupt_payload_rejected(tmp_path, stream):
     path = tmp_path / "events.bin"
     write_events_binary(path, stream)
     blob = bytearray(path.read_bytes())
-    blob[-3] ^= 0xFF
+    blob[-_TRAILER_LEN - 3] ^= 0xFF
     path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match="content digest mismatch"):
+    with pytest.raises(ValueError, match="digest mismatch"):
         read_events(path)
 
 
@@ -100,7 +107,7 @@ def test_truncated_payload_rejected(tmp_path, stream):
     write_events_binary(path, stream)
     blob = path.read_bytes()
     path.write_bytes(blob[:-14])
-    with pytest.raises(ValueError, match="truncated event block"):
+    with pytest.raises(ValueError, match="corrupt or truncated"):
         read_events(path)
 
 
@@ -109,6 +116,17 @@ def test_foreign_file_rejected(tmp_path):
     path.write_text("not,an,event,file\n1,2,3,4\n")
     with pytest.raises(ValueError, match="not an event stream file"):
         read_events(path)
+
+
+@pytest.mark.parametrize("magic", ["TRIONSIM-EVENTS 1\n",
+                                   "# trionsim-events 1\n"])
+def test_format_1_file_exits_3(tmp_path, magic, capsys):
+    path = tmp_path / "old.events"
+    path.write_text(magic + '{"n_events":0}\n')
+    assert main(["analyze", str(path), "-o", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "format 1" in err
+    assert "Traceback" not in err
 
 
 def test_compat_digest_ignores_run_only_fields():
@@ -138,30 +156,35 @@ def test_empty_stream_round_trips(tmp_path):
         assert back.content_digest == empty.content_digest
 
 
-def _edit_header(path, fmt, edit):
-    """Rewrite the header block of an event file through `edit(header)`."""
+def _edit_header(path, fmt, edit, sign=True):
+    """Rewrite the header block of an event file through `edit(header)`,
+    then sign the new bytes, or keep the old trailer if `sign` is false."""
+    blob = path.read_bytes()
+    blob, trailer = blob[:-_TRAILER_LEN], blob[-_TRAILER_LEN:]
     if fmt == "binary":
-        blob = path.read_bytes()
         end = blob.index(b"\n", len(MAGIC))
         header = json.loads(blob[len(MAGIC):end])
         edit(header)
-        path.write_bytes(MAGIC + json.dumps(header).encode() + blob[end:])
-        return
-    first, *rest = path.read_text().splitlines(keepends=True)
-    header = {}
-    for line in rest:
-        if line.startswith("# "):
-            key, _, value = line[2:].partition(" = ")
-            header[key] = json.loads(value)
-    edit(header)
-    path.write_text(first
-                    + "".join(f"# {k} = {json.dumps(v)}\n"
-                              for k, v in header.items())
-                    + "".join(x for x in rest if not x.startswith("#")))
+        blob = MAGIC + json.dumps(header).encode() + blob[end:]
+    else:
+        first, *rest = blob.decode().splitlines(keepends=True)
+        header = {}
+        for line in rest:
+            if line.startswith("# "):
+                key, _, value = line[2:].partition(" = ")
+                header[key] = json.loads(value)
+        edit(header)
+        blob = (first
+                + "".join(f"# {k} = {json.dumps(v)}\n"
+                          for k, v in header.items())
+                + "".join(x for x in rest if not x.startswith("#"))).encode()
+    if sign:
+        trailer = f"# sha256 = {hashlib.sha256(blob).hexdigest()}\n".encode()
+    path.write_bytes(blob + trailer)
 
 
-def _drop_event_count(header):
-    del header["n_events"]
+def _drop_diagnostics(header):
+    del header["diagnostics"]
 
 
 def _mistype_g_e(header):
@@ -185,12 +208,14 @@ def _set(path, value):
 
 @pytest.mark.parametrize("fmt", ["binary", "csv"])
 def test_tampered_header_rejected(tmp_path, stream, fmt, capsys):
-    # a missing or ill-typed key and an edited physics block are all
-    # refused with the file named, and `analyze` exits 3 (i/o failure)
+    # a missing, unknown or ill-typed key in a re-signed file and an
+    # edited physics block in an unsigned one are all refused with the
+    # file named, and `analyze` exits 3 (i/o failure)
     for edit, message in (
-            (_drop_event_count, "malformed header"),
+            (_drop_diagnostics, "malformed header"),
+            (_set("n_events", 2000), "$.n_events: unknown key"),
             (_mistype_g_e, "malformed header"),
-            (_change_g_e, "header digest mismatch"),
+            (_change_g_e, "digest mismatch"),
             (_set("device.g_e", "2.09"), "device.g_e: expected a number"),
             (_set("config.n_shots", 2000.7),
              "config.n_shots: expected an integer"),
@@ -205,7 +230,7 @@ def test_tampered_header_rejected(tmp_path, stream, fmt, capsys):
              "config.pump_rate_hz: not used by lifetime")):
         path = tmp_path / f"events.{fmt}"
         write_events(path, stream, fmt=fmt)
-        _edit_header(path, fmt, edit)
+        _edit_header(path, fmt, edit, sign=edit is not _change_g_e)
         with pytest.raises(ValueError, match=re.escape(message)) as info:
             read_events(path)
         assert str(path) in str(info.value)
@@ -230,9 +255,9 @@ def _wrong_types(value):
     return ["x", True, [], {}]
 
 
-# header blocks whose keys are damaged; `diagnostics` is not covered by
-# any digest and is left out
-_BLOCKS = ((), ("device",), ("device", "noise"), ("config",))
+# header blocks whose keys are damaged
+_BLOCKS = ((), ("device",), ("device", "noise"), ("config",),
+           ("diagnostics",))
 
 
 def _header_block(header, names):
@@ -256,21 +281,10 @@ def _base_file(stream, fmt, tmp_path_factory):
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_damaged_event_file_exits_3(stream, fmt, tmp_path_factory, data):
-    """Truncation at any offset, a flipped payload byte, or a deleted or
-    re-typed header key: `analyze` exits 3 and prints no traceback.
-
-    A CSV byte is flipped to a non-ASCII byte: an ASCII flip such as
-    newline to carriage return can leave every row parsing to the same
-    values, and the CSV form carries no digest of its text.
-    """
+    """Truncation at any offset, any byte flipped by any mask, or a
+    deleted or re-typed header key left unsigned: `analyze` exits 3 and
+    prints no traceback."""
     blob = _base_file(stream, fmt, tmp_path_factory)
-    if fmt == "binary":
-        payload = blob.index(b"\n", len(MAGIC)) + 1
-        masks = st.integers(1, 255)
-    else:
-        columns = b"shot,channel,projection,time_s\n"
-        payload = blob.index(columns) + len(columns)
-        masks = st.integers(0x80, 0xFF)
     path = tmp_path_factory.mktemp("damaged") / f"events.{fmt}"
     path.write_bytes(blob)
     change = data.draw(st.sampled_from(
@@ -279,8 +293,8 @@ def test_damaged_event_file_exits_3(stream, fmt, tmp_path_factory, data):
         path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
     elif change == "flip":
         damaged = bytearray(blob)
-        damaged[data.draw(st.integers(payload, len(blob) - 1))] ^= \
-            data.draw(masks)
+        damaged[data.draw(st.integers(0, len(blob) - 1))] ^= \
+            data.draw(st.integers(1, 255))
         path.write_bytes(bytes(damaged))
     else:
         def edit(header):
@@ -291,7 +305,7 @@ def test_damaged_event_file_exits_3(stream, fmt, tmp_path_factory, data):
             else:
                 block[key] = data.draw(st.sampled_from(
                     _wrong_types(block[key])))
-        _edit_header(path, fmt, edit)
+        _edit_header(path, fmt, edit, sign=False)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):

@@ -1,6 +1,7 @@
 """Scenario schema strictness and command-line exit-code contract."""
 
 import json
+import re
 import weakref
 
 import numpy as np
@@ -303,6 +304,37 @@ def test_cli_analyze_lifetime_writes_trace_csv(tmp_path):
     trace = (tmp_path / "fig1d_traces.csv").read_text()
     assert "co_counts" in trace and "cross_counts" in trace
     assert (tmp_path / "lifetime_docp.csv").exists()
+
+
+def test_cli_analyze_sweep_honours_fit_disabled(tmp_path):
+    d = _scenario_dict("pulsed_2pc", pulse_delay_s=[0.6e-9, 1.0e-9, 1.4e-9])
+    d["device"]["b_x_t"] = 0.15
+    d["analysis"] = {"fit": {"enabled": False}}
+    scn = _write_scenario(tmp_path / "s.json", d)
+    assert main(["simulate", scn, "-o", str(tmp_path / "events")]) == 0
+    files = sorted(str(p) for p in (tmp_path / "events").iterdir())
+    out = tmp_path / "out"
+    # with the fit enabled these three delays exit 4 (too few per-bin fits)
+    assert main(["analyze", *files, "-o", str(out), "--scenario", scn]) == 0
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["fig3d_docp_vs_delay.csv"]
+
+
+def test_cli_analyze_lifetime_fit_takes_exclusion_window(tmp_path):
+    d = _scenario_dict("lifetime", n_shots=50_000)
+    d["device"]["b_x_t"] = 0.15
+    scn = _write_scenario(tmp_path / "s.json", d)
+    assert main(["simulate", scn, "-o", str(tmp_path)]) == 0
+    points = {}
+    for window in (None, 0.5e-9):
+        d["analysis"] = {"fit": {"exclusion_window_s": window}}
+        scn = _write_scenario(tmp_path / "s.json", d)
+        out = tmp_path / f"out_{window}"
+        assert main(["analyze", str(tmp_path / "events.bin"),
+                     "-o", str(out), "--scenario", scn]) == 0
+        report = (out / "lifetime_fit_report.txt").read_text()
+        points[window] = int(re.search(r"points = (\d+)", report)[1])
+    assert points[0.5e-9] < points[None]
 
 
 def test_cli_fit_flags_non_convergence(tmp_path):
