@@ -254,6 +254,10 @@ def _analyze_delay_sweep(streams, opts, outdir) -> int:
     meta = digest_meta(*points)
     points.sort(key=lambda p: p.delay)
     delays = [p.delay for p in points]
+    for a, b in zip(delays, delays[1:]):
+        if a == b:
+            raise ConfigError(f"pulse_delay_s = {a:g} s: more than one "
+                              f"event file of the sweep has it")
     traces = [p.trace for p in points]
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "fig3d_docp_vs_delay.csv"

@@ -289,13 +289,6 @@ def count_map2d(events: np.ndarray, config, first_shot: int, n_shots: int,
     """
     if config.kind is not ProtocolKind.PULSED_2PC:
         raise ValueError("two-photon maps need a pulsed_2pc stream")
-    if t1_edges is None:
-        t1_edges = MAP_BIN_S * np.arange(0, int(round(MAP_SPAN_S / MAP_BIN_S)) + 1)
-    if t2_edges is None:
-        t2_edges = MAP_BIN_S * np.arange(0, int(round(MAP_SPAN_S / MAP_BIN_S)) + 1)
-    t1_edges = np.asarray(t1_edges, dtype=float)
-    t2_edges = np.asarray(t2_edges, dtype=float)
-
     shot = events["shot"]
     idx = shot.astype(np.int64) - first_shot
     m0 = events["channel"] == 0
@@ -314,8 +307,49 @@ def count_map2d(events: np.ndarray, config, first_shot: int, n_shots: int,
     t1[idx[keep0]] = events["time"][keep0] - shot[keep0] * config.rep_period_s
     t2[idx[keep1]] = (events["time"][keep1] - shot[keep1] * config.rep_period_s
                       - config.pulse_delay_s)
-    t1, t2 = t1[used], t2[used]
+    return _pair_map(t1[used], t2[used], n_shots, t1_edges, t2_edges)
 
+
+def count_photon_maps(photon1, photon2, config, first_shot: int,
+                      n_shots: int) -> tuple:
+    """The R and L maps (`count_map2d` with `ch2_projection` R, then L)
+    of one pulsed batch, taken from its recorded photons 1 and 2 as
+    `montecarlo.pulsed_photons` returns them, with no events built.
+
+    A shot has exactly one click per channel when both its photons are
+    recorded on different channels; the channel-1 photon's projection
+    picks its map.  Times are taken with the same float arithmetic as
+    the events' and `count_map2d`'s, so the maps equal `count_map2d` of
+    the batch's events bit for bit.
+    """
+    shot1, ch1, proj1, tau1 = photon1
+    shot2, ch2, proj2, tau2 = photon2
+    # position of each shot's photon 2, -1 where none was recorded
+    at2 = np.full(n_shots, -1, dtype=np.int64)
+    at2[shot2] = np.arange(shot2.size)
+    j = at2[shot1]
+    i = np.flatnonzero(j >= 0)
+    j = j[i]
+    apart = ch1[i] != ch2[j]
+    i, j = i[apart], j[apart]
+    first_on_0 = ch1[i] == 0
+    # within-shot times as (event time) - shot * rep_period_s
+    base = (first_shot + shot1[i]) * config.rep_period_s
+    w1 = (base + tau1[i]) - base
+    w2 = (base + tau2[j]) - base
+    t1 = np.where(first_on_0, w1, w2)
+    t2 = np.where(first_on_0, w2, w1) - config.pulse_delay_s
+    proj = np.where(first_on_0, proj2[j], proj1[i])
+    return tuple(_pair_map(t1[sel], t2[sel], n_shots)
+                 for sel in (proj == int(Pol.R), proj == int(Pol.L)))
+
+
+def _pair_map(t1, t2, n_shots, t1_edges=None, t2_edges=None) -> Map2D:
+    """Map of the (t1, t2) pairs of the shots used out of `n_shots`; edges
+    left as None take the MAP_BIN_S grid over [0, MAP_SPAN_S]."""
+    default = MAP_BIN_S * np.arange(0, int(round(MAP_SPAN_S / MAP_BIN_S)) + 1)
+    t1_edges = default if t1_edges is None else np.asarray(t1_edges, float)
+    t2_edges = default if t2_edges is None else np.asarray(t2_edges, float)
     k1 = np.searchsorted(t1_edges, t1, side="right") - 1
     k2 = np.searchsorted(t2_edges, t2, side="right") - 1
     n1, n2 = t1_edges.size - 1, t2_edges.size - 1
@@ -323,8 +357,8 @@ def count_map2d(events: np.ndarray, config, first_shot: int, n_shots: int,
     flat = np.bincount(k1[ok] * n2 + k2[ok], minlength=n1 * n2)
     counts = flat.reshape(n1, n2).astype(np.int64)
     diag = {
-        "shots_used": int(np.count_nonzero(used)),
-        "shots_dropped": int(n_shots - np.count_nonzero(used)),
+        "shots_used": int(t1.size),
+        "shots_dropped": int(n_shots - t1.size),
         "pairs_in_range": int(np.count_nonzero(ok)),
     }
     return Map2D(t1_edges, t2_edges, counts, diag)

@@ -23,10 +23,11 @@ Workers: `map_batches` runs a per-batch function over a task list, in
 task order, in this process at one worker and otherwise through one
 process pool for the whole list.  `run` maps the engine
 over the batches of one config and concatenates the events in the
-parent; a caller that reduces inside the worker (the heralded delay
-sweep returns per-batch two-photon maps) can submit the batches of many
-configs to one pool and hold only one batch of events per worker at a
-time.
+parent; a caller that reduces inside the worker can submit the batches
+of many configs to one pool.  The heralded delay sweeps (fig3c, fig3d)
+do so: each worker takes a pulsed batch's recorded photons from
+`pulsed_photons` and bins them straight into two-photon maps, so no
+event record is built and only the maps reach the parent.
 """
 from __future__ import annotations
 
@@ -383,8 +384,10 @@ def _merge_photons(n, start_shot, rep_period_s, photon1, photon2):
     return _make_events(shots, ch, proj, shots * rep_period_s + t)
 
 
-def _pulsed_batch(device, config, batch_index, start_shot, n):
-    """Two-pulse heralding shots.
+def pulsed_photons(task):
+    """The recorded photons 1 and 2 of a two-pulse heralding batch task,
+    each as (in-batch shot, channel, projection, time in shot) arrays in
+    shot order, and the batch counters.
 
     Pulse 1 is spin-selective circular: it excites only the addressed
     hole eigenstate, through the depolarizing preparation channel.  The
@@ -401,6 +404,7 @@ def _pulsed_batch(device, config, batch_index, start_shot, n):
     precesses about x in the ground doublet and then in the trion
     doublet, one rotation by the summed angle.
     """
+    device, config, batch_index, _, n = task
     rng = substream(config.rng_seed, config.kind.value, batch_index)
     p = device.p_mem
     dt = config.pulse_delay_s
@@ -440,8 +444,16 @@ def _pulsed_batch(device, config, batch_index, start_shot, n):
         ch, proj, keep = _detect(codes, rng, config.det_pols,
                                  config.detection_efficiency)
         photons.append((shot[keep], ch[keep], proj[keep], t[keep]))
-    events = _merge_photons(n, start_shot, config.rep_period_s, *photons)
-    return events, {"n_shots": n, "n_emitted": n1 + n2}
+    return photons[0], photons[1], {"n_shots": n, "n_emitted": n1 + n2}
+
+
+def _pulsed_batch(device, config, batch_index, start_shot, n):
+    """Events of a two-pulse heralding batch: `pulsed_photons` merged
+    into (shot, time) order."""
+    photon1, photon2, counters = pulsed_photons(
+        (device, config, batch_index, start_shot, n))
+    return _merge_photons(n, start_shot, config.rep_period_s, photon1,
+                          photon2), counters
 
 
 def _cw_batch(device, config, batch_index, start_seg, n):

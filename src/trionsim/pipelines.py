@@ -16,12 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import montecarlo
-from .core import (DeviceParams, MU_B_EV_PER_T, NoiseModel, PLANCK_EV_S,
-                   Pol, larmor_frequency)
-from .correlator import (CW_BIN_S, build_map2d, correlate_cw, count_map2d,
-                         docp, lifetime_docp_trace, lifetime_histograms,
-                         plateau_normalized, slice_map, write_csv,
-                         write_docp_csv, write_map_csv)
+from .core import (ConfigError, DeviceParams, MU_B_EV_PER_T, NoiseModel,
+                   PLANCK_EV_S, Pol, larmor_frequency)
+from .correlator import (CW_BIN_S, build_map2d, correlate_cw,
+                         count_photon_maps, docp, lifetime_docp_trace,
+                         lifetime_histograms, plateau_normalized, slice_map,
+                         write_csv, write_docp_csv, write_map_csv)
 from .fitkit import (fft_frequency, fit_damped_cosine, fit_linear_zeeman,
                      format_fit_report, loglog_trend, window_average)
 from .montecarlo import ProtocolConfig
@@ -100,6 +100,8 @@ def run_pipeline(name: str, outdir, seed: int = 20260815, scale: float = 1.0,
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ValueError(f"unknown preset {name!r} (known: {known})")
+    if not 0.0 < scale < math.inf:
+        raise ConfigError(f"scale: {scale} is not a finite number > 0")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows, files = PRESETS[name](outdir, seed, scale, workers)
@@ -364,12 +366,6 @@ def _pulsed_device() -> DeviceParams:
                    noise=NoiseModel.lorentzian_from_t2star(REF_T2STAR_S))
 
 
-def _run_pulsed(device, n_shots, seed, pulse_delay_s, workers):
-    config = ProtocolConfig.pulsed(n_shots=n_shots, rng_seed=seed,
-                                   pulse_delay_s=pulse_delay_s)
-    return montecarlo.run(device, config, workers=workers)
-
-
 def herald_maps(stream):
     """Two-photon maps with the readout photon projected on R and on L."""
     return (build_map2d(stream, ch2_projection=Pol.R),
@@ -391,8 +387,9 @@ def sliced_docp(map_r, map_l, t1_s=T1_SLICE_S, tolerance_s=T1_SLICE_TOL_S):
 
 def _run_fig3b(outdir, seed, scale, workers):
     device = _pulsed_device()
-    stream = _run_pulsed(device, _n_of(scale, 2_400_000), seed, 1.6e-9,
-                         workers)
+    config = ProtocolConfig.pulsed(n_shots=_n_of(scale, 2_400_000),
+                                   rng_seed=seed, pulse_delay_s=1.6e-9)
+    stream = montecarlo.run(device, config, workers=workers)
     map_r, map_l = herald_maps(stream)
     paths = write_herald_maps(outdir, map_r, map_l, digest_meta(stream))
     fit = beat_fit(sliced_docp(map_r, map_l))
@@ -417,9 +414,8 @@ def write_delay_csv(path, delays, traces, meta, t2_window_s=None):
 def _run_fig3c(outdir, seed, scale, workers):
     device = _pulsed_device()
     delays = (3.1e-9, 3.75e-9)
-    traces = [sliced_docp(*herald_maps(_run_pulsed(
-        device, _n_of(scale, 1_200_000), derive_seed(seed, "dt", i), dt,
-        workers))) for i, dt in enumerate(delays)]
+    traces, _ = heralded_sweep(device, delays, _n_of(scale, 1_200_000), seed,
+                               workers)
     fits = [beat_fit(tr) for tr in traces]
     path = outdir / "fig3c_docp_vs_t2.csv"
     write_delay_csv(path, delays, traces, {})
@@ -439,20 +435,22 @@ def delay_sweep_grid() -> np.ndarray:
 
 
 def _batch_herald_maps(task):
-    """`herald_maps` of one engine batch, computed where the batch ran."""
+    """`herald_maps` of one engine batch, binned where the batch ran
+    straight from its recorded photons."""
     _, config, _, start, count = task
-    events, _ = montecarlo.run_batch(task)
-    return tuple(count_map2d(events, config, start, count, ch2_projection=p)
-                 for p in (Pol.R, Pol.L))
+    photon1, photon2, _ = montecarlo.pulsed_photons(task)
+    return count_photon_maps(photon1, photon2, config, start, count)
 
 
 def heralded_sweep(device, delays, n_shots, seed, workers=None):
     """Per-delay sliced DOCP series, keyed by readout-time bin, and the
-    heralded pair count of every delay.
+    heralded pair count of every delay (fig3c and fig3d).
 
-    The batches of all delays go to one process pool, and each returns
-    its R and L maps, so no delay's events are ever merged; the maps sum
-    to those of `herald_maps` on the delay's whole stream.
+    The batches of all delays go to one process pool.  Each worker bins
+    its batch's recorded photons straight into the R and L maps
+    (`count_photon_maps`), so no event record is built and only maps
+    reach the parent; they sum to those of `herald_maps` on the delay's
+    whole stream.
     """
     configs = [ProtocolConfig.pulsed(n_shots=n_shots,
                                      rng_seed=derive_seed(seed, "dt", i),

@@ -10,8 +10,13 @@ draw only for the photons that exist, which changes its random draws;
 `_reference_pulsed_batch` is the engine as it was before, and the
 rewrite must reproduce its counts and heralded contrast within
 statistical bounds.
+
+The heralded sweep bins each batch's recorded photons straight into its
+R and L maps (`count_photon_maps`); those maps must equal `count_map2d`
+of the batch's events exactly.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -21,13 +26,13 @@ from hypothesis import strategies as st
 
 from trionsim import montecarlo
 from trionsim.core import DeviceParams, NoiseModel, NoiseTarget, Pol
-from trionsim.correlator import count_map2d
+from trionsim.correlator import MAP_BIN_S, count_map2d, count_photon_maps
 from trionsim.dynamics import addressed_z, precessed_z, r_probability
 from trionsim.montecarlo import (CW_REDRAW_WINDOW_S, LIFETIME_BATCH,
                                  ProtocolConfig, ProtocolKind, _cw_batch,
                                  _detect, _exc_sign, _make_events,
-                                 _pulsed_batch, batch_tasks, run,
-                                 run_batch)
+                                 _merge_photons, _pulsed_batch, batch_tasks,
+                                 pulsed_photons, run, run_batch)
 from trionsim.pipelines import sliced_docp
 from trionsim.rng import substream
 
@@ -385,3 +390,93 @@ def test_pulsed_batch_matches_reference_statistics(dt, herald):
     diff = docp_new.values[both] - docp_ref.values[both]
     chi2 = float(np.sum(diff ** 2 / var))
     assert chi2 <= k + 5.0 * math.sqrt(2.0 * k), (chi2, k)
+
+
+# Two-channel layouts: the default (lossy R herald, R/L splitter), both
+# split, both lossy, and a channel 1 that records only H or V, so that
+# neither map gets a pair.
+_PHOTON_CHANNELS = {
+    "default": None,
+    "both_split": ((Pol.R, Pol.L), (Pol.R, Pol.L)),
+    "both_lossy": ((Pol.R,), (Pol.L,)),
+    "r_hv": ((Pol.R,), (Pol.H, Pol.V)),
+}
+_PHOTON_NOISE = {
+    "quiet": NoiseModel.quiet(),
+    "ground": NoiseModel.lorentzian_from_t2star(_T2),
+    "both": _BOTH,
+}
+
+
+@pytest.mark.parametrize("channels", sorted(_PHOTON_CHANNELS))
+@pytest.mark.parametrize("noise", sorted(_PHOTON_NOISE))
+def test_photon_maps_equal_event_maps(noise, channels):
+    # every batch of runs of 1 and 3 batches (the later ones at a
+    # non-zero shot offset, the last one partial), at efficiency 1 and
+    # 0.6, with a pulse delay below and above the typical tau1
+    size = 4096
+    device = _device(_PHOTON_NOISE[noise], b_x_t=0.15)
+    totals = {"shots_used": 0, "pairs_in_range": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "LIFETIME_BATCH", size)
+        for eff, dt, n_batches in itertools.product(
+                (1.0, 0.6), (0.2e-9, 3e-9), (1, 3)):
+            config = ProtocolConfig.pulsed(
+                n_batches * size - 100 * (n_batches - 1), 17,
+                pulse_delay_s=dt, det_pols=_PHOTON_CHANNELS[channels],
+                detection_efficiency=eff)
+            tasks = batch_tasks(device, config)
+            assert len(tasks) == n_batches
+            for task in tasks:
+                _, _, _, start, count = task
+                events, _ = run_batch(task)
+                photon1, photon2, _ = pulsed_photons(task)
+                maps = count_photon_maps(photon1, photon2, config, start,
+                                         count)
+                for pol, got in zip((Pol.R, Pol.L), maps):
+                    want = count_map2d(events, config, start, count,
+                                       ch2_projection=pol)
+                    assert got.counts.dtype == want.counts.dtype
+                    assert np.array_equal(got.counts, want.counts)
+                    assert got.diagnostics == want.diagnostics
+                    assert np.array_equal(got.t1_edges, want.t1_edges)
+                    assert np.array_equal(got.t2_edges, want.t2_edges)
+                    for key in totals:
+                        totals[key] += got.diagnostics[key]
+    if channels == "r_hv":
+        assert totals["shots_used"] == 0
+    else:
+        # some used shots have photon 1 on channel 1: they count as used
+        # but fall out of range
+        assert totals["shots_used"] > totals["pairs_in_range"] > 0
+
+
+def test_photon_maps_bin_times_as_the_events_hold_them():
+    # 10^8 shots into a run, shot * rep_period_s + t keeps t to about
+    # 2e-16 s, so a time that close to a 10 ps edge can change bins once
+    # it is an event time; the photon path must bin it as count_map2d does
+    n, start, dt = 4096, 10 ** 8, 3e-9
+    config = ProtocolConfig.pulsed(2 * start, 1, pulse_delay_s=dt)
+    rng = np.random.default_rng(5)
+    edges = MAP_BIN_S * np.arange(1, 200)
+
+    def near_edges():
+        return rng.choice(edges, n) + rng.uniform(-1e-15, 1e-15, n)
+
+    shots = np.arange(n)
+    photon1 = (shots, np.zeros(n, np.uint8), np.full(n, int(Pol.R), np.uint8),
+               near_edges())
+    photon2 = (shots, np.ones(n, np.uint8),
+               rng.choice([int(Pol.R), int(Pol.L)], n).astype(np.uint8),
+               dt + near_edges())
+    events = _merge_photons(n, start, config.rep_period_s, photon1, photon2)
+    maps = count_photon_maps(photon1, photon2, config, start, n)
+    for pol, got in zip((Pol.R, Pol.L), maps):
+        want = count_map2d(events, config, start, n, ch2_projection=pol)
+        assert np.array_equal(got.counts, want.counts)
+        assert got.diagnostics == want.diagnostics
+    # the case has teeth: binned from the drawn times, some pairs move
+    held = events["time"][events["channel"] == 0] - \
+        (start + shots) * config.rep_period_s
+    assert np.any(np.searchsorted(edges, held, side="right")
+                  != np.searchsorted(edges, photon1[3], side="right"))

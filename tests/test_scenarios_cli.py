@@ -391,3 +391,31 @@ def test_cli_zeeman_recovers_g_factors(tmp_path, capsys):
     bad = tmp_path / "short.csv"
     bad.write_text("b_t,e1\n0.1,1.0\n")
     assert main(["zeeman", str(bad)]) == 2
+
+
+def test_cli_analyze_sweep_refuses_a_repeated_pulse_delay(tmp_path, capsys):
+    d = _scenario_dict("pulsed_2pc", pulse_delay_s=[0.6e-9, 1.0e-9])
+    d["device"]["b_x_t"] = 0.15
+    scn = _write_scenario(tmp_path / "s.json", d)
+    assert main(["simulate", scn, "-o", str(tmp_path / "events")]) == 0
+    first, second = sorted(str(p) for p in (tmp_path / "events").iterdir())
+    capsys.readouterr()
+    # one file passed twice holds the same pulse delay twice; every file
+    # is read and checked before anything is written
+    out = tmp_path / "out"
+    assert main(["analyze", first, second, first, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: pulse_delay_s = 6e-10 s" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+def test_cli_pipeline_refuses_a_scale_that_is_not_finite_and_positive(
+        tmp_path, capsys, scale):
+    out = tmp_path / "out"
+    assert main(["pipeline", "fig1d", "--scale", scale, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: scale:")
+    assert "Traceback" not in err
+    assert not out.exists()
