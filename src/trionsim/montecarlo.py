@@ -12,8 +12,9 @@ from its own counter-based stream keyed by (seed, protocol, batch index).
 Batch boundaries depend only on n_shots, so the merged event stream is
 bit-identical for any worker count.  Shots (and cw segments) are
 statistically independent of each other.  The pulsed engine draws only
-for the photons that exist, so its later draw sizes follow counts taken
-from its earlier draws, within the batch's own stream.
+for the photons that exist, and the cw engine only for its live segments
+and its successes, so their later draw sizes follow counts taken from
+earlier draws, within the batch's own stream.
 
 Order: every batch returns its events in (shot, time) order, and the
 batches cover increasing shot ranges, so `run` concatenates them and
@@ -331,10 +332,6 @@ def _detect(photon_codes, rng, det_pols, efficiency):
     return ch, proj, keep
 
 
-# the name the frozen reference cw loop in tests/test_engine_order.py uses
-_exc_sign = addressed_z
-
-
 def _lifetime_batch(device, config, batch_index, start_shot, n):
     """Independent excite-and-decay shots (lifetime and zero-field DOCP)."""
     rng = substream(config.rng_seed, config.kind.value, batch_index)
@@ -456,6 +453,17 @@ def _pulsed_batch(device, config, batch_index, start_shot, n):
                           photon2), counters
 
 
+def _grown(a, used):
+    """`a` at twice its size, its first `used` entries copied; the pages
+    of the new half stay untouched until written.  The cw loop collects
+    its emissions in such buffers: a list of small per-round arrays, kept
+    alive among each round's temporaries, fragments the heap (12 MB more
+    peak RSS for fig2d at scale 0.125)."""
+    out = np.empty(2 * a.size, dtype=a.dtype)
+    out[:used] = a[:used]
+    return out
+
+
 def _cw_batch(device, config, batch_index, start_seg, n):
     """Lockstep continuous-excitation segments.
 
@@ -472,11 +480,14 @@ def _cw_batch(device, config, batch_index, start_seg, n):
     two segment lengths apart so cross-segment pairs cannot fall inside
     any correlation window up to one segment length.
 
-    Every attempt round draws over all n rows, finished or not, so the
-    draws depend only on the round count; per-row state is updated in
-    place on the rows that succeed.  The events come back in (segment,
-    time) order: each segment emits in time order, and one stable sort
-    on the in-batch segment index interleaves the rounds.
+    A round draws the gap and success uniform for the live segments, and
+    the decay delay, branch and excited jitter for the successes only; a
+    segment leaves the arrays in the round its next attempt lands past
+    its end.  Draw sizes follow earlier draws of the batch's own
+    substream, so the events depend only on (seed, batch index).  Events
+    come back in (segment, time) order: each segment emits in time order,
+    and one stable sort on the in-batch segment index interleaves the
+    rounds.
     """
     rng = substream(config.rng_seed, config.kind.value, batch_index)
     p_half = device.p_mem * 0.5
@@ -486,82 +497,79 @@ def _cw_batch(device, config, batch_index, start_seg, n):
     s_addr = addressed_z(config.exc_pols[0])
     win = CW_REDRAW_WINDOW_S
     n_win = int(math.ceil(seg_len / win)) + 1
-    ground_noise = device.noise.affects_ground
-    excited_noise = device.noise.affects_excited
 
-    if ground_noise:
-        delta = device.noise.sample(rng, (n, n_win))
-        # cum[r, k]: jitter phase (in cycles) accumulated before window k
-        cum = np.cumsum(delta * win, axis=1)
-        cum[:, 1:] = cum[:, :-1]
-        cum[:, 0] = 0.0
-        cum, delta = cum.ravel(), delta.ravel()
-        all_rows = np.arange(n) * n_win
+    if device.noise.affects_ground:
+        # hole phase in window k of row r: rate[r, k] t + off[r, k], that
+        # is w_h t + 2 pi (jitter cycles before k + delta[r, k] (t - k win))
+        rate = device.noise.sample(rng, (n, n_win))
+        off = np.cumsum(rate, axis=1)
+        off -= rate * np.arange(1, n_win + 1)
+        off *= 2.0 * math.pi * win
+        rate *= 2.0 * math.pi
+        rate += w_h
+        rate, off = rate.ravel(), off.ravel()
 
-        def noise_phase(t, row_base):
-            # t >= 0, so only the upper clip is needed
-            k = np.minimum((t / win).astype(np.int64), n_win - 1)
-            j = row_base + k
-            return 2.0 * math.pi * (cum[j] + delta[j] * (t - k * win))
+        def phase(t, base):
+            j = base + np.minimum((t * (1.0 / win)).astype(np.int64),
+                                  n_win - 1)
+            return rate[j] * t + off[j]
+    else:
+        def phase(t, base):
+            return w_h * t
 
-    if not excited_noise:
+    if not device.noise.affects_excited:
         p_r = r_probability(s_addr * cw_branch_contrast(device.f_e_hz,
                                                         device.t1_s))
 
-    t_clock = np.zeros(n)
-    t_reset = np.zeros(n)
-    ph_reset = np.zeros(n)
-    s = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    active = np.ones(n, dtype=bool)
-    n_active = n
+    # per live segment: in-batch index, jitter-row base, clock, reference
+    # phase and the signed success amplitude s_addr * (hole Bloch z)
+    seg = np.arange(n, dtype=np.uint16)
+    base = np.arange(n) * n_win
+    clock, ref = np.zeros(n), np.zeros(n)
+    amp = s_addr * np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    signs = np.array([-s_addr, s_addr])  # amp after an L, an R emission
 
-    ev_seg = [np.zeros(0, dtype=np.uint16)]
-    ev_is_r = [np.zeros(0, dtype=bool)]
-    ev_time = [np.zeros(0)]
-    attempts = 0
+    # emissions in round order, in buffers that double when full
+    ev_seg, ev_is_r, ev_time = (np.empty(16 * n, dtype=t)
+                                for t in (np.uint16, bool, float))
+    attempts = n_ev = 0
     guard = int(3.0 * seg_len * pump + 10.0 * math.sqrt(seg_len * pump) + 200)
     for _ in range(guard):
-        if not n_active:
+        if not seg.size:
             break
-        t_att = t_clock + rng.exponential(1.0 / pump, n)
-        active &= t_att < seg_len
-        n_active = int(np.count_nonzero(active))
-        attempts += n_active
-        theta = w_h * (t_att - t_reset)
-        if ground_noise:
-            theta += noise_phase(t_att, all_rows) - ph_reset
-        b_z = precessed_z(s, theta)
-        success = rng.random(n) < p_half * (1.0 + s_addr * b_z)
-        success &= active
-        tau = rng.exponential(device.t1_s, n)
-        if excited_noise:
+        t_att = clock + rng.exponential(1.0 / pump, seg.size)
+        if t_att.max() >= seg_len:
+            live = t_att < seg_len
+            seg, base, ref, amp, t_att = (
+                a[live] for a in (seg, base, ref, amp, t_att))
+        attempts += seg.size
+        hit = (rng.random(seg.size) < p_half * (
+            1.0 + precessed_z(amp, phase(t_att, base) - ref))).nonzero()[0]
+        t_em = t_att[hit] + rng.exponential(device.t1_s, hit.size)
+        if device.noise.affects_excited:
             p_r = r_probability(s_addr * cw_branch_contrast(
-                device.f_e_hz + device.noise.sample(rng, n), device.t1_s))
-        is_r = rng.random(n) < p_r
+                device.f_e_hz + device.noise.sample(rng, hit.size),
+                device.t1_s))
+        is_r = rng.random(hit.size) < p_r
+        end = n_ev + hit.size
+        if end > ev_time.size:
+            ev_seg, ev_is_r, ev_time = (_grown(a, n_ev)
+                                        for a in (ev_seg, ev_is_r, ev_time))
+        ev_seg[n_ev:end], ev_is_r[n_ev:end] = seg[hit], is_r
+        ev_time[n_ev:end], n_ev = t_em, end
         # a success consumes the hole until the emission re-creates it
-        np.copyto(t_clock, t_att, where=active)
-        hit = np.flatnonzero(success)
-        if not hit.size:
-            continue
-        t_em = t_att[hit] + tau[hit]
-        hit_r = is_r[hit]
-        emit = t_em < seg_len
-        ev_seg.append(hit[emit].astype(np.uint16))
-        ev_is_r.append(hit_r[emit])
-        ev_time.append(t_em[emit])
-        t_clock[hit] = t_em
-        t_reset[hit] = t_em
-        if ground_noise:
-            ph_reset[hit] = noise_phase(t_em, hit * n_win)
-        s[hit] = np.where(hit_r, 1.0, -1.0)
+        clock = t_att
+        clock[hit] = t_em
+        ref[hit] = phase(t_em, base[hit])
+        amp[hit] = signs[is_r.view(np.uint8)]
     else:
         raise RuntimeError("cw segment loop exceeded its iteration guard")
 
-    seg_idx = np.concatenate(ev_seg)
-    codes = np.where(np.concatenate(ev_is_r), int(Pol.R),
+    in_seg = ev_time[:n_ev] < seg_len
+    seg_idx, t_in_seg = ev_seg[:n_ev][in_seg], ev_time[:n_ev][in_seg]
+    codes = np.where(ev_is_r[:n_ev][in_seg], int(Pol.R),
                      int(Pol.L)).astype(np.uint8)
-    t_in_seg = np.concatenate(ev_time)
-    del ev_seg, ev_is_r, ev_time
+    del ev_seg, ev_is_r, ev_time, in_seg
     emissions = seg_idx.shape[0]
     ch, proj, keep = _detect(codes, rng, config.det_pols,
                              config.detection_efficiency)

@@ -9,6 +9,7 @@ datasets plus a summary table (configured vs recovered vs reference).
 from __future__ import annotations
 
 import math
+import shutil
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -103,15 +104,23 @@ def run_pipeline(name: str, outdir, seed: int = 20260815, scale: float = 1.0,
     if not 0.0 < scale < math.inf:
         raise ConfigError(f"scale: {scale} is not a finite number > 0")
     outdir = Path(outdir)
+    # a run that fails removes the directories it created
+    created = next((d for d in reversed((outdir, *outdir.parents))
+                    if not d.exists()), None)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows, files = PRESETS[name](outdir, seed, scale, workers)
-    summary = outdir / "summary.csv"
-    write_csv(summary, {"preset": name, "seed": seed,
-                        "scale": f"{scale:.9g}"},
-              ("preset", "quantity", "configured", "recovered", "sigma",
-               "reference"),
-              ((r.preset, r.quantity, r.configured, r.recovered, r.sigma,
-                r.reference) for r in rows))
+    try:
+        rows, files = PRESETS[name](outdir, seed, scale, workers)
+        summary = outdir / "summary.csv"
+        write_csv(summary, {"preset": name, "seed": seed,
+                            "scale": f"{scale:.9g}"},
+                  ("preset", "quantity", "configured", "recovered", "sigma",
+                   "reference"),
+                  ((r.preset, r.quantity, r.configured, r.recovered,
+                    r.sigma, r.reference) for r in rows))
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
     files.append(str(summary))
     return PipelineResult(name, rows, files)
 

@@ -1,15 +1,17 @@
-"""Engine event order, the cw attempt loop and the pulsed engine's
-statistics.
+"""Engine event order, and the cw and pulsed engines' statistics.
 
 Every engine batch returns its events in (shot, time) order, so `run`
-only concatenates batches.  The cw attempt loop was rewritten to make
-fewer array passes with the same random draws; `_reference_cw_batch`
-below is the loop as it was before, kept verbatim, and the rewrite must
-reproduce its events byte for byte.  The pulsed engine was rewritten to
-draw only for the photons that exist, which changes its random draws;
-`_reference_pulsed_batch` is the engine as it was before, and the
-rewrite must reproduce its counts and heralded contrast within
-statistical bounds.
+only concatenates batches.  Both the cw attempt loop and the pulsed
+engine were rewritten to draw only for what can be recorded, which
+changes their random draws, so each is checked against a frozen copy of
+the engine it replaced.  `_reference_cw_batch` is the cw loop that
+drew every quantity for every segment in every round; the rewrite must
+reproduce its attempt, emission and recorded counts, and its RR and RL
+pair correlations, within statistical bounds.  `_reference_pulsed_batch`
+is the pulsed engine that drew for every shot; the rewrite must
+reproduce its counts and heralded contrast within statistical bounds.
+At zero field with quiet noise the cw engine has a closed form, which
+both cw loops must meet.
 
 The heralded sweep bins each batch's recorded photons straight into its
 R and L maps (`count_photon_maps`); those maps must equal `count_map2d`
@@ -26,11 +28,12 @@ from hypothesis import strategies as st
 
 from trionsim import montecarlo
 from trionsim.core import DeviceParams, NoiseModel, NoiseTarget, Pol
-from trionsim.correlator import MAP_BIN_S, count_map2d, count_photon_maps
+from trionsim.correlator import (MAP_BIN_S, correlate_cw, count_map2d,
+                                 count_photon_maps)
 from trionsim.dynamics import addressed_z, precessed_z, r_probability
 from trionsim.montecarlo import (CW_REDRAW_WINDOW_S, LIFETIME_BATCH,
-                                 ProtocolConfig, ProtocolKind, _cw_batch,
-                                 _detect, _exc_sign, _make_events,
+                                 EventStream, ProtocolConfig, ProtocolKind,
+                                 _cw_batch, _detect, _make_events,
                                  _merge_photons, _pulsed_batch, batch_tasks,
                                  pulsed_photons, run, run_batch)
 from trionsim.pipelines import sliced_docp
@@ -38,7 +41,14 @@ from trionsim.rng import substream
 
 
 def _reference_cw_batch(device, config, batch_index, start_seg, n):
-    """Lockstep continuous-excitation segments.
+    """The cw engine before it stepped only live segments: every round
+    draws every quantity for all n rows.  Kept as it was, except that
+    the addressed-state sign comes from `dynamics.addressed_z` and the
+    diagnostics also carry each segment's attempt and emission counts,
+    for the comparison below; its events come back in (attempt round,
+    segment) order.
+
+    Lockstep continuous-excitation segments.
 
     Poisson excitation attempts at pump_rate succeed with probability
     p_mem * (population of the addressed hole state); a success puts the
@@ -58,7 +68,7 @@ def _reference_cw_batch(device, config, batch_index, start_seg, n):
     f_e, f_h = device.f_e_hz, device.f_h_hz
     seg_len = config.segment_length_s
     pump = config.pump_rate_hz
-    s_addr = _exc_sign(config.exc_pols[0])
+    s_addr = addressed_z(config.exc_pols[0])
     win = CW_REDRAW_WINDOW_S
     n_win = int(math.ceil(seg_len / win)) + 1
     ground_noise = device.noise.affects_ground
@@ -86,6 +96,7 @@ def _reference_cw_batch(device, config, batch_index, start_seg, n):
     ev_shot, ev_code, ev_time = [], [], []
     attempts = 0
     emissions = 0
+    seg_attempts = np.zeros(n, dtype=np.int64)
     guard = int(3.0 * seg_len * pump + 10.0 * math.sqrt(seg_len * pump) + 200)
     for _ in range(guard):
         if not active.any():
@@ -112,6 +123,7 @@ def _reference_cw_batch(device, config, batch_index, start_seg, n):
             ev_time.append(t_em[idx])
             emissions += idx.size
         attempts += int(np.count_nonzero(active))
+        seg_attempts += active
         # a success consumes the hole until the emission re-creates it
         t_clock = np.where(success, t_em, np.where(active, t_att, t_clock))
         t_reset = np.where(success, t_em, t_reset)
@@ -137,7 +149,9 @@ def _reference_cw_batch(device, config, batch_index, start_seg, n):
     times = shots * stride + t_in_seg
     events = _make_events(shots[keep], ch[keep], proj[keep], times[keep])
     return events, {"n_shots": n, "n_attempts": attempts,
-                    "n_emitted": emissions}
+                    "n_emitted": emissions,
+                    "per_segment": (seg_attempts,
+                                    np.bincount(seg_idx, minlength=n))}
 
 
 def _reference_pulsed_batch(device, config, batch_index, start_shot, n):
@@ -235,19 +249,113 @@ _CW_CASES = {
 }
 
 
+def _segment_pair_counts(events, pairing, edges, first_seg, n):
+    """RR or RL pair counts of each segment, shape (n, bins), for events
+    in (segment, time) order: pairs never cross a segment, so the rows
+    sum to the `correlate_cw` histogram over the same edges."""
+    proj = int(Pol.R if pairing == "RR" else Pol.L)
+    mine = events["projection"] == proj
+    ev0 = events[mine & (events["channel"] == 0)]
+    t0, t1 = ev0["time"], events["time"][mine & (events["channel"] == 1)]
+    lo = np.searchsorted(t1, t0 + edges[0], side="left")
+    m = np.searchsorted(t1, t0 + edges[-1], side="right") - lo
+    i0 = np.repeat(np.arange(t0.size), m)
+    j = np.repeat(lo - (np.cumsum(m) - m), m) + np.arange(i0.size)
+    bins = np.searchsorted(edges, t1[j] - t0[i0], side="right") - 1
+    ok = (bins >= 0) & (bins < edges.size - 1)
+    seg = ev0["shot"][i0[ok]].astype(np.int64) - first_seg
+    nb = edges.size - 1
+    return np.bincount(seg * nb + bins[ok], minlength=n * nb).reshape(n, nb)
+
+
+def _cw_pair_moments(device, config, events, first_seg, n):
+    """Summed RR and RL `correlate_cw` counts (1 ns bins over +/-30 ns)
+    and their variances, n times the per-segment sample variance of each
+    bin."""
+    stream = EventStream(events, device, config)
+    totals, variances = [], []
+    for pairing in ("RR", "RL"):
+        hist = correlate_cw(stream, pairing, window_s=30e-9, bin_s=1e-9)
+        per_seg = _segment_pair_counts(events, pairing, hist.bin_edges,
+                                       first_seg, n)
+        assert np.array_equal(per_seg.sum(axis=0), hist.counts)
+        totals.append(hist.counts)
+        variances.append(n * per_seg.var(axis=0, ddof=1))
+    return np.concatenate(totals), np.concatenate(variances)
+
+
 @pytest.mark.parametrize("pump, seg_len", [(5e7, 2e-6), (4e8, 5e-7)])
 @pytest.mark.parametrize("case", sorted(_CW_CASES))
 def test_cw_batch_matches_reference_loop(case, pump, seg_len):
     noise, options = _CW_CASES[case]
     device = _device(noise)
-    config = ProtocolConfig.cw(300, 77, pump_rate_hz=pump,
+    n, first = 1024, 8192
+    config = ProtocolConfig.cw(n, 77, pump_rate_hz=pump,
                                segment_length_s=seg_len, **options)
     # batch 1 of a run, so the shot offset enters the event times
-    events, diag = _cw_batch(device, config, 1, 8192, 300)
-    ref_events, ref_diag = _reference_cw_batch(device, config, 1, 8192, 300)
-    assert ref_events.shape[0] > 100
-    assert events.tobytes() == _lexsorted(ref_events).tobytes()
-    assert diag == ref_diag
+    events, diag = _cw_batch(device, config, 1, first, n)
+    ref_events, ref_diag = _reference_cw_batch(device, config, 1, first, n)
+    ref_events = _lexsorted(ref_events)
+    assert diag["n_shots"] == ref_diag["n_shots"] == n
+    # The two loops simulate the same independent segments, so under the
+    # hypothesis checked here a count has the same per-segment variance
+    # s^2 in both, and the difference of the two n-segment totals has
+    # variance 2 n s^2; s^2 is the frozen loop's per-segment sample
+    # variance.  Allow 5 sigma of the difference.
+    recorded = np.bincount(ref_events["shot"] - first, minlength=n)
+    for key, per_seg, new in (
+            ("n_attempts", ref_diag["per_segment"][0], diag["n_attempts"]),
+            ("n_emitted", ref_diag["per_segment"][1], diag["n_emitted"]),
+            ("recorded", recorded, events.shape[0])):
+        ref = int(per_seg.sum())
+        bound = 5.0 * math.sqrt(2.0 * n * per_seg.var(ddof=1))
+        assert abs(new - ref) <= bound, (key, new, ref, bound)
+    assert ref_diag["n_attempts"] == int(ref_diag["per_segment"][0].sum())
+    # RR and RL pair correlations, bin by bin where both sides hold >= 20
+    # pairs: chi^2 over the k bins at most k + 5 sqrt(2k), each side's
+    # variance taken from its own per-segment counts
+    c_new, v_new = _cw_pair_moments(device, config, events, first, n)
+    c_ref, v_ref = _cw_pair_moments(device, config, ref_events, first, n)
+    both = (c_new >= 20) & (c_ref >= 20)
+    k = int(np.count_nonzero(both))
+    assert k >= 30
+    chi2 = float(np.sum((c_new - c_ref)[both] ** 2
+                        / (v_new + v_ref)[both]))
+    assert chi2 <= k + 5.0 * math.sqrt(2.0 * k), (chi2, k)
+
+
+@pytest.mark.parametrize("engine", [_cw_batch, _reference_cw_batch],
+                         ids=["engine", "reference"])
+def test_cw_zero_field_closed_form(engine):
+    # No field and quiet noise: nothing precesses, and the trion always
+    # decays back to the addressed hole state.  A segment whose hole
+    # starts opposite to the pump never succeeds; one that starts on it
+    # is a renewal process of an exponential wait for a success (rate
+    # pump * p_mem) plus an exponential decay (T1), and every attempt
+    # falls in the ground time seg_len - (emissions) * T1.
+    device = _device(NoiseModel.quiet(), b_x_t=0.0)
+    n, pump = 2048, 1e8
+    config = ProtocolConfig.cw(n, 29, pump_rate_hz=pump)
+    seg_len, t1 = config.segment_length_s, device.t1_s
+    events, diag = engine(device, config, 0, 0, n)
+    # the default channels split R/L at efficiency 1: every photon counts
+    assert events.shape[0] == diag["n_emitted"]
+    emitted = np.bincount(events["shot"], minlength=n)
+    bright = emitted[emitted > 0]
+    assert abs(n - 2 * bright.size) <= 5.0 * math.sqrt(n)
+    # renewal count: mean seg_len / (mean cycle), up to an edge term of
+    # -ab/(a + b)^2 > -0.03 photons, far inside the bound
+    cycle = 1.0 / (pump * device.p_mem) + t1
+    assert abs(bright.mean() - seg_len / cycle) <= \
+        5.0 * bright.std(ddof=1) / math.sqrt(bright.size)
+    # attempts are Poisson at the pump rate over each segment's ground
+    # time, whose variance is about T1^2 (mean + variance of emissions)
+    mean_emitted = diag["n_emitted"] / n
+    var_attempts = diag["n_attempts"] / n + (pump * t1) ** 2 * (
+        mean_emitted + emitted.var(ddof=1))
+    expected = n * pump * (seg_len - mean_emitted * t1)
+    assert abs(diag["n_attempts"] - expected) <= \
+        5.0 * math.sqrt(n * var_attempts)
 
 
 _KINDS = {

@@ -419,3 +419,23 @@ def test_cli_pipeline_refuses_a_scale_that_is_not_finite_and_positive(
     assert err.startswith("config error: scale:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option", [["--workers", "0"], ["--seed", "-5"],
+                                    ["--scale", "1e300"]])
+def test_cli_pipeline_that_fails_validation_leaves_no_directory(
+        tmp_path, capsys, option):
+    # each is refused once the preset builds its config, after the output
+    # directory was made: the directories this call created must go, and
+    # one that was already there must stay with its contents
+    out = tmp_path / "new" / "out"
+    assert main(["pipeline", "fig1d", *option, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "new").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "note.txt").write_text("mine")
+    assert main(["pipeline", "fig1d", *option, "-o", str(kept)]) == 2
+    assert [p.name for p in kept.iterdir()] == ["note.txt"]
