@@ -526,7 +526,7 @@ def _cw_batch(device, config, batch_index, start_seg, n):
     seg = np.arange(n, dtype=np.uint16)
     base = np.arange(n) * n_win
     clock, ref = np.zeros(n), np.zeros(n)
-    amp = s_addr * np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    amp = s_addr * np.where(rng.random(n) < 0.5, -1.0, 1.0)
     signs = np.array([-s_addr, s_addr])  # amp after an L, an R emission
 
     # emissions in round order, in buffers that double when full

@@ -9,7 +9,6 @@ datasets plus a summary table (configured vs recovered vs reference).
 from __future__ import annotations
 
 import math
-import shutil
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -104,9 +103,9 @@ def run_pipeline(name: str, outdir, seed: int = 20260815, scale: float = 1.0,
     if not 0.0 < scale < math.inf:
         raise ConfigError(f"scale: {scale} is not a finite number > 0")
     outdir = Path(outdir)
-    # a run that fails removes the directories it created
-    created = next((d for d in reversed((outdir, *outdir.parents))
-                    if not d.exists()), None)
+    # the directories this call makes, deepest first: a run that fails
+    # removes those that it left empty
+    made = [d for d in (outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         rows, files = PRESETS[name](outdir, seed, scale, workers)
@@ -118,8 +117,11 @@ def run_pipeline(name: str, outdir, seed: int = 20260815, scale: float = 1.0,
                   ((r.preset, r.quantity, r.configured, r.recovered,
                     r.sigma, r.reference) for r in rows))
     except BaseException:
-        if created is not None:
-            shutil.rmtree(created, ignore_errors=True)
+        for d in made:
+            try:
+                d.rmdir()
+            except OSError:
+                break
         raise
     files.append(str(summary))
     return PipelineResult(name, rows, files)

