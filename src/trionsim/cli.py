@@ -15,16 +15,16 @@ from typing import NamedTuple
 import numpy as np
 
 from . import montecarlo
-from .correlator import (CW_BIN_S, LIFETIME_BIN_S, DocpTrace, docp,
-                         plateau_normalized, write_docp_csv)
+from .correlator import (CW_BIN_S, LIFETIME_BIN_S, DocpTrace, build_map2d,
+                         docp, plateau_normalized, write_docp_csv)
 from .events_io import compat_digest, read_events, write_events
 from .fitkit import fit_damped_cosine, fit_linear_zeeman, format_fit_report
 from .montecarlo import ProtocolKind
 from .pipelines import (PRESETS, T1_SLICE_S, T1_SLICE_TOL_S,
                         T2_FIT_WINDOW_S, beat_fit, cw_histograms,
-                        delay_sweep_fits, digest_meta, herald_maps,
-                        lifetime_traces, run_pipeline, sliced_docp,
-                        write_delay_csv, write_g2_csv, write_herald_maps)
+                        delay_sweep_fits, digest_meta, lifetime_traces,
+                        run_pipeline, sliced_docp, write_delay_csv,
+                        write_g2_csv, write_herald_maps)
 from .scenarios import AnalysisOptions, ConfigError, load_scenario
 
 EXIT_OK = 0
@@ -215,7 +215,7 @@ def _slicing(opts):
 
 
 def _analyze_pulsed(stream, opts, outdir) -> int:
-    map_r, map_l = herald_maps(stream)
+    map_r, map_l = build_map2d(stream)
     meta = digest_meta(stream)
     path, _ = write_herald_maps(outdir, map_r, map_l, meta)
     trace = sliced_docp(map_r, map_l, *_slicing(opts))
@@ -248,7 +248,7 @@ def _analyze_delay_sweep(streams, opts, outdir) -> int:
             raise ConfigError(
                 f"{stream.config.kind.value} analysis takes exactly one file")
         return _SweepPoint(stream.config.pulse_delay_s, stream.content_digest,
-                           sliced_docp(*herald_maps(stream), *slicing))
+                           sliced_docp(*build_map2d(stream), *slicing))
 
     points = list(map(sweep_point, streams))
     meta = digest_meta(*points)

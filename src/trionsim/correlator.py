@@ -3,6 +3,13 @@
 All binning is half-open [edge_i, edge_{i+1}); a value exactly on the
 last edge is dropped.  This makes pair counting exactly reproducible,
 merge-associative, and invariant under bin refinement.
+
+The reducers rely on the order of every stream where it enters
+(`montecarlo.run` builds it, `events_io.read_events` checks it): records
+in (shot, time) order, each time at or after its shot's start and, for
+cw, before the next segment's.  So `count_map2d` pairs a shot's adjacent
+records in one pass, and `correlate_cw` takes each channel's times as
+sorted.
 """
 from __future__ import annotations
 
@@ -188,12 +195,13 @@ def correlate_cw(stream: EventStream, pairing: str, window_s: float,
     if pairing not in ("RR", "RL"):
         raise ValueError("pairing must be 'RR' or 'RL'")
     proj = Pol.R if pairing == "RR" else Pol.L
-    if stream.config.kind is ProtocolKind.CW_G2 and \
-            window_s > stream.config.segment_length_s:
+    if stream.config.kind is not ProtocolKind.CW_G2:
+        raise ValueError("cw correlations need a cw_g2 stream")
+    if window_s > stream.config.segment_length_s:
         raise ValueError("window exceeds the segment length")
     edges = _window_edges(window_s, bin_s)
-    t0 = np.sort(stream.times(channel=0, projection=proj))
-    t1 = np.sort(stream.times(channel=1, projection=proj))
+    t0 = stream.times(channel=0, projection=proj)
+    t1 = stream.times(channel=1, projection=proj)
     if t0.size == 0 or t1.size == 0:
         z = np.zeros(edges.size - 1, dtype=np.int64)
         return Histogram1D(edges, z, np.sqrt(z), is_empty=True)
@@ -265,56 +273,47 @@ def lifetime_docp_trace(stream: EventStream, bin_s: float = LIFETIME_BIN_S,
     return docp(*lifetime_histograms(stream, bin_s, span_s))
 
 
-def build_map2d(stream: EventStream, t1_edges=None, t2_edges=None,
-                ch2_projection=None) -> Map2D:
-    """Correlate photon-1 (channel 0) and photon-2 (channel 1) times.
+def build_map2d(stream: EventStream, t1_edges=None, t2_edges=None) -> tuple:
+    """The R and L two-photon maps (`count_map2d`) of a whole stream."""
+    return count_map2d(stream.events, stream.config, stream.config.n_shots,
+                       t1_edges, t2_edges)
+
+
+def count_map2d(events: np.ndarray, config, n_shots: int,
+                t1_edges=None, t2_edges=None) -> tuple:
+    """The R and L maps of the events of `n_shots` shots of a run with
+    `config`, in (shot, time) order, paired in one pass.
 
     t1 is the channel-0 click time after pulse 1, t2 the channel-1 click
-    time after pulse 2.  Shots with anything other than exactly one
-    click per channel are dropped and tallied.  `ch2_projection`
-    restricts channel-1 clicks to one projection label first, which is
-    how the per-polarization maps are built.
-    """
-    return count_map2d(stream.events, stream.config, 0, stream.config.n_shots,
-                       t1_edges, t2_edges, ch2_projection)
-
-
-def count_map2d(events: np.ndarray, config, first_shot: int, n_shots: int,
-                t1_edges=None, t2_edges=None, ch2_projection=None) -> Map2D:
-    """`build_map2d` of the events of shots [first_shot, first_shot +
-    n_shots) of a run with `config`, in any order.
-
-    Maps of disjoint shot ranges add up (`Map2D.__add__`) to the map of
-    their union, so each engine batch can be reduced on its own.
+    time after pulse 2, and the channel-1 click's projection picks the
+    map.  A shot is used when it has exactly two records, one on each
+    channel; every other shot is dropped and tallied.  Maps of disjoint
+    shot ranges add up (`Map2D.__add__`) to the map of their union, so
+    each engine batch can be reduced on its own.
     """
     if config.kind is not ProtocolKind.PULSED_2PC:
         raise ValueError("two-photon maps need a pulsed_2pc stream")
-    shot = events["shot"]
-    idx = shot.astype(np.int64) - first_shot
-    m0 = events["channel"] == 0
-    m1 = events["channel"] == 1
-    if ch2_projection is not None:
-        m1 &= events["projection"] == int(Pol(ch2_projection))
-    c0 = np.bincount(idx[m0], minlength=n_shots)
-    c1 = np.bincount(idx[m1], minlength=n_shots)
-    used = (c0 == 1) & (c1 == 1)
-    # scatter each used shot's two clicks to its shot index, which aligns
-    # them shot by shot whatever the event order
-    t1 = np.empty(n_shots)
-    t2 = np.empty(n_shots)
-    keep0 = m0 & used[idx]
-    keep1 = m1 & used[idx]
-    t1[idx[keep0]] = events["time"][keep0] - shot[keep0] * config.rep_period_s
-    t2[idx[keep1]] = (events["time"][keep1] - shot[keep1] * config.rep_period_s
-                      - config.pulse_delay_s)
-    return _pair_map(t1[used], t2[used], n_shots, t1_edges, t2_edges)
+    shot, ch = events["shot"], events["channel"]
+    # the first record of each shot's run of records, then the end
+    starts = np.concatenate(
+        ([0], np.flatnonzero(shot[1:] != shot[:-1]) + 1, [shot.size]))
+    first = starts[:-1][np.diff(starts) == 2]
+    i0 = first + (ch[first] != 0)
+    i1 = first + (ch[first] == 0)
+    apart = (ch[i0] == 0) & (ch[i1] == 1)
+    i0, i1 = i0[apart], i1[apart]
+    t1 = events["time"][i0] - shot[i0] * config.rep_period_s
+    t2 = (events["time"][i1] - shot[i1] * config.rep_period_s
+          - config.pulse_delay_s)
+    return _pair_maps(t1, t2, events["projection"][i1], n_shots,
+                      t1_edges, t2_edges)
 
 
 def count_photon_maps(photon1, photon2, config, first_shot: int,
                       n_shots: int) -> tuple:
-    """The R and L maps (`count_map2d` with `ch2_projection` R, then L)
-    of one pulsed batch, taken from its recorded photons 1 and 2 as
-    `montecarlo.pulsed_photons` returns them, with no events built.
+    """The R and L maps (`count_map2d`) of one pulsed batch, taken from
+    its recorded photons 1 and 2 as `montecarlo.pulsed_photons` returns
+    them, with no events built.
 
     A shot has exactly one click per channel when both its photons are
     recorded on different channels; the channel-1 photon's projection
@@ -340,13 +339,13 @@ def count_photon_maps(photon1, photon2, config, first_shot: int,
     t1 = np.where(first_on_0, w1, w2)
     t2 = np.where(first_on_0, w2, w1) - config.pulse_delay_s
     proj = np.where(first_on_0, proj2[j], proj1[i])
-    return tuple(_pair_map(t1[sel], t2[sel], n_shots)
-                 for sel in (proj == int(Pol.R), proj == int(Pol.L)))
+    return _pair_maps(t1, t2, proj, n_shots)
 
 
-def _pair_map(t1, t2, n_shots, t1_edges=None, t2_edges=None) -> Map2D:
-    """Map of the (t1, t2) pairs of the shots used out of `n_shots`; edges
-    left as None take the MAP_BIN_S grid over [0, MAP_SPAN_S]."""
+def _pair_maps(t1, t2, proj, n_shots, t1_edges=None, t2_edges=None) -> tuple:
+    """The R and L maps of the (t1, t2) pairs of the shots used out of
+    `n_shots`, each pair in the map of its channel-1 projection `proj`;
+    edges left as None take the MAP_BIN_S grid over [0, MAP_SPAN_S]."""
     default = MAP_BIN_S * np.arange(0, int(round(MAP_SPAN_S / MAP_BIN_S)) + 1)
     t1_edges = default if t1_edges is None else np.asarray(t1_edges, float)
     t2_edges = default if t2_edges is None else np.asarray(t2_edges, float)
@@ -354,14 +353,17 @@ def _pair_map(t1, t2, n_shots, t1_edges=None, t2_edges=None) -> Map2D:
     k2 = np.searchsorted(t2_edges, t2, side="right") - 1
     n1, n2 = t1_edges.size - 1, t2_edges.size - 1
     ok = (k1 >= 0) & (k1 < n1) & (k2 >= 0) & (k2 < n2)
-    flat = np.bincount(k1[ok] * n2 + k2[ok], minlength=n1 * n2)
-    counts = flat.reshape(n1, n2).astype(np.int64)
-    diag = {
-        "shots_used": int(t1.size),
-        "shots_dropped": int(n_shots - t1.size),
-        "pairs_in_range": int(np.count_nonzero(ok)),
-    }
-    return Map2D(t1_edges, t2_edges, counts, diag)
+    flat = k1 * n2 + k2
+
+    def one(mine):
+        hit = mine & ok
+        counts = np.bincount(flat[hit], minlength=n1 * n2)
+        used = int(np.count_nonzero(mine))
+        return Map2D(t1_edges, t2_edges,
+                     counts.reshape(n1, n2).astype(np.int64),
+                     {"shots_used": used, "shots_dropped": int(n_shots - used),
+                      "pairs_in_range": int(np.count_nonzero(hit))})
+    return one(proj == int(Pol.R)), one(proj == int(Pol.L))
 
 
 def slice_map(map2d: Map2D, t1_fixed: float,

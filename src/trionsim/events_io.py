@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from .core import ConfigError, DeviceParams, check_keys
-from .montecarlo import EVENT_DTYPE, EventStream, ProtocolConfig
+from .montecarlo import EVENT_DTYPE, EventStream, ProtocolConfig, ProtocolKind
 
 MAGIC = b"TRIONSIM-EVENTS 2\n"
 _CSV_MAGIC = b"# trionsim-events 2\n"
@@ -25,6 +25,8 @@ _CSV_MAGIC = b"# trionsim-events 2\n"
 _CSV_COLUMNS = b"shot,channel,projection,time_s\n"
 _CSV_ROW = "%d,%d,%d,%.17g\n"
 _CSV_CHUNK = 2048  # rows formatted per call
+
+_CHECK_BLOCK = 65536  # records checked per vectorised pass
 
 _TRAILER = "# sha256 = {}\n"
 _TRAILER_LEN = len(_TRAILER.format("0" * 64))
@@ -103,7 +105,9 @@ def read_events(path) -> EventStream:
             header, events = _parse(fh, magic == MAGIC, end)
         except ValueError as exc:
             raise ValueError(f"{path}: unreadable body ({exc})") from exc
-    return _assemble(header, events, path)
+    stream = _assemble(header, events, path)
+    _check_records(stream, path)
+    return stream
 
 
 def _signed_length(fh, path) -> int:
@@ -158,3 +162,58 @@ def _assemble(header: dict, events: np.ndarray, name) -> EventStream:
     except ConfigError as exc:
         raise ValueError(f"{name}: malformed header ({exc})") from exc
     return stream
+
+
+def _check_records(stream: EventStream, name) -> None:
+    """Refuse the first record that its header rules out, a block at a
+    time: a shot past `n_shots`, a (channel, projection) that is not a
+    channel of `det_pols` and one of its labels, a time that is not finite
+    or is before its shot's start (or, for cw, at or past the next
+    segment's start), or a record out of (shot, time) order.
+
+    A shot starts at shot * stride, the engine's own expression, so that
+    start + tau never rounds below it.  Only cw times are bounded above:
+    a decay delay may carry a lifetime or pulsed photon past the next
+    shot's start.
+    """
+    config = stream.config
+    cw = config.kind is ProtocolKind.CW_G2
+    stride = 2.0 * config.segment_length_s if cw else config.rep_period_s
+    # allowed[256 * channel + projection]
+    allowed = np.zeros(256 * 256, dtype=bool)
+    for ch, pols in enumerate(config.det_pols):
+        allowed[[256 * ch + int(p) for p in pols]] = True
+    events = stream.events
+    for lo in range(0, len(events), _CHECK_BLOCK):
+        # from the record before the block on, for the order check
+        first = max(lo - 1, 0)
+        block = events[first:lo + _CHECK_BLOCK]
+        # aligned copies of the packed fields, which the checks read often
+        shot = block["shot"].astype(np.int64)
+        time = block["time"].copy()
+        later = np.zeros(block.size, dtype=bool)
+        later[1:] = (shot[1:] < shot[:-1]) | (
+            (shot[1:] == shot[:-1]) & (time[1:] < time[:-1]))
+        checks = [
+            (shot >= config.n_shots, f"shot past n_shots = {config.n_shots}"),
+            (~allowed.take(256 * block["channel"].astype(np.intp)
+                           + block["projection"]),
+             "channel or projection not in det_pols"),
+            (~np.isfinite(time), "time not finite"),
+            (time < shot * stride, "time before its shot's start"),
+            (later, "out of (shot, time) order"),
+        ]
+        if cw:
+            checks.append((time >= (shot + 1.0) * stride,
+                           "time past its segment's stride"))
+        bad = np.zeros(block.size, dtype=bool)
+        for mask, _ in checks:
+            bad |= mask
+        if bad.any():
+            k = int(np.argmax(bad))
+            reason = next(why for mask, why in checks if mask[k])
+            rec = block[k]
+            raise ValueError(
+                f"{name}: record {first + k} (shot {rec['shot']}, channel "
+                f"{rec['channel']}, projection {rec['projection']}, time "
+                f"{rec['time']:.17g} s): {reason}")

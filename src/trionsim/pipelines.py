@@ -17,7 +17,7 @@ import numpy as np
 
 from . import montecarlo
 from .core import (ConfigError, DeviceParams, MU_B_EV_PER_T, NoiseModel,
-                   PLANCK_EV_S, Pol, larmor_frequency)
+                   PLANCK_EV_S, larmor_frequency)
 from .correlator import (CW_BIN_S, build_map2d, correlate_cw,
                          count_photon_maps, docp, lifetime_docp_trace,
                          lifetime_histograms, plateau_normalized, slice_map,
@@ -377,12 +377,6 @@ def _pulsed_device() -> DeviceParams:
                    noise=NoiseModel.lorentzian_from_t2star(REF_T2STAR_S))
 
 
-def herald_maps(stream):
-    """Two-photon maps with the readout photon projected on R and on L."""
-    return (build_map2d(stream, ch2_projection=Pol.R),
-            build_map2d(stream, ch2_projection=Pol.L))
-
-
 def write_herald_maps(outdir, map_r, map_l, meta) -> list:
     paths = [outdir / "fig3b_map.csv", outdir / "fig3b_map_rl.csv"]
     for path, map2d in zip(paths, (map_r, map_l)):
@@ -401,7 +395,7 @@ def _run_fig3b(outdir, seed, scale, workers):
     config = ProtocolConfig.pulsed(n_shots=_n_of(scale, 2_400_000),
                                    rng_seed=seed, pulse_delay_s=1.6e-9)
     stream = montecarlo.run(device, config, workers=workers)
-    map_r, map_l = herald_maps(stream)
+    map_r, map_l = build_map2d(stream)
     paths = write_herald_maps(outdir, map_r, map_l, digest_meta(stream))
     fit = beat_fit(sliced_docp(map_r, map_l))
     f_e = device.f_e_hz
@@ -446,7 +440,7 @@ def delay_sweep_grid() -> np.ndarray:
 
 
 def _batch_herald_maps(task):
-    """`herald_maps` of one engine batch, binned where the batch ran
+    """`build_map2d` of one engine batch, binned where the batch ran
     straight from its recorded photons."""
     _, config, _, start, count = task
     photon1, photon2, _ = montecarlo.pulsed_photons(task)
@@ -460,7 +454,7 @@ def heralded_sweep(device, delays, n_shots, seed, workers=None):
     The batches of all delays go to one process pool.  Each worker bins
     its batch's recorded photons straight into the R and L maps
     (`count_photon_maps`), so no event record is built and only maps
-    reach the parent; they sum to those of `herald_maps` on the delay's
+    reach the parent; they sum to those of `build_map2d` on the delay's
     whole stream.
     """
     configs = [ProtocolConfig.pulsed(n_shots=n_shots,

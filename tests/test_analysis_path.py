@@ -9,7 +9,7 @@ import pytest
 
 from trionsim.cli import main
 from trionsim.core import DeviceParams, NoiseModel
-from trionsim.correlator import DocpTrace, write_docp_csv
+from trionsim.correlator import DocpTrace, build_map2d, write_docp_csv
 from trionsim.events_io import read_events
 from trionsim.fitkit import fit_damped_cosine
 from trionsim.rng import derive_seed
@@ -17,8 +17,8 @@ from trionsim.montecarlo import ProtocolConfig, run
 from trionsim.pipelines import (G_E, P_MEM, REF_G_H_CW, REF_G_H_PULSED,
                                 REF_T2STAR_S, REF_TAU_CW_S, T1_S,
                                 T1_SLICE_TOL_S, T2_FIT_WINDOW_S, digest_meta,
-                                fit_heralded_sweep, herald_maps,
-                                heralded_sweep, run_pipeline, sliced_docp)
+                                fit_heralded_sweep, heralded_sweep,
+                                run_pipeline, sliced_docp)
 from trionsim.scenarios import (AnalysisOptions, FitOptions, OutputOptions,
                                 Scenario, save_scenario)
 
@@ -124,7 +124,7 @@ def test_analyze_honours_an_explicit_zero_t1_slice(tmp_path):
     stream = read_events(next((tmp_path / "events").iterdir()))
     expected = tmp_path / "expected.csv"
     write_docp_csv(expected,
-                   sliced_docp(*herald_maps(stream), 0.0, T1_SLICE_TOL_S),
+                   sliced_docp(*build_map2d(stream), 0.0, T1_SLICE_TOL_S),
                    digest_meta(stream))
     assert (out / "fig3b_slice_docp.csv").read_bytes() == \
         expected.read_bytes()
@@ -161,7 +161,7 @@ def test_heralded_sweep_matches_per_delay_streams(workers):
         stream = run(device, ProtocolConfig.pulsed(
             n_shots=70_000, rng_seed=derive_seed(SEED, "dt", i),
             pulse_delay_s=dt))
-        map_r, map_l = herald_maps(stream)
+        map_r, map_l = build_map2d(stream)
         ref = sliced_docp(map_r, map_l)
         for name in ("times", "values", "errors", "n_total", "valid"):
             assert getattr(traces[i], name).tobytes() == \

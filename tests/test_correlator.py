@@ -120,6 +120,9 @@ def test_correlate_validation():
         correlate_cw(stream, "RR", window_s=5e-9, bin_s=0.0)
     with pytest.raises(ValueError):
         correlate_cw(stream, "RR", window_s=2.0)
+    with pytest.raises(ValueError, match="cw_g2"):
+        correlate_cw(_make_stream([[0.0], [1e-9]], kind="pulsed"), "RR",
+                     window_s=5e-9)
     empty = _make_stream([[], []])
     hist = correlate_cw(empty, "RR", window_s=5e-9, bin_s=1e-9)
     assert hist.is_empty and hist.total == 0
@@ -200,8 +203,8 @@ def test_map2d_single_pair():
     events["time"] = (t1, delay + t2)
     config = ProtocolConfig.pulsed(1, 1, pulse_delay_s=delay)
     stream = EventStream(events, _device(), config)
-    m = build_map2d(stream)
-    assert m.counts.sum() == 1
+    m, m_l = build_map2d(stream)
+    assert m.counts.sum() == 1 and m_l.counts.sum() == 0
     i, j = np.nonzero(m.counts)
     assert m.t1_edges[i[0]] <= t1 < m.t1_edges[i[0] + 1]
     assert m.t2_edges[j[0]] <= t2 < m.t2_edges[j[0] + 1]
@@ -220,7 +223,7 @@ def test_map2d_drops_ambiguous_shots():
         events[k] = (shot, ch, int(Pol.R), shot * 12.5e-9 + t)
     config = ProtocolConfig.pulsed(3, 1, pulse_delay_s=delay)
     stream = EventStream(events, _device(), config)
-    m = build_map2d(stream)
+    m, _ = build_map2d(stream)
     assert m.diagnostics["shots_used"] == 1
     assert m.diagnostics["shots_dropped"] == 2
     assert m.counts.sum() == 1
@@ -228,36 +231,45 @@ def test_map2d_drops_ambiguous_shots():
         build_map2d(run(_device(), ProtocolConfig.lifetime(64, 1)))
 
 
+def test_map2d_pairs_each_shot_of_exactly_two_records():
+    # a shot is used when its two adjacent records are one per channel,
+    # whichever comes first; a third record on either channel drops it
+    delay = 0.2e-9
+    rows = [
+        (0, 1, int(Pol.L), 0.5e-9), (0, 0, int(Pol.R), 0.9e-9),  # used
+        (1, 0, int(Pol.R), 0.1e-9), (1, 1, int(Pol.R), 0.5e-9),
+        (1, 1, int(Pol.L), 0.7e-9),                    # 2 on ch1
+        (2, 1, int(Pol.R), 0.3e-9), (2, 1, int(Pol.L), 0.4e-9),  # no ch0
+    ]
+    events = np.zeros(len(rows), dtype=EVENT_DTYPE)
+    for k, (shot, ch, proj, t) in enumerate(rows):
+        events[k] = (shot, ch, proj, shot * 12.5e-9 + t)
+    config = ProtocolConfig.pulsed(4, 1, pulse_delay_s=delay)
+    m_r, m_l = count_map2d(events, config, 4)
+    assert m_r.counts.sum() == 0
+    assert m_l.diagnostics == {"shots_used": 1, "shots_dropped": 3,
+                               "pairs_in_range": 1}
+    i, j = np.nonzero(m_l.counts)
+    assert m_l.t1_edges[i[0]] <= 0.9e-9 < m_l.t1_edges[i[0] + 1]
+    assert m_l.t2_edges[j[0]] <= 0.3e-9 < m_l.t2_edges[j[0] + 1]
+
+
 @pytest.mark.parametrize("projection", [Pol.R, Pol.L])
 def test_map2d_of_batches_sums_to_whole_stream_map(projection):
     # three engine batches, the last one partial; each batch's events
-    # come unsorted straight from the engine
+    # come straight from the engine, in (shot, time) order
     dev = _device(noise=NoiseModel.lorentzian_from_t2star(15.9e-9))
     config = ProtocolConfig.pulsed(150_000, 21, pulse_delay_s=1.6e-9)
     tasks = batch_tasks(dev, config)
     assert len(tasks) == 3
-    parts = [count_map2d(run_batch(t)[0], config, t[3], t[4],
-                         ch2_projection=projection) for t in tasks]
-    whole = build_map2d(run(dev, config), ch2_projection=projection)
+    pick = (Pol.R, Pol.L).index(projection)
+    parts = [count_map2d(run_batch(t)[0], config, t[4])[pick] for t in tasks]
+    whole = build_map2d(run(dev, config))[pick]
     total = parts[0] + parts[1] + parts[2]
     assert np.array_equal(total.counts, whole.counts)
     assert total.counts.dtype == whole.counts.dtype
     assert total.diagnostics == whole.diagnostics
     assert whole.diagnostics["shots_used"] > 0
-
-
-def test_map2d_ignores_event_order():
-    dev = _device()
-    config = ProtocolConfig.pulsed(20_000, 22, pulse_delay_s=1.6e-9)
-    stream = run(dev, config)
-    shuffled = EventStream(
-        stream.events[np.random.default_rng(0).permutation(len(stream))],
-        dev, config)
-    for projection in (None, Pol.R):
-        a = build_map2d(stream, ch2_projection=projection)
-        b = build_map2d(shuffled, ch2_projection=projection)
-        assert np.array_equal(a.counts, b.counts)
-        assert a.diagnostics == b.diagnostics
 
 
 def test_map2d_add_rejects_different_binning():
@@ -282,7 +294,7 @@ def test_map2d_slice_and_marginal():
     for k, (shot, ch, t) in enumerate(rows):
         events[k] = (shot, ch, int(Pol.R), shot * 12.5e-9 + t)
     config = ProtocolConfig.pulsed(3, 1, pulse_delay_s=delay)
-    m = build_map2d(EventStream(events, _device(), config))
+    m, _ = build_map2d(EventStream(events, _device(), config))
     assert m.counts.sum() == 3
     # a 10 ps tolerance keeps only the two shots near t1 = 105 ps
     sliced = slice_map(m, 0.105e-9, tolerance_s=10e-12)

@@ -14,8 +14,8 @@ At zero field with quiet noise the cw engine has a closed form, which
 both cw loops must meet.
 
 The heralded sweep bins each batch's recorded photons straight into its
-R and L maps (`count_photon_maps`); those maps must equal `count_map2d`
-of the batch's events exactly.
+R and L maps (`count_photon_maps`); those maps must equal exactly the R
+and L maps that `count_map2d` pairs from the batch's events.
 """
 
 import itertools
@@ -429,9 +429,8 @@ def _pulsed_totals(batch, device, config):
         totals["photon1"] += diag["recorded"][0]
         totals["photon2"] += diag["recorded"][1]
         totals["n_emitted"] += diag["n_emitted"]
-        batch_maps = [count_map2d(events, config, start, LIFETIME_BATCH,
-                                  t1_edges, t2_edges, ch2_projection=pol)
-                      for pol in (Pol.R, Pol.L)]
+        batch_maps = count_map2d(events, config, LIFETIME_BATCH, t1_edges,
+                                 t2_edges)
         maps = batch_maps if not maps else \
             [a + m for a, m in zip(maps, batch_maps)]
     for key, m in zip(("shots_used_r", "shots_used_l"), maps):
@@ -541,9 +540,8 @@ def test_photon_maps_equal_event_maps(noise, channels):
                 photon1, photon2, _ = pulsed_photons(task)
                 maps = count_photon_maps(photon1, photon2, config, start,
                                          count)
-                for pol, got in zip((Pol.R, Pol.L), maps):
-                    want = count_map2d(events, config, start, count,
-                                       ch2_projection=pol)
+                for got, want in zip(maps,
+                                     count_map2d(events, config, count)):
                     assert got.counts.dtype == want.counts.dtype
                     assert np.array_equal(got.counts, want.counts)
                     assert got.diagnostics == want.diagnostics
@@ -579,8 +577,7 @@ def test_photon_maps_bin_times_as_the_events_hold_them():
                dt + near_edges())
     events = _merge_photons(n, start, config.rep_period_s, photon1, photon2)
     maps = count_photon_maps(photon1, photon2, config, start, n)
-    for pol, got in zip((Pol.R, Pol.L), maps):
-        want = count_map2d(events, config, start, n, ch2_projection=pol)
+    for got, want in zip(maps, count_map2d(events, config, n)):
         assert np.array_equal(got.counts, want.counts)
         assert got.diagnostics == want.diagnostics
     # the case has teeth: binned from the drawn times, some pairs move

@@ -21,7 +21,7 @@ from trionsim.events_io import (
     write_events_binary,
     write_events_csv,
 )
-from trionsim.montecarlo import ProtocolConfig, run
+from trionsim.montecarlo import EVENT_DTYPE, ProtocolConfig, run
 
 # "# sha256 = <64 hex>\n", the last line of every event file
 _TRAILER_LEN = len("# sha256 = \n") + 64
@@ -156,28 +156,39 @@ def test_empty_stream_round_trips(tmp_path):
         assert back.content_digest == empty.content_digest
 
 
-def _edit_header(path, fmt, edit, sign=True):
-    """Rewrite the header block of an event file through `edit(header)`,
+def _edit_file(path, fmt, header=None, records=None, sign=True):
+    """Rewrite the header block of an event file through `header(header)`
+    and its records through `records(events)`, either edit in place,
     then sign the new bytes, or keep the old trailer if `sign` is false."""
     blob = path.read_bytes()
     blob, trailer = blob[:-_TRAILER_LEN], blob[-_TRAILER_LEN:]
     if fmt == "binary":
         end = blob.index(b"\n", len(MAGIC))
-        header = json.loads(blob[len(MAGIC):end])
-        edit(header)
-        blob = MAGIC + json.dumps(header).encode() + blob[end:]
+        head = json.loads(blob[len(MAGIC):end])
+        events = np.frombuffer(blob[end + 1:], dtype=EVENT_DTYPE).copy()
     else:
         first, *rest = blob.decode().splitlines(keepends=True)
-        header = {}
+        head = {}
         for line in rest:
             if line.startswith("# "):
                 key, _, value = line[2:].partition(" = ")
-                header[key] = json.loads(value)
-        edit(header)
+                head[key] = json.loads(value)
+        columns, *rows = (x for x in rest if not x.startswith("#"))
+        events = np.loadtxt(io.StringIO("".join(rows)), dtype=EVENT_DTYPE,
+                            delimiter=",", ndmin=1)
+    if header:
+        header(head)
+    if records:
+        records(events)
+    if fmt == "binary":
+        blob = MAGIC + json.dumps(head).encode() + b"\n" + events.tobytes()
+    else:
         blob = (first
                 + "".join(f"# {k} = {json.dumps(v)}\n"
-                          for k, v in header.items())
-                + "".join(x for x in rest if not x.startswith("#"))).encode()
+                          for k, v in head.items())
+                + columns
+                + "".join("%d,%d,%d,%.17g\n" % tuple(r)
+                          for r in events.tolist())).encode()
     if sign:
         trailer = f"# sha256 = {hashlib.sha256(blob).hexdigest()}\n".encode()
     path.write_bytes(blob + trailer)
@@ -230,7 +241,7 @@ def test_tampered_header_rejected(tmp_path, stream, fmt, capsys):
              "config.pump_rate_hz: not used by lifetime")):
         path = tmp_path / f"events.{fmt}"
         write_events(path, stream, fmt=fmt)
-        _edit_header(path, fmt, edit, sign=edit is not _change_g_e)
+        _edit_file(path, fmt, header=edit, sign=edit is not _change_g_e)
         with pytest.raises(ValueError, match=re.escape(message)) as info:
             read_events(path)
         assert str(path) in str(info.value)
@@ -305,7 +316,7 @@ def test_damaged_event_file_exits_3(stream, fmt, tmp_path_factory, data):
             else:
                 block[key] = data.draw(st.sampled_from(
                     _wrong_types(block[key])))
-        _edit_header(path, fmt, edit, sign=False)
+        _edit_file(path, fmt, header=edit, sign=False)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
@@ -314,3 +325,90 @@ def test_damaged_event_file_exits_3(stream, fmt, tmp_path_factory, data):
     assert err.getvalue().startswith("i/o error: ")
     assert "Traceback" not in err.getvalue()
 
+
+
+def _set_record(k, field, value):
+    def edit(events):
+        events[field][k] = value
+    return edit
+
+
+def _reverse(events):
+    events[:] = events[::-1].copy()
+
+
+def _swap(k):
+    def edit(events):
+        events[[k, k + 1]] = events[[k + 1, k]]
+    return edit
+
+
+_RUNS = {
+    "pulsed": (_device(),
+               ProtocolConfig.pulsed(2000, 3, pulse_delay_s=1.6e-9)),
+    "cw": (_device(b_x_t=0.0375, g_h=0.35),
+           ProtocolConfig.cw(16, 7, pump_rate_hz=1e7, segment_length_s=2e-6)),
+    # one record per shot, over two blocks of the record check
+    "lifetime": (_device(), ProtocolConfig.lifetime(70_000, 4)),
+}
+
+# (run, record edit, the record refused, what the message says of it)
+_RECORD_EDITS = {
+    "pulsed_shot_4e9": ("pulsed", _set_record(5, "shot", 4e9), 5,
+                        "shot past n_shots"),
+    "cw_channel_7": ("cw", _set_record(5, "channel", 7), 5,
+                     "channel or projection not in det_pols"),
+    "cw_projection_200": ("cw", _set_record(5, "projection", 200), 5,
+                          "channel or projection not in det_pols"),
+    "cw_time_nan": ("cw", _set_record(5, "time", np.nan), 5,
+                    "time not finite"),
+    "cw_time_1e300": ("cw", _set_record(5, "time", 1e300), 5,
+                      "time past its segment's stride"),
+    "cw_time_before_start": ("cw", _set_record(0, "time", -1e-9), 0,
+                             "time before its shot's start"),
+    "cw_shot_past_n_shots": ("cw", _set_record(5, "shot", 16), 5,
+                             "shot past n_shots"),
+    "cw_reversed": ("cw", _reverse, 1, "out of (shot, time) order"),
+    "cw_swap": ("cw", _swap(5), 6, "out of (shot, time) order"),
+    "lifetime_swap_across_blocks": ("lifetime", _swap(65535), 65536,
+                                    "out of (shot, time) order"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+@pytest.mark.parametrize("case", sorted(_RECORD_EDITS))
+def test_resigned_record_edit_exits_3(tmp_path, fmt, case, capsys):
+    """A record that its header rules out, or one out of (shot, time)
+    order, in a re-signed file: `analyze` exits 3 and names the record."""
+    kind, edit, k, reason = _RECORD_EDITS[case]
+    path = tmp_path / f"events.{fmt}"
+    write_events(path, run(*_RUNS[kind]), fmt=fmt)
+    _edit_file(path, fmt, records=edit)
+    assert main(["analyze", str(path), "-o", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: {path}: record {k} ")
+    assert reason in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_simulated_files_read_back(tmp_path, fmt):
+    """Every kind of file `simulate` writes reads back as `run` made it,
+    a lifetime run with t1_s = rep_period_s too: over a third of its
+    photons land past the next shot's start, and only cw times are
+    bounded by their shot's stride."""
+    rep = 12.5e-9
+    cases = dict(_RUNS, lifetime=(_device(t1_s=rep),
+                                  ProtocolConfig.lifetime(3000, 9)))
+    for name, (device, config) in cases.items():
+        scenario = tmp_path / f"{name}.json"
+        scenario.write_text(json.dumps({
+            "device": device.to_dict(), "protocol": config.to_dict(),
+            "outputs": {"format": fmt, "prefix": f"{name}_"}}))
+        assert main(["simulate", str(scenario), "-o", str(tmp_path)]) == 0
+        ext = "bin" if fmt == "binary" else "csv"
+        back = read_events(tmp_path / f"{name}_events.{ext}")
+        _assert_streams_equal(back, run(device, config))
+        if name == "lifetime":
+            late = back.events["time"] >= (back.events["shot"] + 1.0) * rep
+            assert np.count_nonzero(late) > 0.3 * len(back)

@@ -226,10 +226,8 @@ def test_pulsed_ensemble_docp_matches_analytic():
     for i, dt in enumerate(delays):
         config = ProtocolConfig.pulsed(1_100_000, 200 + i, pulse_delay_s=dt)
         stream = run(dev, config)
-        n_rr = build_map2d(stream, edges, edges,
-                           ch2_projection=Pol.R).counts[0, 0]
-        n_rl = build_map2d(stream, edges, edges,
-                           ch2_projection=Pol.L).counts[0, 0]
+        n_rr, n_rl = (m.counts[0, 0] for m in build_map2d(stream, edges,
+                                                          edges))
         n = n_rr + n_rl
         assert n >= 100_000
         value = (n_rr - n_rl) / n
