@@ -144,15 +144,43 @@ def cmd_analyze(args) -> int:
     outdir = Path(args.outdir)
     streams = _read_streams(args.events)
     if len(args.events) > 1:
+        _refuse_unread(opts, "delay sweep")
         return _analyze_delay_sweep(streams, opts, outdir)
     stream = next(streams)
+    name, analysis = {
+        ProtocolKind.PULSED_2PC: ("pulsed", _analyze_pulsed),
+        ProtocolKind.CW_G2: ("cw", _analyze_cw),
+    }.get(stream.config.kind, ("lifetime", _analyze_lifetime))
+    _refuse_unread(opts, name)
     outdir.mkdir(parents=True, exist_ok=True)
-    kind = stream.config.kind
-    if kind is ProtocolKind.PULSED_2PC:
-        return _analyze_pulsed(stream, opts, outdir)
-    if kind is ProtocolKind.CW_G2:
-        return _analyze_cw(stream, opts, outdir)
-    return _analyze_lifetime(stream, opts, outdir)
+    return analysis(stream, opts, outdir)
+
+
+# the analysis options each analysis reads, as field paths; "fit" stands
+# for every `fit.*` path (a delay sweep's per-bin fits fix the rest)
+_READS = {
+    "lifetime": ("bin_s", "span_s", "fit"),
+    "cw": ("bin_s", "window_s", "normalize", "start_stop", "fit"),
+    "pulsed": ("t1_slice_s", "slice_tolerance_s", "fit"),
+    "delay sweep": ("t1_slice_s", "slice_tolerance_s", "t2_fit_window_s",
+                    "fit.enabled"),
+}
+
+
+def _refuse_unread(opts, name) -> None:
+    """Refuse an option set away from its default that the analysis does
+    not read, naming its field path."""
+    def by_path(o):
+        d = o.to_dict()
+        d.update({f"fit.{k}": v for k, v in d.pop("fit").items()})
+        return d
+
+    reads, default = _READS[name], by_path(AnalysisOptions())
+    for path, value in by_path(opts).items():
+        if value != default[path] and path not in reads \
+                and path.partition(".")[0] not in reads:
+            raise ConfigError(
+                f"analysis.{path}: not used by the {name} analysis")
 
 
 def _emit(text, path) -> None:

@@ -3,9 +3,11 @@
 The damped cosine is C + A0 exp(-(u/T2*)^alpha) cos(2 pi f u + phi) with
 u = t - t0 for one-sided (pulsed) data and u = |t - t0| for two-sided
 correlation traces.  Fitting is a damped Gauss-Newton with the analytic
-Jacobian; converged means the relative SSE improvement fell below 1e-9
-while the curvature-normalized gradient |g_i|/sqrt(H_ii*(1+SSE)) was
-below 1e-4 (a scale-free optimality check).
+Jacobian.  It declares convergence as soon as the curvature-normalized
+gradient |g_i|/sqrt(H_ii*(1+SSE)) is at most 1e-4 at an iterate (a
+scale-free optimality check); no SSE condition is also required.  The
+test runs at the top of every iteration, and again right after an
+accepted step whose SSE fell by at most 1e-9 relative.
 """
 from __future__ import annotations
 

@@ -18,7 +18,9 @@ earlier draws, within the batch's own stream.
 
 Order: every batch returns its events in (shot, time) order, and the
 batches cover increasing shot ranges, so `run` concatenates them and
-never sorts a whole stream.
+never sorts a whole stream.  A pulsed or cw batch orders its records
+with one stable sort on the in-batch shot; a lifetime batch records at
+most one photon per shot and needs no sort.
 
 Workers: `map_batches` runs a per-batch function over a task list, in
 task order, in this process at one worker and otherwise through one
@@ -332,53 +334,48 @@ def _detect(photon_codes, rng, det_pols, efficiency):
     return ch, proj, keep
 
 
-def _lifetime_batch(device, config, batch_index, start_shot, n):
-    """Independent excite-and-decay shots (lifetime and zero-field DOCP)."""
-    rng = substream(config.rng_seed, config.kind.value, batch_index)
-    s_exc = addressed_z(config.exc_pols[0])
-    # depolarizing preparation: correct trion eigenstate with (1+p)/2
-    correct = rng.random(n) < 0.5 * (1.0 + device.p_mem)
-    z_t0 = s_exc * np.where(correct, 1.0, -1.0)
-    tau = rng.exponential(device.t1_s, n)
-    if device.noise.affects_excited:
-        df = device.noise.sample(rng, n)
-    else:
-        df = 0.0
-    z_t = precessed_z(z_t0, 2.0 * math.pi * (device.f_e_hz + df) * tau)
-    is_r = rng.random(n) < r_probability(z_t)
+def _recorded(rng, config, shot, is_r, t):
+    """The recorded photons of one emission per entry of `shot`, on the
+    R branch where `is_r`, as (shot, channel, projection, time) arrays."""
     codes = np.where(is_r, int(Pol.R), int(Pol.L)).astype(np.uint8)
     ch, proj, keep = _detect(codes, rng, config.det_pols,
                              config.detection_efficiency)
-    shots = (start_shot + np.arange(n, dtype=np.int64)).astype(np.uint32)
-    times = shots * config.rep_period_s + tau
-    events = _make_events(shots[keep], ch[keep], proj[keep], times[keep])
+    return shot[keep], ch[keep], proj[keep], t[keep]
+
+
+def _decay(rng, device, s, n):
+    """(decay delay, R branch) of n trions excited from the hole state of
+    Bloch z `s`: the depolarizing preparation gives the correct trion
+    eigenstate with (1+p)/2, which precesses at f_e (plus the excited
+    jitter) until it decays."""
+    z_t0 = np.where(rng.random(n) < 0.5 * (1.0 + device.p_mem), s, -s)
+    tau = rng.exponential(device.t1_s, n)
+    df = device.noise.sample(rng, n) if device.noise.affects_excited else 0.0
+    z_t = precessed_z(z_t0, 2.0 * math.pi * (device.f_e_hz + df) * tau)
+    return tau, rng.random(n) < r_probability(z_t)
+
+
+def _lifetime_batch(device, config, batch_index, start_shot, n):
+    """Independent excite-and-decay shots (lifetime and zero-field DOCP).
+    A shot records at most one photon, so the records need no sort."""
+    rng = substream(config.rng_seed, config.kind.value, batch_index)
+    tau, is_r = _decay(rng, device, addressed_z(config.exc_pols[0]), n)
+    shot, ch, proj, t = _recorded(rng, config, np.arange(n), is_r, tau)
+    shots = (start_shot + shot).astype(np.uint32)
+    events = _make_events(shots, ch, proj, shots * config.rep_period_s + t)
     return events, {"n_shots": n, "n_emitted": n}
 
 
-def _merge_photons(n, start_shot, rep_period_s, photon1, photon2):
+def _pulsed_records(start_shot, rep_period_s, photon1, photon2):
     """Events of a pulsed batch's recorded photons 1 and 2, each given as
-    (in-batch shot, channel, projection, time in shot) in shot order,
-    merged into (shot, time) order without a sort: a shot records both
-    only if tau1 < dt, so photon 1 of shot s goes after every photon 2
-    of the shots before s and before its own."""
-    shot1, shot2 = photon1[0], photon2[0]
-    before = np.zeros(n + 1, dtype=np.int64)
-    before[shot2 + 1] = 1
-    np.cumsum(before, out=before)
-    pos1 = np.arange(shot1.size) + before[shot1]
-    is2 = np.ones(shot1.size + shot2.size, dtype=bool)
-    is2[pos1] = False
-    pos2 = np.flatnonzero(is2)
-
-    def merged(a1, a2):
-        out = np.empty(is2.size, dtype=a1.dtype)
-        out[pos1] = a1
-        out[pos2] = a2
-        return out
-
-    shot, ch, proj, t = (merged(a1, a2) for a1, a2 in zip(photon1, photon2))
+    (in-batch shot, channel, projection, time in shot) in shot order.
+    Photon 1 goes first and one stable sort on the in-batch shot puts the
+    records in (shot, time) order: a shot records both photons only if
+    tau1 < dt."""
+    shot, ch, proj, t = (np.concatenate(a) for a in zip(photon1, photon2))
     shots = (start_shot + shot).astype(np.uint32)
-    return _make_events(shots, ch, proj, shots * rep_period_s + t)
+    events = _make_events(shots, ch, proj, shots * rep_period_s + t)
+    return events[np.argsort(shot, kind="stable")]
 
 
 def pulsed_photons(task):
@@ -411,13 +408,7 @@ def pulsed_photons(task):
     # hole Bloch z from the initial eigenstate; pulse 1 addresses s1
     z_g = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     shot1 = np.flatnonzero(z_g == s1)
-    n1 = shot1.size
-    # depolarizing preparation: correct trion eigenstate with (1+p)/2
-    z_t1 = np.where(rng.random(n1) < 0.5 * (1.0 + p), s1, -s1)
-    tau1 = rng.exponential(device.t1_s, n1)
-    df_e1 = noise.sample(rng, n1) if noise.affects_excited else 0.0
-    is_r1 = rng.random(n1) < r_probability(precessed_z(
-        z_t1, 2.0 * math.pi * (device.f_e_hz + df_e1) * tau1))
+    tau1, is_r1 = _decay(rng, device, s1, shot1.size)
 
     # ground state at pulse 2: an addressed shot precesses from its herald
     # for dt - tau1 (still in the trion if not positive), an unaddressed
@@ -435,22 +426,17 @@ def pulsed_photons(task):
              + 2.0 * math.pi * (device.f_e_hz + df_e2) * tau2)
     is_r2 = rng.random(n2) < r_probability(precessed_z(z_g[shot2], theta))
 
-    photons = []
-    for shot, is_r, t in ((shot1, is_r1, tau1), (shot2, is_r2, dt + tau2)):
-        codes = np.where(is_r, int(Pol.R), int(Pol.L)).astype(np.uint8)
-        ch, proj, keep = _detect(codes, rng, config.det_pols,
-                                 config.detection_efficiency)
-        photons.append((shot[keep], ch[keep], proj[keep], t[keep]))
-    return photons[0], photons[1], {"n_shots": n, "n_emitted": n1 + n2}
+    return (_recorded(rng, config, shot1, is_r1, tau1),
+            _recorded(rng, config, shot2, is_r2, dt + tau2),
+            {"n_shots": n, "n_emitted": shot1.size + n2})
 
 
 def _pulsed_batch(device, config, batch_index, start_shot, n):
-    """Events of a two-pulse heralding batch: `pulsed_photons` merged
-    into (shot, time) order."""
+    """Events of a two-pulse heralding batch, from `pulsed_photons`."""
     photon1, photon2, counters = pulsed_photons(
         (device, config, batch_index, start_shot, n))
-    return _merge_photons(n, start_shot, config.rep_period_s, photon1,
-                          photon2), counters
+    return _pulsed_records(start_shot, config.rep_period_s, photon1,
+                           photon2), counters
 
 
 def _grown(a, used):
@@ -566,19 +552,16 @@ def _cw_batch(device, config, batch_index, start_seg, n):
         raise RuntimeError("cw segment loop exceeded its iteration guard")
 
     in_seg = ev_time[:n_ev] < seg_len
-    seg_idx, t_in_seg = ev_seg[:n_ev][in_seg], ev_time[:n_ev][in_seg]
-    codes = np.where(ev_is_r[:n_ev][in_seg], int(Pol.R),
-                     int(Pol.L)).astype(np.uint8)
+    seg_idx, is_r, t_in_seg = (a[:n_ev][in_seg]
+                               for a in (ev_seg, ev_is_r, ev_time))
     del ev_seg, ev_is_r, ev_time, in_seg
     emissions = seg_idx.shape[0]
-    ch, proj, keep = _detect(codes, rng, config.det_pols,
-                             config.detection_efficiency)
-    seg_idx = seg_idx[keep]
+    seg_idx, ch, proj, t_in_seg = _recorded(rng, config, seg_idx, is_r,
+                                            t_in_seg)
     shots = (start_seg + seg_idx.astype(np.int64)).astype(np.uint32)
-    events = _make_events(shots, ch[keep], proj[keep],
-                          shots * (2.0 * seg_len) + t_in_seg[keep])
+    events = _make_events(shots, ch, proj, shots * (2.0 * seg_len) + t_in_seg)
     # free the per-photon arrays before the sort copies the records
-    del codes, ch, proj, keep, shots, t_in_seg
+    del is_r, ch, proj, shots, t_in_seg
     return events[np.argsort(seg_idx, kind="stable")], {
         "n_shots": n, "n_attempts": attempts, "n_emitted": emissions}
 

@@ -236,10 +236,6 @@ def cw_osc_params(h_rr, h_rl, window_s) -> dict:
     return out
 
 
-def _cw_osc_params(stream, window_s) -> dict:
-    return cw_osc_params(*cw_histograms(stream, window_s), window_s)
-
-
 def _run_fig2a(outdir, seed, scale, workers):
     stream = _run_cw(_cw_device(), _n_of(scale, 8192), seed, 1e7, workers)
     h_rr, h_rl = (plateau_normalized(h, 100e-9)
@@ -295,7 +291,7 @@ def _run_fig2c(outdir, seed, scale, workers):
         device = _cw_device(b_t=b_t, t2star_s=t2star)
         stream = _run_cw(device, _n_of(scale, 16384),
                          derive_seed(seed, "b", i), 1e7, workers)
-        oscs.append(_cw_osc_params(stream, 100e-9))
+        oscs.append(cw_osc_params(*cw_histograms(stream, 100e-9), 100e-9))
     freqs, f_sig, taus = (np.array([o[k] for o in oscs])
                           for k in ("frequency", "frequency_sigma", "t2star"))
     path = outdir / "fig2c_field_sweep.csv"
@@ -323,7 +319,8 @@ def _pump_sweep(outdir, seed, scale, workers):
         n_seg = _n_of(scale, _SWEEP_SEGMENTS[pump])
         stream = _run_cw(device, n_seg, derive_seed(seed, "p", i), pump,
                          workers)
-        osc = _cw_osc_params(stream, _SWEEP_WINDOWS[pump])
+        window = _SWEEP_WINDOWS[pump]
+        osc = cw_osc_params(*cw_histograms(stream, window), window)
         results.append((power_uw, pump, osc))
     return results
 

@@ -39,8 +39,9 @@ from trionsim.fitkit import (
 from trionsim.montecarlo import EVENT_DTYPE, EventStream, ProtocolConfig, run
 from trionsim.pipelines import (
     T2_FIT_WINDOW_S,
-    _cw_osc_params,
     _pump_sweep,
+    cw_histograms,
+    cw_osc_params,
     delay_sweep_grid,
     fit_heralded_sweep,
     heralded_sweep,
@@ -112,7 +113,7 @@ def test_criterion_3_cw_hole_precession():
     config = ProtocolConfig.cw(n_segments=49152, rng_seed=303,
                                pump_rate_hz=1e7)
     stream = run(device, config)
-    osc = _cw_osc_params(stream, 100e-9)
+    osc = cw_osc_params(*cw_histograms(stream, 100e-9), 100e-9)
     print(f"criterion 3: f = {osc['frequency'] / 1e6:.3f} MHz "
           f"(ref {f_ref / 1e6:.3f}, tol 2%), "
           f"tau = {osc['t2star'] * 1e9:.2f} ns (target 16.51, tol 10%), "

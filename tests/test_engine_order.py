@@ -34,7 +34,7 @@ from trionsim.dynamics import addressed_z, precessed_z, r_probability
 from trionsim.montecarlo import (CW_REDRAW_WINDOW_S, LIFETIME_BATCH,
                                  EventStream, ProtocolConfig, ProtocolKind,
                                  _cw_batch, _detect, _make_events,
-                                 _merge_photons, _pulsed_batch, batch_tasks,
+                                 _pulsed_batch, _pulsed_records, batch_tasks,
                                  pulsed_photons, run, run_batch)
 from trionsim.pipelines import sliced_docp
 from trionsim.rng import substream
@@ -575,7 +575,7 @@ def test_photon_maps_bin_times_as_the_events_hold_them():
     photon2 = (shots, np.ones(n, np.uint8),
                rng.choice([int(Pol.R), int(Pol.L)], n).astype(np.uint8),
                dt + near_edges())
-    events = _merge_photons(n, start, config.rep_period_s, photon1, photon2)
+    events = _pulsed_records(start, config.rep_period_s, photon1, photon2)
     maps = count_photon_maps(photon1, photon2, config, start, n)
     for got, want in zip(maps, count_map2d(events, config, n)):
         assert np.array_equal(got.counts, want.counts)

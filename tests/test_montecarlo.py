@@ -191,8 +191,26 @@ def test_heralding_is_exact():
 
 
 def test_cw_antibunching_dip():
-    # single emitter: re-excitation takes a fresh attempt plus a decay,
-    # so coincidences vanish toward zero delay
+    """Single emitter: re-excitation takes a fresh attempt plus a decay,
+    so coincidences vanish toward zero delay, in the closed-form shape.
+
+    At zero field every emission takes the R branch and leaves the hole
+    in the addressed state, so a bright segment is a renewal process
+    whose intervals are an Exp(r) wait for a successful attempt (r =
+    pump * p_mem) plus an Exp(1/T1) decay.  Its pair density at delay
+    tau is the plateau times 1 - exp(-(r + 1/T1)|tau|): the
+    single-emitter dip, r adding the finite-pump factor.  The plateau
+    (counts per bin) comes from the bins at |tau| >= 2 ns.  The k = 60
+    bins of 30 ps within 3 T1 of zero, on both sides, must match the
+    plateau times each bin's average of that shape in one chi^2 over
+    their Poisson errors; an excess or a deficit of near-zero pairs both
+    raise it.  Bound: chi^2 <= k + 5 sqrt(2k) = 114.8, which a chi^2
+    with 60 degrees of freedom exceeds with probability 2.7e-5.  The
+    plateau's own Poisson error (about 54,000 counts) adds about 0.3 to
+    the mean of chi^2, and the bins' Poisson skew (about 20 counts
+    expected in the two zero-delay bins) adds about 0.4 to its variance
+    of 2k, so the false-failure rate stays of order 1e-5.
+    """
     dev = _device(b_x_t=0.0)
     pump = 3e7
     assert pump * dev.t1_s < 0.01
@@ -208,10 +226,19 @@ def test_cw_antibunching_dip():
         d = t1[lo[i]:hi[i]] - t0[i]
         counts += np.histogram(d, bins=edges)[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
-    plateau = counts[np.abs(centers) >= 2e-9].mean()
-    dip = counts[np.argmin(np.abs(centers))]
-    assert plateau > 100.0
-    assert dip < 0.05 * plateau
+    # each bin's average of 1 - exp(-rate |tau|); zero delay is an edge
+    near_end, far_end = np.sort(np.abs([edges[:-1], edges[1:]]), axis=0)
+    rate = pump * dev.p_mem + 1.0 / dev.t1_s
+    shape = 1.0 - (np.exp(-rate * near_end) - np.exp(-rate * far_end)) \
+        / (rate * bin_s)
+    plateau = np.abs(centers) >= 2e-9
+    level = counts[plateau].sum() / shape[plateau].sum()
+    dip = np.abs(centers) < 3.0 * dev.t1_s
+    expected = level * shape[dip]
+    k = int(np.count_nonzero(dip))
+    chi2 = float(np.sum((counts[dip] - expected) ** 2 / expected))
+    assert k == 60 and level > 100.0
+    assert chi2 <= k + 5.0 * math.sqrt(2.0 * k), chi2
 
 
 def test_pulsed_ensemble_docp_matches_analytic():

@@ -447,3 +447,62 @@ def test_cli_pipeline_keeps_what_a_failed_fit_wrote(tmp_path):
     out = tmp_path / "new" / "out"
     assert main(["pipeline", "fig3d", "--scale", "0.01", "-o", str(out)]) == 4
     assert [p.name for p in out.iterdir()] == ["fig3d_docp_vs_delay.csv"]
+
+
+@pytest.fixture(scope="module")
+def analysis_files(tmp_path_factory):
+    """Small event files for each analysis `analyze` runs."""
+    root = tmp_path_factory.mktemp("analysis_files")
+    protocols = {
+        "lifetime": _scenario_dict("lifetime"),
+        "zero_field": _scenario_dict(),
+        "cw": _scenario_dict("cw_g2", n_shots=16, pump_rate_hz=1e7),
+        "pulsed": _scenario_dict("pulsed_2pc", n_shots=2000,
+                                 pulse_delay_s=1.6e-9),
+        "delay_sweep": _scenario_dict("pulsed_2pc", n_shots=2000,
+                                      pulse_delay_s=[0.6e-9, 1.0e-9]),
+    }
+    files = {}
+    for name, d in protocols.items():
+        scn = _write_scenario(root / f"{name}.json", d)
+        assert main(["simulate", scn, "-o", str(root / name)]) == 0
+        files[name] = sorted(str(p) for p in (root / name).iterdir())
+    return files
+
+
+@pytest.mark.parametrize("analysis, options, refused", [
+    ("lifetime", {"window_s": 1e-7}, "window_s"),
+    ("zero_field", {"t2_fit_window_s": [0.0, 1e-9]}, "t2_fit_window_s"),
+    ("cw", {"span_s": 2e-9}, "span_s"),
+    ("cw", {"t1_slice_s": 0.1e-9}, "t1_slice_s"),
+    ("pulsed", {"window_s": 1e-7}, "window_s"),
+    ("pulsed", {"normalize": False}, "normalize"),
+    ("delay_sweep", {"fit": {"fixed": {"alpha": 1.0}}}, "fit.fixed"),
+    ("delay_sweep", {"fit": {"variant": "cw"}}, "fit.variant"),
+    ("delay_sweep", {"bin_s": 20e-12}, "bin_s"),
+    # options the analysis reads, and others left at their defaults, pass
+    ("lifetime", {"bin_s": 20e-12, "normalize": True,
+                  "fit": {"enabled": False}}, None),
+    ("cw", {"window_s": 50e-9, "start_stop": True,
+            "fit": {"enabled": False, "t0": 0.0}}, None),
+    ("pulsed", {"slice_tolerance_s": 20e-12, "t2_fit_window_s": None,
+                "fit": {"enabled": False, "fixed": {}}}, None),
+    ("delay_sweep", {"t2_fit_window_s": [0.0, 1e-9],
+                     "fit": {"enabled": False}}, None),
+])
+def test_cli_analyze_refuses_options_its_analysis_does_not_read(
+        tmp_path, capsys, analysis_files, analysis, options, refused):
+    # an option set away from its default that the analysis never reads
+    # is refused with its field path, not parsed and ignored
+    d = _scenario_dict()
+    d["analysis"] = options
+    scn = _write_scenario(tmp_path / "s.json", d)
+    out = tmp_path / "out"
+    code = main(["analyze", *analysis_files[analysis], "-o", str(out),
+                 "--scenario", scn])
+    if refused is None:
+        assert code == 0
+        return
+    assert code == 2
+    assert f"analysis.{refused}: not used by" in capsys.readouterr().err
+    assert not out.exists()
