@@ -150,16 +150,20 @@ def cmd_analyze(args) -> int:
     name, analysis = {
         ProtocolKind.PULSED_2PC: ("pulsed", _analyze_pulsed),
         ProtocolKind.CW_G2: ("cw", _analyze_cw),
-    }.get(stream.config.kind, ("lifetime", _analyze_lifetime))
+    }.get(stream.config.kind, (
+        "lifetime" if stream.device.b_x_t > 0 else "zero-field",
+        _analyze_lifetime))
     _refuse_unread(opts, name)
     outdir.mkdir(parents=True, exist_ok=True)
     return analysis(stream, opts, outdir)
 
 
 # the analysis options each analysis reads, as field paths; "fit" stands
-# for every `fit.*` path (a delay sweep's per-bin fits fix the rest)
+# for every `fit.*` path (a delay sweep's per-bin fits fix the rest, and
+# a lifetime file at zero field runs no fit)
 _READS = {
     "lifetime": ("bin_s", "span_s", "fit"),
+    "zero-field": ("bin_s", "span_s"),
     "cw": ("bin_s", "window_s", "normalize", "start_stop", "fit"),
     "pulsed": ("t1_slice_s", "slice_tolerance_s", "fit"),
     "delay sweep": ("t1_slice_s", "slice_tolerance_s", "t2_fit_window_s",
@@ -205,7 +209,7 @@ def _analyze_lifetime(stream, opts, outdir) -> int:
     print(f"wrote {path}")
     print(f"wrote {docp_path}")
     if not (opts.fit.enabled and stream.device.b_x_t > 0):
-        return EXIT_OK
+        return EXIT_OK  # no beat to fit at zero field
     fit = beat_fit(trace, opts.fit)
     return _emit_report(outdir / "lifetime_fit_report.txt", fit,
                         "lifetime docp damped cosine",

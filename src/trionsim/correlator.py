@@ -22,6 +22,9 @@ from .montecarlo import EventStream, ProtocolKind
 
 MAP_BIN_S = 10e-12
 MAP_SPAN_S = 2e-9
+# the default edges of both map axes: MAP_BIN_S bins over [0, MAP_SPAN_S]
+MAP_EDGES = MAP_BIN_S * np.arange(0, int(round(MAP_SPAN_S / MAP_BIN_S)) + 1)
+MAP_EDGES.setflags(write=False)
 LIFETIME_BIN_S = 10e-12
 CW_BIN_S = 100e-12
 
@@ -345,10 +348,9 @@ def count_photon_maps(photon1, photon2, config, first_shot: int,
 def _pair_maps(t1, t2, proj, n_shots, t1_edges=None, t2_edges=None) -> tuple:
     """The R and L maps of the (t1, t2) pairs of the shots used out of
     `n_shots`, each pair in the map of its channel-1 projection `proj`;
-    edges left as None take the MAP_BIN_S grid over [0, MAP_SPAN_S]."""
-    default = MAP_BIN_S * np.arange(0, int(round(MAP_SPAN_S / MAP_BIN_S)) + 1)
-    t1_edges = default if t1_edges is None else np.asarray(t1_edges, float)
-    t2_edges = default if t2_edges is None else np.asarray(t2_edges, float)
+    edges left as None take MAP_EDGES."""
+    t1_edges = MAP_EDGES if t1_edges is None else np.asarray(t1_edges, float)
+    t2_edges = MAP_EDGES if t2_edges is None else np.asarray(t2_edges, float)
     k1 = np.searchsorted(t1_edges, t1, side="right") - 1
     k2 = np.searchsorted(t2_edges, t2, side="right") - 1
     n1, n2 = t1_edges.size - 1, t2_edges.size - 1

@@ -16,6 +16,12 @@ for the photons that exist, and the cw engine only for its live segments
 and its successes, so their later draw sizes follow counts taken from
 earlier draws, within the batch's own stream.
 
+Detection: every engine ends in one step, `_recorded`, which routes
+each photon to a channel and draws whether it passes that channel's
+projector and whether it is detected.  It reads the pass probability,
+the recorded label and the keep flag from small lookup tables of the
+config's channels, so a photon costs its draws and a few table reads.
+
 Order: every batch returns its events in (shot, time) order, and the
 batches cover increasing shot ranges, so `run` concatenates them and
 never sorts a whole stream.  A pulsed or cw batch orders its records
@@ -30,7 +36,8 @@ parent; a caller that reduces inside the worker can submit the batches
 of many configs to one pool.  The heralded delay sweeps (fig3c, fig3d)
 do so: each worker takes a pulsed batch's recorded photons from
 `pulsed_photons` and bins them straight into two-photon maps, so no
-event record is built and only the maps reach the parent.
+event record is built, and only the maps' slice counts reach the
+parent.
 """
 from __future__ import annotations
 
@@ -307,40 +314,45 @@ def _make_events(shots, channels, projections, times) -> np.ndarray:
     return out
 
 
-def _detect(photon_codes, rng, det_pols, efficiency):
-    """Route photons over channels and sample the recorded projection.
-
-    Returns (channel, projection, recorded) arrays.  The rng consumption
-    pattern depends only on the configuration, never on the data.
-    """
-    n = photon_codes.shape[0]
-    nch = len(det_pols)
-    if nch > 1:
-        ch = rng.integers(0, nch, n, dtype=np.uint8)
-    else:
-        ch = np.zeros(n, dtype=np.uint8)
-    u = rng.random(n)
-    # per channel: the projected label, the label recorded when the photon
-    # does not pass (the same one for a lossy projector, which drops it),
-    # and whether a non-passing photon is recorded at all
-    first = np.array([int(p[0]) for p in det_pols], dtype=np.uint8)[ch]
-    second = np.array([int(p[-1]) for p in det_pols], dtype=np.uint8)[ch]
-    split = np.array([len(p) == 2 for p in det_pols])[ch]
-    passes = u < _PROJ[photon_codes, first]
-    proj = np.where(passes, first, second)
-    keep = passes | split
-    if efficiency < 1.0:
-        keep &= rng.random(n) < efficiency
-    return ch, proj, keep
-
-
 def _recorded(rng, config, shot, is_r, t):
     """The recorded photons of one emission per entry of `shot`, on the
-    R branch where `is_r`, as (shot, channel, projection, time) arrays."""
-    codes = np.where(is_r, int(Pol.R), int(Pol.L)).astype(np.uint8)
-    ch, proj, keep = _detect(codes, rng, config.det_pols,
-                             config.detection_efficiency)
-    return shot[keep], ch[keep], proj[keep], t[keep]
+    R branch where the bool `is_r`, as (shot, channel, projection, time)
+    arrays.
+
+    A photon goes to a uniformly drawn channel and passes its projector
+    with the probability of its branch's label.  The draws are the
+    channels (with more than one channel), the pass uniforms, then the
+    efficiency uniforms (efficiency below 1), n of each, so the stream
+    consumption depends only on the config and n.  Records are taken
+    with boolean masks; when every photon is recorded the inputs come
+    back as they are.
+    """
+    det_pols = config.det_pols
+    n, nch = shot.shape[0], len(det_pols)
+    # lookup tables over cells row * nch + channel: the pass probability
+    # with the row the branch (0 L, 1 R); the recorded label and the keep
+    # flag with the row whether the photon passed.  A splitter records a
+    # photon that does not pass with its second label, a lossy projector
+    # drops it; with only splitters every photon is kept.
+    first = [int(p[0]) for p in det_pols]
+    split = [len(p) == 2 for p in det_pols]
+    p_pass = np.concatenate([_PROJ[int(Pol.L), first],
+                             _PROJ[int(Pol.R), first]])
+    label = np.array([int(p[-1]) for p in det_pols] + first, dtype=np.uint8)
+    keep_table = None if all(split) else np.array(split + [True] * nch)
+
+    ch = rng.integers(0, nch, n, dtype=np.uint8) if nch > 1 \
+        else np.zeros(n, dtype=np.uint8)
+    passes = rng.random(n) < p_pass[is_r.view(np.uint8) * nch + ch]
+    cell = passes.view(np.uint8) * nch + ch
+    keep = None if keep_table is None else keep_table[cell]
+    if config.detection_efficiency < 1.0:
+        detected = rng.random(n) < config.detection_efficiency
+        keep = detected if keep is None else keep & detected
+    if keep is None:
+        return shot, ch, label[cell], t
+    cell = cell[keep]
+    return shot[keep], cell % nch, label[cell], t[keep]
 
 
 def _decay(rng, device, s, n):

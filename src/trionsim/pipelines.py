@@ -18,10 +18,11 @@ import numpy as np
 from . import montecarlo
 from .core import (ConfigError, DeviceParams, MU_B_EV_PER_T, NoiseModel,
                    PLANCK_EV_S, larmor_frequency)
-from .correlator import (CW_BIN_S, build_map2d, correlate_cw,
-                         count_photon_maps, docp, lifetime_docp_trace,
-                         lifetime_histograms, plateau_normalized, slice_map,
-                         write_csv, write_docp_csv, write_map_csv)
+from .correlator import (CW_BIN_S, MAP_EDGES, Histogram1D, build_map2d,
+                         correlate_cw, count_photon_maps, docp,
+                         lifetime_docp_trace, lifetime_histograms,
+                         plateau_normalized, slice_map, write_csv,
+                         write_docp_csv, write_map_csv)
 from .fitkit import (fft_frequency, fit_damped_cosine, fit_linear_zeeman,
                      format_fit_report, loglog_trend, window_average)
 from .montecarlo import ProtocolConfig
@@ -436,12 +437,15 @@ def delay_sweep_grid() -> np.ndarray:
     return np.round(np.arange(0.6e-9, 10.5e-9 + 1e-13, 0.3e-9), 12)
 
 
-def _batch_herald_maps(task):
-    """`build_map2d` of one engine batch, binned where the batch ran
-    straight from its recorded photons."""
+def _batch_herald_slices(task):
+    """One engine batch's R and L maps, binned where the batch ran
+    straight from its recorded photons, as the counts over the t2 bins of
+    the rows that `sliced_docp` sums, and the R map's shots used."""
     _, config, _, start, count = task
     photon1, photon2, _ = montecarlo.pulsed_photons(task)
-    return count_photon_maps(photon1, photon2, config, start, count)
+    maps = count_photon_maps(photon1, photon2, config, start, count)
+    return (*(slice_map(m, T1_SLICE_S, T1_SLICE_TOL_S).counts for m in maps),
+            maps[0].diagnostics["shots_used"])
 
 
 def heralded_sweep(device, delays, n_shots, seed, workers=None):
@@ -450,8 +454,9 @@ def heralded_sweep(device, delays, n_shots, seed, workers=None):
 
     The batches of all delays go to one process pool.  Each worker bins
     its batch's recorded photons straight into the R and L maps
-    (`count_photon_maps`), so no event record is built and only maps
-    reach the parent; they sum to those of `build_map2d` on the delay's
+    (`count_photon_maps`) and sends back only their slice counts and the
+    R map's shots used, a few KB.  Integer counts add exactly, so the
+    per-delay sums equal `sliced_docp` of `build_map2d` on the delay's
     whole stream.
     """
     configs = [ProtocolConfig.pulsed(n_shots=n_shots,
@@ -459,14 +464,15 @@ def heralded_sweep(device, delays, n_shots, seed, workers=None):
                                      pulse_delay_s=float(dt))
                for i, dt in enumerate(delays)]
     tasks = [t for c in configs for t in montecarlo.batch_tasks(device, c)]
-    maps = montecarlo.map_batches(_batch_herald_maps, tasks, workers)
+    slices = montecarlo.map_batches(_batch_herald_slices, tasks, workers)
     per_delay, pairs = [], []
     for _ in configs:
         # every delay has the same batch cut, and its batches come in order
-        map_r, map_l = (sum(m[1:], m[0]) for m in zip(
-            *islice(maps, len(tasks) // len(configs))))
-        per_delay.append(sliced_docp(map_r, map_l))
-        pairs.append(map_r.diagnostics["shots_used"])
+        rr, rl, used = (sum(v[1:], v[0]) for v in zip(
+            *islice(slices, len(tasks) // len(configs))))
+        per_delay.append(docp(*(Histogram1D(MAP_EDGES, c, np.sqrt(c))
+                                for c in (rr, rl))))
+        pairs.append(used)
     return per_delay, pairs
 
 

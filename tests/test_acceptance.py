@@ -86,6 +86,8 @@ def test_criterion_1_electron_g_factor_round_trip():
 
 
 def test_criterion_2_polarization_memory():
+    """False-failure rate about 2.7e-3: one two-sided 3 sigma check of a
+    binomial contrast over 1e6 photons, close to normal at that count."""
     # zero-field ensemble with p_mem = 0.865 and 1e6 shots: the circular
     # contrast must sit within 3 binomial sigma of the configured value
     device = _device(b_x_t=0.0)

@@ -3,20 +3,23 @@ datasets as the `pipeline` preset run with the same device, protocol and
 seed, and the delay-sweep fits reject bins without an oscillation."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from trionsim.cli import main
 from trionsim.core import DeviceParams, NoiseModel
-from trionsim.correlator import DocpTrace, build_map2d, write_docp_csv
+from trionsim.correlator import (DocpTrace, Map2D, build_map2d,
+                                 write_docp_csv)
 from trionsim.events_io import read_events
 from trionsim.fitkit import fit_damped_cosine
 from trionsim.rng import derive_seed
-from trionsim.montecarlo import ProtocolConfig, run
+from trionsim.montecarlo import ProtocolConfig, batch_tasks, run
 from trionsim.pipelines import (G_E, P_MEM, REF_G_H_CW, REF_G_H_PULSED,
                                 REF_T2STAR_S, REF_TAU_CW_S, T1_S,
-                                T1_SLICE_TOL_S, T2_FIT_WINDOW_S, digest_meta,
+                                T1_SLICE_TOL_S, T2_FIT_WINDOW_S,
+                                _batch_herald_slices, digest_meta,
                                 fit_heralded_sweep, heralded_sweep,
                                 run_pipeline, sliced_docp)
 from trionsim.scenarios import (AnalysisOptions, FitOptions, OutputOptions,
@@ -167,6 +170,19 @@ def test_heralded_sweep_matches_per_delay_streams(workers):
             assert getattr(traces[i], name).tobytes() == \
                 getattr(ref, name).tobytes()
         assert pairs[i] == map_r.diagnostics["shots_used"]
+
+
+def test_heralded_sweep_workers_send_back_only_slice_counts():
+    # each batch result of the sweep is pickled back to the parent: the R
+    # and L slice counts over the 200 t2 bins and a pair count, never a
+    # whole map (two 200 x 200 int64 grids, about 640 KB)
+    device = _device(0.15, g_h=REF_G_H_PULSED,
+                     noise=NoiseModel.lorentzian_from_t2star(REF_T2STAR_S))
+    config = ProtocolConfig.pulsed(n_shots=70_000, rng_seed=SEED,
+                                   pulse_delay_s=1.6e-9)
+    result = _batch_herald_slices(batch_tasks(device, config)[0])
+    assert not any(isinstance(x, Map2D) for x in (result, *result))
+    assert len(pickle.dumps(result)) < 16 * 1024
 
 
 def _synthetic_sweep(flat_bin=None):

@@ -16,6 +16,11 @@ both cw loops must meet.
 The heralded sweep bins each batch's recorded photons straight into its
 R and L maps (`count_photon_maps`); those maps must equal exactly the R
 and L maps that `count_map2d` pairs from the batch's events.
+
+The detection step `_recorded` reads its pass probability, recorded
+label and keep flag from small per-channel tables.  It must equal the
+frozen `_detect` that it replaced, plus that step's mask and gather,
+exactly: every record and dtype, and the generator state after the call.
 """
 
 import itertools
@@ -31,13 +36,43 @@ from trionsim.core import DeviceParams, NoiseModel, NoiseTarget, Pol
 from trionsim.correlator import (MAP_BIN_S, correlate_cw, count_map2d,
                                  count_photon_maps)
 from trionsim.dynamics import addressed_z, precessed_z, r_probability
-from trionsim.montecarlo import (CW_REDRAW_WINDOW_S, LIFETIME_BATCH,
+from trionsim.montecarlo import (_PROJ, CW_REDRAW_WINDOW_S, LIFETIME_BATCH,
                                  EventStream, ProtocolConfig, ProtocolKind,
-                                 _cw_batch, _detect, _make_events,
-                                 _pulsed_batch, _pulsed_records, batch_tasks,
+                                 _cw_batch, _make_events, _pulsed_batch,
+                                 _pulsed_records, _recorded, batch_tasks,
                                  pulsed_photons, run, run_batch)
 from trionsim.pipelines import sliced_docp
 from trionsim.rng import substream
+
+
+def _detect(photon_codes, rng, det_pols, efficiency):
+    """The detection step before it was table-driven, kept as it was; the
+    frozen engines below call it.
+
+    Route photons over channels and sample the recorded projection.
+
+    Returns (channel, projection, recorded) arrays.  The rng consumption
+    pattern depends only on the configuration, never on the data.
+    """
+    n = photon_codes.shape[0]
+    nch = len(det_pols)
+    if nch > 1:
+        ch = rng.integers(0, nch, n, dtype=np.uint8)
+    else:
+        ch = np.zeros(n, dtype=np.uint8)
+    u = rng.random(n)
+    # per channel: the projected label, the label recorded when the photon
+    # does not pass (the same one for a lossy projector, which drops it),
+    # and whether a non-passing photon is recorded at all
+    first = np.array([int(p[0]) for p in det_pols], dtype=np.uint8)[ch]
+    second = np.array([int(p[-1]) for p in det_pols], dtype=np.uint8)[ch]
+    split = np.array([len(p) == 2 for p in det_pols])[ch]
+    passes = u < _PROJ[photon_codes, first]
+    proj = np.where(passes, first, second)
+    keep = passes | split
+    if efficiency < 1.0:
+        keep &= rng.random(n) < efficiency
+    return ch, proj, keep
 
 
 def _reference_cw_batch(device, config, batch_index, start_seg, n):
@@ -442,17 +477,17 @@ def _pulsed_totals(batch, device, config):
 
 def _counted_pulsed_batch(device, config, batch_index, start_shot, n):
     """`_pulsed_batch`, with the recorded count of each photon taken from
-    its two `_detect` calls (photon 1's, then photon 2's): the engine
+    its two `_recorded` calls (photon 1's, then photon 2's): the engine
     detects only photons that exist."""
     recorded = []
 
-    def counting_detect(*args):
-        ch, proj, keep = _detect(*args)
-        recorded.append(int(np.count_nonzero(keep)))
-        return ch, proj, keep
+    def counting_recorded(*args):
+        out = _recorded(*args)
+        recorded.append(out[0].shape[0])
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(montecarlo, "_detect", counting_detect)
+        mp.setattr(montecarlo, "_recorded", counting_recorded)
         events, diag = _pulsed_batch(device, config, batch_index,
                                      start_shot, n)
     assert len(recorded) == 2
@@ -585,3 +620,49 @@ def test_photon_maps_bin_times_as_the_events_hold_them():
         (start + shots) * config.rep_period_s
     assert np.any(np.searchsorted(edges, held, side="right")
                   != np.searchsorted(edges, photon1[3], side="right"))
+
+
+def _same_state(a, b):
+    """Bit-generator states equal in every field, arrays included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k])
+                                            for k in a)
+    return np.array_equal(a, b)
+
+
+# Channel layouts of the detection step: lossy projectors, splitters and
+# linear labels, which pass a circular photon with probability 1/2.
+_DETECTORS = {
+    "one_lossy": ((Pol.R,),),
+    "two_lossy": ((Pol.R,), (Pol.L,)),
+    "lossy_splitter": ((Pol.R,), (Pol.R, Pol.L)),
+    "two_splitters": ((Pol.R, Pol.L), (Pol.R, Pol.L)),
+    "linear_h": ((Pol.H,),),
+    "linear_d_splitter": ((Pol.L,), (Pol.D, Pol.A)),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 5000])
+@pytest.mark.parametrize("eff", [1.0, 0.7])
+@pytest.mark.parametrize("detectors", sorted(_DETECTORS))
+def test_recorded_equals_frozen_detect(detectors, eff, n):
+    # the table-driven step against the frozen `_detect` plus the mask
+    # and gather it replaced: the same draws, records and dtypes
+    config = ProtocolConfig.lifetime(max(n, 1), 3,
+                                     det_pols=_DETECTORS[detectors],
+                                     detection_efficiency=eff)
+    source = np.random.default_rng(n)
+    is_r = source.random(n) < 0.4
+    for shot in (np.arange(n), np.arange(n, dtype=np.uint16)):
+        t = source.random(n)
+        rng, ref_rng = (substream(11, "detect", n) for _ in range(2))
+        got = _recorded(rng, config, shot, is_r, t)
+        codes = np.where(is_r, int(Pol.R), int(Pol.L)).astype(np.uint8)
+        ch, proj, keep = _detect(codes, ref_rng, config.det_pols, eff)
+        want = (shot[keep], ch[keep], proj[keep], t[keep])
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+        assert _same_state(rng.bit_generator.state,
+                           ref_rng.bit_generator.state)

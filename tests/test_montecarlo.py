@@ -135,6 +135,8 @@ def test_golden_content_digests(kind, workers):
 
 
 def test_lifetime_t1_recovery():
+    """False-failure rate about 1.5e-23: the mean of 1e6 exponential
+    delays has a relative sigma of 1e-3, so the 1% bound is 10 sigma."""
     dev = _device(p_mem=1.0, b_x_t=0.0)
     stream = run(dev, ProtocolConfig.lifetime(1_000_000, 31))
     t_rel = stream.events["time"] - stream.events["shot"] * 12.5e-9
@@ -143,6 +145,8 @@ def test_lifetime_t1_recovery():
 
 
 def test_zero_field_polarization_memory():
+    """False-failure rate about 2.7e-3: one two-sided 3 sigma check of a
+    binomial contrast over 2e5 photons."""
     dev = _device(b_x_t=0.0)
     n = 200_000
     stream = run(dev, ProtocolConfig.docp_zero_field(n, 17))
@@ -242,6 +246,11 @@ def test_cw_antibunching_dip():
 
 
 def test_pulsed_ensemble_docp_matches_analytic():
+    """False-failure rate about 8e-3: three independent two-sided 3 sigma
+    checks, 1 - (1 - 2.7e-3)^3.  The other checks add nothing measurable:
+    about 110,800 pairs per delay sit some 30 sigma above the 100,000
+    floor, and the three contrasts (0.58, 0.78, -0.75 with sigmas near
+    0.002) are ordered by far more than their errors."""
     # a short-lived, non-precessing trion isolates the ground precession,
     # so the heralded contrast must track the closed form
     f_h = larmor_frequency(0.362, 0.15)
@@ -268,6 +277,9 @@ def test_pulsed_ensemble_docp_matches_analytic():
 
 
 def test_detection_efficiency_thins_stream():
+    """False-failure rate about 5.7e-7: every photon of the full run is
+    recorded, so the thinned count is binomial(1e5, 0.5) and the bound a
+    two-sided 5 sigma."""
     dev = _device()
     full = run(dev, ProtocolConfig.lifetime(100_000, 51))
     half = run(dev, ProtocolConfig.lifetime(100_000, 51,

@@ -453,9 +453,12 @@ def test_cli_pipeline_keeps_what_a_failed_fit_wrote(tmp_path):
 def analysis_files(tmp_path_factory):
     """Small event files for each analysis `analyze` runs."""
     root = tmp_path_factory.mktemp("analysis_files")
+    lifetime_field = _scenario_dict("lifetime")
+    lifetime_field["device"]["b_x_t"] = 0.1
     protocols = {
         "lifetime": _scenario_dict("lifetime"),
         "zero_field": _scenario_dict(),
+        "lifetime_field": lifetime_field,
         "cw": _scenario_dict("cw_g2", n_shots=16, pump_rate_hz=1e7),
         "pulsed": _scenario_dict("pulsed_2pc", n_shots=2000,
                                  pulse_delay_s=1.6e-9),
@@ -481,14 +484,23 @@ def analysis_files(tmp_path_factory):
     ("delay_sweep", {"fit": {"variant": "cw"}}, "fit.variant"),
     ("delay_sweep", {"bin_s": 20e-12}, "bin_s"),
     # options the analysis reads, and others left at their defaults, pass
-    ("lifetime", {"bin_s": 20e-12, "normalize": True,
-                  "fit": {"enabled": False}}, None),
+    ("lifetime_field", {"bin_s": 20e-12, "normalize": True,
+                        "fit": {"enabled": False}}, None),
     ("cw", {"window_s": 50e-9, "start_stop": True,
             "fit": {"enabled": False, "t0": 0.0}}, None),
     ("pulsed", {"slice_tolerance_s": 20e-12, "t2_fit_window_s": None,
                 "fit": {"enabled": False, "fixed": {}}}, None),
     ("delay_sweep", {"t2_fit_window_s": [0.0, 1e-9],
                      "fit": {"enabled": False}}, None),
+    # a lifetime or zero-field file at zero field runs no fit, so every
+    # fit option is refused there; with a field it is read
+    ("lifetime", {"fit": {"enabled": False}}, "fit.enabled"),
+    ("lifetime", {"fit": {"t0": 1e-9}}, "fit.t0"),
+    ("zero_field", {"fit": {"fixed": {"alpha": 1.0}}}, "fit.fixed"),
+    ("zero_field", {"bin_s": 20e-12, "span_s": 2e-9,
+                    "fit": {"t0": 0.0, "fixed": {}}}, None),
+    ("lifetime_field", {"fit": {"enabled": False, "t0": 1e-9,
+                                "fixed": {"alpha": 1.0}}}, None),
 ])
 def test_cli_analyze_refuses_options_its_analysis_does_not_read(
         tmp_path, capsys, analysis_files, analysis, options, refused):
@@ -504,5 +516,8 @@ def test_cli_analyze_refuses_options_its_analysis_does_not_read(
         assert code == 0
         return
     assert code == 2
-    assert f"analysis.{refused}: not used by" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"analysis.{refused}: not used by" in err
+    if analysis in ("lifetime", "zero_field"):
+        assert err.rstrip().endswith("not used by the zero-field analysis")
     assert not out.exists()
