@@ -16,7 +16,8 @@ import numpy as np
 
 from . import montecarlo
 from .correlator import (CW_BIN_S, LIFETIME_BIN_S, DocpTrace, build_map2d,
-                         docp, plateau_normalized, write_docp_csv)
+                         docp, lifetime_histograms, plateau_normalized,
+                         write_docp_csv)
 from .events_io import compat_digest, read_events, write_events
 from .fitkit import fit_damped_cosine, fit_linear_zeeman, format_fit_report
 from .montecarlo import ProtocolKind
@@ -200,12 +201,13 @@ def _emit_report(path, fit, title, digest) -> int:
 
 
 def _analyze_lifetime(stream, opts, outdir) -> int:
-    path, co, cross = lifetime_traces(
-        outdir, stream, bin_s=opts.bin_s or LIFETIME_BIN_S,
-        span_s=opts.span_s)
+    co, cross = lifetime_histograms(
+        stream, bin_s=opts.bin_s or LIFETIME_BIN_S, span_s=opts.span_s)
+    meta = digest_meta(stream.content_digest)
+    path = lifetime_traces(outdir, co, cross, meta)
     trace = docp(co, cross)
     docp_path = outdir / "lifetime_docp.csv"
-    write_docp_csv(docp_path, trace, digest_meta(stream))
+    write_docp_csv(docp_path, trace, meta)
     print(f"wrote {path}")
     print(f"wrote {docp_path}")
     if not (opts.fit.enabled and stream.device.b_x_t > 0):
@@ -224,12 +226,13 @@ def _analyze_cw(stream, opts, outdir) -> int:
         if opts.start_stop else raw
     if opts.normalize:
         g2 = [plateau_normalized(h, window) for h in g2]
+    meta = digest_meta(stream.content_digest)
     path = outdir / "cw_g2.csv"
-    write_g2_csv(path, *g2, digest_meta(stream))
+    write_g2_csv(path, *g2, meta)
     print(f"wrote {path}")
     trace = docp(*raw)
     docp_path = outdir / "fig2b_docp.csv"
-    write_docp_csv(docp_path, trace, digest_meta(stream))
+    write_docp_csv(docp_path, trace, meta)
     print(f"wrote {docp_path}")
     if not opts.fit.enabled:
         return EXIT_OK
@@ -248,7 +251,7 @@ def _slicing(opts):
 
 def _analyze_pulsed(stream, opts, outdir) -> int:
     map_r, map_l = build_map2d(stream)
-    meta = digest_meta(stream)
+    meta = digest_meta(stream.content_digest)
     path, _ = write_herald_maps(outdir, map_r, map_l, meta)
     trace = sliced_docp(map_r, map_l, *_slicing(opts))
     slice_path = outdir / "fig3b_slice_docp.csv"
@@ -283,7 +286,7 @@ def _analyze_delay_sweep(streams, opts, outdir) -> int:
                            sliced_docp(*build_map2d(stream), *slicing))
 
     points = list(map(sweep_point, streams))
-    meta = digest_meta(*points)
+    meta = digest_meta(*(p.content_digest for p in points))
     points.sort(key=lambda p: p.delay)
     delays = [p.delay for p in points]
     for a, b in zip(delays, delays[1:]):

@@ -149,7 +149,16 @@ def _bin_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.bincount(idx, minlength=n).astype(np.int64)
 
 
-def _window_edges(window_s: float, bin_s: float) -> np.ndarray:
+def cw_window_edges(config, window_s: float,
+                    bin_s: float = CW_BIN_S) -> np.ndarray:
+    """The pair-delay bin edges over +/-window_s of a cw correlation of a
+    run with `config`.  The window must stay within one segment length:
+    segments lie two lengths apart, so then no pair crosses a segment, and
+    per-batch pair counts sum to the whole stream's."""
+    if config.kind is not ProtocolKind.CW_G2:
+        raise ValueError("cw correlations need a cw_g2 stream")
+    if window_s > config.segment_length_s:
+        raise ValueError("window exceeds the segment length")
     if bin_s <= 0:
         raise ValueError("bin width must be > 0")
     if window_s < bin_s:
@@ -176,45 +185,63 @@ def _pair_deltas_binned(t0: np.ndarray, t1: np.ndarray,
         total = int(m.sum())
         if total:
             # flat indices of each [lo_i, lo_i + m_i) run
-            offs = np.arange(total) - np.repeat(np.cumsum(m) - m, m)
-            j = np.repeat(lo_all[start:stop], m) + offs
-            d = t1[j] - np.repeat(t0[start:stop], m)
+            j = np.repeat(lo_all[start:stop] - (np.cumsum(m) - m), m)
+            j += np.arange(total)
+            d = t1[j]
+            d -= np.repeat(t0[start:stop], m)
             counts += _bin_values(d, edges)
     return counts
+
+
+def cw_pair_counts(channel, projection, time, pairing: str, edges,
+                   start_stop: bool = False) -> tuple:
+    """Pair counts over `edges` of cw records given as field arrays in
+    (segment, time) order, and the clicks per channel that they pair.
+
+    `pairing` follows the excitation/detection naming: "RR" correlates
+    the R-projected clicks of both channels, "RL" the L-projected ones.
+    All channel-0 x channel-1 pairs within the edges are counted (or,
+    with start_stop, only each channel-0 click's next channel-1 click).
+    The counts and clicks of the batches of one run add up to those of
+    the whole run (see `cw_window_edges`).
+    """
+    pairing = pairing.upper()
+    if pairing not in ("RR", "RL"):
+        raise ValueError("pairing must be 'RR' or 'RL'")
+    proj = int(Pol.R if pairing == "RR" else Pol.L)
+    mine = projection == proj
+    # compress, not a boolean index: about 4x faster on these masks,
+    # which select around a third of the records with no pattern
+    t0 = np.compress(mine & (channel == 0), time)
+    t1 = np.compress(mine & (channel == 1), time)
+    clicks = np.array([t0.size, t1.size], dtype=np.int64)
+    if t0.size == 0 or t1.size == 0:
+        return np.zeros(edges.size - 1, dtype=np.int64), clicks
+    if start_stop:
+        nxt = np.searchsorted(t1, t0, side="right")
+        ok = nxt < t1.size
+        return _bin_values(t1[nxt[ok]] - t0[ok], edges), clicks
+    return _pair_deltas_binned(t0, t1, edges), clicks
+
+
+def cw_histogram(edges, counts, clicks) -> Histogram1D:
+    """The cw correlation of pair counts and the clicks per channel that
+    they pair (`cw_pair_counts`, or its sums over the batches of a run);
+    it is empty when either channel has no click."""
+    return Histogram1D(edges, counts, np.sqrt(counts),
+                       is_empty=bool((clicks == 0).any()))
 
 
 def correlate_cw(stream: EventStream, pairing: str, window_s: float,
                  bin_s: float = CW_BIN_S,
                  start_stop: bool = False) -> Histogram1D:
-    """Cross-correlate the two detection channels of a cw run.
-
-    `pairing` follows the excitation/detection naming: "RR" correlates
-    the R-projected clicks of both channels, "RL" the L-projected ones.
-    All channel-0 x channel-1 pairs within +/-window enter the histogram
-    (or, with start_stop, only each channel-0 click's next channel-1
-    click).
-    """
-    pairing = pairing.upper()
-    if pairing not in ("RR", "RL"):
-        raise ValueError("pairing must be 'RR' or 'RL'")
-    proj = Pol.R if pairing == "RR" else Pol.L
-    if stream.config.kind is not ProtocolKind.CW_G2:
-        raise ValueError("cw correlations need a cw_g2 stream")
-    if window_s > stream.config.segment_length_s:
-        raise ValueError("window exceeds the segment length")
-    edges = _window_edges(window_s, bin_s)
-    t0 = stream.times(channel=0, projection=proj)
-    t1 = stream.times(channel=1, projection=proj)
-    if t0.size == 0 or t1.size == 0:
-        z = np.zeros(edges.size - 1, dtype=np.int64)
-        return Histogram1D(edges, z, np.sqrt(z), is_empty=True)
-    if start_stop:
-        nxt = np.searchsorted(t1, t0, side="right")
-        ok = nxt < t1.size
-        counts = _bin_values(t1[nxt[ok]] - t0[ok], edges)
-    else:
-        counts = _pair_deltas_binned(t0, t1, edges)
-    return Histogram1D(edges, counts, np.sqrt(counts))
+    """Cross-correlate the two detection channels of a cw run over
+    +/-window_s (`cw_pair_counts` of the whole stream)."""
+    edges = cw_window_edges(stream.config, window_s, bin_s)
+    ev = stream.events
+    return cw_histogram(edges, *cw_pair_counts(
+        ev["channel"], ev["projection"], ev["time"], pairing, edges,
+        start_stop))
 
 
 def plateau_normalized(hist: Histogram1D, window_s: float) -> Histogram1D:
@@ -245,14 +272,22 @@ def docp(h_rr: Histogram1D, h_rl: Histogram1D) -> DocpTrace:
     return DocpTrace(h_rr.centers, values, errors, n, valid)
 
 
+def lifetime_edges(device, config, bin_s: float = LIFETIME_BIN_S,
+                   span_s: float | None = None) -> np.ndarray:
+    """The within-shot time bin edges of `bin_lifetime` for a run of
+    `device` with `config`; the span defaults to the shorter of the
+    repetition period and 10 T1."""
+    if span_s is None:
+        span_s = min(config.rep_period_s, 10.0 * device.t1_s)
+    return bin_s * np.arange(0, int(round(span_s / bin_s)) + 1)
+
+
 def bin_lifetime(stream: EventStream, bin_s: float = LIFETIME_BIN_S,
                  span_s: float | None = None,
                  projection=None) -> Histogram1D:
     """Histogram of within-shot detection times."""
     rep = stream.config.rep_period_s
-    if span_s is None:
-        span_s = min(rep, 10.0 * stream.device.t1_s)
-    edges = bin_s * np.arange(0, int(round(span_s / bin_s)) + 1)
+    edges = lifetime_edges(stream.device, stream.config, bin_s, span_s)
     ev = stream.events
     if projection is not None:
         ev = ev[ev["projection"] == int(Pol(projection))]
@@ -313,7 +348,7 @@ def count_map2d(events: np.ndarray, config, n_shots: int,
 
 
 def count_photon_maps(photon1, photon2, config, first_shot: int,
-                      n_shots: int) -> tuple:
+                      n_shots: int, t1_edges=None) -> tuple:
     """The R and L maps (`count_map2d`) of one pulsed batch, taken from
     its recorded photons 1 and 2 as `montecarlo.pulsed_photons` returns
     them, with no events built.
@@ -322,7 +357,7 @@ def count_photon_maps(photon1, photon2, config, first_shot: int,
     recorded on different channels; the channel-1 photon's projection
     picks its map.  Times are taken with the same float arithmetic as
     the events' and `count_map2d`'s, so the maps equal `count_map2d` of
-    the batch's events bit for bit.
+    the batch's events (over the same edges) bit for bit.
     """
     shot1, ch1, proj1, tau1 = photon1
     shot2, ch2, proj2, tau2 = photon2
@@ -342,7 +377,7 @@ def count_photon_maps(photon1, photon2, config, first_shot: int,
     t1 = np.where(first_on_0, w1, w2)
     t2 = np.where(first_on_0, w2, w1) - config.pulse_delay_s
     proj = np.where(first_on_0, proj2[j], proj1[i])
-    return _pair_maps(t1, t2, proj, n_shots)
+    return _pair_maps(t1, t2, proj, n_shots, t1_edges)
 
 
 def _pair_maps(t1, t2, proj, n_shots, t1_edges=None, t2_edges=None) -> tuple:

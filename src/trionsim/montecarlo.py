@@ -24,20 +24,23 @@ config's channels, so a photon costs its draws and a few table reads.
 
 Order: every batch returns its events in (shot, time) order, and the
 batches cover increasing shot ranges, so `run` concatenates them and
-never sorts a whole stream.  A pulsed or cw batch orders its records
-with one stable sort on the in-batch shot; a lifetime batch records at
-most one photon per shot and needs no sort.
+never sorts a whole stream.  A pulsed or cw batch orders its photons'
+field arrays with one stable sort on the in-batch shot before it builds
+records; a lifetime batch records at most one photon per shot and needs
+no sort.
 
 Workers: `map_batches` runs a per-batch function over a task list, in
 task order, in this process at one worker and otherwise through one
-process pool for the whole list.  `run` maps the engine
-over the batches of one config and concatenates the events in the
-parent; a caller that reduces inside the worker can submit the batches
-of many configs to one pool.  The heralded delay sweeps (fig3c, fig3d)
-do so: each worker takes a pulsed batch's recorded photons from
-`pulsed_photons` and bins them straight into two-photon maps, so no
-event record is built, and only the maps' slice counts reach the
-parent.
+process pool for the whole list.  `run` maps the engine over the batches
+of one config and concatenates the events in the parent; it serves
+`simulate`, `analyze` and the tests.  Every `pipeline` preset instead
+submits the batches of all its configs to one `map_batches` call and
+reduces each batch where it runs: a cw batch's recorded photons
+(`cw_photons`) become RR and RL pair counts, a pulsed batch's
+(`pulsed_photons`) the two-photon map rows of the heralded slice, and a
+lifetime batch's events decay histograms.  Only integer counts reach the
+parent, plus, for the presets that name their input stream by its
+digest, the batch's events to feed a running sha256.
 """
 from __future__ import annotations
 
@@ -305,7 +308,8 @@ class EventStream:
         return self.events["time"][mask]
 
 
-def _make_events(shots, channels, projections, times) -> np.ndarray:
+def make_events(shots, channels, projections, times) -> np.ndarray:
+    """Event records of the four field arrays, in their order."""
     out = np.empty(shots.shape[0], dtype=EVENT_DTYPE)
     out["shot"] = shots
     out["channel"] = channels
@@ -374,7 +378,7 @@ def _lifetime_batch(device, config, batch_index, start_shot, n):
     tau, is_r = _decay(rng, device, addressed_z(config.exc_pols[0]), n)
     shot, ch, proj, t = _recorded(rng, config, np.arange(n), is_r, tau)
     shots = (start_shot + shot).astype(np.uint32)
-    events = _make_events(shots, ch, proj, shots * config.rep_period_s + t)
+    events = make_events(shots, ch, proj, shots * config.rep_period_s + t)
     return events, {"n_shots": n, "n_emitted": n}
 
 
@@ -382,12 +386,13 @@ def _pulsed_records(start_shot, rep_period_s, photon1, photon2):
     """Events of a pulsed batch's recorded photons 1 and 2, each given as
     (in-batch shot, channel, projection, time in shot) in shot order.
     Photon 1 goes first and one stable sort on the in-batch shot puts the
-    records in (shot, time) order: a shot records both photons only if
-    tau1 < dt."""
-    shot, ch, proj, t = (np.concatenate(a) for a in zip(photon1, photon2))
+    field arrays in (shot, time) order before the records are built: a
+    shot records both photons only if tau1 < dt."""
+    order = np.argsort(np.concatenate((photon1[0], photon2[0])), kind="stable")
+    shot, ch, proj, t = (np.concatenate(a)[order]
+                         for a in zip(photon1, photon2))
     shots = (start_shot + shot).astype(np.uint32)
-    events = _make_events(shots, ch, proj, shots * rep_period_s + t)
-    return events[np.argsort(shot, kind="stable")]
+    return make_events(shots, ch, proj, shots * rep_period_s + t)
 
 
 def pulsed_photons(task):
@@ -462,10 +467,13 @@ def _grown(a, used):
     return out
 
 
-def _cw_batch(device, config, batch_index, start_seg, n):
-    """Lockstep continuous-excitation segments.
+def cw_photons(task):
+    """The recorded photons of a cw batch task as the field arrays of its
+    events (segment, channel, projection, event time) in (segment, time)
+    order, and the batch counters.
 
-    Poisson excitation attempts at pump_rate succeed with probability
+    The segments run in lockstep.  Poisson excitation attempts at
+    pump_rate succeed with probability
     p_mem * (population of the addressed hole state); a success puts the
     trion exactly on the addressed branch and the emission after an
     exponential decay delay collapses the hole to the branch eigenstate.
@@ -482,11 +490,12 @@ def _cw_batch(device, config, batch_index, start_seg, n):
     the decay delay, branch and excited jitter for the successes only; a
     segment leaves the arrays in the round its next attempt lands past
     its end.  Draw sizes follow earlier draws of the batch's own
-    substream, so the events depend only on (seed, batch index).  Events
-    come back in (segment, time) order: each segment emits in time order,
-    and one stable sort on the in-batch segment index interleaves the
-    rounds.
+    substream, so the events depend only on (seed, batch index).  Each
+    segment emits in time order, and one stable sort on the in-batch
+    segment index interleaves the rounds; the field arrays are put in that
+    order before the event times are taken from them.
     """
+    device, config, batch_index, start_seg, n = task
     rng = substream(config.rng_seed, config.kind.value, batch_index)
     p_half = device.p_mem * 0.5
     w_h = 2.0 * math.pi * device.f_h_hz
@@ -570,12 +579,18 @@ def _cw_batch(device, config, batch_index, start_seg, n):
     emissions = seg_idx.shape[0]
     seg_idx, ch, proj, t_in_seg = _recorded(rng, config, seg_idx, is_r,
                                             t_in_seg)
-    shots = (start_seg + seg_idx.astype(np.int64)).astype(np.uint32)
-    events = _make_events(shots, ch, proj, shots * (2.0 * seg_len) + t_in_seg)
-    # free the per-photon arrays before the sort copies the records
-    del is_r, ch, proj, shots, t_in_seg
-    return events[np.argsort(seg_idx, kind="stable")], {
+    del is_r
+    order = np.argsort(seg_idx, kind="stable")
+    shots = (start_seg + seg_idx[order].astype(np.int64)).astype(np.uint32)
+    times = shots * (2.0 * seg_len) + t_in_seg[order]
+    return (shots, ch[order], proj[order], times), {
         "n_shots": n, "n_attempts": attempts, "n_emitted": emissions}
+
+
+def _cw_batch(device, config, batch_index, start_seg, n):
+    """Events of a cw batch, from `cw_photons`."""
+    photons, counters = cw_photons((device, config, batch_index, start_seg, n))
+    return make_events(*photons), counters
 
 
 def batch_tasks(device: DeviceParams, config: ProtocolConfig) -> list:

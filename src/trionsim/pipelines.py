@@ -9,7 +9,9 @@ datasets plus a summary table (configured vs recovered vs reference).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from hashlib import sha256
 from itertools import islice
 from pathlib import Path
 
@@ -18,9 +20,10 @@ import numpy as np
 from . import montecarlo
 from .core import (ConfigError, DeviceParams, MU_B_EV_PER_T, NoiseModel,
                    PLANCK_EV_S, larmor_frequency)
-from .correlator import (CW_BIN_S, MAP_EDGES, Histogram1D, build_map2d,
-                         correlate_cw, count_photon_maps, docp,
-                         lifetime_docp_trace, lifetime_histograms,
+from .correlator import (CW_BIN_S, MAP_EDGES, Histogram1D, correlate_cw,
+                         count_map2d, count_photon_maps, cw_histogram,
+                         cw_pair_counts, cw_window_edges, docp,
+                         lifetime_edges, lifetime_histograms,
                          plateau_normalized, slice_map, write_csv,
                          write_docp_csv, write_map_csv)
 from .fitkit import (fft_frequency, fit_damped_cosine, fit_linear_zeeman,
@@ -38,6 +41,8 @@ G_E = 2.09
 # (co-polarized probability maximum at 150 mT), +/- one bin
 T1_SLICE_S = 228e-12
 T1_SLICE_TOL_S = 10e-12
+# the t1 edges of the map rows that slice sums, [220, 240) ps
+_SLICE_T1_EDGES = MAP_EDGES[22:25]
 T2_FIT_WINDOW_S = (50e-12, 270e-12)
 
 # pump sweep: nominal laser powers (uW) with their attempt rates; the
@@ -91,9 +96,89 @@ def _device(b_t: float, g_h: float = 0.35,
                         b_x_t=b_t, noise=noise or NoiseModel.quiet())
 
 
-def digest_meta(*streams) -> dict:
-    """CSV header block naming the event streams a dataset came from."""
-    return {"input_digest": "+".join(s.content_digest[:16] for s in streams)}
+def digest_meta(*digests) -> dict:
+    """CSV header block naming, by their content digests, the event
+    streams a dataset came from."""
+    return {"input_digest": "+".join(d[:16] for d in digests)}
+
+
+def _map_runs(fn, runs, workers) -> list:
+    """Per (device, config, arg) run, the sums of fn((batch, arg)) over
+    the run's engine batches, with the batches of all runs mapped through
+    one `montecarlo.map_batches` call.
+
+    fn reduces one batch where it runs and returns (counts, events):
+    counts a tuple of integer counts (numbers, arrays or maps) that add
+    up over the batches of a run, events the batch's event records or
+    None.  Each run comes back as (summed counts, sha256 hex digest of
+    the events in batch order, or None if fn returned none).  `run` only
+    concatenates its sorted batches, so that digest is the run's
+    `content_digest`.
+    """
+    tasks = [[(t, arg) for t in montecarlo.batch_tasks(device, config)]
+             for device, config, arg in runs]
+    results = montecarlo.map_batches(fn, [t for ts in tasks for t in ts],
+                                     workers)
+    out = []
+    for ts in tasks:
+        total = digest = None
+        for counts, events in islice(results, len(ts)):
+            total = counts if total is None else \
+                tuple(map(operator.add, total, counts))
+            if events is not None:
+                digest = digest or sha256()
+                digest.update(events)
+        out.append((total, digest and digest.hexdigest()))
+    return out
+
+
+def _lifetime_batch_counts(task):
+    """One lifetime batch's co- and cross-polarized decay counts, each
+    followed by whether the batch records that projection at all; its
+    events too when the task asks for the digest."""
+    batch, with_events = task
+    events, _ = montecarlo.run_batch(batch)
+    co, cross = lifetime_histograms(montecarlo.EventStream(events, *batch[:2]))
+    return ((co.counts, int(not co.is_empty), cross.counts,
+             int(not cross.is_empty)), events if with_events else None)
+
+
+def lifetime_run_histograms(runs, workers=None, digest=False) -> list:
+    """(co, cross, content digest) of every (device, config) lifetime or
+    zero-field run: its `lifetime_histograms`, reduced per batch where
+    the batches run.  Without `digest` the digest is None."""
+    sums = _map_runs(_lifetime_batch_counts,
+                     [(d, c, digest) for d, c in runs], workers)
+    out = []
+    for (device, config), (counts, hexd) in zip(runs, sums):
+        edges = lifetime_edges(device, config)
+        out.append((*(Histogram1D(edges, c, np.sqrt(c), is_empty=not n)
+                      for c, n in (counts[:2], counts[2:])), hexd))
+    return out
+
+
+def _cw_batch_counts(task):
+    """One cw batch's RR and RL pair counts over the task's edges, each
+    followed by the clicks per channel that it pairs, reduced where the
+    batch ran from its recorded photons; its events too when the task
+    asks for the digest."""
+    batch, (edges, with_events) = task
+    photons, _ = montecarlo.cw_photons(batch)
+    counts = (*cw_pair_counts(*photons[1:], "RR", edges),
+              *cw_pair_counts(*photons[1:], "RL", edges))
+    return counts, montecarlo.make_events(*photons) if with_events else None
+
+
+def cw_run_histograms(runs, workers=None, digest=False) -> list:
+    """(RR, RL, content digest) of every (device, config, window_s) cw
+    run: its raw `cw_histograms`, reduced per batch where the batches
+    run.  cw pairs never cross a segment, so the summed counts are the
+    whole stream's.  Without `digest` the digest is None."""
+    edges = [cw_window_edges(config, window) for _, config, window in runs]
+    sums = _map_runs(_cw_batch_counts, [(d, c, (e, digest)) for (d, c, _), e
+                                        in zip(runs, edges)], workers)
+    return [(cw_histogram(e, *counts[:2]), cw_histogram(e, *counts[2:]), hexd)
+            for e, (counts, hexd) in zip(edges, sums)]
 
 
 def run_pipeline(name: str, outdir, seed: int = 20260815, scale: float = 1.0,
@@ -137,25 +222,25 @@ def beat_fit(trace, opts: FitOptions | None = None):
         {"t2star": 1.0, "alpha": 1.0, **opts.fixed})
 
 
-def lifetime_traces(outdir, stream, **binning):
+def lifetime_traces(outdir, co, cross, meta):
     """Co- and cross-polarized decay histograms, written to
-    fig1d_traces.csv; `binning` takes bin_s and span_s."""
-    co, cross = lifetime_histograms(stream, **binning)
+    fig1d_traces.csv."""
     path = outdir / "fig1d_traces.csv"
-    write_csv(path, digest_meta(stream),
+    write_csv(path, meta,
               ("bin_center_s", "co_counts", "co_error", "cross_counts",
                "cross_error"),
               zip(co.centers, co.counts, co.errors, cross.counts,
                   cross.errors))
-    return path, co, cross
+    return path
 
 
 def _run_fig1d(outdir, seed, scale, workers):
     device = _device(b_t=0.0)
     config = ProtocolConfig.docp_zero_field(
         n_shots=_n_of(scale, 1_000_000), rng_seed=seed)
-    stream = montecarlo.run(device, config, workers=workers)
-    path, co, cross = lifetime_traces(outdir, stream)
+    [(co, cross, digest)] = lifetime_run_histograms([(device, config)],
+                                                    workers, True)
+    path = lifetime_traces(outdir, co, cross, digest_meta(digest))
     n_r, n_l = co.total, cross.total
     memory = (n_r - n_l) / (n_r + n_l)
     sigma = math.sqrt((1.0 - memory ** 2) / (n_r + n_l))
@@ -166,13 +251,13 @@ def _run_fig1d(outdir, seed, scale, workers):
 
 def _run_fig1f(outdir, seed, scale, workers):
     fields = (0.05, 0.10, 0.15)
+    runs = [(_device(b_t=b_t),
+             ProtocolConfig.lifetime(n_shots=_n_of(scale, 500_000),
+                                     rng_seed=derive_seed(seed, "b", i)))
+            for i, b_t in enumerate(fields)]
     freqs, f_sigmas = [], []
-    for i, b_t in enumerate(fields):
-        device = _device(b_t=b_t)
-        config = ProtocolConfig.lifetime(n_shots=_n_of(scale, 500_000),
-                                         rng_seed=derive_seed(seed, "b", i))
-        stream = montecarlo.run(device, config, workers=workers)
-        fit = beat_fit(lifetime_docp_trace(stream))
+    for co, cross, _ in lifetime_run_histograms(runs, workers):
+        fit = beat_fit(docp(co, cross))
         freqs.append(fit["frequency"])
         f_sigmas.append(fit.sigmas["frequency"])
     freqs, f_sigmas = np.array(freqs), np.array(f_sigmas)
@@ -196,10 +281,9 @@ def _cw_device(b_t: float = 0.0375, g_h: float = REF_G_H_CW,
                    noise=NoiseModel.lorentzian_from_t2star(t2star_s))
 
 
-def _run_cw(device, n_segments, seed, pump_rate_hz, workers):
-    config = ProtocolConfig.cw(n_segments=n_segments, rng_seed=seed,
-                               pump_rate_hz=pump_rate_hz)
-    return montecarlo.run(device, config, workers=workers)
+def _cw_config(n_segments, seed, pump_rate_hz=1e7):
+    return ProtocolConfig.cw(n_segments=n_segments, rng_seed=seed,
+                             pump_rate_hz=pump_rate_hz)
 
 
 def cw_histograms(stream, window_s, bin_s=CW_BIN_S, start_stop=False):
@@ -238,11 +322,12 @@ def cw_osc_params(h_rr, h_rl, window_s) -> dict:
 
 
 def _run_fig2a(outdir, seed, scale, workers):
-    stream = _run_cw(_cw_device(), _n_of(scale, 8192), seed, 1e7, workers)
-    h_rr, h_rl = (plateau_normalized(h, 100e-9)
-                  for h in cw_histograms(stream, 100e-9))
+    [(*hists, digest)] = cw_run_histograms(
+        [(_cw_device(), _cw_config(_n_of(scale, 8192), seed), 100e-9)],
+        workers, True)
+    h_rr, h_rl = (plateau_normalized(h, 100e-9) for h in hists)
     path = outdir / "fig2a_g2.csv"
-    write_g2_csv(path, h_rr, h_rl, digest_meta(stream))
+    write_g2_csv(path, h_rr, h_rl, digest_meta(digest))
     center = np.argmin(np.abs(h_rr.centers))
     dip = float(h_rr.counts[center])
     rows = [SummaryRow("fig2a", "g2_rr_zero_delay", 0.0, dip,
@@ -252,10 +337,11 @@ def _run_fig2a(outdir, seed, scale, workers):
 
 def _run_fig2b(outdir, seed, scale, workers):
     device = _cw_device()
-    stream = _run_cw(device, _n_of(scale, 49152), seed, 1e7, workers)
-    hists = cw_histograms(stream, 100e-9)
+    [(*hists, digest)] = cw_run_histograms(
+        [(device, _cw_config(_n_of(scale, 49152), seed), 100e-9)],
+        workers, True)
     path = outdir / "fig2b_docp.csv"
-    write_docp_csv(path, docp(*hists), digest_meta(stream))
+    write_docp_csv(path, docp(*hists), digest_meta(digest))
     osc = cw_osc_params(*hists, 100e-9)
     f_hz = osc["frequency"]
     g_h = PLANCK_EV_S * f_hz / (MU_B_EV_PER_T * device.b_x_t)
@@ -264,9 +350,9 @@ def _run_fig2b(outdir, seed, scale, workers):
     report = outdir / "fig2b_fit_report.txt"
     report.write_text(
         format_fit_report(osc["fit_rr"], "cw g2 RR damped cosine",
-                          stream.content_digest[:16])
+                          digest[:16])
         + format_fit_report(osc["fit_rl"], "cw g2 RL damped cosine",
-                            stream.content_digest[:16]))
+                            digest[:16]))
     rows = [
         SummaryRow("fig2b", "f_hz", device.f_h_hz,
                    f_hz, osc["frequency_sigma"],
@@ -284,15 +370,13 @@ def _run_fig2b(outdir, seed, scale, workers):
 
 def _run_fig2c(outdir, seed, scale, workers):
     fields = (0.025, 0.0375, 0.05, 0.075)
-    oscs = []
-    for i, b_t in enumerate(fields):
-        # jitter width grows linearly with field (frequency-proportional
-        # nuclear-field spread), pinned to the 37.5 mT reference point
-        t2star = REF_TAU_CW_S * 0.0375 / b_t
-        device = _cw_device(b_t=b_t, t2star_s=t2star)
-        stream = _run_cw(device, _n_of(scale, 16384),
-                         derive_seed(seed, "b", i), 1e7, workers)
-        oscs.append(cw_osc_params(*cw_histograms(stream, 100e-9), 100e-9))
+    # jitter width grows linearly with field (frequency-proportional
+    # nuclear-field spread), pinned to the 37.5 mT reference point
+    runs = [(_cw_device(b_t=b_t, t2star_s=REF_TAU_CW_S * 0.0375 / b_t),
+             _cw_config(_n_of(scale, 16384), derive_seed(seed, "b", i)),
+             100e-9) for i, b_t in enumerate(fields)]
+    oscs = [cw_osc_params(h_rr, h_rl, 100e-9)
+            for h_rr, h_rl, _ in cw_run_histograms(runs, workers)]
     freqs, f_sig, taus = (np.array([o[k] for o in oscs])
                           for k in ("frequency", "frequency_sigma", "t2star"))
     path = outdir / "fig2c_field_sweep.csv"
@@ -315,15 +399,12 @@ def _run_fig2c(outdir, seed, scale, workers):
 def _pump_sweep(outdir, seed, scale, workers):
     """Shared cw power sweep; returns per-power oscillation parameters."""
     device = _cw_device()
-    results = []
-    for i, (power_uw, pump) in enumerate(POWER_SWEEP):
-        n_seg = _n_of(scale, _SWEEP_SEGMENTS[pump])
-        stream = _run_cw(device, n_seg, derive_seed(seed, "p", i), pump,
-                         workers)
-        window = _SWEEP_WINDOWS[pump]
-        osc = cw_osc_params(*cw_histograms(stream, window), window)
-        results.append((power_uw, pump, osc))
-    return results
+    runs = [(device, _cw_config(_n_of(scale, _SWEEP_SEGMENTS[pump]),
+                                derive_seed(seed, "p", i), pump),
+             _SWEEP_WINDOWS[pump]) for i, (_, pump) in enumerate(POWER_SWEEP)]
+    return [(power_uw, pump, cw_osc_params(h_rr, h_rl, _SWEEP_WINDOWS[pump]))
+            for (power_uw, pump), (h_rr, h_rl, _)
+            in zip(POWER_SWEEP, cw_run_histograms(runs, workers))]
 
 
 def _run_fig2d(outdir, seed, scale, workers):
@@ -388,13 +469,20 @@ def sliced_docp(map_r, map_l, t1_s=T1_SLICE_S, tolerance_s=T1_SLICE_TOL_S):
                 slice_map(map_l, t1_s, tolerance_s))
 
 
+def _batch_maps(task):
+    """One pulsed batch's R and L maps (`count_map2d`) and its events."""
+    batch, _ = task
+    events, _ = montecarlo.run_batch(batch)
+    return count_map2d(events, batch[1], batch[4]), events
+
+
 def _run_fig3b(outdir, seed, scale, workers):
     device = _pulsed_device()
     config = ProtocolConfig.pulsed(n_shots=_n_of(scale, 2_400_000),
                                    rng_seed=seed, pulse_delay_s=1.6e-9)
-    stream = montecarlo.run(device, config, workers=workers)
-    map_r, map_l = build_map2d(stream)
-    paths = write_herald_maps(outdir, map_r, map_l, digest_meta(stream))
+    [((map_r, map_l), digest)] = _map_runs(_batch_maps,
+                                           [(device, config, None)], workers)
+    paths = write_herald_maps(outdir, map_r, map_l, digest_meta(digest))
     fit = beat_fit(sliced_docp(map_r, map_l))
     f_e = device.f_e_hz
     rows = [SummaryRow("fig3b", "f_e_hz", f_e, fit["frequency"],
@@ -439,13 +527,16 @@ def delay_sweep_grid() -> np.ndarray:
 
 def _batch_herald_slices(task):
     """One engine batch's R and L maps, binned where the batch ran
-    straight from its recorded photons, as the counts over the t2 bins of
-    the rows that `sliced_docp` sums, and the R map's shots used."""
-    _, config, _, start, count = task
-    photon1, photon2, _ = montecarlo.pulsed_photons(task)
-    maps = count_photon_maps(photon1, photon2, config, start, count)
+    straight from its recorded photons over only the rows that
+    `sliced_docp` sums, as the counts over their t2 bins, and the R map's
+    shots used."""
+    batch, _ = task
+    _, config, _, start, count = batch
+    photon1, photon2, _ = montecarlo.pulsed_photons(batch)
+    maps = count_photon_maps(photon1, photon2, config, start, count,
+                             _SLICE_T1_EDGES)
     return (*(slice_map(m, T1_SLICE_S, T1_SLICE_TOL_S).counts for m in maps),
-            maps[0].diagnostics["shots_used"])
+            maps[0].diagnostics["shots_used"]), None
 
 
 def heralded_sweep(device, delays, n_shots, seed, workers=None):
@@ -453,27 +544,19 @@ def heralded_sweep(device, delays, n_shots, seed, workers=None):
     heralded pair count of every delay (fig3c and fig3d).
 
     The batches of all delays go to one process pool.  Each worker bins
-    its batch's recorded photons straight into the R and L maps
-    (`count_photon_maps`) and sends back only their slice counts and the
-    R map's shots used, a few KB.  Integer counts add exactly, so the
+    its batch's recorded photons straight into the slice rows of the R
+    and L maps (`count_photon_maps`) and sends back only their counts and
+    the R map's shots used, a few KB.  Integer counts add exactly, so the
     per-delay sums equal `sliced_docp` of `build_map2d` on the delay's
     whole stream.
     """
-    configs = [ProtocolConfig.pulsed(n_shots=n_shots,
-                                     rng_seed=derive_seed(seed, "dt", i),
-                                     pulse_delay_s=float(dt))
-               for i, dt in enumerate(delays)]
-    tasks = [t for c in configs for t in montecarlo.batch_tasks(device, c)]
-    slices = montecarlo.map_batches(_batch_herald_slices, tasks, workers)
-    per_delay, pairs = [], []
-    for _ in configs:
-        # every delay has the same batch cut, and its batches come in order
-        rr, rl, used = (sum(v[1:], v[0]) for v in zip(
-            *islice(slices, len(tasks) // len(configs))))
-        per_delay.append(docp(*(Histogram1D(MAP_EDGES, c, np.sqrt(c))
-                                for c in (rr, rl))))
-        pairs.append(used)
-    return per_delay, pairs
+    runs = [(device, ProtocolConfig.pulsed(
+        n_shots=n_shots, rng_seed=derive_seed(seed, "dt", i),
+        pulse_delay_s=float(dt)), None) for i, dt in enumerate(delays)]
+    sums = [counts for counts, _ in
+            _map_runs(_batch_herald_slices, runs, workers)]
+    return ([docp(*(Histogram1D(MAP_EDGES, c, np.sqrt(c)) for c in (rr, rl)))
+             for rr, rl, _ in sums], [used for _, _, used in sums])
 
 
 def fit_heralded_sweep(delays, traces, t2_window_s=T2_FIT_WINDOW_S):
@@ -553,10 +636,12 @@ def _run_fig3d(outdir, seed, scale, workers):
 
 
 def _run_figs6(outdir, seed, scale, workers):
-    stream = _run_cw(_cw_device(), _n_of(scale, 8192), seed, 1e7, workers)
-    est = fft_frequency(docp(*cw_histograms(stream, 100e-9)))
+    [(h_rr, h_rl, digest)] = cw_run_histograms(
+        [(_cw_device(), _cw_config(_n_of(scale, 8192), seed), 100e-9)],
+        workers, True)
+    est = fft_frequency(docp(h_rr, h_rl))
     path = outdir / "figs6_fft.csv"
-    write_csv(path, digest_meta(stream), ("frequency_hz", "magnitude"),
+    write_csv(path, digest_meta(digest), ("frequency_hz", "magnitude"),
               zip(est.freqs_hz, est.magnitude))
     f_ref = larmor_frequency(REF_G_H_CW, 0.0375)
     rows = [SummaryRow("figs6", "fft_peak_hz", f_ref, est.frequency_hz,

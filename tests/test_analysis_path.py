@@ -11,7 +11,7 @@ import pytest
 from trionsim.cli import main
 from trionsim.core import DeviceParams, NoiseModel
 from trionsim.correlator import (DocpTrace, Map2D, build_map2d,
-                                 write_docp_csv)
+                                 lifetime_histograms, write_docp_csv)
 from trionsim.events_io import read_events
 from trionsim.fitkit import fit_damped_cosine
 from trionsim.rng import derive_seed
@@ -19,9 +19,11 @@ from trionsim.montecarlo import ProtocolConfig, batch_tasks, run
 from trionsim.pipelines import (G_E, P_MEM, REF_G_H_CW, REF_G_H_PULSED,
                                 REF_T2STAR_S, REF_TAU_CW_S, T1_S,
                                 T1_SLICE_TOL_S, T2_FIT_WINDOW_S,
-                                _batch_herald_slices, digest_meta,
+                                _batch_herald_slices, cw_histograms,
+                                cw_run_histograms, digest_meta,
                                 fit_heralded_sweep, heralded_sweep,
-                                run_pipeline, sliced_docp)
+                                lifetime_run_histograms, run_pipeline,
+                                sliced_docp)
 from trionsim.scenarios import (AnalysisOptions, FitOptions, OutputOptions,
                                 Scenario, save_scenario)
 
@@ -128,7 +130,7 @@ def test_analyze_honours_an_explicit_zero_t1_slice(tmp_path):
     expected = tmp_path / "expected.csv"
     write_docp_csv(expected,
                    sliced_docp(*build_map2d(stream), 0.0, T1_SLICE_TOL_S),
-                   digest_meta(stream))
+                   digest_meta(stream.content_digest))
     assert (out / "fig3b_slice_docp.csv").read_bytes() == \
         expected.read_bytes()
 
@@ -180,9 +182,56 @@ def test_heralded_sweep_workers_send_back_only_slice_counts():
                      noise=NoiseModel.lorentzian_from_t2star(REF_T2STAR_S))
     config = ProtocolConfig.pulsed(n_shots=70_000, rng_seed=SEED,
                                    pulse_delay_s=1.6e-9)
-    result = _batch_herald_slices(batch_tasks(device, config)[0])
-    assert not any(isinstance(x, Map2D) for x in (result, *result))
+    result = _batch_herald_slices((batch_tasks(device, config)[0], None))
+    counts, events = result
+    assert events is None
+    assert not any(isinstance(x, Map2D) for x in (counts, *counts))
     assert len(pickle.dumps(result)) < 16 * 1024
+
+
+def _assert_same_histograms(a, b):
+    for name in ("bin_edges", "counts", "errors"):
+        assert getattr(a, name).dtype == getattr(b, name).dtype
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert a.is_empty == b.is_empty
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pump_sweep_matches_whole_stream_correlation(workers):
+    # the first run is one full and one partial engine batch (8,192
+    # segments each); the batches of both runs go through one pool and
+    # are correlated where they run, the reference correlates each run's
+    # whole stream
+    device = _device(0.0375,
+                     noise=NoiseModel.lorentzian_from_t2star(REF_TAU_CW_S))
+    runs = [(device, ProtocolConfig.cw(8192 + 300, derive_seed(SEED, "p", 0),
+                                       pump_rate_hz=4e7,
+                                       segment_length_s=1e-6), 100e-9),
+            (device, ProtocolConfig.cw(700, derive_seed(SEED, "p", 1),
+                                       pump_rate_hz=2e8,
+                                       segment_length_s=2e-6), 30e-9)]
+    assert len(batch_tasks(device, runs[0][1])) == 2
+    results = cw_run_histograms(runs, workers, digest=True)
+    for (_, config, window), (h_rr, h_rl, digest) in zip(runs, results):
+        stream = run(device, config)
+        for got, want in zip((h_rr, h_rl), cw_histograms(stream, window)):
+            assert want.total > 0
+            _assert_same_histograms(got, want)
+        assert digest == stream.content_digest
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lifetime_batch_sums_match_whole_stream_histograms(workers):
+    # 70,000 shots are one full and one partial engine batch
+    runs = [(_device(b_t), ProtocolConfig.lifetime(
+        70_000, derive_seed(SEED, "b", i)))
+        for i, b_t in enumerate((0.05, 0.1))]
+    for (device, config), (co, cross, digest) in zip(
+            runs, lifetime_run_histograms(runs, workers, digest=True)):
+        stream = run(device, config)
+        for got, want in zip((co, cross), lifetime_histograms(stream)):
+            _assert_same_histograms(got, want)
+        assert digest == stream.content_digest
 
 
 def _synthetic_sweep(flat_bin=None):

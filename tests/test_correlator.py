@@ -17,6 +17,9 @@ from trionsim.correlator import (
     build_map2d,
     correlate_cw,
     count_map2d,
+    cw_histogram,
+    cw_pair_counts,
+    cw_window_edges,
     docp,
     slice_map,
     write_csv,
@@ -126,6 +129,53 @@ def test_correlate_validation():
     empty = _make_stream([[], []])
     hist = correlate_cw(empty, "RR", window_s=5e-9, bin_s=1e-9)
     assert hist.is_empty and hist.total == 0
+
+
+_R, _L = int(Pol.R), int(Pol.L)
+# per batch of segments 0 and 1: (channel, projection, time in segment)
+# of each record
+_CW_BATCH_LAYOUTS = {
+    # neither batch has both channels, the run does
+    "ch0_then_ch1": ([(0, _R, 0.1e-6), (0, _R, 0.3e-6)], [(1, _R, 0.2e-6)]),
+    "ch1_then_ch0": ([(1, _R, 0.4e-6)], [(0, _R, 0.1e-6), (0, _L, 0.2e-6)]),
+    # one channel has no R click in the whole run
+    "ch0_only": ([(0, _R, 0.1e-6)], [(0, _R, 0.2e-6), (1, _L, 0.3e-6)]),
+    # pairs inside each batch
+    "both": ([(0, _R, 0.1e-6), (1, _R, 0.15e-6), (1, _L, 0.2e-6)],
+             [(1, _R, 0.05e-6), (0, _R, 0.3e-6), (1, _R, 0.35e-6)]),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_CW_BATCH_LAYOUTS))
+@pytest.mark.parametrize("pairing", ["RR", "RL"])
+def test_cw_batch_sums_match_whole_stream(layout, pairing):
+    # a cw histogram is empty when either channel has no click of the
+    # pairing's projection over the whole run; per-batch sums of counts
+    # and clicks must give correlate_cw of the concatenated batches
+    config = ProtocolConfig.cw(2, 1, pump_rate_hz=1e6, segment_length_s=1e-6)
+    stride = 2.0 * config.segment_length_s
+    batches = []
+    for seg, records in enumerate(_CW_BATCH_LAYOUTS[layout]):
+        records = sorted(records, key=lambda r: r[2])
+        ev = np.empty(len(records), dtype=EVENT_DTYPE)
+        ev["shot"] = seg
+        ev["channel"], ev["projection"], ev["time"] = (
+            np.array([r[i] for r in records]) for i in range(3))
+        ev["time"] += seg * stride
+        batches.append(ev)
+    edges = cw_window_edges(config, 0.5e-6, bin_s=0.05e-6)
+    parts = [cw_pair_counts(ev["channel"], ev["projection"], ev["time"],
+                            pairing, edges) for ev in batches]
+    summed = cw_histogram(edges, *(sum(x) for x in zip(*parts)))
+    whole = correlate_cw(EventStream(np.concatenate(batches), _device(),
+                                     config), pairing, 0.5e-6, 0.05e-6)
+    assert summed.is_empty == whole.is_empty
+    assert summed.counts.tobytes() == whole.counts.tobytes()
+    assert summed.errors.tobytes() == whole.errors.tobytes()
+    if layout.startswith("ch") and pairing == "RR":
+        # no batch on its own pairs both channels
+        assert all((clicks == 0).any() for _, clicks in parts)
+        assert whole.is_empty == (layout == "ch0_only")
 
 
 def test_docp_arithmetic():

@@ -38,7 +38,7 @@ from trionsim.correlator import (MAP_BIN_S, correlate_cw, count_map2d,
 from trionsim.dynamics import addressed_z, precessed_z, r_probability
 from trionsim.montecarlo import (_PROJ, CW_REDRAW_WINDOW_S, LIFETIME_BATCH,
                                  EventStream, ProtocolConfig, ProtocolKind,
-                                 _cw_batch, _make_events, _pulsed_batch,
+                                 _cw_batch, make_events, _pulsed_batch,
                                  _pulsed_records, _recorded, batch_tasks,
                                  pulsed_photons, run, run_batch)
 from trionsim.pipelines import sliced_docp
@@ -182,7 +182,7 @@ def _reference_cw_batch(device, config, batch_index, start_seg, n):
     shots = (start_seg + seg_idx.astype(np.int64)).astype(np.uint32)
     stride = 2.0 * seg_len
     times = shots * stride + t_in_seg
-    events = _make_events(shots[keep], ch[keep], proj[keep], times[keep])
+    events = make_events(shots[keep], ch[keep], proj[keep], times[keep])
     return events, {"n_shots": n, "n_attempts": attempts,
                     "n_emitted": emissions,
                     "per_segment": (seg_attempts,
@@ -250,7 +250,7 @@ def _reference_pulsed_batch(device, config, batch_index, start_shot, n):
     def pairs(a, b):
         return np.column_stack((a, b)).ravel()[keep]
 
-    events = _make_events(np.repeat(shots, 2)[keep], pairs(ch1, ch2),
+    events = make_events(np.repeat(shots, 2)[keep], pairs(ch1, ch2),
                           pairs(proj1, proj2), pairs(t0 + tau1, t0 + dt + tau2))
     diag = {"n_shots": n, "n_emitted": int(np.count_nonzero(addressed))
             + int(np.count_nonzero(success2)),
