@@ -316,17 +316,23 @@ def _analyze_delay_sweep(streams, opts, outdir) -> int:
 
 
 def _read_trace_csv(path):
-    cols = None
-    data = []
+    """The time, value and error columns (None without a third column) of
+    a CSV with an optional header line before its data rows."""
+    header, data = False, []
     with open(path, "r") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
-            if cols is None and any(not _is_float(p) for p in parts):
-                cols = parts
+            numeric = all(map(_is_float, parts))
+            if not (numeric or header or data):
+                header = True
                 continue
+            width = len(data[0]) if data else len(parts)
+            if not numeric or len(parts) != width:
+                raise OSError(f"{path}:{lineno}: expected {width} numbers, "
+                              f"got {line!r}")
             data.append([float(p) for p in parts])
     if not data:
         raise OSError(f"{path}: no data rows")

@@ -42,7 +42,6 @@ class Histogram1D:
     bin_edges: np.ndarray
     counts: np.ndarray
     errors: np.ndarray
-    is_empty: bool = False
 
     def __post_init__(self):
         self.bin_edges = np.asarray(self.bin_edges, dtype=float)
@@ -70,12 +69,11 @@ class Histogram1D:
         if not np.array_equal(self.bin_edges, other.bin_edges):
             raise ValueError("histograms have different binning")
         return Histogram1D(self.bin_edges, self.counts + other.counts,
-                           np.sqrt(self.errors ** 2 + other.errors ** 2),
-                           self.is_empty and other.is_empty)
+                           np.sqrt(self.errors ** 2 + other.errors ** 2))
 
     def scaled(self, factor: float) -> "Histogram1D":
         return Histogram1D(self.bin_edges, self.counts * factor,
-                           self.errors * factor, self.is_empty)
+                           self.errors * factor)
 
 
 @dataclass
@@ -194,16 +192,16 @@ def _pair_deltas_binned(t0: np.ndarray, t1: np.ndarray,
 
 
 def cw_pair_counts(channel, projection, time, pairing: str, edges,
-                   start_stop: bool = False) -> tuple:
+                   start_stop: bool = False) -> np.ndarray:
     """Pair counts over `edges` of cw records given as field arrays in
-    (segment, time) order, and the clicks per channel that they pair.
+    (segment, time) order.
 
     `pairing` follows the excitation/detection naming: "RR" correlates
     the R-projected clicks of both channels, "RL" the L-projected ones.
     All channel-0 x channel-1 pairs within the edges are counted (or,
     with start_stop, only each channel-0 click's next channel-1 click).
-    The counts and clicks of the batches of one run add up to those of
-    the whole run (see `cw_window_edges`).
+    The counts of the batches of one run add up to those of the whole
+    run (see `cw_window_edges`).
     """
     pairing = pairing.upper()
     if pairing not in ("RR", "RL"):
@@ -214,22 +212,13 @@ def cw_pair_counts(channel, projection, time, pairing: str, edges,
     # which select around a third of the records with no pattern
     t0 = np.compress(mine & (channel == 0), time)
     t1 = np.compress(mine & (channel == 1), time)
-    clicks = np.array([t0.size, t1.size], dtype=np.int64)
     if t0.size == 0 or t1.size == 0:
-        return np.zeros(edges.size - 1, dtype=np.int64), clicks
+        return np.zeros(edges.size - 1, dtype=np.int64)
     if start_stop:
         nxt = np.searchsorted(t1, t0, side="right")
         ok = nxt < t1.size
-        return _bin_values(t1[nxt[ok]] - t0[ok], edges), clicks
-    return _pair_deltas_binned(t0, t1, edges), clicks
-
-
-def cw_histogram(edges, counts, clicks) -> Histogram1D:
-    """The cw correlation of pair counts and the clicks per channel that
-    they pair (`cw_pair_counts`, or its sums over the batches of a run);
-    it is empty when either channel has no click."""
-    return Histogram1D(edges, counts, np.sqrt(counts),
-                       is_empty=bool((clicks == 0).any()))
+        return _bin_values(t1[nxt[ok]] - t0[ok], edges)
+    return _pair_deltas_binned(t0, t1, edges)
 
 
 def correlate_cw(stream: EventStream, pairing: str, window_s: float,
@@ -239,22 +228,28 @@ def correlate_cw(stream: EventStream, pairing: str, window_s: float,
     +/-window_s (`cw_pair_counts` of the whole stream)."""
     edges = cw_window_edges(stream.config, window_s, bin_s)
     ev = stream.events
-    return cw_histogram(edges, *cw_pair_counts(
-        ev["channel"], ev["projection"], ev["time"], pairing, edges,
-        start_stop))
+    c = cw_pair_counts(ev["channel"], ev["projection"], ev["time"], pairing,
+                       edges, start_stop)
+    return Histogram1D(edges, c, np.sqrt(c))
 
 
 def plateau_normalized(hist: Histogram1D, window_s: float) -> Histogram1D:
     """Rescale a cw correlation to the plateau level of its outer quarter.
 
-    A histogram of a channel without clicks is returned as it is.
+    That quarter must hold a bin center.  A histogram without counts (no
+    pair, as when a channel has no click) is returned as it is.
     """
-    if hist.is_empty:
+    plateau = np.abs(hist.centers) >= 0.75 * window_s
+    if not plateau.any():
+        raise ValueError(
+            f"cannot normalize: no bin of {np.diff(hist.bin_edges)[0]:g} s "
+            f"in the outer quarter of window {window_s:g} s")
+    if hist.total == 0:
         return hist
-    plateau = hist.counts[np.abs(hist.centers) >= 0.75 * window_s].mean()
-    if plateau <= 0:
+    level = hist.counts[plateau].mean()
+    if level <= 0:
         raise ValueError("cannot normalize: empty plateau")
-    return hist.scaled(1.0 / plateau)
+    return hist.scaled(1.0 / level)
 
 
 def docp(h_rr: Histogram1D, h_rl: Histogram1D) -> DocpTrace:
@@ -293,8 +288,7 @@ def bin_lifetime(stream: EventStream, bin_s: float = LIFETIME_BIN_S,
         ev = ev[ev["projection"] == int(Pol(projection))]
     t_rel = ev["time"] - ev["shot"] * rep
     counts = _bin_values(t_rel, edges)
-    return Histogram1D(edges, counts, np.sqrt(counts),
-                       is_empty=(ev.shape[0] == 0))
+    return Histogram1D(edges, counts, np.sqrt(counts))
 
 
 def lifetime_histograms(stream: EventStream, bin_s: float = LIFETIME_BIN_S,
@@ -413,8 +407,7 @@ def slice_map(map2d: Map2D, t1_fixed: float,
     if not rows.any():
         raise ValueError("no map rows inside the slice tolerance")
     counts = map2d.counts[rows].sum(axis=0)
-    return Histogram1D(map2d.t2_edges, counts, np.sqrt(counts),
-                       is_empty=(counts.sum() == 0))
+    return Histogram1D(map2d.t2_edges, counts, np.sqrt(counts))
 
 
 def _fmt(x) -> str:

@@ -21,11 +21,10 @@ from . import montecarlo
 from .core import (ConfigError, DeviceParams, MU_B_EV_PER_T, NoiseModel,
                    PLANCK_EV_S, larmor_frequency)
 from .correlator import (CW_BIN_S, MAP_EDGES, Histogram1D, correlate_cw,
-                         count_map2d, count_photon_maps, cw_histogram,
-                         cw_pair_counts, cw_window_edges, docp,
-                         lifetime_edges, lifetime_histograms,
-                         plateau_normalized, slice_map, write_csv,
-                         write_docp_csv, write_map_csv)
+                         count_map2d, count_photon_maps, cw_pair_counts,
+                         cw_window_edges, docp, lifetime_edges,
+                         lifetime_histograms, plateau_normalized, slice_map,
+                         write_csv, write_docp_csv, write_map_csv)
 from .fitkit import (fft_frequency, fit_damped_cosine, fit_linear_zeeman,
                      format_fit_report, loglog_trend, window_average)
 from .montecarlo import ProtocolConfig
@@ -132,15 +131,18 @@ def _map_runs(fn, runs, workers) -> list:
     return out
 
 
+def _histograms(edges, counts) -> tuple:
+    """A raw `Histogram1D` over `edges` of each summed count array."""
+    return tuple(Histogram1D(edges, c, np.sqrt(c)) for c in counts)
+
+
 def _lifetime_batch_counts(task):
-    """One lifetime batch's co- and cross-polarized decay counts, each
-    followed by whether the batch records that projection at all; its
+    """One lifetime batch's co- and cross-polarized decay counts; its
     events too when the task asks for the digest."""
     batch, with_events = task
     events, _ = montecarlo.run_batch(batch)
     co, cross = lifetime_histograms(montecarlo.EventStream(events, *batch[:2]))
-    return ((co.counts, int(not co.is_empty), cross.counts,
-             int(not cross.is_empty)), events if with_events else None)
+    return (co.counts, cross.counts), events if with_events else None
 
 
 def lifetime_run_histograms(runs, workers=None, digest=False) -> list:
@@ -149,23 +151,18 @@ def lifetime_run_histograms(runs, workers=None, digest=False) -> list:
     the batches run.  Without `digest` the digest is None."""
     sums = _map_runs(_lifetime_batch_counts,
                      [(d, c, digest) for d, c in runs], workers)
-    out = []
-    for (device, config), (counts, hexd) in zip(runs, sums):
-        edges = lifetime_edges(device, config)
-        out.append((*(Histogram1D(edges, c, np.sqrt(c), is_empty=not n)
-                      for c, n in (counts[:2], counts[2:])), hexd))
-    return out
+    return [(*_histograms(lifetime_edges(device, config), counts), hexd)
+            for (device, config), (counts, hexd) in zip(runs, sums)]
 
 
 def _cw_batch_counts(task):
-    """One cw batch's RR and RL pair counts over the task's edges, each
-    followed by the clicks per channel that it pairs, reduced where the
-    batch ran from its recorded photons; its events too when the task
-    asks for the digest."""
+    """One cw batch's RR and RL pair counts over the task's edges,
+    reduced where the batch ran from its recorded photons; its events too
+    when the task asks for the digest."""
     batch, (edges, with_events) = task
     photons, _ = montecarlo.cw_photons(batch)
-    counts = (*cw_pair_counts(*photons[1:], "RR", edges),
-              *cw_pair_counts(*photons[1:], "RL", edges))
+    counts = tuple(cw_pair_counts(*photons[1:], p, edges)
+                   for p in ("RR", "RL"))
     return counts, montecarlo.make_events(*photons) if with_events else None
 
 
@@ -177,7 +174,7 @@ def cw_run_histograms(runs, workers=None, digest=False) -> list:
     edges = [cw_window_edges(config, window) for _, config, window in runs]
     sums = _map_runs(_cw_batch_counts, [(d, c, (e, digest)) for (d, c, _), e
                                         in zip(runs, edges)], workers)
-    return [(cw_histogram(e, *counts[:2]), cw_histogram(e, *counts[2:]), hexd)
+    return [(*_histograms(e, counts), hexd)
             for e, (counts, hexd) in zip(edges, sums)]
 
 
@@ -555,7 +552,7 @@ def heralded_sweep(device, delays, n_shots, seed, workers=None):
         pulse_delay_s=float(dt)), None) for i, dt in enumerate(delays)]
     sums = [counts for counts, _ in
             _map_runs(_batch_herald_slices, runs, workers)]
-    return ([docp(*(Histogram1D(MAP_EDGES, c, np.sqrt(c)) for c in (rr, rl)))
+    return ([docp(*_histograms(MAP_EDGES, (rr, rl)))
              for rr, rl, _ in sums], [used for _, _, used in sums])
 
 

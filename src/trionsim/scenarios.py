@@ -132,8 +132,10 @@ def _parse_analysis(d: dict) -> AnalysisOptions:
         elif key == "t2_fit_window_s":
             if not isinstance(value, list) or len(value) != 2:
                 raise ConfigError(f"{at}: expected [lo, hi]")
-            opts.t2_fit_window_s = tuple(as_number(v, f"{at}[{i}]")
-                                         for i, v in enumerate(value))
+            lo, hi = (as_number(v, f"{at}[{i}]") for i, v in enumerate(value))
+            if not lo < hi:
+                raise ConfigError(f"{at}: expected [lo, hi] with lo < hi")
+            opts.t2_fit_window_s = (lo, hi)
         else:
             value = as_number(value, at)
             if key != "t1_slice_s" and not value > 0.0:

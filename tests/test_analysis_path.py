@@ -193,7 +193,6 @@ def _assert_same_histograms(a, b):
     for name in ("bin_edges", "counts", "errors"):
         assert getattr(a, name).dtype == getattr(b, name).dtype
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-    assert a.is_empty == b.is_empty
 
 
 @pytest.mark.parametrize("workers", [1, 2])

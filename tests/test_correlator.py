@@ -17,10 +17,10 @@ from trionsim.correlator import (
     build_map2d,
     correlate_cw,
     count_map2d,
-    cw_histogram,
     cw_pair_counts,
     cw_window_edges,
     docp,
+    plateau_normalized,
     slice_map,
     write_csv,
     write_map_csv,
@@ -128,7 +128,7 @@ def test_correlate_validation():
                      window_s=5e-9)
     empty = _make_stream([[], []])
     hist = correlate_cw(empty, "RR", window_s=5e-9, bin_s=1e-9)
-    assert hist.is_empty and hist.total == 0
+    assert hist.total == 0
 
 
 _R, _L = int(Pol.R), int(Pol.L)
@@ -149,9 +149,8 @@ _CW_BATCH_LAYOUTS = {
 @pytest.mark.parametrize("layout", sorted(_CW_BATCH_LAYOUTS))
 @pytest.mark.parametrize("pairing", ["RR", "RL"])
 def test_cw_batch_sums_match_whole_stream(layout, pairing):
-    # a cw histogram is empty when either channel has no click of the
-    # pairing's projection over the whole run; per-batch sums of counts
-    # and clicks must give correlate_cw of the concatenated batches
+    # per-batch pair counts must sum to correlate_cw of the concatenated
+    # batches, also when no batch on its own pairs both channels
     config = ProtocolConfig.cw(2, 1, pump_rate_hz=1e6, segment_length_s=1e-6)
     stride = 2.0 * config.segment_length_s
     batches = []
@@ -164,18 +163,35 @@ def test_cw_batch_sums_match_whole_stream(layout, pairing):
         ev["time"] += seg * stride
         batches.append(ev)
     edges = cw_window_edges(config, 0.5e-6, bin_s=0.05e-6)
-    parts = [cw_pair_counts(ev["channel"], ev["projection"], ev["time"],
-                            pairing, edges) for ev in batches]
-    summed = cw_histogram(edges, *(sum(x) for x in zip(*parts)))
+    summed = sum(cw_pair_counts(ev["channel"], ev["projection"], ev["time"],
+                                pairing, edges) for ev in batches)
     whole = correlate_cw(EventStream(np.concatenate(batches), _device(),
                                      config), pairing, 0.5e-6, 0.05e-6)
-    assert summed.is_empty == whole.is_empty
-    assert summed.counts.tobytes() == whole.counts.tobytes()
-    assert summed.errors.tobytes() == whole.errors.tobytes()
-    if layout.startswith("ch") and pairing == "RR":
-        # no batch on its own pairs both channels
-        assert all((clicks == 0).any() for _, clicks in parts)
-        assert whole.is_empty == (layout == "ch0_only")
+    assert summed.tobytes() == whole.counts.tobytes()
+
+
+def test_plateau_normalized_rules():
+    def h(counts, window=5.0):
+        # bins of 1 over +/-window; the plateau is |center| >= 0.75 window
+        counts = np.asarray(counts, dtype=np.int64)
+        return Histogram1D(np.arange(-window, window + 1), counts,
+                           np.sqrt(counts))
+
+    empty = h(np.zeros(10))
+    assert plateau_normalized(empty, 5.0) is empty
+    with pytest.raises(ValueError, match="empty plateau"):
+        plateau_normalized(h([0, 0, 1, 2, 3, 3, 2, 1, 0, 0]), 5.0)
+    # a window of one bin has centers at +/-0.5, none in its outer quarter,
+    # whatever the counts
+    for counts in ([0, 0], [4, 4]):
+        with pytest.raises(ValueError, match="bin of 1 s .* window 1 s"):
+            plateau_normalized(h(counts, 1.0), 1.0)
+    g2 = plateau_normalized(h([4, 2, 1, 0, 1, 1, 0, 1, 2, 4]), 5.0)
+    assert g2.counts.tolist() == [1.0, 0.5, 0.25, 0, 0.25, 0.25, 0, 0.25,
+                                  0.5, 1.0]
+    assert g2.errors.tolist() == pytest.approx(
+        [0.5, np.sqrt(2) / 4, 0.25, 0, 0.25, 0.25, 0, 0.25, np.sqrt(2) / 4,
+         0.5])
 
 
 def test_docp_arithmetic():

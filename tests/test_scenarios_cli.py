@@ -94,6 +94,12 @@ def test_type_checks_reject_bools_and_floats():
         d["analysis"] = {key: value}
         with pytest.raises(ConfigError, match=f"analysis.{key}: must be > 0"):
             Scenario.from_dict(d)
+    for window in ([2.7e-10, 5e-11], [1e-10, 1e-10]):
+        d = _scenario_dict()
+        d["analysis"] = {"t2_fit_window_s": window}
+        with pytest.raises(ConfigError,
+                           match=r"analysis.t2_fit_window_s: .* lo < hi"):
+            Scenario.from_dict(d)
     d = _scenario_dict()
     d["analysis"] = {"t1_slice_s": 0}
     assert Scenario.from_dict(d).analysis.t1_slice_s == 0.0
@@ -367,6 +373,18 @@ def test_cli_fit_recovers_clean_trace(tmp_path, capsys):
     assert report.exists()
 
 
+@pytest.mark.parametrize("row", ["2e-10", "2e-10,abc"])
+def test_cli_fit_refuses_malformed_rows(tmp_path, capsys, row):
+    # a row short of a cell, or with a cell that is no number, after the
+    # header and two good rows (the bad row is line 4)
+    path = tmp_path / "trace.csv"
+    path.write_text(f"time_s,value\n0,0.1\n1e-10,0.2\n{row}\n3e-10,0.3\n")
+    assert main(["fit", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}:4: expected 2 numbers" in err
+    assert "Traceback" not in err
+
+
 def test_cli_zeeman_recovers_g_factors(tmp_path, capsys):
     g_e, g_h, center = 2.09, 0.362, 1.30
     rows = []
@@ -521,3 +539,22 @@ def test_cli_analyze_refuses_options_its_analysis_does_not_read(
     if analysis in ("lifetime", "zero_field"):
         assert err.rstrip().endswith("not used by the zero-field analysis")
     assert not out.exists()
+
+
+def test_cli_analyze_cw_refuses_a_window_without_plateau(
+        tmp_path, capsys, analysis_files):
+    # a window of one bin has no bin center in its outer quarter, so the
+    # g2 cannot be normalized; unnormalized, the same file analyzes
+    d = _scenario_dict()
+    d["analysis"] = {"window_s": 100e-12, "bin_s": 100e-12,
+                     "fit": {"enabled": False}}
+    scn = _write_scenario(tmp_path / "s.json", d)
+    out = tmp_path / "out"
+    assert main(["analyze", *analysis_files["cw"], "-o", str(out),
+                 "--scenario", scn]) == 2
+    assert "window 1e-10 s" in capsys.readouterr().err
+    assert not any(out.iterdir())
+    d["analysis"]["normalize"] = False
+    scn = _write_scenario(tmp_path / "s.json", d)
+    assert main(["analyze", *analysis_files["cw"], "-o", str(out),
+                 "--scenario", scn]) == 0
