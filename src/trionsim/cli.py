@@ -24,8 +24,8 @@ from .montecarlo import ProtocolKind
 from .pipelines import (PRESETS, T1_SLICE_S, T1_SLICE_TOL_S,
                         T2_FIT_WINDOW_S, beat_fit, cw_histograms,
                         delay_sweep_fits, digest_meta, lifetime_traces,
-                        run_pipeline, sliced_docp, write_delay_csv,
-                        write_g2_csv, write_herald_maps)
+                        output_directory, run_pipeline, sliced_docp,
+                        write_delay_csv, write_g2_csv, write_herald_maps)
 from .scenarios import AnalysisOptions, ConfigError, load_scenario
 
 EXIT_OK = 0
@@ -146,7 +146,8 @@ def cmd_analyze(args) -> int:
     streams = _read_streams(args.events)
     if len(args.events) > 1:
         _refuse_unread(opts, "delay sweep")
-        return _analyze_delay_sweep(streams, opts, outdir)
+        with output_directory(outdir):
+            return _analyze_delay_sweep(streams, opts, outdir)
     stream = next(streams)
     name, analysis = {
         ProtocolKind.PULSED_2PC: ("pulsed", _analyze_pulsed),
@@ -155,8 +156,8 @@ def cmd_analyze(args) -> int:
         "lifetime" if stream.device.b_x_t > 0 else "zero-field",
         _analyze_lifetime))
     _refuse_unread(opts, name)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return analysis(stream, opts, outdir)
+    with output_directory(outdir):
+        return analysis(stream, opts, outdir)
 
 
 # the analysis options each analysis reads, as field paths; "fit" stands
@@ -273,7 +274,7 @@ class _SweepPoint(NamedTuple):
 
 def _analyze_delay_sweep(streams, opts, outdir) -> int:
     """Reduce each file of a pulsed delay sweep to its sliced DOCP as it
-    is read, so that one stream is held at a time; nothing is written
+    is read, so that one stream is held at a time; no file is written
     before every file has been read and checked."""
     window = opts.t2_fit_window_s or T2_FIT_WINDOW_S
     slicing = _slicing(opts)
@@ -294,7 +295,6 @@ def _analyze_delay_sweep(streams, opts, outdir) -> int:
             raise ConfigError(f"pulse_delay_s = {a:g} s: more than one "
                               f"event file of the sweep has it")
     traces = [p.trace for p in points]
-    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "fig3d_docp_vs_delay.csv"
     write_delay_csv(path, delays, traces, meta, window)
     print(f"wrote {path}")
@@ -315,9 +315,11 @@ def _analyze_delay_sweep(streams, opts, outdir) -> int:
     return EXIT_OK
 
 
-def _read_trace_csv(path):
-    """The time, value and error columns (None without a third column) of
-    a CSV with an optional header line before its data rows."""
+def _read_table(path) -> np.ndarray:
+    """The data rows of a CSV of numbers as a 2-D array.  Blank lines and
+    `#` comments are skipped and one header line is taken before the
+    first data row; every other row must hold as many numbers as the
+    first, or OSError names its `path:line`."""
     header, data = False, []
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -336,11 +338,7 @@ def _read_trace_csv(path):
             data.append([float(p) for p in parts])
     if not data:
         raise OSError(f"{path}: no data rows")
-    table = np.asarray(data)
-    if table.shape[1] < 2:
-        raise OSError(f"{path}: need at least two columns")
-    sigma = table[:, 2] if table.shape[1] > 2 else None
-    return table[:, 0], table[:, 1], sigma
+    return np.asarray(data)
 
 
 def _is_float(text: str) -> bool:
@@ -352,14 +350,16 @@ def _is_float(text: str) -> bool:
 
 
 def cmd_fit(args) -> int:
-    t, y, sigma = _read_trace_csv(args.trace)
+    table = _read_table(args.trace)
+    if table.shape[1] < 2:
+        raise OSError(f"{args.trace}: need at least two columns")
     fixed = {}
     for item in args.fixed:
         name, _, value = item.partition("=")
         if not value:
             raise ConfigError(f"--fixed {item!r}: expected NAME=VALUE")
         fixed[name.strip()] = float(value)
-    trace = (t, y, sigma) if sigma is not None else (t, y)
+    trace = tuple(table.T[:3])
     fit = fit_damped_cosine(trace, variant=args.variant, t0=args.t0,
                             exclusion_window_s=args.exclusion_window,
                             fixed=fixed)
@@ -385,17 +385,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_zeeman(args) -> int:
-    with open(args.table, "r") as fh:
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if all(_is_float(p) for p in parts):
-                rows.append([float(p) for p in parts])
-    table = np.asarray(rows)
-    if table.ndim != 2 or table.shape[1] != 5:
+    table = _read_table(args.table)
+    if table.shape[1] != 5:
         raise ConfigError("zeeman table must have columns b_t, e1..e4")
     b_t = table[:, 0]
     energies = np.sort(table[:, 1:], axis=1)

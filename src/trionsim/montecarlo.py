@@ -9,12 +9,15 @@ sign convention, comes from the kernel in `dynamics`.
 
 Determinism: work is cut into fixed-size batches and every batch draws
 from its own counter-based stream keyed by (seed, protocol, batch index).
-Batch boundaries depend only on n_shots, so the merged event stream is
-bit-identical for any worker count.  Shots (and cw segments) are
-statistically independent of each other.  The pulsed engine draws only
-for the photons that exist, and the cw engine only for its live segments
-and its successes, so their later draw sizes follow counts taken from
-earlier draws, within the batch's own stream.
+A pulsed batch has a second one, keyed (seed, protocol, batch index,
+"unpaired"), for photon 2 of the shots without a recorded photon 1, so
+that the heralded sweep can skip it.  Batch boundaries depend only on
+n_shots, so the merged event stream is bit-identical for any worker
+count.  Shots (and cw segments) are statistically independent of each
+other.  The pulsed engine draws only for the photons that exist, and the
+cw engine only for its live segments and its successes, so their later
+draw sizes follow counts taken from earlier draws, within the same
+stream.
 
 Detection: every engine ends in one step, `_recorded`, which routes
 each photon to a channel and draws whether it passes that channel's
@@ -37,10 +40,11 @@ of one config and concatenates the events in the parent; it serves
 submits the batches of all its configs to one `map_batches` call and
 reduces each batch where it runs: a cw batch's recorded photons
 (`cw_photons`) become RR and RL pair counts, a pulsed batch's
-(`pulsed_photons`) the two-photon map rows of the heralded slice, and a
-lifetime batch's events decay histograms.  Only integer counts reach the
-parent, plus, for the presets that name their input stream by its
-digest, the batch's events to feed a running sha256.
+(`pulsed_photons`, photon 2 drawn only for the heralded shots) the
+two-photon map rows of the heralded slice, and a lifetime batch's events
+decay histograms.  Only integer counts reach the parent, plus, for the
+presets that name their input stream by its digest, the batch's events
+to feed a running sha256.
 """
 from __future__ import annotations
 
@@ -384,10 +388,11 @@ def _lifetime_batch(device, config, batch_index, start_shot, n):
 
 def _pulsed_records(start_shot, rep_period_s, photon1, photon2):
     """Events of a pulsed batch's recorded photons 1 and 2, each given as
-    (in-batch shot, channel, projection, time in shot) in shot order.
-    Photon 1 goes first and one stable sort on the in-batch shot puts the
-    field arrays in (shot, time) order before the records are built: a
-    shot records both photons only if tau1 < dt."""
+    (in-batch shot, channel, projection, time in shot), photon 1 in shot
+    order.  A shot records at most one photon 2, so photon 2 may come in
+    any shot order.  Photon 1 goes first and one stable sort on the
+    in-batch shot puts the field arrays in (shot, time) order before the
+    records are built: a shot records both photons only if tau1 < dt."""
     order = np.argsort(np.concatenate((photon1[0], photon2[0])), kind="stable")
     shot, ch, proj, t = (np.concatenate(a)[order]
                          for a in zip(photon1, photon2))
@@ -395,10 +400,29 @@ def _pulsed_records(start_shot, rep_period_s, photon1, photon2):
     return make_events(shots, ch, proj, shots * rep_period_s + t)
 
 
-def pulsed_photons(task):
+def _photon2(rng, device, config, shot, z_g, t_g):
+    """The recorded photon 2 of the entries of `shot` (in shot order)
+    whose hole sits in the ground state at pulse 2 (`t_g` > 0) and is
+    excited there, and the count of those emissions.  `z_g` and `t_g`
+    hold, per in-batch shot, the hole Bloch z the precession starts from
+    and its time in the ground state before pulse 2."""
+    shot = shot[t_g[shot] > 0.0]
+    shot = shot[rng.random(shot.size) < device.p_mem]
+    n2 = shot.size
+    noise = device.noise
+    df_h = noise.sample(rng, n2) if noise.affects_ground else 0.0
+    tau2 = rng.exponential(device.t1_s, n2)
+    df_e = noise.sample(rng, n2) if noise.affects_excited else 0.0
+    theta = (2.0 * math.pi * (device.f_h_hz + df_h) * t_g[shot]
+             + 2.0 * math.pi * (device.f_e_hz + df_e) * tau2)
+    is_r = rng.random(n2) < r_probability(precessed_z(z_g[shot], theta))
+    return _recorded(rng, config, shot, is_r, config.pulse_delay_s + tau2), n2
+
+
+def pulsed_photons(task, heralded_only=False):
     """The recorded photons 1 and 2 of a two-pulse heralding batch task,
-    each as (in-batch shot, channel, projection, time in shot) arrays in
-    shot order, and the batch counters.
+    each as (in-batch shot, channel, projection, time in shot) arrays,
+    and the batch counters.
 
     Pulse 1 is spin-selective circular: it excites only the addressed
     hole eigenstate, through the depolarizing preparation channel.  The
@@ -406,26 +430,35 @@ def pulsed_photons(task):
     exactly.  Pulse 2 coherently lifts the (possibly precessed) hole
     Bloch vector to the trion doublet with probability p_mem and does
     nothing otherwise.  Unexcited shots keep precessing and can still
-    yield a (useless) photon 2; the map analysis drops them.
-
-    Only photons that exist are drawn: photon 1 for the addressed shots,
-    photon 2 for the shots pulse 2 excites.  The draw sizes follow those
-    counts, which come from earlier draws of the batch's own substream,
-    so the events still depend only on (seed, batch index).  Photon 2
+    yield a (useless) photon 2; the map analysis drops them.  Photon 2
     precesses about x in the ground doublet and then in the trion
     doublet, one rotation by the summed angle.
+
+    Only photons that exist are drawn.  The batch's own substream draws
+    the initial states, photon 1 of the addressed shots and its
+    detection, then photon 2 of the heralded shots, those with a
+    recorded photon 1.  Photon 2 of every other shot comes from a second
+    substream keyed (seed, kind, batch index, "unpaired").  Detection
+    does not act on the spin, so the split changes no shot's physics.
+    Draw sizes follow counts taken from earlier draws of the same
+    substream, so the events still depend only on (seed, batch index).
+
+    Photon 1 comes in shot order.  Photon 2 holds the heralded shots in
+    shot order, then the others in shot order.  With `heralded_only`
+    the second substream is never built: photon 2 holds the heralded
+    shots alone, the only ones that can form a pair, and `n_emitted`
+    counts photon 1 and the heralded shots' photon 2.
     """
     device, config, batch_index, _, n = task
     rng = substream(config.rng_seed, config.kind.value, batch_index)
-    p = device.p_mem
     dt = config.pulse_delay_s
-    noise = device.noise
     s1 = addressed_z(config.exc_pols[0])
 
     # hole Bloch z from the initial eigenstate; pulse 1 addresses s1
     z_g = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     shot1 = np.flatnonzero(z_g == s1)
     tau1, is_r1 = _decay(rng, device, s1, shot1.size)
+    photon1 = _recorded(rng, config, shot1, is_r1, tau1)
 
     # ground state at pulse 2: an addressed shot precesses from its herald
     # for dt - tau1 (still in the trion if not positive), an unaddressed
@@ -433,19 +466,18 @@ def pulsed_photons(task):
     z_g[shot1] = np.where(is_r1, 1.0, -1.0)
     t_g = np.full(n, dt)
     t_g[shot1] = dt - tau1
-    shot2 = np.flatnonzero(t_g > 0.0)
-    shot2 = shot2[rng.random(shot2.size) < p]
-    n2 = shot2.size
-    df_h = noise.sample(rng, n2) if noise.affects_ground else 0.0
-    tau2 = rng.exponential(device.t1_s, n2)
-    df_e2 = noise.sample(rng, n2) if noise.affects_excited else 0.0
-    theta = (2.0 * math.pi * (device.f_h_hz + df_h) * t_g[shot2]
-             + 2.0 * math.pi * (device.f_e_hz + df_e2) * tau2)
-    is_r2 = rng.random(n2) < r_probability(precessed_z(z_g[shot2], theta))
-
-    return (_recorded(rng, config, shot1, is_r1, tau1),
-            _recorded(rng, config, shot2, is_r2, dt + tau2),
-            {"n_shots": n, "n_emitted": shot1.size + n2})
+    heralded = np.zeros(n, dtype=bool)
+    heralded[photon1[0]] = True
+    photon2, n2 = _photon2(rng, device, config, np.flatnonzero(heralded),
+                           z_g, t_g)
+    if not heralded_only:
+        unpaired = substream(config.rng_seed, config.kind.value,
+                             batch_index, "unpaired")
+        rest, n_rest = _photon2(unpaired, device, config,
+                                np.flatnonzero(~heralded), z_g, t_g)
+        photon2 = tuple(np.concatenate(a) for a in zip(photon2, rest))
+        n2 += n_rest
+    return photon1, photon2, {"n_shots": n, "n_emitted": shot1.size + n2}
 
 
 def _pulsed_batch(device, config, batch_index, start_shot, n):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from hashlib import sha256
 from itertools import islice
@@ -178,6 +179,25 @@ def cw_run_histograms(runs, workers=None, digest=False) -> list:
             for e, (counts, hexd) in zip(edges, sums)]
 
 
+@contextmanager
+def output_directory(outdir):
+    """Make `outdir` (a Path is yielded) and its missing parents; if the
+    block raises, remove the directories made here that it left empty,
+    deepest first."""
+    outdir = Path(outdir)
+    made = [d for d in (outdir, *outdir.parents) if not d.exists()]
+    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield outdir
+    except BaseException:
+        for d in made:
+            try:
+                d.rmdir()
+            except OSError:
+                break
+        raise
+
+
 def run_pipeline(name: str, outdir, seed: int = 20260815, scale: float = 1.0,
                  workers: int | None = None) -> PipelineResult:
     if name not in PRESETS:
@@ -185,12 +205,7 @@ def run_pipeline(name: str, outdir, seed: int = 20260815, scale: float = 1.0,
         raise ValueError(f"unknown preset {name!r} (known: {known})")
     if not 0.0 < scale < math.inf:
         raise ConfigError(f"scale: {scale} is not a finite number > 0")
-    outdir = Path(outdir)
-    # the directories this call makes, deepest first: a run that fails
-    # removes those that it left empty
-    made = [d for d in (outdir, *outdir.parents) if not d.exists()]
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
+    with output_directory(outdir) as outdir:
         rows, files = PRESETS[name](outdir, seed, scale, workers)
         summary = outdir / "summary.csv"
         write_csv(summary, {"preset": name, "seed": seed,
@@ -199,13 +214,6 @@ def run_pipeline(name: str, outdir, seed: int = 20260815, scale: float = 1.0,
                    "reference"),
                   ((r.preset, r.quantity, r.configured, r.recovered,
                     r.sigma, r.reference) for r in rows))
-    except BaseException:
-        for d in made:
-            try:
-                d.rmdir()
-            except OSError:
-                break
-        raise
     files.append(str(summary))
     return PipelineResult(name, rows, files)
 
@@ -529,7 +537,7 @@ def _batch_herald_slices(task):
     shots used."""
     batch, _ = task
     _, config, _, start, count = batch
-    photon1, photon2, _ = montecarlo.pulsed_photons(batch)
+    photon1, photon2, _ = montecarlo.pulsed_photons(batch, heralded_only=True)
     maps = count_photon_maps(photon1, photon2, config, start, count,
                              _SLICE_T1_EDGES)
     return (*(slice_map(m, T1_SLICE_S, T1_SLICE_TOL_S).counts for m in maps),
@@ -540,12 +548,14 @@ def heralded_sweep(device, delays, n_shots, seed, workers=None):
     """Per-delay sliced DOCP series, keyed by readout-time bin, and the
     heralded pair count of every delay (fig3c and fig3d).
 
-    The batches of all delays go to one process pool.  Each worker bins
-    its batch's recorded photons straight into the slice rows of the R
-    and L maps (`count_photon_maps`) and sends back only their counts and
-    the R map's shots used, a few KB.  Integer counts add exactly, so the
-    per-delay sums equal `sliced_docp` of `build_map2d` on the delay's
-    whole stream.
+    The batches of all delays go to one process pool.  Each worker draws
+    photon 2 only for the shots with a recorded photon 1 (`pulsed_photons`
+    with `heralded_only`), the only shots that can form a pair, from the
+    same draws that `run` takes for them.  It bins the recorded photons
+    straight into the slice rows of the R and L maps (`count_photon_maps`)
+    and sends back only their counts and the R map's shots used, a few KB.
+    Integer counts add exactly, so the per-delay sums equal `sliced_docp`
+    of `build_map2d` on the delay's whole stream.
     """
     runs = [(device, ProtocolConfig.pulsed(
         n_shots=n_shots, rng_seed=derive_seed(seed, "dt", i),

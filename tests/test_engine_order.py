@@ -15,7 +15,9 @@ both cw loops must meet.
 
 The heralded sweep bins each batch's recorded photons straight into its
 R and L maps (`count_photon_maps`); those maps must equal exactly the R
-and L maps that `count_map2d` pairs from the batch's events.
+and L maps that `count_map2d` pairs from the batch's events.  It draws
+photon 2 only for the shots with a recorded photon 1; those photons must
+equal exactly the full draw's photon 2 of the same shots.
 
 The detection step `_recorded` reads its pass probability, recorded
 label and keep flag from small per-channel tables.  It must equal the
@@ -477,8 +479,9 @@ def _pulsed_totals(batch, device, config):
 
 def _counted_pulsed_batch(device, config, batch_index, start_shot, n):
     """`_pulsed_batch`, with the recorded count of each photon taken from
-    its two `_recorded` calls (photon 1's, then photon 2's): the engine
-    detects only photons that exist."""
+    its `_recorded` calls (photon 1's, then photon 2's of the heralded
+    shots and of the others, summed): the engine detects only photons
+    that exist."""
     recorded = []
 
     def counting_recorded(*args):
@@ -490,8 +493,8 @@ def _counted_pulsed_batch(device, config, batch_index, start_shot, n):
         mp.setattr(montecarlo, "_recorded", counting_recorded)
         events, diag = _pulsed_batch(device, config, batch_index,
                                      start_shot, n)
-    assert len(recorded) == 2
-    return events, dict(diag, recorded=tuple(recorded))
+    assert len(recorded) == 3
+    return events, dict(diag, recorded=(recorded[0], sum(recorded[1:])))
 
 
 @pytest.mark.parametrize("herald", sorted(_HERALDS))
@@ -620,6 +623,61 @@ def test_photon_maps_bin_times_as_the_events_hold_them():
         (start + shots) * config.rep_period_s
     assert np.any(np.searchsorted(edges, held, side="right")
                   != np.searchsorted(edges, photon1[3], side="right"))
+
+
+def _heralded_photons(task):
+    """`pulsed_photons(task, heralded_only=True)` and the key paths of
+    the substreams it built."""
+    paths = []
+
+    def keyed(seed, *path):
+        paths.append(path)
+        return substream(seed, *path)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "substream", keyed)
+        return pulsed_photons(task, heralded_only=True), paths
+
+
+# photon 1 heralds on a lossy R projector or on an R/L splitter
+_HERALD_LAYOUTS = {"lossy": None, "splitter": ((Pol.R, Pol.L), (Pol.R, Pol.L))}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("eff", [1.0, 0.6])
+@pytest.mark.parametrize("layout", sorted(_HERALD_LAYOUTS))
+def test_heralded_only_photons_are_the_full_draw_restricted(layout, eff,
+                                                            workers):
+    # three batches, the last one partial, with ground and excited
+    # jitter: photon 1 and the heralded shots' photon 2 come from the
+    # batch's own substream in both modes, and the heralded-only mode
+    # never builds the "unpaired" one
+    size = 4096
+    device = _device(_BOTH, b_x_t=0.15)
+    config = ProtocolConfig.pulsed(3 * size - 100, 23, pulse_delay_s=0.4e-9,
+                                   det_pols=_HERALD_LAYOUTS[layout],
+                                   detection_efficiency=eff)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "LIFETIME_BATCH", size)
+        tasks = batch_tasks(device, config)
+    assert len(tasks) == 3
+    full = list(montecarlo.map_batches(pulsed_photons, tasks, workers))
+    heralded = list(montecarlo.map_batches(_heralded_photons, tasks,
+                                           workers))
+    unpaired = 0
+    for task, (photon1, photon2, _), ((h1, h2, counters), paths) in zip(
+            tasks, full, heralded):
+        assert paths == [(config.kind.value, task[2])]
+        assert counters["n_shots"] == task[4]
+        mine = np.isin(photon2[0], photon1[0])
+        unpaired += int(np.count_nonzero(~mine))
+        for got, want in zip(h1 + h2, photon1 + tuple(a[mine]
+                                                      for a in photon2)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert h2[0].size > 0
+    # the full draw has photon 2s that the heralded-only mode skips
+    assert unpaired > 0
 
 
 def _same_state(a, b):

@@ -121,7 +121,7 @@ _GOLDEN_RUNS = {
         "facbbf2b41173e3445c7eb93fffbf7ec17f5de0f13c810888d3d467033779a3f"),
     "pulsed_2pc": (0.15, lambda: ProtocolConfig.pulsed(
         70_000, 14, pulse_delay_s=1.6e-9, detection_efficiency=0.9),
-        "10c1e6efe05b7a8ea1a23368266ea74be440f1957aa335f6854698797d7ec926"),
+        "6a521889cb93756f6fcda194f627ff89e33dc4a5385f4efd92bab62049551bb4"),
 }
 
 

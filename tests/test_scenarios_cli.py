@@ -411,6 +411,18 @@ def test_cli_zeeman_recovers_g_factors(tmp_path, capsys):
     assert main(["zeeman", str(bad)]) == 2
 
 
+def test_cli_zeeman_refuses_a_row_with_a_non_number(tmp_path, capsys):
+    # the table reader of `fit`: a non-numeric cell after the header and
+    # a good row (the bad row is line 3) is refused, not dropped
+    path = tmp_path / "lines.csv"
+    path.write_text("b_t,e1,e2,e3,e4\n0.1,1.29,1.295,1.305,1.31\n"
+                    "0.12,abc,1.3,1.3,1.3\n0.2,1.28,1.29,1.31,1.32\n")
+    assert main(["zeeman", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}:3: expected 5 numbers" in err
+    assert "Traceback" not in err
+
+
 def test_cli_analyze_sweep_refuses_a_repeated_pulse_delay(tmp_path, capsys):
     d = _scenario_dict("pulsed_2pc", pulse_delay_s=[0.6e-9, 1.0e-9])
     d["device"]["b_x_t"] = 0.15
@@ -553,7 +565,7 @@ def test_cli_analyze_cw_refuses_a_window_without_plateau(
     assert main(["analyze", *analysis_files["cw"], "-o", str(out),
                  "--scenario", scn]) == 2
     assert "window 1e-10 s" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
     d["analysis"]["normalize"] = False
     scn = _write_scenario(tmp_path / "s.json", d)
     assert main(["analyze", *analysis_files["cw"], "-o", str(out),
