@@ -318,8 +318,8 @@ def _analyze_delay_sweep(streams, opts, outdir) -> int:
 def _read_table(path) -> np.ndarray:
     """The data rows of a CSV of numbers as a 2-D array.  Blank lines and
     `#` comments are skipped and one header line is taken before the
-    first data row; every other row must hold as many numbers as the
-    first, or OSError names its `path:line`."""
+    first data row; a second one, or a row without as many numbers as
+    the first, makes OSError name its `path:line`."""
     header, data = False, []
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -328,13 +328,15 @@ def _read_table(path) -> np.ndarray:
                 continue
             parts = line.split(",")
             numeric = all(map(_is_float, parts))
-            if not (numeric or header or data):
+            if data and not (numeric and len(parts) == len(data[0])):
+                raise OSError(f"{path}:{lineno}: expected {len(data[0])} "
+                              f"numbers, got {line!r}")
+            if not numeric:
+                if header:
+                    raise OSError(f"{path}:{lineno}: a second header line, "
+                                  f"got {line!r}")
                 header = True
                 continue
-            width = len(data[0]) if data else len(parts)
-            if not numeric or len(parts) != width:
-                raise OSError(f"{path}:{lineno}: expected {width} numbers, "
-                              f"got {line!r}")
             data.append([float(p) for p in parts])
     if not data:
         raise OSError(f"{path}: no data rows")

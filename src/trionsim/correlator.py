@@ -281,12 +281,11 @@ def bin_lifetime(stream: EventStream, bin_s: float = LIFETIME_BIN_S,
                  span_s: float | None = None,
                  projection=None) -> Histogram1D:
     """Histogram of within-shot detection times."""
-    rep = stream.config.rep_period_s
     edges = lifetime_edges(stream.device, stream.config, bin_s, span_s)
     ev = stream.events
     if projection is not None:
         ev = ev[ev["projection"] == int(Pol(projection))]
-    t_rel = ev["time"] - ev["shot"] * rep
+    t_rel = ev["time"] - ev["shot"] * stream.config.stride_s
     counts = _bin_values(t_rel, edges)
     return Histogram1D(edges, counts, np.sqrt(counts))
 
@@ -334,8 +333,8 @@ def count_map2d(events: np.ndarray, config, n_shots: int,
     i1 = first + (ch[first] == 0)
     apart = (ch[i0] == 0) & (ch[i1] == 1)
     i0, i1 = i0[apart], i1[apart]
-    t1 = events["time"][i0] - shot[i0] * config.rep_period_s
-    t2 = (events["time"][i1] - shot[i1] * config.rep_period_s
+    t1 = events["time"][i0] - shot[i0] * config.stride_s
+    t2 = (events["time"][i1] - shot[i1] * config.stride_s
           - config.pulse_delay_s)
     return _pair_maps(t1, t2, events["projection"][i1], n_shots,
                       t1_edges, t2_edges)
@@ -364,8 +363,8 @@ def count_photon_maps(photon1, photon2, config, first_shot: int,
     apart = ch1[i] != ch2[j]
     i, j = i[apart], j[apart]
     first_on_0 = ch1[i] == 0
-    # within-shot times as (event time) - shot * rep_period_s
-    base = (first_shot + shot1[i]) * config.rep_period_s
+    # within-shot times as (event time) - shot * stride_s
+    base = (first_shot + shot1[i]) * config.stride_s
     w1 = (base + tau1[i]) - base
     w2 = (base + tau2[j]) - base
     t1 = np.where(first_on_0, w1, w2)

@@ -171,14 +171,12 @@ def _check_records(stream: EventStream, name) -> None:
     or is before its shot's start (or, for cw, at or past the next
     segment's start), or a record out of (shot, time) order.
 
-    A shot starts at shot * stride, the engine's own expression, so that
+    A shot starts at shot * stride_s, the engine's own expression, so that
     start + tau never rounds below it.  Only cw times are bounded above:
     a decay delay may carry a lifetime or pulsed photon past the next
     shot's start.
     """
     config = stream.config
-    cw = config.kind is ProtocolKind.CW_G2
-    stride = 2.0 * config.segment_length_s if cw else config.rep_period_s
     # allowed[256 * channel + projection]
     allowed = np.zeros(256 * 256, dtype=bool)
     for ch, pols in enumerate(config.det_pols):
@@ -200,11 +198,11 @@ def _check_records(stream: EventStream, name) -> None:
                            + block["projection"]),
              "channel or projection not in det_pols"),
             (~np.isfinite(time), "time not finite"),
-            (time < shot * stride, "time before its shot's start"),
+            (time < shot * config.stride_s, "time before its shot's start"),
             (later, "out of (shot, time) order"),
         ]
-        if cw:
-            checks.append((time >= (shot + 1.0) * stride,
+        if config.kind is ProtocolKind.CW_G2:
+            checks.append((time >= (shot + 1.0) * config.stride_s,
                            "time past its segment's stride"))
         bad = np.zeros(block.size, dtype=bool)
         for mask, _ in checks:

@@ -92,9 +92,6 @@ EVENT_TIME_MAX_S = 2.0 ** 13
 _PROJ = np.array([[project(jones_vector(a), b) for b in Pol] for a in Pol])
 _PROJ.setflags(write=False)
 
-_LINEAR = (Pol.H, Pol.V, Pol.D, Pol.A)
-
-
 class ProtocolKind(str, Enum):
     LIFETIME = "lifetime"
     CW_G2 = "cw_g2"
@@ -102,16 +99,9 @@ class ProtocolKind(str, Enum):
     DOCP_ZERO_FIELD = "docp_zero_field"
 
 
-# values of the fields a config leaves unset (None); the polarizations
-# depend on the protocol kind
-_DEFAULTS = {"rep_period_s": 12.5e-9, "segment_length_s": 20e-6,
-             "detection_efficiency": 1.0}
-_DEFAULT_POLS = {
-    ProtocolKind.LIFETIME: ((Pol.R,), ((Pol.R, Pol.L),)),
-    ProtocolKind.DOCP_ZERO_FIELD: ((Pol.R,), ((Pol.R, Pol.L),)),
-    ProtocolKind.CW_G2: ((Pol.R,), ((Pol.R, Pol.L), (Pol.R, Pol.L))),
-    ProtocolKind.PULSED_2PC: ((Pol.R, Pol.H), ((Pol.R,), (Pol.R, Pol.L))),
-}
+# the timing fields and their values when unset (None: no default)
+_TIMING = {"rep_period_s": 12.5e-9, "pulse_delay_s": None,
+           "pump_rate_hz": None, "segment_length_s": 20e-6}
 
 
 def _as_pol_tuple(pols) -> tuple:
@@ -129,10 +119,14 @@ class ProtocolConfig:
     dropped), an orthogonal pair is a polarizing splitter recording every
     photon with its outcome label.  Photons route uniformly over the
     channels.  For cw runs `n_shots` counts independent segments of
-    `segment_length_s` live time each.  A field left as None takes its
-    value from `_DEFAULTS`, or from `_DEFAULT_POLS` for the polarizations.
-    `pulse_delay_s` (pulsed_2pc) and `pump_rate_hz` (cw_g2) must stay None
-    for the kinds that do not read them.
+    `segment_length_s` live time each, and shots start `stride_s` apart.
+
+    Every kind reads the polarizations and `detection_efficiency`; of
+    the timing fields (`_TIMING`), lifetime and docp_zero_field read
+    `rep_period_s`, pulsed_2pc also `pulse_delay_s`, and cw_g2
+    `pump_rate_hz` and `segment_length_s`, each finite and > 0.  A field
+    left as None takes its default (none for those two); a field the
+    kind does not read is refused unless it holds its default.
     """
 
     kind: ProtocolKind
@@ -148,9 +142,10 @@ class ProtocolConfig:
 
     def __post_init__(self):
         kind = ProtocolKind(self.kind)
-        exc_pols, det_pols = _DEFAULT_POLS[kind]
-        for name, value in dict(_DEFAULTS, exc_pols=exc_pols,
-                                det_pols=det_pols).items():
+        row = _KINDS[kind]
+        for name, value in dict(_TIMING, detection_efficiency=1.0,
+                                exc_pols=row.exc_pols,
+                                det_pols=row.det_pols).items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
         object.__setattr__(self, "kind", kind)
@@ -171,50 +166,49 @@ class ProtocolConfig:
                     raise ValueError("two-label channels must be an orthogonal pair")
             elif len(ch) != 1:
                 raise ValueError("each channel takes 1 or 2 polarization labels")
-        if not 0.0 < self.rep_period_s < math.inf:
-            raise ValueError("rep_period_s must be finite and > 0")
-        if kind in (ProtocolKind.LIFETIME, ProtocolKind.DOCP_ZERO_FIELD):
-            if len(self.exc_pols) != 1 or self.exc_pols[0] not in CIRCULAR:
-                raise ValueError(f"{kind.value} takes one circular excitation")
-        elif kind is ProtocolKind.CW_G2:
-            if len(self.exc_pols) != 1 or self.exc_pols[0] not in CIRCULAR:
-                raise ValueError("cw_g2 takes one circular pump polarization")
-            if not (self.pump_rate_hz and self.pump_rate_hz > 0.0):
-                raise ValueError("cw_g2 requires pump_rate_hz > 0")
-            if not 0.0 < self.segment_length_s < math.inf:
-                raise ValueError("segment_length_s must be finite and > 0")
-            cells = min(self.n_shots, CW_SEGMENT_BATCH) * (
+        # each pulse is circular where the kind's default pulse is
+        circular = [p in CIRCULAR for p in row.exc_pols]
+        if [p in CIRCULAR for p in self.exc_pols] != circular:
+            names = ", ".join("circular" if c else "linear" for c in circular)
+            raise ValueError(f"{kind.value} takes {len(circular)} "
+                             f"excitation pulse(s): {names}")
+        if row.channels and len(self.det_pols) != row.channels:
+            raise ValueError(f"{kind.value} needs exactly {row.channels} "
+                             f"detection channels")
+        for name, default in _TIMING.items():
+            value = getattr(self, name)
+            if name not in row.reads:
+                if value != default:
+                    raise ConfigError(f"{name}: not used by {kind.value}")
+            elif value is None:
+                raise ConfigError(f"{name}: required by {kind.value}")
+            elif not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if "pulse_delay_s" in row.reads and \
+                self.pulse_delay_s >= self.rep_period_s:
+            raise ValueError("pulse_delay_s must be below rep_period_s")
+        if "segment_length_s" in row.reads:
+            cells = min(self.n_shots, row.batch()) * (
                 math.ceil(self.segment_length_s / CW_REDRAW_WINDOW_S) + 1)
             if cells > CW_JITTER_CELLS_MAX:
                 raise ConfigError(
                     f"segment_length_s: {cells:.3g} jitter values per cw "
                     f"batch exceed the limit of {CW_JITTER_CELLS_MAX}")
-            if len(self.det_pols) != 2:
-                raise ValueError("cw_g2 needs exactly 2 detection channels")
-        else:
-            if len(self.exc_pols) != 2:
-                raise ValueError("pulsed_2pc takes exactly 2 excitation pulses")
-            if self.exc_pols[0] not in CIRCULAR:
-                raise ValueError("pulse 1 must be circular")
-            if self.exc_pols[1] not in _LINEAR:
-                raise ValueError("pulse 2 must be a linear polarization")
-            if len(self.det_pols) != 2:
-                raise ValueError("pulsed_2pc needs exactly 2 detection channels")
-            if self.pulse_delay_s is None or not (0.0 < self.pulse_delay_s):
-                raise ValueError("pulsed_2pc requires pulse_delay_s > 0")
-            if self.pulse_delay_s >= self.rep_period_s:
-                raise ValueError("pulse_delay_s must be below rep_period_s")
-        if kind is not ProtocolKind.PULSED_2PC and self.pulse_delay_s is not None:
-            raise ConfigError(f"pulse_delay_s: not used by {kind.value}")
-        if kind is not ProtocolKind.CW_G2 and self.pump_rate_hz is not None:
-            raise ConfigError(f"pump_rate_hz: not used by {kind.value}")
-        stride = 2.0 * self.segment_length_s if kind is ProtocolKind.CW_G2 \
-            else self.rep_period_s
+        stride = self.stride_s
         if self.n_shots * stride >= EVENT_TIME_MAX_S:
             raise ConfigError(
                 f"n_shots: {self.n_shots} shots {stride:.3g} s apart reach "
                 f"{self.n_shots * stride:.3g} s, where float64 event times "
                 f"are coarser than 1 ps (limit {EVENT_TIME_MAX_S:g} s)")
+
+    @property
+    def stride_s(self) -> float:
+        """Time from one shot's start to the next: `rep_period_s`, or for
+        cw two segment lengths, so that no pair within one segment length
+        crosses segments.  Event times are shot * stride_s + t in shot."""
+        if "segment_length_s" in _KINDS[self.kind].reads:
+            return 2.0 * self.segment_length_s
+        return self.rep_period_s
 
     @classmethod
     def lifetime(cls, n_shots, rng_seed, exc_pol=None, det_pols=None,
@@ -247,18 +241,10 @@ class ProtocolConfig:
                    detection_efficiency=detection_efficiency)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "n_shots": self.n_shots,
-            "rng_seed": self.rng_seed,
-            "exc_pols": [p.name for p in self.exc_pols],
-            "det_pols": [[p.name for p in ch] for ch in self.det_pols],
-            "rep_period_s": self.rep_period_s,
-            "pulse_delay_s": self.pulse_delay_s,
-            "pump_rate_hz": self.pump_rate_hz,
-            "segment_length_s": self.segment_length_s,
-            "detection_efficiency": self.detection_efficiency,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "kind": self.kind.value,
+                "exc_pols": [p.name for p in self.exc_pols],
+                "det_pols": [[p.name for p in ch] for ch in self.det_pols]}
 
     @classmethod
     def from_dict(cls, d: dict, path: str = "protocol") -> "ProtocolConfig":
@@ -301,15 +287,6 @@ class EventStream:
     @property
     def content_digest(self) -> str:
         return sha256(self.events.tobytes()).hexdigest()
-
-    def times(self, channel=None, projection=None) -> np.ndarray:
-        """Time tags filtered by channel and/or projection label."""
-        mask = np.ones(len(self), dtype=bool)
-        if channel is not None:
-            mask &= self.events["channel"] == int(channel)
-        if projection is not None:
-            mask &= self.events["projection"] == int(Pol(projection))
-        return self.events["time"][mask]
 
 
 def make_events(shots, channels, projections, times) -> np.ndarray:
@@ -382,11 +359,11 @@ def _lifetime_batch(device, config, batch_index, start_shot, n):
     tau, is_r = _decay(rng, device, addressed_z(config.exc_pols[0]), n)
     shot, ch, proj, t = _recorded(rng, config, np.arange(n), is_r, tau)
     shots = (start_shot + shot).astype(np.uint32)
-    events = make_events(shots, ch, proj, shots * config.rep_period_s + t)
+    events = make_events(shots, ch, proj, shots * config.stride_s + t)
     return events, {"n_shots": n, "n_emitted": n}
 
 
-def _pulsed_records(start_shot, rep_period_s, photon1, photon2):
+def _pulsed_records(start_shot, stride_s, photon1, photon2):
     """Events of a pulsed batch's recorded photons 1 and 2, each given as
     (in-batch shot, channel, projection, time in shot), photon 1 in shot
     order.  A shot records at most one photon 2, so photon 2 may come in
@@ -397,7 +374,7 @@ def _pulsed_records(start_shot, rep_period_s, photon1, photon2):
     shot, ch, proj, t = (np.concatenate(a)[order]
                          for a in zip(photon1, photon2))
     shots = (start_shot + shot).astype(np.uint32)
-    return make_events(shots, ch, proj, shots * rep_period_s + t)
+    return make_events(shots, ch, proj, shots * stride_s + t)
 
 
 def _photon2(rng, device, config, shot, z_g, t_g):
@@ -484,7 +461,7 @@ def _pulsed_batch(device, config, batch_index, start_shot, n):
     """Events of a two-pulse heralding batch, from `pulsed_photons`."""
     photon1, photon2, counters = pulsed_photons(
         (device, config, batch_index, start_shot, n))
-    return _pulsed_records(start_shot, config.rep_period_s, photon1,
+    return _pulsed_records(start_shot, config.stride_s, photon1,
                            photon2), counters
 
 
@@ -614,7 +591,7 @@ def cw_photons(task):
     del is_r
     order = np.argsort(seg_idx, kind="stable")
     shots = (start_seg + seg_idx[order].astype(np.int64)).astype(np.uint32)
-    times = shots * (2.0 * seg_len) + t_in_seg[order]
+    times = shots * config.stride_s + t_in_seg[order]
     return (shots, ch[order], proj[order], times), {
         "n_shots": n, "n_attempts": attempts, "n_emitted": emissions}
 
@@ -628,8 +605,7 @@ def _cw_batch(device, config, batch_index, start_seg, n):
 def batch_tasks(device: DeviceParams, config: ProtocolConfig) -> list:
     """The fixed batch cut of one run, as (device, config, batch index,
     first shot, shot count) tasks for `run_batch`."""
-    size = CW_SEGMENT_BATCH if config.kind is ProtocolKind.CW_G2 \
-        else LIFETIME_BATCH
+    size = _KINDS[config.kind].batch()
     return [(device, config, b, b * size, min(size, config.n_shots - b * size))
             for b in range((config.n_shots + size - 1) // size)]
 
@@ -637,12 +613,7 @@ def batch_tasks(device: DeviceParams, config: ProtocolConfig) -> list:
 def run_batch(task):
     """(events, counters) of one batch task, the events in (shot, time)
     order."""
-    device, config, batch_index, start, count = task
-    if config.kind in (ProtocolKind.LIFETIME, ProtocolKind.DOCP_ZERO_FIELD):
-        return _lifetime_batch(device, config, batch_index, start, count)
-    if config.kind is ProtocolKind.PULSED_2PC:
-        return _pulsed_batch(device, config, batch_index, start, count)
-    return _cw_batch(device, config, batch_index, start, count)
+    return _KINDS[task[1].kind].engine(*task)
 
 
 def resolve_workers(workers=None) -> int:
@@ -687,6 +658,35 @@ def run(device: DeviceParams, config: ProtocolConfig, workers=None) -> EventStre
             if isinstance(val, (int, np.integer)):
                 diagnostics[key] = diagnostics.get(key, 0) + int(val)
     diagnostics["n_events"] = int(events.shape[0])
-    if config.kind is ProtocolKind.CW_G2:
+    if "segment_length_s" in _KINDS[config.kind].reads:
         diagnostics["live_time_s"] = config.n_shots * config.segment_length_s
     return EventStream(events, device, config, diagnostics)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """The facts of one protocol kind, which the config and run read."""
+
+    reads: tuple     # the `_TIMING` fields it reads
+    exc_pols: tuple  # its default pulses, which fix each one's class
+    det_pols: tuple  # its default detection channels
+    channels: int    # its detection channel count, 0 for any
+    batch: object    # its batch size, read from the constant when called
+    engine: object   # a batch task's fields -> (events, counters)
+
+
+_KINDS = {
+    ProtocolKind.LIFETIME: _Kind(
+        reads=("rep_period_s",), exc_pols=(Pol.R,),
+        det_pols=((Pol.R, Pol.L),), channels=0,
+        batch=lambda: LIFETIME_BATCH, engine=_lifetime_batch),
+    ProtocolKind.CW_G2: _Kind(
+        reads=("pump_rate_hz", "segment_length_s"), exc_pols=(Pol.R,),
+        det_pols=((Pol.R, Pol.L), (Pol.R, Pol.L)), channels=2,
+        batch=lambda: CW_SEGMENT_BATCH, engine=_cw_batch),
+    ProtocolKind.PULSED_2PC: _Kind(
+        reads=("rep_period_s", "pulse_delay_s"), exc_pols=(Pol.R, Pol.H),
+        det_pols=((Pol.R,), (Pol.R, Pol.L)), channels=2,
+        batch=lambda: LIFETIME_BATCH, engine=_pulsed_batch),
+}
+_KINDS[ProtocolKind.DOCP_ZERO_FIELD] = _KINDS[ProtocolKind.LIFETIME]

@@ -93,8 +93,8 @@ def test_criterion_2_polarization_memory():
     device = _device(b_x_t=0.0)
     config = ProtocolConfig.docp_zero_field(n_shots=1_000_000, rng_seed=202)
     stream = run(device, config)
-    n_r = stream.times(projection=Pol.R).size
-    n_l = stream.times(projection=Pol.L).size
+    n_r = np.count_nonzero(stream.events["projection"] == Pol.R)
+    n_l = np.count_nonzero(stream.events["projection"] == Pol.L)
     n = n_r + n_l
     memory = (n_r - n_l) / n
     sigma = math.sqrt((1.0 - memory ** 2) / n)

@@ -238,7 +238,9 @@ def test_tampered_header_rejected(tmp_path, stream, fmt, capsys):
             (_set("config.pulse_delay_s", 5e-9),
              "config.pulse_delay_s: not used by lifetime"),
             (_set("config.pump_rate_hz", 1e7),
-             "config.pump_rate_hz: not used by lifetime")):
+             "config.pump_rate_hz: not used by lifetime"),
+            (_set("config.segment_length_s", 1.0),
+             "config.segment_length_s: not used by lifetime")):
         path = tmp_path / f"events.{fmt}"
         write_events(path, stream, fmt=fmt)
         _edit_file(path, fmt, header=edit, sign=edit is not _change_g_e)

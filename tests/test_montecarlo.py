@@ -1,12 +1,14 @@
 """Stochastic engines: determinism, physics round trips, white-box hooks."""
 
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
 
-from trionsim.core import DeviceParams, NoiseModel, Pol, larmor_frequency
+from trionsim.core import (ConfigError, DeviceParams, NoiseModel, Pol,
+                           larmor_frequency)
 from trionsim.correlator import lifetime_docp_trace, build_map2d
 from trionsim.dynamics import heralded_docp
 from trionsim.fitkit import fit_damped_cosine
@@ -70,6 +72,72 @@ def test_config_round_trip():
     config = ProtocolConfig.pulsed(1000, 7, pulse_delay_s=1.6e-9)
     assert ProtocolConfig.from_dict(config.to_dict()) == config
     config = ProtocolConfig.cw(1000, 7, pump_rate_hz=1e7)
+    assert ProtocolConfig.from_dict(config.to_dict()) == config
+
+
+# Written out here, not taken from the engine's table: the optional
+# fields each kind reads, the required ones with a value, and each kind's
+# default polarizations.
+_READ_BY_ALL = {"exc_pols", "det_pols", "detection_efficiency"}
+_READS = {
+    ProtocolKind.LIFETIME: {"rep_period_s"},
+    ProtocolKind.DOCP_ZERO_FIELD: {"rep_period_s"},
+    ProtocolKind.CW_G2: {"pump_rate_hz", "segment_length_s"},
+    ProtocolKind.PULSED_2PC: {"rep_period_s", "pulse_delay_s"},
+}
+_REQUIRED = {ProtocolKind.CW_G2: {"pump_rate_hz": 1e7},
+             ProtocolKind.PULSED_2PC: {"pulse_delay_s": 1.6e-9}}
+_DEFAULT_POLS = {
+    ProtocolKind.LIFETIME: ((Pol.R,), ((Pol.R, Pol.L),)),
+    ProtocolKind.DOCP_ZERO_FIELD: ((Pol.R,), ((Pol.R, Pol.L),)),
+    ProtocolKind.CW_G2: ((Pol.R,), ((Pol.R, Pol.L), (Pol.R, Pol.L))),
+    ProtocolKind.PULSED_2PC: ((Pol.R, Pol.H), ((Pol.R,), (Pol.R, Pol.L))),
+}
+
+
+def _optional_values(kind):
+    """(a valid non-default value, the default) of each optional field."""
+    exc, det = _DEFAULT_POLS[kind]
+    return {"exc_pols": ((Pol.L,) + exc[1:], exc),
+            "det_pols": (((Pol.H, Pol.V),) + det[1:], det),
+            "rep_period_s": (10e-9, 12.5e-9),
+            "pulse_delay_s": (2e-9, None),
+            "pump_rate_hz": (2e7, None),
+            "segment_length_s": (10e-6, 20e-6),
+            "detection_efficiency": (0.5, 1.0)}
+
+
+@pytest.mark.parametrize("name", [f.name for f in
+                                  dataclasses.fields(ProtocolConfig)][3:])
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_every_optional_field_is_read_or_refused(kind, name):
+    # a non-default value builds where the kind reads the field and is
+    # refused otherwise; the default builds (a required field must be
+    # given instead), equals leaving the field unset and round-trips
+    assert set(_optional_values(kind)) == {
+        f.name for f in dataclasses.fields(ProtocolConfig)[3:]}
+    base = {"kind": kind, "n_shots": 1000, "rng_seed": 7,
+            **_REQUIRED.get(kind, {})}
+    value, default = _optional_values(kind)[name]
+    reads = name in _READS[kind] | _READ_BY_ALL
+    if reads:
+        config = ProtocolConfig(**{**base, name: value})
+        assert getattr(config, name) == value
+        assert ProtocolConfig.from_dict(config.to_dict()) == config
+    else:
+        with pytest.raises(ConfigError,
+                           match=f"^{name}: not used by {kind.value}$"):
+            ProtocolConfig(**{**base, name: value})
+    if name in _REQUIRED.get(kind, {}):
+        del base[name]
+        with pytest.raises(ConfigError,
+                           match=f"^{name}: required by {kind.value}$"):
+            ProtocolConfig(**{**base, name: default})
+        return
+    config = ProtocolConfig(**{**base, name: default})
+    assert config == ProtocolConfig(**{k: v for k, v in base.items()
+                                       if k != name})
+    assert getattr(config, name) == default
     assert ProtocolConfig.from_dict(config.to_dict()) == config
 
 
@@ -150,8 +218,8 @@ def test_zero_field_polarization_memory():
     dev = _device(b_x_t=0.0)
     n = 200_000
     stream = run(dev, ProtocolConfig.docp_zero_field(n, 17))
-    n_co = stream.times(projection=Pol.R).size
-    n_cross = stream.times(projection=Pol.L).size
+    n_co = np.count_nonzero(stream.events["projection"] == Pol.R)
+    n_cross = np.count_nonzero(stream.events["projection"] == Pol.L)
     value = (n_co - n_cross) / (n_co + n_cross)
     sigma = math.sqrt((1.0 - 0.865 ** 2) / (n_co + n_cross))
     assert abs(value - 0.865) <= 3.0 * sigma
@@ -219,8 +287,8 @@ def test_cw_antibunching_dip():
     pump = 3e7
     assert pump * dev.t1_s < 0.01
     stream = run(dev, ProtocolConfig.cw(8192, 101, pump_rate_hz=pump))
-    t0 = np.sort(stream.times(channel=0))
-    t1 = np.sort(stream.times(channel=1))
+    t0 = np.sort(stream.events["time"][stream.events["channel"] == 0])
+    t1 = np.sort(stream.events["time"][stream.events["channel"] == 1])
     bin_s, half = 30e-12, 4e-9
     edges = bin_s * np.arange(-int(half / bin_s), int(half / bin_s) + 1)
     counts = np.zeros(edges.size - 1, dtype=np.int64)
@@ -294,9 +362,9 @@ def test_stream_diagnostics_and_filters():
     assert stream.diagnostics["n_events"] == len(stream)
     assert stream.diagnostics["live_time_s"] == pytest.approx(64 * 20e-6)
     assert stream.diagnostics["n_attempts"] > 0
-    ch0 = stream.times(channel=0)
-    ch1 = stream.times(channel=1)
+    ch0 = stream.events["time"][stream.events["channel"] == 0]
+    ch1 = stream.events["time"][stream.events["channel"] == 1]
     assert ch0.size + ch1.size == len(stream)
-    n_r = stream.times(projection=Pol.R).size
-    n_l = stream.times(projection=Pol.L).size
+    n_r = np.count_nonzero(stream.events["projection"] == Pol.R)
+    n_l = np.count_nonzero(stream.events["projection"] == Pol.L)
     assert n_r + n_l == len(stream)

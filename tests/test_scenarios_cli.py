@@ -135,20 +135,49 @@ def test_oversized_cw_segments_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("kind, key", [
     ("lifetime", "pulse_delay_s"), ("docp_zero_field", "pulse_delay_s"),
     ("cw_g2", "pulse_delay_s"), ("lifetime", "pump_rate_hz"),
-    ("docp_zero_field", "pump_rate_hz"), ("pulsed_2pc", "pump_rate_hz")])
+    ("docp_zero_field", "pump_rate_hz"), ("pulsed_2pc", "pump_rate_hz"),
+    ("cw_g2", "rep_period_s"), ("lifetime", "segment_length_s"),
+    ("docp_zero_field", "segment_length_s"),
+    ("pulsed_2pc", "segment_length_s")])
 def test_run_keys_of_other_kinds_exit_2(tmp_path, capsys, kind, key):
-    # a pulse delay or pump rate the engine of this kind never reads is
-    # refused, not ignored
+    # a timing field the engine of this kind never reads is refused, not
+    # ignored, unless it holds its default
     needed = {"cw_g2": {"pump_rate_hz": 1e7},
               "pulsed_2pc": {"pulse_delay_s": 1.6e-9}}.get(kind, {})
-    d = _scenario_dict(kind, **{**needed, key: 5e-9 if key ==
-                                "pulse_delay_s" else 1e7})
+    value = {"pulse_delay_s": 5e-9, "rep_period_s": 5e-9,
+             "segment_length_s": 1.0}.get(key, 1e7)
+    d = _scenario_dict(kind, **{**needed, key: value})
     with pytest.raises(ConfigError, match=f"protocol.{key}: not used by "
                                           f"{kind}"):
         Scenario.from_dict(d)
     scn = _write_scenario(tmp_path / "unused.json", d)
     assert main(["simulate", scn, "-o", str(tmp_path)]) == 2
     assert f"protocol.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, key", [("cw_g2", "pump_rate_hz"),
+                                       ("pulsed_2pc", "pulse_delay_s")])
+def test_missing_field_of_the_kind_exits_2(tmp_path, capsys, kind, key):
+    # a timing field without a default that the kind reads is required
+    d = _scenario_dict(kind)
+    with pytest.raises(ConfigError, match=f"protocol.{key}: required by "
+                                          f"{kind}"):
+        Scenario.from_dict(d)
+    scn = _write_scenario(tmp_path / "missing.json", d)
+    assert main(["simulate", scn, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"protocol.{key}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_infinite_pump_rate_exits_2(tmp_path, capsys):
+    # the cw engine sizes its loop guard from a finite pump rate
+    d = _scenario_dict("cw_g2", n_shots=10, pump_rate_hz=float("inf"))
+    scn = _write_scenario(tmp_path / "inf.json", d)
+    assert main(["simulate", scn, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "pump_rate_hz must be finite and > 0" in err
+    assert "Traceback" not in err
 
 
 def test_event_time_resolution_bounded_at_validation():
@@ -383,6 +412,14 @@ def test_cli_fit_refuses_malformed_rows(tmp_path, capsys, row):
     err = capsys.readouterr().err
     assert f"{path}:4: expected 2 numbers" in err
     assert "Traceback" not in err
+    # a second non-numeric line before the first data row is a second
+    # header line, refused with no width taken from its own cells
+    path.write_text("h1\nh2\n0.1,1,2,3,4\n")
+    for command in ("fit", "zeeman"):
+        assert main([command, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}:2: a second header line" in err
+        assert "expected" not in err and "Traceback" not in err
 
 
 def test_cli_zeeman_recovers_g_factors(tmp_path, capsys):
