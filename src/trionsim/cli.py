@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from . import montecarlo
-from .correlator import (CW_BIN_S, LIFETIME_BIN_S, DocpTrace, build_map2d,
-                         docp, lifetime_histograms, plateau_normalized,
+from .correlator import (CW_BIN_S, LIFETIME_BIN_S, build_map2d, docp,
+                         lifetime_histograms, plateau_normalized,
                          write_docp_csv)
 from .events_io import compat_digest, read_events, write_events
 from .fitkit import fit_damped_cosine, fit_linear_zeeman, format_fit_report
@@ -106,18 +105,17 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.protocol = replace(scenario.protocol, rng_seed=args.seed)
-    outdir = Path(args.outdir or scenario.outputs.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
     fmt = args.format or scenario.outputs.format
     ext = "bin" if fmt == "binary" else "csv"
-    for label, protocol in scenario.expand():
-        stream = montecarlo.run(scenario.device, protocol,
-                                workers=args.workers)
-        suffix = f"_{label}" if label else ""
-        path = outdir / f"{scenario.outputs.prefix}events{suffix}.{ext}"
-        write_events(path, stream, fmt)
-        print(f"wrote {path} ({len(stream)} events, "
-              f"digest {stream.content_digest[:16]})")
+    with output_directory(args.outdir or scenario.outputs.directory) as outdir:
+        for label, protocol in scenario.expand():
+            stream = montecarlo.run(scenario.device, protocol,
+                                    workers=args.workers)
+            suffix = f"_{label}" if label else ""
+            path = outdir / f"{scenario.outputs.prefix}events{suffix}.{ext}"
+            write_events(path, stream, fmt)
+            print(f"wrote {path} ({len(stream)} events, "
+                  f"digest {stream.content_digest[:16]})")
     return EXIT_OK
 
 
@@ -142,51 +140,45 @@ def _read_streams(paths):
 def cmd_analyze(args) -> int:
     opts = (load_scenario(args.scenario).analysis if args.scenario
             else AnalysisOptions())
-    outdir = Path(args.outdir)
     streams = _read_streams(args.events)
-    if len(args.events) > 1:
-        _refuse_unread(opts, "delay sweep")
-        with output_directory(outdir):
-            return _analyze_delay_sweep(streams, opts, outdir)
-    stream = next(streams)
-    name, analysis = {
-        ProtocolKind.PULSED_2PC: ("pulsed", _analyze_pulsed),
-        ProtocolKind.CW_G2: ("cw", _analyze_cw),
-    }.get(stream.config.kind, (
-        "lifetime" if stream.device.b_x_t > 0 else "zero-field",
-        _analyze_lifetime))
-    _refuse_unread(opts, name)
-    with output_directory(outdir):
-        return analysis(stream, opts, outdir)
+    stream = next(streams) if len(args.events) == 1 else None
+    name = "delay sweep" if stream is None else {
+        ProtocolKind.PULSED_2PC: "pulsed", ProtocolKind.CW_G2: "cw"}.get(
+            stream.config.kind,
+            "lifetime" if stream.device.b_x_t > 0 else "zero-field")
+    run, reads, report = _ANALYSES[name]
+    _read_options(opts, reads, name)
+    with output_directory(args.outdir) as outdir:
+        if stream is None:
+            return run(streams, opts, outdir)
+        digest = stream.content_digest
+        paths, trace = run(stream, opts, outdir, digest_meta(digest))
+        for path in paths:
+            print(f"wrote {path}")
+        if "fit" not in reads or not opts.fit.enabled:
+            return EXIT_OK
+        file, title, fit = report
+        return _emit_report(outdir / file, fit(trace, opts.fit), title,
+                            digest[:16])
 
 
-# the analysis options each analysis reads, as field paths; "fit" stands
-# for every `fit.*` path (a delay sweep's per-bin fits fix the rest, and
-# a lifetime file at zero field runs no fit)
-_READS = {
-    "lifetime": ("bin_s", "span_s", "fit"),
-    "zero-field": ("bin_s", "span_s"),
-    "cw": ("bin_s", "window_s", "normalize", "start_stop", "fit"),
-    "pulsed": ("t1_slice_s", "slice_tolerance_s", "fit"),
-    "delay sweep": ("t1_slice_s", "slice_tolerance_s", "t2_fit_window_s",
-                    "fit.enabled"),
-}
-
-
-def _refuse_unread(opts, name) -> None:
+def _read_options(opts, reads, name) -> None:
     """Refuse an option set away from its default that the analysis does
-    not read, naming its field path."""
-    def by_path(o):
-        d = o.to_dict()
-        d.update({f"fit.{k}": v for k, v in d.pop("fit").items()})
-        return d
+    not read, naming its field path, and give each unset (None) option
+    the value `reads` holds for it."""
+    def by_path(o):   # each option by its field path, as (holder, field)
+        return {**{f.name: (o, f.name) for f in fields(o) if f.name != "fit"},
+                **{f"fit.{f.name}": (o.fit, f.name) for f in fields(o.fit)}}
 
-    reads, default = _READS[name], by_path(AnalysisOptions())
-    for path, value in by_path(opts).items():
-        if value != default[path] and path not in reads \
-                and path.partition(".")[0] not in reads:
+    default = by_path(AnalysisOptions())
+    for path, (holder, field) in by_path(opts).items():
+        value = getattr(holder, field)
+        if path not in reads and path.partition(".")[0] not in reads \
+                and value != getattr(*default[path]):
             raise ConfigError(
                 f"analysis.{path}: not used by the {name} analysis")
+        if value is None and reads.get(path) is not None:
+            setattr(holder, field, reads[path])
 
 
 def _emit(text, path) -> None:
@@ -201,100 +193,65 @@ def _emit_report(path, fit, title, digest) -> int:
     return EXIT_OK if fit.converged else EXIT_NOCONV
 
 
-def _analyze_lifetime(stream, opts, outdir) -> int:
-    co, cross = lifetime_histograms(
-        stream, bin_s=opts.bin_s or LIFETIME_BIN_S, span_s=opts.span_s)
-    meta = digest_meta(stream.content_digest)
-    path = lifetime_traces(outdir, co, cross, meta)
+def _analyze_lifetime(stream, opts, outdir, meta):
+    co, cross = lifetime_histograms(stream, opts.bin_s, opts.span_s)
+    paths = [lifetime_traces(outdir, co, cross, meta),
+             outdir / "lifetime_docp.csv"]
     trace = docp(co, cross)
-    docp_path = outdir / "lifetime_docp.csv"
-    write_docp_csv(docp_path, trace, meta)
-    print(f"wrote {path}")
-    print(f"wrote {docp_path}")
-    if not (opts.fit.enabled and stream.device.b_x_t > 0):
-        return EXIT_OK  # no beat to fit at zero field
-    fit = beat_fit(trace, opts.fit)
-    return _emit_report(outdir / "lifetime_fit_report.txt", fit,
-                        "lifetime docp damped cosine",
-                        stream.content_digest[:16])
+    write_docp_csv(paths[1], trace, meta)
+    return paths, trace
 
 
-def _analyze_cw(stream, opts, outdir) -> int:
-    window = opts.window_s or 100e-9
-    binning = {"window_s": window, "bin_s": opts.bin_s or CW_BIN_S}
+def _analyze_cw(stream, opts, outdir, meta):
+    binning = {"window_s": opts.window_s, "bin_s": opts.bin_s}
     raw = cw_histograms(stream, **binning)
     g2 = cw_histograms(stream, start_stop=True, **binning) \
         if opts.start_stop else raw
     if opts.normalize:
-        g2 = [plateau_normalized(h, window) for h in g2]
-    meta = digest_meta(stream.content_digest)
-    path = outdir / "cw_g2.csv"
-    write_g2_csv(path, *g2, meta)
-    print(f"wrote {path}")
+        g2 = [plateau_normalized(h, opts.window_s) for h in g2]
+    paths = [outdir / "cw_g2.csv", outdir / "fig2b_docp.csv"]
+    write_g2_csv(paths[0], *g2, meta)
     trace = docp(*raw)
-    docp_path = outdir / "fig2b_docp.csv"
-    write_docp_csv(docp_path, trace, meta)
-    print(f"wrote {docp_path}")
-    if not opts.fit.enabled:
-        return EXIT_OK
-    fit = fit_damped_cosine(trace, variant=opts.fit.variant or "cw",
-                            t0=opts.fit.t0,
-                            exclusion_window_s=opts.fit.exclusion_window_s,
-                            fixed=opts.fit.fixed)
-    return _emit_report(outdir / "fig2b_fit_report.txt", fit,
-                        "cw docp damped cosine", stream.content_digest[:16])
+    write_docp_csv(paths[1], trace, meta)
+    return paths, trace
 
 
-def _slicing(opts):
-    return (T1_SLICE_S if opts.t1_slice_s is None else opts.t1_slice_s,
-            opts.slice_tolerance_s or T1_SLICE_TOL_S)
+def _cw_fit(trace, opts):
+    return fit_damped_cosine(trace, opts.variant, opts.t0,
+                             opts.exclusion_window_s, opts.fixed)
 
 
-def _analyze_pulsed(stream, opts, outdir) -> int:
+def _analyze_pulsed(stream, opts, outdir, meta):
     map_r, map_l = build_map2d(stream)
-    meta = digest_meta(stream.content_digest)
-    path, _ = write_herald_maps(outdir, map_r, map_l, meta)
-    trace = sliced_docp(map_r, map_l, *_slicing(opts))
-    slice_path = outdir / "fig3b_slice_docp.csv"
-    write_docp_csv(slice_path, trace, meta)
-    print(f"wrote {path}")
-    print(f"wrote {slice_path}")
-    if not opts.fit.enabled:
-        return EXIT_OK
-    fit = beat_fit(trace, opts.fit)
-    return _emit_report(outdir / "fig3b_fit_report.txt", fit,
-                        "map slice damped cosine", stream.content_digest[:16])
-
-
-class _SweepPoint(NamedTuple):
-    delay: float
-    content_digest: str
-    trace: DocpTrace
+    paths = write_herald_maps(outdir, map_r, map_l, meta)
+    trace = sliced_docp(map_r, map_l, opts.t1_slice_s,
+                        opts.slice_tolerance_s)
+    paths.append(outdir / "fig3b_slice_docp.csv")
+    write_docp_csv(paths[-1], trace, meta)
+    return paths, trace
 
 
 def _analyze_delay_sweep(streams, opts, outdir) -> int:
     """Reduce each file of a pulsed delay sweep to its sliced DOCP as it
     is read, so that one stream is held at a time; no file is written
     before every file has been read and checked."""
-    window = opts.t2_fit_window_s or T2_FIT_WINDOW_S
-    slicing = _slicing(opts)
+    window = opts.t2_fit_window_s
 
     def sweep_point(stream):
         if stream.config.kind is not ProtocolKind.PULSED_2PC:
             raise ConfigError(
                 f"{stream.config.kind.value} analysis takes exactly one file")
-        return _SweepPoint(stream.config.pulse_delay_s, stream.content_digest,
-                           sliced_docp(*build_map2d(stream), *slicing))
+        return (stream.config.pulse_delay_s, stream.content_digest,
+                sliced_docp(*build_map2d(stream), opts.t1_slice_s,
+                            opts.slice_tolerance_s))
 
     points = list(map(sweep_point, streams))
-    meta = digest_meta(*(p.content_digest for p in points))
-    points.sort(key=lambda p: p.delay)
-    delays = [p.delay for p in points]
+    meta = digest_meta(*(digest for _, digest, _ in points))
+    delays, _, traces = zip(*sorted(points, key=lambda p: p[0]))
     for a, b in zip(delays, delays[1:]):
         if a == b:
             raise ConfigError(f"pulse_delay_s = {a:g} s: more than one "
                               f"event file of the sweep has it")
-    traces = [p.trace for p in points]
     path = outdir / "fig3d_docp_vs_delay.csv"
     write_delay_csv(path, delays, traces, meta, window)
     print(f"wrote {path}")
@@ -310,9 +267,38 @@ def _analyze_delay_sweep(streams, opts, outdir) -> int:
     report_path = outdir / "fig3d_fit_report.txt"
     report_path.write_text(report)
     print(report, end="")
-    print(f"wrote {fit_path}")
-    print(f"wrote {report_path}")
+    for path in (fit_path, report_path):
+        print(f"wrote {path}")
     return EXIT_OK
+
+
+# each analysis `analyze` runs: its function, which returns the paths it
+# wrote and the trace to fit (the delay sweep's, given all the streams,
+# its exit code); each option path it reads with its value when unset
+# (None: none, or the reducer's own; "fit" stands for every `fit.*`
+# path); and the file name, title and fit of its fit report
+_ANALYSES = {
+    "lifetime": (
+        _analyze_lifetime,
+        {"bin_s": LIFETIME_BIN_S, "span_s": None, "fit": None},
+        ("lifetime_fit_report.txt", "lifetime docp damped cosine", beat_fit)),
+    "zero-field": (
+        _analyze_lifetime, {"bin_s": LIFETIME_BIN_S, "span_s": None}, None),
+    "cw": (
+        _analyze_cw,
+        {"bin_s": CW_BIN_S, "window_s": 100e-9, "normalize": None,
+         "start_stop": None, "fit": None, "fit.variant": "cw"},
+        ("fig2b_fit_report.txt", "cw docp damped cosine", _cw_fit)),
+    "pulsed": (
+        _analyze_pulsed,
+        {"t1_slice_s": T1_SLICE_S, "slice_tolerance_s": T1_SLICE_TOL_S,
+         "fit": None},
+        ("fig3b_fit_report.txt", "map slice damped cosine", beat_fit)),
+    "delay sweep": (
+        _analyze_delay_sweep,
+        {"t1_slice_s": T1_SLICE_S, "slice_tolerance_s": T1_SLICE_TOL_S,
+         "t2_fit_window_s": T2_FIT_WINDOW_S, "fit.enabled": None}, None),
+}
 
 
 def _read_table(path) -> np.ndarray:

@@ -8,10 +8,11 @@ randomness anywhere else.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .core import (ConfigError, DeviceParams, as_bool, as_number, as_str,
-                   check_keys)
+                   check_keys, construct)
 from .fitkit import PARAM_NAMES
 from .montecarlo import ProtocolConfig, ProtocolKind
 from .rng import derive_seed
@@ -31,7 +32,9 @@ class FitOptions:
 
 @dataclass
 class AnalysisOptions:
-    """Analysis knobs; None takes the protocol's default.
+    """Analysis knobs.  `analyze` gives an unset (None) option the value
+    in its analysis's row of `cli._ANALYSES` (the README analysis table);
+    where that is None too, the reducer or the fitter works it out.
 
     `start_stop` and `normalize` shape only `cw_g2.csv`: the cw DOCP
     (`fig2b_docp.csv`) and its fit always use raw all-pairs correlations.
@@ -102,7 +105,9 @@ class Scenario:
 
 def _parse_protocol(d):
     """The protocol block; a `pulse_delay_s` list is a delay sweep, and
-    the config carries its first delay."""
+    the config carries its first delay.  The block is checked with the
+    first delay it takes (with none, it is refused as with the first),
+    then each delay against it under its own path."""
     delays = d.get("pulse_delay_s") if isinstance(d, dict) else None
     if not isinstance(delays, list):
         return ProtocolConfig.from_dict(d, "protocol"), None
@@ -113,9 +118,16 @@ def _parse_protocol(d):
                   for i, v in enumerate(delays))
     if not sweep:
         raise ConfigError("protocol.pulse_delay_s: empty sweep")
-    protocol = ProtocolConfig.from_dict({**d, "pulse_delay_s": sweep[0]},
-                                        "protocol")
-    return protocol, sweep
+    for dt in sweep:
+        with suppress(ConfigError):
+            base = ProtocolConfig.from_dict({**d, "pulse_delay_s": dt},
+                                            "protocol")
+            break
+    else:
+        ProtocolConfig.from_dict({**d, "pulse_delay_s": sweep[0]}, "protocol")
+    configs = [construct(replace, f"protocol.pulse_delay_s[{i}]", base,
+                         pulse_delay_s=dt) for i, dt in enumerate(sweep)]
+    return configs[0], sweep
 
 
 def _parse_analysis(d: dict) -> AnalysisOptions:

@@ -1,8 +1,11 @@
 """Scenario schema strictness and command-line exit-code contract."""
 
+import itertools
 import json
+import math
 import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -607,3 +610,115 @@ def test_cli_analyze_cw_refuses_a_window_without_plateau(
     scn = _write_scenario(tmp_path / "s.json", d)
     assert main(["analyze", *analysis_files["cw"], "-o", str(out),
                  "--scenario", scn]) == 0
+
+
+@pytest.mark.parametrize("delays, index, rule", [
+    ([1e-9, 20e-9], 1, "below rep_period_s"),
+    ([0.0, 1e-9], 0, "finite and > 0"),
+    ([1e-9, 0.0], 1, "finite and > 0"),
+])
+def test_delay_sweep_refuses_a_bad_delay_under_its_index(
+        tmp_path, capsys, delays, index, rule):
+    # every delay of the list is checked when the scenario is read, the
+    # first included, and the refusal names the delay's field path
+    d = _scenario_dict("pulsed_2pc", pulse_delay_s=delays)
+    path = rf"^protocol\.pulse_delay_s\[{index}\]: "
+    with pytest.raises(ConfigError, match=path + f".*{re.escape(rule)}"):
+        Scenario.from_dict(d)
+    scn = _write_scenario(tmp_path / "s.json", d)
+    out = tmp_path / "new" / "dir"
+    assert main(["simulate", scn, "-o", str(out)]) == 2
+    assert f"protocol.pulse_delay_s[{index}]" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_cli_simulate_that_fails_leaves_no_directory(tmp_path, capsys):
+    scn = _write_scenario(tmp_path / "s.json", _scenario_dict(n_shots=2000))
+    out = tmp_path / "new" / "dir"
+    assert main(["simulate", scn, "-o", str(out), "--workers", "0"]) == 2
+    assert "worker count" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("analysis", ["lifetime", "zero_field",
+                                      "lifetime_field", "cw", "pulsed",
+                                      "delay_sweep"])
+def test_cli_analyze_prints_a_wrote_line_for_every_file_it_writes(
+        tmp_path, capsys, analysis_files, analysis):
+    # whatever the exit code (these small files leave some fits without
+    # enough bins), the `wrote` lines name exactly the files written
+    out = tmp_path / "out"
+    main(["analyze", *analysis_files[analysis], "-o", str(out)])
+    wrote = [line.removeprefix("wrote ")
+             for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote ")]
+    assert sorted(wrote) == sorted(str(p) for p in out.iterdir())
+    assert len(set(wrote)) == len(wrote)
+
+
+@pytest.mark.parametrize("analysis, kind", [
+    ("cw", "cw_g2"), ("lifetime_field", "lifetime"),
+    ("zero_field", "docp_zero_field"),
+])
+def test_cli_analyze_takes_one_file_of_a_kind_without_sweeps(
+        tmp_path, capsys, analysis_files, analysis, kind):
+    # two files with one header are a sweep only for pulsed files
+    [path] = analysis_files[analysis]
+    out = tmp_path / "out"
+    assert main(["analyze", path, path, "-o", str(out)]) == 2
+    assert f"{kind} analysis takes exactly one file" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def _readme_value(text):
+    """A value of the README analysis table's last column: seconds for
+    `N ps` / `N ns` or `[lo, hi] ps`, a string for a quoted name, and
+    None for prose (a default worked out from the run)."""
+    unit = {"ps": 1e-12, "ns": 1e-9}
+    number = re.fullmatch(r"([\d.]+) (ps|ns)", text)
+    pair = re.fullmatch(r"\[([\d.]+), ([\d.]+)\] (ps|ns)", text)
+    name = re.fullmatch(r"`(\w+)`", text)
+    if number:
+        return float(number[1]) * unit[number[2]]
+    if pair:
+        return (float(pair[1]) * unit[pair[3]], float(pair[2]) * unit[pair[3]])
+    return name[1] if name else None
+
+
+def _same_value(a, b) -> bool:
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same_value, a, b))
+    if isinstance(a, float) and isinstance(b, float):
+        return math.isclose(a, b, rel_tol=1e-12)
+    return a == b
+
+
+def test_readme_analysis_table_matches_the_cli_table():
+    # each row of the README's analysis table names the option paths its
+    # analysis reads and their defaults as `cli._ANALYSES` holds them
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    head = "| analysis | reads | default when unset |"
+    assert readme.count(head) == 1
+    lines = readme[readme.index(head):].splitlines()[2:]
+    rows = [[c.strip() for c in line.strip("|").split("|")]
+            for line in itertools.takewhile(lambda l: l.startswith("|"),
+                                            lines)]
+    assert sorted(re.match(r"`([^`]+)`", r[0])[1] for r in rows) == \
+        sorted(cli._ANALYSES)
+    for name_cell, reads_cell, defaults_cell in rows:
+        name = re.match(r"`([^`]+)`", name_cell)[1]
+        _, reads, _ = cli._ANALYSES[name]
+        listed = {p.removesuffix(".*") for p in re.findall(r"`([^`]+)`",
+                                                           reads_cell)}
+        assert listed == {p for p in reads
+                          if p.partition(".")[0] == p
+                          or p.partition(".")[0] not in reads}, name
+        defaults = dict(re.fullmatch(r"`([^`]+)`: (.+)", d.strip()).groups()
+                        for d in defaults_cell.split(";"))
+        documented = {p: _readme_value(v) for p, v in defaults.items()}
+        assert set(documented) <= set(reads), name
+        assert {p for p, v in documented.items() if v is not None} == \
+            {p for p, v in reads.items() if v is not None}, name
+        for path, value in documented.items():
+            assert _same_value(value, reads[path]), (name, path)
