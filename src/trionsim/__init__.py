@@ -4,21 +4,16 @@ heralded hole spin, photon correlation, and damped-cosine parameter
 recovery."""
 
 from .core import (CIRCULAR, MU_B_EV_PER_T, PLANCK_EV_S, DeviceParams,
-                   NoiseKind, NoiseModel, NoiseTarget, Pol, SpinHalfState,
-                   Subspace, jones_vector, larmor_frequency,
-                   larmor_halfperiod, orthogonal, pol_from_label, project,
+                   NoiseKind, NoiseModel, NoiseTarget, Pol, jones_vector,
+                   larmor_frequency, orthogonal, pol_from_label, project,
                    zeeman_splitting)
-from .dynamics import (EmissionBranch, Propagator2, addressed_z,
-                       cw_branch_contrast, emit_amplitudes, envelope_factor,
-                       heralded_docp, lifetime_docp, lifetime_trace,
-                       make_propagator, precessed_z, r_probability,
-                       rotation_x)
+from .dynamics import (addressed_z, cw_branch_contrast, precessed_z,
+                       r_probability)
 from .montecarlo import (EVENT_DTYPE, EventStream, ProtocolConfig,
                          ProtocolKind, resolve_workers, run)
 from .correlator import (DocpTrace, Histogram1D, Map2D, bin_lifetime,
-                         build_map2d, correlate_cw, docp,
-                         lifetime_docp_trace, plateau_normalized, slice_map,
-                         write_docp_csv, write_map_csv)
+                         build_map2d, correlate_cw, docp, plateau_normalized,
+                         slice_map, write_docp_csv, write_map_csv)
 from .fitkit import (PARAM_NAMES, DampedCosineModel, FitResult,
                      FrequencyEstimate, WindowAverage, ZeemanFit,
                      fft_frequency, fit_damped_cosine, fit_linear_zeeman,

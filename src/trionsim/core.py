@@ -1,5 +1,5 @@
-"""Domain types, polarization algebra, physical constants, and the strict
-field checks every configuration block is parsed with.
+"""Physical constants, polarization algebra, device and noise parameters,
+and the strict field checks every configuration block is parsed with.
 
 Unit conventions used throughout the package: energies in eV, times in
 seconds, frequencies in Hz, magnetic fields in tesla.  Conversions to
@@ -161,59 +161,6 @@ def project(state_jones, onto) -> float:
         raise ValueError(f"polarization state must be unit norm, got |s|^2 = {norm2!r}")
     amp = np.vdot(jones_vector(onto), state)
     return float(min(1.0, max(0.0, abs(amp) ** 2)))
-
-
-class Subspace(enum.Enum):
-    """Which two-level subspace a spinor lives in."""
-
-    GROUND = "ground_z"
-    TRION = "trion_z"
-
-
-@dataclass(frozen=True, eq=False)
-class SpinHalfState:
-    """Pure state of one spin-1/2 subspace, amplitudes in the z basis.
-
-    Index 0 is the spin-up eigenstate (hole spin-up / trion spin-up),
-    index 1 spin-down.  The norm must be 1 within 1e-12.
-    """
-
-    amplitudes: np.ndarray
-    basis_tag: Subspace
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape != (2,):
-            raise ValueError("a spin-1/2 state needs exactly 2 amplitudes")
-        norm2 = float(np.real(np.vdot(amps, amps)))
-        if abs(norm2 - 1.0) > 1e-12:
-            raise ValueError(f"state norm^2 = {norm2!r} violates normalization")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "basis_tag", Subspace(self.basis_tag))
-
-    @classmethod
-    def hole_up(cls):
-        return cls(np.array([1.0, 0.0]), Subspace.GROUND)
-
-    @classmethod
-    def hole_down(cls):
-        return cls(np.array([0.0, 1.0]), Subspace.GROUND)
-
-    @classmethod
-    def trion_up(cls):
-        return cls(np.array([1.0, 0.0]), Subspace.TRION)
-
-    @classmethod
-    def trion_down(cls):
-        return cls(np.array([0.0, 1.0]), Subspace.TRION)
-
-    def population_up(self) -> float:
-        return float(abs(self.amplitudes[0]) ** 2)
-
-    def population_down(self) -> float:
-        return float(abs(self.amplitudes[1]) ** 2)
 
 
 class NoiseKind(enum.Enum):
@@ -385,14 +332,3 @@ def zeeman_splitting(g: float, b_t: float) -> float:
 def larmor_frequency(g: float, b_t: float) -> float:
     """Precession frequency of the doublet in Hz."""
     return zeeman_splitting(g, b_t) / PLANCK_EV_S
-
-
-def larmor_halfperiod(g: float, b_t: float) -> float:
-    """Time to precess between the two z eigenstates, h / (2 dE).
-
-    Returns math.inf when the splitting vanishes: no precession.
-    """
-    de = zeeman_splitting(g, b_t)
-    if de == 0.0:
-        return math.inf
-    return PLANCK_EV_S / (2.0 * de)

@@ -298,12 +298,6 @@ def lifetime_histograms(stream: EventStream, bin_s: float = LIFETIME_BIN_S,
             bin_lifetime(stream, bin_s, span_s, projection=orthogonal(exc)))
 
 
-def lifetime_docp_trace(stream: EventStream, bin_s: float = LIFETIME_BIN_S,
-                        span_s: float | None = None) -> DocpTrace:
-    """Co/cross circular contrast of a lifetime stream versus decay time."""
-    return docp(*lifetime_histograms(stream, bin_s, span_s))
-
-
 def build_map2d(stream: EventStream, t1_edges=None, t2_edges=None) -> tuple:
     """The R and L two-photon maps (`count_map2d`) of a whole stream."""
     return count_map2d(stream.events, stream.config, stream.config.n_shots,

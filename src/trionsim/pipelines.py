@@ -534,7 +534,8 @@ def _batch_herald_slices(task):
     """One engine batch's R and L maps, binned where the batch ran
     straight from its recorded photons over only the rows that
     `sliced_docp` sums, as the counts over their t2 bins, and the R map's
-    shots used."""
+    shots used: the batch's heralded pairs whose readout photon projects
+    R, about half of all its heralded pairs."""
     batch, _ = task
     _, config, _, start, count = batch
     photon1, photon2, _ = montecarlo.pulsed_photons(batch, heralded_only=True)
@@ -546,7 +547,9 @@ def _batch_herald_slices(task):
 
 def heralded_sweep(device, delays, n_shots, seed, workers=None):
     """Per-delay sliced DOCP series, keyed by readout-time bin, and the
-    heralded pair count of every delay (fig3c and fig3d).
+    R map's shots used of every delay (fig3c and fig3d): the heralded
+    pairs whose readout photon projects R, about half of all heralded
+    pairs.  The L map's pairs are not counted.
 
     The batches of all delays go to one process pool.  Each worker draws
     photon 2 only for the shots with a recorded photon 1 (`pulsed_photons`
@@ -636,6 +639,8 @@ def _run_fig3d(outdir, seed, scale, workers):
                    REF_F_PULSED_HZ),
         SummaryRow("fig3d", "t2star_s", REF_T2STAR_S, tau_avg.mean,
                    tau_avg.sigma, REF_T2STAR_S),
+        # the fewest R-map pairs of any delay: heralded pairs whose
+        # readout photon projects R, about half of all heralded pairs
         SummaryRow("fig3d", "min_heralded_pairs", NAN, float(min(pairs)),
                    0.0, 1e5),
     ]

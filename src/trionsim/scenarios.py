@@ -8,7 +8,7 @@ randomness anywhere else.
 from __future__ import annotations
 
 import json
-from contextlib import suppress
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .core import (ConfigError, DeviceParams, as_bool, as_number, as_str,
@@ -106,8 +106,9 @@ class Scenario:
 def _parse_protocol(d):
     """The protocol block; a `pulse_delay_s` list is a delay sweep, and
     the config carries its first delay.  The block is checked with the
-    first delay it takes (with none, it is refused as with the first),
-    then each delay against it under its own path."""
+    smallest positive delay, which every block that takes some delay
+    takes, so a refusal there is the block's own (under `protocol`); then
+    each delay is checked against it under its own path."""
     delays = d.get("pulse_delay_s") if isinstance(d, dict) else None
     if not isinstance(delays, list):
         return ProtocolConfig.from_dict(d, "protocol"), None
@@ -118,13 +119,8 @@ def _parse_protocol(d):
                   for i, v in enumerate(delays))
     if not sweep:
         raise ConfigError("protocol.pulse_delay_s: empty sweep")
-    for dt in sweep:
-        with suppress(ConfigError):
-            base = ProtocolConfig.from_dict({**d, "pulse_delay_s": dt},
-                                            "protocol")
-            break
-    else:
-        ProtocolConfig.from_dict({**d, "pulse_delay_s": sweep[0]}, "protocol")
+    base = ProtocolConfig.from_dict({**d, "pulse_delay_s": math.ulp(0.0)},
+                                    "protocol")
     configs = [construct(replace, f"protocol.pulse_delay_s[{i}]", base,
                          pulse_delay_s=dt) for i, dt in enumerate(sweep)]
     return configs[0], sweep

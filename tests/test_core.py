@@ -14,16 +14,15 @@ from trionsim.core import (
     NoiseModel,
     NoiseTarget,
     Pol,
-    SpinHalfState,
-    Subspace,
     jones_vector,
     larmor_frequency,
-    larmor_halfperiod,
     orthogonal,
     pol_from_label,
     project,
     zeeman_splitting,
 )
+
+from oracles import SpinHalfState, Subspace, larmor_halfperiod
 
 # Independently evaluated reference points, frozen to full precision.
 ZEEMAN_209_150MT_EV = 1.8146576943e-05

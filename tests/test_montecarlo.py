@@ -9,8 +9,7 @@ import pytest
 
 from trionsim.core import (ConfigError, DeviceParams, NoiseModel, Pol,
                            larmor_frequency)
-from trionsim.correlator import lifetime_docp_trace, build_map2d
-from trionsim.dynamics import heralded_docp
+from trionsim.correlator import build_map2d
 from trionsim.fitkit import fit_damped_cosine
 from trionsim.montecarlo import (
     EVENT_DTYPE,
@@ -19,6 +18,8 @@ from trionsim.montecarlo import (
     resolve_workers,
     run,
 )
+
+from oracles import heralded_docp, lifetime_docp_trace
 
 
 def _device(g_e=2.09, g_h=0.362, t1_s=300e-12, p_mem=0.865, b_x_t=0.15,

@@ -616,6 +616,7 @@ def test_cli_analyze_cw_refuses_a_window_without_plateau(
     ([1e-9, 20e-9], 1, "below rep_period_s"),
     ([0.0, 1e-9], 0, "finite and > 0"),
     ([1e-9, 0.0], 1, "finite and > 0"),
+    ([20e-9], 0, "below rep_period_s"),
 ])
 def test_delay_sweep_refuses_a_bad_delay_under_its_index(
         tmp_path, capsys, delays, index, rule):
