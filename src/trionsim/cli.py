@@ -7,6 +7,7 @@ non-convergence.  Worker count comes from --workers or TRIONSIM_WORKERS.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -14,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import montecarlo
-from .correlator import (CW_BIN_S, LIFETIME_BIN_S, build_map2d, docp,
-                         lifetime_histograms, plateau_normalized,
-                         write_docp_csv)
+from .correlator import (CW_BIN_S, LIFETIME_BIN_S, bin_lifetime, build_map2d,
+                         cw_window_edges, docp, lifetime_edges,
+                         plateau_normalized, write_docp_csv)
 from .events_io import compat_digest, read_events, write_events
 from .fitkit import fit_damped_cosine, fit_linear_zeeman, format_fit_report
 from .montecarlo import ProtocolKind
@@ -194,7 +195,8 @@ def _emit_report(path, fit, title, digest) -> int:
 
 
 def _analyze_lifetime(stream, opts, outdir, meta):
-    co, cross = lifetime_histograms(stream, opts.bin_s, opts.span_s)
+    co, cross = bin_lifetime(stream.events, stream.config, lifetime_edges(
+        stream.device, stream.config, opts.bin_s, opts.span_s))
     paths = [lifetime_traces(outdir, co, cross, meta),
              outdir / "lifetime_docp.csv"]
     trace = docp(co, cross)
@@ -203,9 +205,11 @@ def _analyze_lifetime(stream, opts, outdir, meta):
 
 
 def _analyze_cw(stream, opts, outdir, meta):
-    binning = {"window_s": opts.window_s, "bin_s": opts.bin_s}
-    raw = cw_histograms(stream, **binning)
-    g2 = cw_histograms(stream, start_stop=True, **binning) \
+    edges = cw_window_edges(stream.config, opts.window_s, opts.bin_s)
+    ev = stream.events
+    records = (ev["channel"], ev["projection"], ev["time"])
+    raw = cw_histograms(*records, edges)
+    g2 = cw_histograms(*records, edges, start_stop=True) \
         if opts.start_stop else raw
     if opts.normalize:
         g2 = [plateau_normalized(h, opts.window_s) for h in g2]
@@ -222,7 +226,8 @@ def _cw_fit(trace, opts):
 
 
 def _analyze_pulsed(stream, opts, outdir, meta):
-    map_r, map_l = build_map2d(stream)
+    map_r, map_l = build_map2d(stream.events, stream.config,
+                               stream.config.n_shots)
     paths = write_herald_maps(outdir, map_r, map_l, meta)
     trace = sliced_docp(map_r, map_l, opts.t1_slice_s,
                         opts.slice_tolerance_s)
@@ -241,9 +246,10 @@ def _analyze_delay_sweep(streams, opts, outdir) -> int:
         if stream.config.kind is not ProtocolKind.PULSED_2PC:
             raise ConfigError(
                 f"{stream.config.kind.value} analysis takes exactly one file")
+        maps = build_map2d(stream.events, stream.config,
+                           stream.config.n_shots)
         return (stream.config.pulse_delay_s, stream.content_digest,
-                sliced_docp(*build_map2d(stream), opts.t1_slice_s,
-                            opts.slice_tolerance_s))
+                sliced_docp(*maps, opts.t1_slice_s, opts.slice_tolerance_s))
 
     points = list(map(sweep_point, streams))
     meta = digest_meta(*(digest for _, digest, _ in points))
@@ -275,7 +281,7 @@ def _analyze_delay_sweep(streams, opts, outdir) -> int:
 # each analysis `analyze` runs: its function, which returns the paths it
 # wrote and the trace to fit (the delay sweep's, given all the streams,
 # its exit code); each option path it reads with its value when unset
-# (None: none, or the reducer's own; "fit" stands for every `fit.*`
+# (None: none, or the edge builder's own; "fit" stands for every `fit.*`
 # path); and the file name, title and fit of its fit report
 _ANALYSES = {
     "lifetime": (
@@ -304,8 +310,9 @@ _ANALYSES = {
 def _read_table(path) -> np.ndarray:
     """The data rows of a CSV of numbers as a 2-D array.  Blank lines and
     `#` comments are skipped and one header line is taken before the
-    first data row; a second one, or a row without as many numbers as
-    the first, makes OSError name its `path:line`."""
+    first data row; a second one, a row without as many numbers as the
+    first, or a number that is not finite makes OSError name its
+    `path:line`."""
     header, data = False, []
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -323,7 +330,11 @@ def _read_table(path) -> np.ndarray:
                                   f"got {line!r}")
                 header = True
                 continue
-            data.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
+            if not all(map(math.isfinite, row)):
+                raise OSError(f"{path}:{lineno}: expected finite numbers, "
+                              f"got {line!r}")
+            data.append(row)
     if not data:
         raise OSError(f"{path}: no data rows")
     return np.asarray(data)

@@ -4,12 +4,18 @@ All binning is half-open [edge_i, edge_{i+1}); a value exactly on the
 last edge is dropped.  This makes pair counting exactly reproducible,
 merge-associative, and invariant under bin refinement.
 
-The reducers rely on the order of every stream where it enters
-(`montecarlo.run` builds it, `events_io.read_events` checks it): records
-in (shot, time) order, each time at or after its shot's start and, for
-cw, before the next segment's.  So `count_map2d` pairs a shot's adjacent
-records in one pass, and `correlate_cw` takes each channel's times as
-sorted.
+Each protocol kind has one reducer, which the `pipeline` workers call on
+an engine batch and `analyze` on a file's records: `bin_lifetime`,
+`correlate_cw` and `build_map2d`.  Each takes a run of whole shots and
+explicit edges, and returns raw counts that add over disjoint shot
+ranges.
+
+The reducers rely on the order of every run of records where it enters
+(`montecarlo.run_batch` builds it, `events_io.read_events` checks it):
+records in (shot, time) order, each time at or after its shot's start
+and, for cw, at most one segment length after it.  So `build_map2d`
+pairs a shot's adjacent records in one pass, and `correlate_cw` takes
+each channel's times as sorted.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Pol, orthogonal
-from .montecarlo import EventStream, ProtocolKind
+from .montecarlo import ProtocolKind
 
 MAP_BIN_S = 10e-12
 MAP_SPAN_S = 2e-9
@@ -150,7 +156,7 @@ def _bin_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def cw_window_edges(config, window_s: float,
                     bin_s: float = CW_BIN_S) -> np.ndarray:
     """The pair-delay bin edges over +/-window_s of a cw correlation of a
-    run with `config`.  The window must stay within one segment length:
+    run with `config`.  The edges must stay within one segment length:
     segments lie two lengths apart, so then no pair crosses a segment, and
     per-batch pair counts sum to the whole stream's."""
     if config.kind is not ProtocolKind.CW_G2:
@@ -162,7 +168,11 @@ def cw_window_edges(config, window_s: float,
     if window_s < bin_s:
         raise ValueError("window must cover at least one bin")
     half = int(round(window_s / bin_s))
-    return bin_s * np.arange(-half, half + 1)
+    edges = bin_s * np.arange(-half, half + 1)
+    # rounding to whole bins may widen the window past the segment
+    if edges[-1] > config.segment_length_s:
+        raise ValueError("window exceeds the segment length")
+    return edges
 
 
 def _pair_deltas_binned(t0: np.ndarray, t1: np.ndarray,
@@ -191,10 +201,10 @@ def _pair_deltas_binned(t0: np.ndarray, t1: np.ndarray,
     return counts
 
 
-def cw_pair_counts(channel, projection, time, pairing: str, edges,
-                   start_stop: bool = False) -> np.ndarray:
-    """Pair counts over `edges` of cw records given as field arrays in
-    (segment, time) order.
+def correlate_cw(channel, projection, time, pairing: str, edges,
+                 start_stop: bool = False) -> Histogram1D:
+    """Raw pair correlation over `edges` of cw records given as field
+    arrays in (segment, time) order.
 
     `pairing` follows the excitation/detection naming: "RR" correlates
     the R-projected clicks of both channels, "RL" the L-projected ones.
@@ -213,23 +223,13 @@ def cw_pair_counts(channel, projection, time, pairing: str, edges,
     t0 = np.compress(mine & (channel == 0), time)
     t1 = np.compress(mine & (channel == 1), time)
     if t0.size == 0 or t1.size == 0:
-        return np.zeros(edges.size - 1, dtype=np.int64)
-    if start_stop:
+        c = np.zeros(edges.size - 1, dtype=np.int64)
+    elif start_stop:
         nxt = np.searchsorted(t1, t0, side="right")
         ok = nxt < t1.size
-        return _bin_values(t1[nxt[ok]] - t0[ok], edges)
-    return _pair_deltas_binned(t0, t1, edges)
-
-
-def correlate_cw(stream: EventStream, pairing: str, window_s: float,
-                 bin_s: float = CW_BIN_S,
-                 start_stop: bool = False) -> Histogram1D:
-    """Cross-correlate the two detection channels of a cw run over
-    +/-window_s (`cw_pair_counts` of the whole stream)."""
-    edges = cw_window_edges(stream.config, window_s, bin_s)
-    ev = stream.events
-    c = cw_pair_counts(ev["channel"], ev["projection"], ev["time"], pairing,
-                       edges, start_stop)
+        c = _bin_values(t1[nxt[ok]] - t0[ok], edges)
+    else:
+        c = _pair_deltas_binned(t0, t1, edges)
     return Histogram1D(edges, c, np.sqrt(c))
 
 
@@ -277,34 +277,21 @@ def lifetime_edges(device, config, bin_s: float = LIFETIME_BIN_S,
     return bin_s * np.arange(0, int(round(span_s / bin_s)) + 1)
 
 
-def bin_lifetime(stream: EventStream, bin_s: float = LIFETIME_BIN_S,
-                 span_s: float | None = None,
-                 projection=None) -> Histogram1D:
-    """Histogram of within-shot detection times."""
-    edges = lifetime_edges(stream.device, stream.config, bin_s, span_s)
-    ev = stream.events
-    if projection is not None:
-        ev = ev[ev["projection"] == int(Pol(projection))]
-    t_rel = ev["time"] - ev["shot"] * stream.config.stride_s
-    counts = _bin_values(t_rel, edges)
-    return Histogram1D(edges, counts, np.sqrt(counts))
+def bin_lifetime(events: np.ndarray, config, edges) -> tuple:
+    """Raw co- and cross-polarized (to the excitation) histograms over
+    `edges` of the within-shot detection times of `events`, records of a
+    run with `config`, taken in one pass."""
+    exc = config.exc_pols[0]
+    # time - shot * stride_s, with no second record-long array
+    t_rel = events["shot"] * config.stride_s
+    np.subtract(events["time"], t_rel, out=t_rel)
+    proj = events["projection"]
+    counts = (_bin_values(t_rel[proj == int(p)], edges)
+              for p in (exc, orthogonal(exc)))
+    return tuple(Histogram1D(edges, c, np.sqrt(c)) for c in counts)
 
 
-def lifetime_histograms(stream: EventStream, bin_s: float = LIFETIME_BIN_S,
-                        span_s: float | None = None):
-    """Co- and cross-polarized (to the excitation) decay histograms."""
-    exc = stream.config.exc_pols[0]
-    return (bin_lifetime(stream, bin_s, span_s, projection=exc),
-            bin_lifetime(stream, bin_s, span_s, projection=orthogonal(exc)))
-
-
-def build_map2d(stream: EventStream, t1_edges=None, t2_edges=None) -> tuple:
-    """The R and L two-photon maps (`count_map2d`) of a whole stream."""
-    return count_map2d(stream.events, stream.config, stream.config.n_shots,
-                       t1_edges, t2_edges)
-
-
-def count_map2d(events: np.ndarray, config, n_shots: int,
+def build_map2d(events: np.ndarray, config, n_shots: int,
                 t1_edges=None, t2_edges=None) -> tuple:
     """The R and L maps of the events of `n_shots` shots of a run with
     `config`, in (shot, time) order, paired in one pass.
@@ -336,14 +323,14 @@ def count_map2d(events: np.ndarray, config, n_shots: int,
 
 def count_photon_maps(photon1, photon2, config, first_shot: int,
                       n_shots: int, t1_edges=None) -> tuple:
-    """The R and L maps (`count_map2d`) of one pulsed batch, taken from
+    """The R and L maps (`build_map2d`) of one pulsed batch, taken from
     its recorded photons 1 and 2 as `montecarlo.pulsed_photons` returns
     them, with no events built.
 
     A shot has exactly one click per channel when both its photons are
     recorded on different channels; the channel-1 photon's projection
     picks its map.  Times are taken with the same float arithmetic as
-    the events' and `count_map2d`'s, so the maps equal `count_map2d` of
+    the events' and `build_map2d`'s, so the maps equal `build_map2d` of
     the batch's events (over the same edges) bit for bit.
     """
     shot1, ch1, proj1, tau1 = photon1

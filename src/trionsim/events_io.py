@@ -168,13 +168,15 @@ def _check_records(stream: EventStream, name) -> None:
     """Refuse the first record that its header rules out, a block at a
     time: a shot past `n_shots`, a (channel, projection) that is not a
     channel of `det_pols` and one of its labels, a time that is not finite
-    or is before its shot's start (or, for cw, at or past the next
-    segment's start), or a record out of (shot, time) order.
+    or is before its shot's start (or, for cw, past its segment's end), or
+    a record out of (shot, time) order.
 
     A shot starts at shot * stride_s, the engine's own expression, so that
-    start + tau never rounds below it.  Only cw times are bounded above:
-    a decay delay may carry a lifetime or pulsed photon past the next
-    shot's start.
+    start + tau never rounds below it.  A cw segment ends at start +
+    segment_length_s; the engine records only t < segment_length_s, and
+    start + t never rounds above that end.  Only cw times are bounded
+    above: a decay delay may carry a lifetime or pulsed photon past the
+    next shot's start.
     """
     config = stream.config
     # allowed[256 * channel + projection]
@@ -202,8 +204,9 @@ def _check_records(stream: EventStream, name) -> None:
             (later, "out of (shot, time) order"),
         ]
         if config.kind is ProtocolKind.CW_G2:
-            checks.append((time >= (shot + 1.0) * config.stride_s,
-                           "time past its segment's stride"))
+            checks.append((time > shot * config.stride_s
+                           + config.segment_length_s,
+                           "time past its segment's end"))
         bad = np.zeros(block.size, dtype=bool)
         for mask, _ in checks:
             bad |= mask

@@ -286,7 +286,7 @@ class EventStream:
 
     @property
     def content_digest(self) -> str:
-        return sha256(self.events.tobytes()).hexdigest()
+        return sha256(np.ascontiguousarray(self.events)).hexdigest()
 
 
 def make_events(shots, channels, projections, times) -> np.ndarray:

@@ -21,10 +21,9 @@ import numpy as np
 from . import montecarlo
 from .core import (ConfigError, DeviceParams, MU_B_EV_PER_T, NoiseModel,
                    PLANCK_EV_S, larmor_frequency)
-from .correlator import (CW_BIN_S, MAP_EDGES, Histogram1D, correlate_cw,
-                         count_map2d, count_photon_maps, cw_pair_counts,
-                         cw_window_edges, docp, lifetime_edges,
-                         lifetime_histograms, plateau_normalized, slice_map,
+from .correlator import (MAP_EDGES, Histogram1D, bin_lifetime, build_map2d,
+                         correlate_cw, count_photon_maps, cw_window_edges,
+                         docp, lifetime_edges, plateau_normalized, slice_map,
                          write_csv, write_docp_csv, write_map_csv)
 from .fitkit import (fft_frequency, fit_damped_cosine, fit_linear_zeeman,
                      format_fit_report, loglog_trend, window_average)
@@ -138,22 +137,25 @@ def _histograms(edges, counts) -> tuple:
 
 
 def _lifetime_batch_counts(task):
-    """One lifetime batch's co- and cross-polarized decay counts; its
-    events too when the task asks for the digest."""
-    batch, with_events = task
+    """One lifetime batch's co- and cross-polarized decay counts over the
+    task's edges (`bin_lifetime`); its events too when the task asks for
+    the digest."""
+    batch, (edges, with_events) = task
     events, _ = montecarlo.run_batch(batch)
-    co, cross = lifetime_histograms(montecarlo.EventStream(events, *batch[:2]))
-    return (co.counts, cross.counts), events if with_events else None
+    counts = tuple(h.counts for h in bin_lifetime(events, batch[1], edges))
+    return counts, events if with_events else None
 
 
 def lifetime_run_histograms(runs, workers=None, digest=False) -> list:
     """(co, cross, content digest) of every (device, config) lifetime or
-    zero-field run: its `lifetime_histograms`, reduced per batch where
-    the batches run.  Without `digest` the digest is None."""
-    sums = _map_runs(_lifetime_batch_counts,
-                     [(d, c, digest) for d, c in runs], workers)
-    return [(*_histograms(lifetime_edges(device, config), counts), hexd)
-            for (device, config), (counts, hexd) in zip(runs, sums)]
+    zero-field run: its raw `bin_lifetime` histograms over the default
+    `lifetime_edges`, reduced per batch where the batches run.  Without
+    `digest` the digest is None."""
+    edges = [lifetime_edges(device, config) for device, config in runs]
+    sums = _map_runs(_lifetime_batch_counts, [(d, c, (e, digest)) for (d, c), e
+                                              in zip(runs, edges)], workers)
+    return [(*_histograms(e, counts), hexd)
+            for e, (counts, hexd) in zip(edges, sums)]
 
 
 def _cw_batch_counts(task):
@@ -162,8 +164,7 @@ def _cw_batch_counts(task):
     when the task asks for the digest."""
     batch, (edges, with_events) = task
     photons, _ = montecarlo.cw_photons(batch)
-    counts = tuple(cw_pair_counts(*photons[1:], p, edges)
-                   for p in ("RR", "RL"))
+    counts = tuple(h.counts for h in cw_histograms(*photons[1:], edges))
     return counts, montecarlo.make_events(*photons) if with_events else None
 
 
@@ -291,10 +292,11 @@ def _cw_config(n_segments, seed, pump_rate_hz=1e7):
                              pump_rate_hz=pump_rate_hz)
 
 
-def cw_histograms(stream, window_s, bin_s=CW_BIN_S, start_stop=False):
-    """Raw RR and RL pair correlations of a cw stream."""
-    return tuple(correlate_cw(stream, p, window_s=window_s, bin_s=bin_s,
-                              start_stop=start_stop) for p in ("RR", "RL"))
+def cw_histograms(channel, projection, time, edges, start_stop=False):
+    """Raw RR and RL pair correlations (`correlate_cw`) over `edges` of
+    cw records given as field arrays in (segment, time) order."""
+    return tuple(correlate_cw(channel, projection, time, p, edges, start_stop)
+                 for p in ("RR", "RL"))
 
 
 def write_g2_csv(path, h_rr, h_rl, meta):
@@ -475,10 +477,10 @@ def sliced_docp(map_r, map_l, t1_s=T1_SLICE_S, tolerance_s=T1_SLICE_TOL_S):
 
 
 def _batch_maps(task):
-    """One pulsed batch's R and L maps (`count_map2d`) and its events."""
+    """One pulsed batch's R and L maps (`build_map2d`) and its events."""
     batch, _ = task
     events, _ = montecarlo.run_batch(batch)
-    return count_map2d(events, batch[1], batch[4]), events
+    return build_map2d(events, batch[1], batch[4]), events
 
 
 def _run_fig3b(outdir, seed, scale, workers):
@@ -558,7 +560,7 @@ def heralded_sweep(device, delays, n_shots, seed, workers=None):
     straight into the slice rows of the R and L maps (`count_photon_maps`)
     and sends back only their counts and the R map's shots used, a few KB.
     Integer counts add exactly, so the per-delay sums equal `sliced_docp`
-    of `build_map2d` on the delay's whole stream.
+    of the maps that `build_map2d` pairs from all of the delay's records.
     """
     runs = [(device, ProtocolConfig.pulsed(
         n_shots=n_shots, rng_seed=derive_seed(seed, "dt", i),

@@ -7,6 +7,10 @@ emission branches.  The closed forms are the dephasing envelope, the
 polarization-resolved decay trace with its contrast, and the heralded
 contrast env(dt) cos(2 pi f_h dt).  Nothing in `trionsim` runs them;
 only the tests import this module.
+
+The stream helpers at the end apply each kind's reducer to a whole
+`EventStream`, over the edges that `analyze` builds from the same
+options.
 """
 from __future__ import annotations
 
@@ -19,8 +23,10 @@ import numpy as np
 from trionsim.core import (PLANCK_EV_S, DeviceParams, NoiseKind, NoiseModel,
                            Pol, jones_vector, larmor_frequency, orthogonal,
                            zeeman_splitting)
-from trionsim.correlator import (LIFETIME_BIN_S, DocpTrace, docp,
-                                 lifetime_histograms)
+from trionsim.correlator import (CW_BIN_S, LIFETIME_BIN_S, DocpTrace,
+                                 Histogram1D, bin_lifetime, build_map2d,
+                                 correlate_cw, cw_window_edges, docp,
+                                 lifetime_edges)
 from trionsim.montecarlo import EventStream
 
 
@@ -232,3 +238,27 @@ def lifetime_docp_trace(stream: EventStream, bin_s: float = LIFETIME_BIN_S,
                         span_s: float | None = None) -> DocpTrace:
     """Co/cross circular contrast of a lifetime stream versus decay time."""
     return docp(*lifetime_histograms(stream, bin_s, span_s))
+
+
+def lifetime_histograms(stream: EventStream, bin_s: float = LIFETIME_BIN_S,
+                        span_s: float | None = None) -> tuple:
+    """Co- and cross-polarized `bin_lifetime` histograms of a whole
+    lifetime stream over its `lifetime_edges`."""
+    return bin_lifetime(stream.events, stream.config, lifetime_edges(
+        stream.device, stream.config, bin_s, span_s))
+
+
+def correlate_stream(stream: EventStream, pairing: str, window_s: float,
+                     bin_s: float = CW_BIN_S,
+                     start_stop: bool = False) -> Histogram1D:
+    """`correlate_cw` of a whole cw stream over +/-window_s."""
+    ev = stream.events
+    return correlate_cw(ev["channel"], ev["projection"], ev["time"], pairing,
+                        cw_window_edges(stream.config, window_s, bin_s),
+                        start_stop)
+
+
+def stream_maps(stream: EventStream, t1_edges=None, t2_edges=None) -> tuple:
+    """The R and L maps (`build_map2d`) of a whole pulsed stream."""
+    return build_map2d(stream.events, stream.config, stream.config.n_shots,
+                       t1_edges, t2_edges)

@@ -20,7 +20,6 @@ from trionsim.core import (
     Pol,
     larmor_frequency,
 )
-from trionsim.correlator import bin_lifetime, correlate_cw
 from trionsim.fitkit import (
     PARAM_NAMES,
     DampedCosineModel,
@@ -32,7 +31,6 @@ from trionsim.montecarlo import EVENT_DTYPE, EventStream, ProtocolConfig, run
 from trionsim.pipelines import (
     T2_FIT_WINDOW_S,
     _pump_sweep,
-    cw_histograms,
     cw_osc_params,
     delay_sweep_grid,
     fit_heralded_sweep,
@@ -43,8 +41,10 @@ from trionsim.rng import derive_seed
 from oracles import (
     Propagator2,
     Subspace,
+    correlate_stream,
     envelope_factor,
     lifetime_docp_trace,
+    lifetime_histograms,
     lifetime_trace,
     make_propagator,
     rotation_x,
@@ -117,7 +117,8 @@ def test_criterion_3_cw_hole_precession():
     config = ProtocolConfig.cw(n_segments=49152, rng_seed=303,
                                pump_rate_hz=1e7)
     stream = run(device, config)
-    osc = cw_osc_params(*cw_histograms(stream, 100e-9), 100e-9)
+    osc = cw_osc_params(*(correlate_stream(stream, p, 100e-9)
+                          for p in ("RR", "RL")), 100e-9)
     print(f"criterion 3: f = {osc['frequency'] / 1e6:.3f} MHz "
           f"(ref {f_ref / 1e6:.3f}, tol 2%), "
           f"tau = {osc['t2star'] * 1e9:.2f} ns (target 16.51, tol 10%), "
@@ -203,9 +204,8 @@ def test_criterion_6_closed_forms_match_monte_carlo():
         bin_s, span_s, fine = 25e-12, 1.5e-9, 200
         grid = np.arange(0, int(round(span_s / bin_s)) * fine + 1) \
             * (bin_s / fine)
-        for pol in (Pol.R, Pol.L):
-            hist = bin_lifetime(stream, projection=pol, bin_s=bin_s,
-                                span_s=span_s)
+        for pol, hist in zip((Pol.R, Pol.L), lifetime_histograms(
+                stream, bin_s=bin_s, span_s=span_s)):
             density = lifetime_trace(device, Pol.R, pol, grid) / device.t1_s
             for j in range(hist.counts.size):
                 sl = slice(j * fine, j * fine + fine + 1)
@@ -243,7 +243,7 @@ def test_criterion_7_property_oracles():
     for pairing, code in (("RR", int(Pol.R)), ("RL", int(Pol.L))):
         sel0 = ev["time"][(ev["channel"] == 0) & (ev["projection"] == code)]
         sel1 = ev["time"][(ev["channel"] == 1) & (ev["projection"] == code)]
-        hist = correlate_cw(stream, pairing, window_s=50e-9, bin_s=10e-9)
+        hist = correlate_stream(stream, pairing, window_s=50e-9, bin_s=10e-9)
         brute = np.zeros(hist.counts.size, dtype=np.int64)
         for t0 in sel0:
             for t1 in sel1:

@@ -10,8 +10,7 @@ import pytest
 
 from trionsim.cli import main
 from trionsim.core import DeviceParams, NoiseModel
-from trionsim.correlator import (DocpTrace, Map2D, build_map2d,
-                                 lifetime_histograms, write_docp_csv)
+from trionsim.correlator import DocpTrace, Map2D, write_docp_csv
 from trionsim.events_io import read_events
 from trionsim.fitkit import fit_damped_cosine
 from trionsim.rng import derive_seed
@@ -19,13 +18,15 @@ from trionsim.montecarlo import ProtocolConfig, batch_tasks, run
 from trionsim.pipelines import (G_E, P_MEM, REF_G_H_CW, REF_G_H_PULSED,
                                 REF_T2STAR_S, REF_TAU_CW_S, T1_S,
                                 T1_SLICE_TOL_S, T2_FIT_WINDOW_S,
-                                _batch_herald_slices, cw_histograms,
-                                cw_run_histograms, digest_meta,
+                                _batch_herald_slices, cw_run_histograms,
+                                digest_meta,
                                 fit_heralded_sweep, heralded_sweep,
                                 lifetime_run_histograms, run_pipeline,
                                 sliced_docp)
 from trionsim.scenarios import (AnalysisOptions, FitOptions, OutputOptions,
                                 Scenario, save_scenario)
+
+from oracles import correlate_stream, lifetime_histograms, stream_maps
 
 SEED = 20260815
 
@@ -129,7 +130,7 @@ def test_analyze_honours_an_explicit_zero_t1_slice(tmp_path):
     stream = read_events(next((tmp_path / "events").iterdir()))
     expected = tmp_path / "expected.csv"
     write_docp_csv(expected,
-                   sliced_docp(*build_map2d(stream), 0.0, T1_SLICE_TOL_S),
+                   sliced_docp(*stream_maps(stream), 0.0, T1_SLICE_TOL_S),
                    digest_meta(stream.content_digest))
     assert (out / "fig3b_slice_docp.csv").read_bytes() == \
         expected.read_bytes()
@@ -166,7 +167,7 @@ def test_heralded_sweep_matches_per_delay_streams(workers):
         stream = run(device, ProtocolConfig.pulsed(
             n_shots=70_000, rng_seed=derive_seed(SEED, "dt", i),
             pulse_delay_s=dt))
-        map_r, map_l = build_map2d(stream)
+        map_r, map_l = stream_maps(stream)
         ref = sliced_docp(map_r, map_l)
         for name in ("times", "values", "errors", "n_total", "valid"):
             assert getattr(traces[i], name).tobytes() == \
@@ -213,7 +214,8 @@ def test_pump_sweep_matches_whole_stream_correlation(workers):
     results = cw_run_histograms(runs, workers, digest=True)
     for (_, config, window), (h_rr, h_rl, digest) in zip(runs, results):
         stream = run(device, config)
-        for got, want in zip((h_rr, h_rl), cw_histograms(stream, window)):
+        for got, want in zip((h_rr, h_rl), (correlate_stream(stream, p, window)
+                                            for p in ("RR", "RL"))):
             assert want.total > 0
             _assert_same_histograms(got, want)
         assert digest == stream.content_digest

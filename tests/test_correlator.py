@@ -16,10 +16,9 @@ from trionsim.correlator import (
     Map2D,
     build_map2d,
     correlate_cw,
-    count_map2d,
-    cw_pair_counts,
     cw_window_edges,
     docp,
+    lifetime_edges,
     plateau_normalized,
     slice_map,
     write_csv,
@@ -28,6 +27,8 @@ from trionsim.correlator import (
 from trionsim.fitkit import fft_frequency
 from trionsim.montecarlo import (EVENT_DTYPE, EventStream, ProtocolConfig,
                                  batch_tasks, run, run_batch)
+
+from oracles import correlate_stream, stream_maps
 
 
 def _device(**kw):
@@ -79,7 +80,7 @@ def _brute_force(t0s, t1s, edges, start_stop=False):
 
 def test_two_click_example():
     stream = _make_stream([[0.0], [1e-9, 3e-9]])
-    hist = correlate_cw(stream, "RR", window_s=5e-9, bin_s=1e-9)
+    hist = correlate_stream(stream, "RR", window_s=5e-9, bin_s=1e-9)
     assert hist.total == 2
     nonzero = np.nonzero(hist.counts)[0]
     assert len(nonzero) == 2
@@ -99,8 +100,8 @@ def test_correlate_matches_brute_force():
         sel0 = t0[projs[0] == code]
         sel1 = t1[projs[1] == code]
         for start_stop in (False, True):
-            hist = correlate_cw(stream, pairing, window_s=50e-9,
-                                bin_s=10e-9, start_stop=start_stop)
+            hist = correlate_stream(stream, pairing, window_s=50e-9,
+                                    bin_s=10e-9, start_stop=start_stop)
             ref = _brute_force(sel0, sel1, hist.bin_edges, start_stop)
             assert np.array_equal(hist.counts, ref)
 
@@ -110,7 +111,7 @@ def test_independent_streams_are_flat():
     t0 = np.sort(rng.uniform(0.0, 1e-6, 500))
     t1 = np.sort(rng.uniform(0.0, 1e-6, 500))
     stream = _make_stream([t0, t1])
-    hist = correlate_cw(stream, "RR", window_s=50e-9, bin_s=10e-9)
+    hist = correlate_stream(stream, "RR", window_s=50e-9, bin_s=10e-9)
     lam = 500 * 500 * 10e-9 / 1e-6
     assert np.abs(hist.counts - lam).max() <= 3.0 * math.sqrt(lam)
 
@@ -118,16 +119,21 @@ def test_independent_streams_are_flat():
 def test_correlate_validation():
     stream = _make_stream([[0.0], [1e-9]])
     with pytest.raises(ValueError):
-        correlate_cw(stream, "RX", window_s=5e-9)
+        correlate_stream(stream, "RX", window_s=5e-9)
     with pytest.raises(ValueError):
-        correlate_cw(stream, "RR", window_s=5e-9, bin_s=0.0)
+        correlate_stream(stream, "RR", window_s=5e-9, bin_s=0.0)
     with pytest.raises(ValueError):
-        correlate_cw(stream, "RR", window_s=2.0)
+        correlate_stream(stream, "RR", window_s=2.0)
+    # a window inside a 20 us segment whose whole 12 us bins reach 24 us
+    config = ProtocolConfig.cw(1, 1, pump_rate_hz=1e6,
+                               segment_length_s=20e-6)
+    with pytest.raises(ValueError, match="window exceeds the segment length"):
+        cw_window_edges(config, 20e-6, bin_s=12e-6)
     with pytest.raises(ValueError, match="cw_g2"):
-        correlate_cw(_make_stream([[0.0], [1e-9]], kind="pulsed"), "RR",
-                     window_s=5e-9)
+        correlate_stream(_make_stream([[0.0], [1e-9]], kind="pulsed"), "RR",
+                         window_s=5e-9)
     empty = _make_stream([[], []])
-    hist = correlate_cw(empty, "RR", window_s=5e-9, bin_s=1e-9)
+    hist = correlate_stream(empty, "RR", window_s=5e-9, bin_s=1e-9)
     assert hist.total == 0
 
 
@@ -163,10 +169,10 @@ def test_cw_batch_sums_match_whole_stream(layout, pairing):
         ev["time"] += seg * stride
         batches.append(ev)
     edges = cw_window_edges(config, 0.5e-6, bin_s=0.05e-6)
-    summed = sum(cw_pair_counts(ev["channel"], ev["projection"], ev["time"],
-                                pairing, edges) for ev in batches)
-    whole = correlate_cw(EventStream(np.concatenate(batches), _device(),
-                                     config), pairing, 0.5e-6, 0.05e-6)
+    summed = sum(correlate_cw(ev["channel"], ev["projection"], ev["time"],
+                              pairing, edges).counts for ev in batches)
+    whole = correlate_stream(EventStream(np.concatenate(batches), _device(),
+                                         config), pairing, 0.5e-6, 0.05e-6)
     assert summed.tobytes() == whole.counts.tobytes()
 
 
@@ -231,8 +237,8 @@ def test_refinement_preserves_totals():
     t0 = np.sort(rng.uniform(0.0, 1e-6, 300))
     t1 = np.sort(rng.uniform(0.0, 1e-6, 300))
     stream = _make_stream([t0, t1])
-    coarse = correlate_cw(stream, "RR", window_s=40e-9, bin_s=10e-9)
-    fine = correlate_cw(stream, "RR", window_s=40e-9, bin_s=5e-9)
+    coarse = correlate_stream(stream, "RR", window_s=40e-9, bin_s=10e-9)
+    fine = correlate_stream(stream, "RR", window_s=40e-9, bin_s=5e-9)
     assert fine.total == coarse.total
     assert np.array_equal(fine.counts.reshape(-1, 2).sum(axis=1),
                           coarse.counts)
@@ -241,14 +247,15 @@ def test_refinement_preserves_totals():
 def test_histogram_merge_matches_single_pass():
     dev = _device()
     stream = run(dev, ProtocolConfig.lifetime(20000, 45))
-    full = bin_lifetime(stream, bin_s=50e-12)
+    edges = lifetime_edges(dev, stream.config, 50e-12)
+    full = bin_lifetime(stream.events, stream.config, edges)
     even = stream.events[stream.events["shot"] % 2 == 0]
     odd = stream.events[stream.events["shot"] % 2 == 1]
-    parts = [bin_lifetime(EventStream(ev, dev, stream.config), bin_s=50e-12)
-             for ev in (even, odd)]
-    merged = parts[0] + parts[1]
-    assert np.array_equal(merged.counts, full.counts)
-    assert np.allclose(merged.errors ** 2, full.counts)
+    parts = [bin_lifetime(ev, stream.config, edges) for ev in (even, odd)]
+    for whole, *halves in zip(full, *parts):
+        merged = halves[0] + halves[1]
+        assert np.array_equal(merged.counts, whole.counts)
+        assert np.allclose(merged.errors ** 2, whole.counts)
 
 
 def test_histogram_validation():
@@ -269,7 +276,7 @@ def test_map2d_single_pair():
     events["time"] = (t1, delay + t2)
     config = ProtocolConfig.pulsed(1, 1, pulse_delay_s=delay)
     stream = EventStream(events, _device(), config)
-    m, m_l = build_map2d(stream)
+    m, m_l = stream_maps(stream)
     assert m.counts.sum() == 1 and m_l.counts.sum() == 0
     i, j = np.nonzero(m.counts)
     assert m.t1_edges[i[0]] <= t1 < m.t1_edges[i[0] + 1]
@@ -289,12 +296,12 @@ def test_map2d_drops_ambiguous_shots():
         events[k] = (shot, ch, int(Pol.R), shot * 12.5e-9 + t)
     config = ProtocolConfig.pulsed(3, 1, pulse_delay_s=delay)
     stream = EventStream(events, _device(), config)
-    m, _ = build_map2d(stream)
+    m, _ = stream_maps(stream)
     assert m.diagnostics["shots_used"] == 1
     assert m.diagnostics["shots_dropped"] == 2
     assert m.counts.sum() == 1
     with pytest.raises(ValueError):
-        build_map2d(run(_device(), ProtocolConfig.lifetime(64, 1)))
+        stream_maps(run(_device(), ProtocolConfig.lifetime(64, 1)))
 
 
 def test_map2d_pairs_each_shot_of_exactly_two_records():
@@ -311,7 +318,7 @@ def test_map2d_pairs_each_shot_of_exactly_two_records():
     for k, (shot, ch, proj, t) in enumerate(rows):
         events[k] = (shot, ch, proj, shot * 12.5e-9 + t)
     config = ProtocolConfig.pulsed(4, 1, pulse_delay_s=delay)
-    m_r, m_l = count_map2d(events, config, 4)
+    m_r, m_l = build_map2d(events, config, 4)
     assert m_r.counts.sum() == 0
     assert m_l.diagnostics == {"shots_used": 1, "shots_dropped": 3,
                                "pairs_in_range": 1}
@@ -329,8 +336,8 @@ def test_map2d_of_batches_sums_to_whole_stream_map(projection):
     tasks = batch_tasks(dev, config)
     assert len(tasks) == 3
     pick = (Pol.R, Pol.L).index(projection)
-    parts = [count_map2d(run_batch(t)[0], config, t[4])[pick] for t in tasks]
-    whole = build_map2d(run(dev, config))[pick]
+    parts = [build_map2d(run_batch(t)[0], config, t[4])[pick] for t in tasks]
+    whole = stream_maps(run(dev, config))[pick]
     total = parts[0] + parts[1] + parts[2]
     assert np.array_equal(total.counts, whole.counts)
     assert total.counts.dtype == whole.counts.dtype
@@ -360,7 +367,7 @@ def test_map2d_slice_and_marginal():
     for k, (shot, ch, t) in enumerate(rows):
         events[k] = (shot, ch, int(Pol.R), shot * 12.5e-9 + t)
     config = ProtocolConfig.pulsed(3, 1, pulse_delay_s=delay)
-    m, _ = build_map2d(EventStream(events, _device(), config))
+    m, _ = stream_maps(EventStream(events, _device(), config))
     assert m.counts.sum() == 3
     # a 10 ps tolerance keeps only the two shots near t1 = 105 ps
     sliced = slice_map(m, 0.105e-9, tolerance_s=10e-12)
@@ -375,8 +382,8 @@ def test_cw_oscillation_period():
     dev = _device(g_h=0.35, b_x_t=0.0375,
                   noise=NoiseModel.lorentzian_from_t2star(16.51e-9))
     stream = run(dev, ProtocolConfig.cw(4096, 47, pump_rate_hz=1e7))
-    trace = docp(correlate_cw(stream, "RR", window_s=60e-9),
-                 correlate_cw(stream, "RL", window_s=60e-9))
+    trace = docp(correlate_stream(stream, "RR", window_s=60e-9),
+                 correlate_stream(stream, "RL", window_s=60e-9))
     est = fft_frequency(trace)
     assert est.found
     period = 1.0 / est.frequency_hz

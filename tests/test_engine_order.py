@@ -15,7 +15,7 @@ both cw loops must meet.
 
 The heralded sweep bins each batch's recorded photons straight into its
 R and L maps (`count_photon_maps`); those maps must equal exactly the R
-and L maps that `count_map2d` pairs from the batch's events.  It draws
+and L maps that `build_map2d` pairs from the batch's events.  It draws
 photon 2 only for the shots with a recorded photon 1; those photons must
 equal exactly the full draw's photon 2 of the same shots.
 
@@ -35,8 +35,7 @@ from hypothesis import strategies as st
 
 from trionsim import montecarlo
 from trionsim.core import DeviceParams, NoiseModel, NoiseTarget, Pol
-from trionsim.correlator import (MAP_BIN_S, correlate_cw, count_map2d,
-                                 count_photon_maps)
+from trionsim.correlator import MAP_BIN_S, build_map2d, count_photon_maps
 from trionsim.dynamics import addressed_z, precessed_z, r_probability
 from trionsim.montecarlo import (_PROJ, CW_REDRAW_WINDOW_S, LIFETIME_BATCH,
                                  EventStream, ProtocolConfig, ProtocolKind,
@@ -45,6 +44,8 @@ from trionsim.montecarlo import (_PROJ, CW_REDRAW_WINDOW_S, LIFETIME_BATCH,
                                  pulsed_photons, run, run_batch)
 from trionsim.pipelines import sliced_docp
 from trionsim.rng import substream
+
+from oracles import correlate_stream
 
 
 def _detect(photon_codes, rng, det_pols, efficiency):
@@ -312,7 +313,7 @@ def _cw_pair_moments(device, config, events, first_seg, n):
     stream = EventStream(events, device, config)
     totals, variances = [], []
     for pairing in ("RR", "RL"):
-        hist = correlate_cw(stream, pairing, window_s=30e-9, bin_s=1e-9)
+        hist = correlate_stream(stream, pairing, window_s=30e-9, bin_s=1e-9)
         per_seg = _segment_pair_counts(events, pairing, hist.bin_edges,
                                        first_seg, n)
         assert np.array_equal(per_seg.sum(axis=0), hist.counts)
@@ -466,7 +467,7 @@ def _pulsed_totals(batch, device, config):
         totals["photon1"] += diag["recorded"][0]
         totals["photon2"] += diag["recorded"][1]
         totals["n_emitted"] += diag["n_emitted"]
-        batch_maps = count_map2d(events, config, LIFETIME_BATCH, t1_edges,
+        batch_maps = build_map2d(events, config, LIFETIME_BATCH, t1_edges,
                                  t2_edges)
         maps = batch_maps if not maps else \
             [a + m for a, m in zip(maps, batch_maps)]
@@ -579,7 +580,7 @@ def test_photon_maps_equal_event_maps(noise, channels):
                 maps = count_photon_maps(photon1, photon2, config, start,
                                          count)
                 for got, want in zip(maps,
-                                     count_map2d(events, config, count)):
+                                     build_map2d(events, config, count)):
                     assert got.counts.dtype == want.counts.dtype
                     assert np.array_equal(got.counts, want.counts)
                     assert got.diagnostics == want.diagnostics
@@ -598,7 +599,7 @@ def test_photon_maps_equal_event_maps(noise, channels):
 def test_photon_maps_bin_times_as_the_events_hold_them():
     # 10^8 shots into a run, shot * rep_period_s + t keeps t to about
     # 2e-16 s, so a time that close to a 10 ps edge can change bins once
-    # it is an event time; the photon path must bin it as count_map2d does
+    # it is an event time; the photon path must bin it as build_map2d does
     n, start, dt = 4096, 10 ** 8, 3e-9
     config = ProtocolConfig.pulsed(2 * start, 1, pulse_delay_s=dt)
     rng = np.random.default_rng(5)
@@ -615,7 +616,7 @@ def test_photon_maps_bin_times_as_the_events_hold_them():
                dt + near_edges())
     events = _pulsed_records(start, config.rep_period_s, photon1, photon2)
     maps = count_photon_maps(photon1, photon2, config, start, n)
-    for got, want in zip(maps, count_map2d(events, config, n)):
+    for got, want in zip(maps, build_map2d(events, config, n)):
         assert np.array_equal(got.counts, want.counts)
         assert got.diagnostics == want.diagnostics
     # the case has teeth: binned from the drawn times, some pairs move

@@ -354,6 +354,17 @@ _RUNS = {
     "lifetime": (_device(), ProtocolConfig.lifetime(70_000, 4)),
 }
 
+def _into_dead_half(k):
+    """Move record k of the cw run past its segment's end, before the
+    next segment's start."""
+    config = _RUNS["cw"][1]
+
+    def edit(events):
+        events["time"][k] = (float(events["shot"][k]) * config.stride_s
+                             + 1.5 * config.segment_length_s)
+    return edit
+
+
 # (run, record edit, the record refused, what the message says of it)
 _RECORD_EDITS = {
     "pulsed_shot_4e9": ("pulsed", _set_record(5, "shot", 4e9), 5,
@@ -365,7 +376,9 @@ _RECORD_EDITS = {
     "cw_time_nan": ("cw", _set_record(5, "time", np.nan), 5,
                     "time not finite"),
     "cw_time_1e300": ("cw", _set_record(5, "time", 1e300), 5,
-                      "time past its segment's stride"),
+                      "time past its segment's end"),
+    "cw_time_in_dead_half": ("cw", _into_dead_half(5), 5,
+                             "time past its segment's end"),
     "cw_time_before_start": ("cw", _set_record(0, "time", -1e-9), 0,
                              "time before its shot's start"),
     "cw_shot_past_n_shots": ("cw", _set_record(5, "shot", 16), 5,

@@ -9,17 +9,17 @@ import pytest
 
 from trionsim.core import (ConfigError, DeviceParams, NoiseModel, Pol,
                            larmor_frequency)
-from trionsim.correlator import build_map2d
 from trionsim.fitkit import fit_damped_cosine
 from trionsim.montecarlo import (
     EVENT_DTYPE,
+    EventStream,
     ProtocolConfig,
     ProtocolKind,
     resolve_workers,
     run,
 )
 
-from oracles import heralded_docp, lifetime_docp_trace
+from oracles import heralded_docp, lifetime_docp_trace, stream_maps
 
 
 def _device(g_e=2.09, g_h=0.362, t1_s=300e-12, p_mem=0.865, b_x_t=0.15,
@@ -203,6 +203,15 @@ def test_golden_content_digests(kind, workers):
     assert run(dev, config(), workers=workers).content_digest == digest
 
 
+def test_content_digest_of_a_strided_view_equals_its_copy():
+    stream = run(_device(), ProtocolConfig.lifetime(2000, 5))
+    view = stream.events[::3]
+    assert not view.flags.c_contiguous
+    assert EventStream(view, stream.device, stream.config).content_digest \
+        == EventStream(view.copy(), stream.device,
+                       stream.config).content_digest
+
+
 def test_lifetime_t1_recovery():
     """False-failure rate about 1.5e-23: the mean of 1e6 exponential
     delays has a relative sigma of 1e-3, so the 1% bound is 10 sigma."""
@@ -331,7 +340,7 @@ def test_pulsed_ensemble_docp_matches_analytic():
     for i, dt in enumerate(delays):
         config = ProtocolConfig.pulsed(1_100_000, 200 + i, pulse_delay_s=dt)
         stream = run(dev, config)
-        n_rr, n_rl = (m.counts[0, 0] for m in build_map2d(stream, edges,
+        n_rr, n_rl = (m.counts[0, 0] for m in stream_maps(stream, edges,
                                                           edges))
         n = n_rr + n_rl
         assert n >= 100_000

@@ -2,7 +2,8 @@
 private (`_`-prefixed) name of another trionsim module, either by
 importing it or as an attribute of an imported module; and every public
 module-level function or class is used by the package itself, so code
-that only the tests run lives under `tests/` (`tests/oracles.py`)."""
+that only the tests run lives under `tests/` (`tests/oracles.py`); and
+each name that perfbench's tracer wraps is such a function."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,31 @@ def test_every_public_name_is_used():
                 unused.append(f"{name}: {node.name}")
     assert not unused, unused
     assert excepted == set(_USED_OUTSIDE)   # no stale exception
+
+
+_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def test_traced_names_are_used_in_the_package():
+    # perfbench's tracer looks up each (module, attribute) of its TARGETS
+    # with no default, so a renamed or removed one breaks every traced
+    # run: each must be a module-level def of its `src/` module that the
+    # package references outside that definition
+    tracer = ast.parse(_TRACER.read_text(), str(_TRACER))
+    [targets] = [ast.literal_eval(node.value) for node in tracer.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets]
+                 == ["TARGETS"]]
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(_PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"}
+    unused = []
+    for module, attr in targets.values():
+        tree = trees.get(module.removeprefix("trionsim."))
+        defs = [node for node in getattr(tree, "body", ())
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name == attr]
+        if not defs or not any(attr in _names_referenced(other, defs[0])
+                               for other in trees.values()):
+            unused.append(f"{module}.{attr}")
+    assert targets and not unused, unused

@@ -451,6 +451,22 @@ def test_cli_zeeman_recovers_g_factors(tmp_path, capsys):
     assert main(["zeeman", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["fit", "zeeman"])
+def test_cli_table_refuses_a_non_finite_cell(tmp_path, capsys, command,
+                                             cell):
+    # a cell that reads as a float but is not finite (line 4) is refused
+    # by its path:line, as a cell that is no number is
+    path = tmp_path / "table.csv"
+    rows = [f"{0.05 * i:g},1.29,1.295,1.305,1.31" for i in range(1, 6)]
+    rows[2] = f"0.15,{cell},1.295,1.305,1.31"
+    path.write_text("b_t,e1,e2,e3,e4\n" + "\n".join(rows) + "\n")
+    assert main([command, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}:4: expected finite numbers" in err
+    assert "Traceback" not in err
+
+
 def test_cli_zeeman_refuses_a_row_with_a_non_number(tmp_path, capsys):
     # the table reader of `fit`: a non-numeric cell after the header and
     # a good row (the bad row is line 3) is refused, not dropped
