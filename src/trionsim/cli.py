@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -18,14 +19,16 @@ from . import montecarlo
 from .correlator import (CW_BIN_S, LIFETIME_BIN_S, bin_lifetime, build_map2d,
                          cw_window_edges, docp, lifetime_edges,
                          plateau_normalized, write_docp_csv)
-from .events_io import compat_digest, read_events, write_events
+from .events_io import (EventFileError, compat_digest, read_events,
+                        write_events)
 from .fitkit import fit_damped_cosine, fit_linear_zeeman, format_fit_report
 from .montecarlo import ProtocolKind
 from .pipelines import (PRESETS, T1_SLICE_S, T1_SLICE_TOL_S,
                         T2_FIT_WINDOW_S, beat_fit, cw_histograms,
-                        delay_sweep_fits, digest_meta, lifetime_traces,
-                        output_directory, run_pipeline, sliced_docp,
-                        write_delay_csv, write_g2_csv, write_herald_maps)
+                        delay_sweep_fits, digest_meta, histograms,
+                        lifetime_traces, output_directory, run_pipeline,
+                        sliced_docp, write_delay_csv, write_g2_csv,
+                        write_herald_maps)
 from .scenarios import AnalysisOptions, ConfigError, load_scenario
 
 EXIT_OK = 0
@@ -94,7 +97,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
         return EXIT_NOCONV
-    except OSError as exc:
+    except (OSError, EventFileError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
@@ -120,47 +123,55 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _read_streams(paths):
-    """Yield the stream of each file, one at a time, each checked
-    against the header of the first."""
+def _read_files(paths):
+    """Yield each event file, opened one at a time and closed before the
+    next one is opened, its header checked against the first's."""
     first = None
     for path in paths:
-        try:
-            stream = read_events(path)
-        except ValueError as exc:
-            raise OSError(str(exc)) from exc
-        digest = compat_digest(stream.device, stream.config)
-        first = first or digest
-        if digest != first:
-            raise ConfigError(
-                "event files have mismatched device/config headers")
-        yield stream
-        del stream  # hold no stream while the next file is read
+        with read_events(path) as file:
+            digest = compat_digest(file.device, file.config)
+            first = first or digest
+            if digest != first:
+                raise ConfigError(
+                    "event files have mismatched device/config headers")
+            yield file
+        del file  # hold no file while the next one is read
+
+
+def _summed(file, reduce) -> tuple:
+    """The sums over the blocks of `file` of `reduce(records, n_shots)`,
+    a tuple of integer counts (arrays or maps) that add over disjoint runs
+    of shots; `file.content_digest` is set once it returns."""
+    total = None
+    for block in file.blocks():
+        counts = reduce(*block)
+        total = counts if total is None else \
+            tuple(map(operator.add, total, counts))
+    return total
 
 
 def cmd_analyze(args) -> int:
     opts = (load_scenario(args.scenario).analysis if args.scenario
             else AnalysisOptions())
-    streams = _read_streams(args.events)
-    stream = next(streams) if len(args.events) == 1 else None
-    name = "delay sweep" if stream is None else {
+    files = _read_files(args.events)
+    file = next(files) if len(args.events) == 1 else None
+    name = "delay sweep" if file is None else {
         ProtocolKind.PULSED_2PC: "pulsed", ProtocolKind.CW_G2: "cw"}.get(
-            stream.config.kind,
-            "lifetime" if stream.device.b_x_t > 0 else "zero-field")
+            file.config.kind,
+            "lifetime" if file.device.b_x_t > 0 else "zero-field")
     run, reads, report = _ANALYSES[name]
     _read_options(opts, reads, name)
     with output_directory(args.outdir) as outdir:
-        if stream is None:
-            return run(streams, opts, outdir)
-        digest = stream.content_digest
-        paths, trace = run(stream, opts, outdir, digest_meta(digest))
+        if file is None:
+            return run(files, opts, outdir)
+        paths, trace = run(file, opts, outdir)
         for path in paths:
             print(f"wrote {path}")
         if "fit" not in reads or not opts.fit.enabled:
             return EXIT_OK
-        file, title, fit = report
-        return _emit_report(outdir / file, fit(trace, opts.fit), title,
-                            digest[:16])
+        report_name, title, fit = report
+        return _emit_report(outdir / report_name, fit(trace, opts.fit),
+                            title, file.content_digest[:16])
 
 
 def _read_options(opts, reads, name) -> None:
@@ -194,9 +205,21 @@ def _emit_report(path, fit, title, digest) -> int:
     return EXIT_OK if fit.converged else EXIT_NOCONV
 
 
-def _analyze_lifetime(stream, opts, outdir, meta):
-    co, cross = bin_lifetime(stream.events, stream.config, lifetime_edges(
-        stream.device, stream.config, opts.bin_s, opts.span_s))
+def _edges(build, *args) -> np.ndarray:
+    """`build(*args)`, the bin edges of an analysis, before any record is
+    read; a bin count that it refuses names its `analysis.` option."""
+    try:
+        return build(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"analysis.{exc}") from exc
+
+
+def _analyze_lifetime(file, opts, outdir):
+    edges = _edges(lifetime_edges, file.device, file.config, opts.bin_s,
+                   opts.span_s)
+    co, cross = histograms(edges, _summed(file, lambda block, _: tuple(
+        h.counts for h in bin_lifetime(block, file.config, edges))))
+    meta = digest_meta(file.content_digest)
     paths = [lifetime_traces(outdir, co, cross, meta),
              outdir / "lifetime_docp.csv"]
     trace = docp(co, cross)
@@ -204,15 +227,22 @@ def _analyze_lifetime(stream, opts, outdir, meta):
     return paths, trace
 
 
-def _analyze_cw(stream, opts, outdir, meta):
-    edges = cw_window_edges(stream.config, opts.window_s, opts.bin_s)
-    ev = stream.events
-    records = (ev["channel"], ev["projection"], ev["time"])
-    raw = cw_histograms(*records, edges)
-    g2 = cw_histograms(*records, edges, start_stop=True) \
-        if opts.start_stop else raw
+def _analyze_cw(file, opts, outdir):
+    edges = _edges(cw_window_edges, file.config, opts.window_s, opts.bin_s)
+
+    def reduce(block, _):
+        records = (block["channel"], block["projection"], block["time"])
+        hists = cw_histograms(*records, edges)
+        if opts.start_stop:
+            hists += cw_histograms(*records, edges, start_stop=True)
+        return tuple(h.counts for h in hists)
+
+    counts = _summed(file, reduce)
+    raw = histograms(edges, counts[:2])
+    g2 = histograms(edges, counts[2:]) or raw
     if opts.normalize:
         g2 = [plateau_normalized(h, opts.window_s) for h in g2]
+    meta = digest_meta(file.content_digest)
     paths = [outdir / "cw_g2.csv", outdir / "fig2b_docp.csv"]
     write_g2_csv(paths[0], *g2, meta)
     trace = docp(*raw)
@@ -225,9 +255,15 @@ def _cw_fit(trace, opts):
                              opts.exclusion_window_s, opts.fixed)
 
 
-def _analyze_pulsed(stream, opts, outdir, meta):
-    map_r, map_l = build_map2d(stream.events, stream.config,
-                               stream.config.n_shots)
+def _file_maps(file):
+    """The R and L maps (`build_map2d`) of a pulsed file."""
+    return _summed(file, lambda block, n_shots: build_map2d(
+        block, file.config, n_shots))
+
+
+def _analyze_pulsed(file, opts, outdir):
+    map_r, map_l = _file_maps(file)
+    meta = digest_meta(file.content_digest)
     paths = write_herald_maps(outdir, map_r, map_l, meta)
     trace = sliced_docp(map_r, map_l, opts.t1_slice_s,
                         opts.slice_tolerance_s)
@@ -236,22 +272,21 @@ def _analyze_pulsed(stream, opts, outdir, meta):
     return paths, trace
 
 
-def _analyze_delay_sweep(streams, opts, outdir) -> int:
+def _analyze_delay_sweep(files, opts, outdir) -> int:
     """Reduce each file of a pulsed delay sweep to its sliced DOCP as it
-    is read, so that one stream is held at a time; no file is written
-    before every file has been read and checked."""
+    is read, a block at a time, so that one block is held at a time; no
+    file is written before every file has been read and checked."""
     window = opts.t2_fit_window_s
 
-    def sweep_point(stream):
-        if stream.config.kind is not ProtocolKind.PULSED_2PC:
+    def sweep_point(file):
+        if file.config.kind is not ProtocolKind.PULSED_2PC:
             raise ConfigError(
-                f"{stream.config.kind.value} analysis takes exactly one file")
-        maps = build_map2d(stream.events, stream.config,
-                           stream.config.n_shots)
-        return (stream.config.pulse_delay_s, stream.content_digest,
+                f"{file.config.kind.value} analysis takes exactly one file")
+        maps = _file_maps(file)
+        return (file.config.pulse_delay_s, file.content_digest,
                 sliced_docp(*maps, opts.t1_slice_s, opts.slice_tolerance_s))
 
-    points = list(map(sweep_point, streams))
+    points = list(map(sweep_point, files))
     meta = digest_meta(*(digest for _, digest, _ in points))
     delays, _, traces = zip(*sorted(points, key=lambda p: p[0]))
     for a, b in zip(delays, delays[1:]):
@@ -279,8 +314,8 @@ def _analyze_delay_sweep(streams, opts, outdir) -> int:
 
 
 # each analysis `analyze` runs: its function, which returns the paths it
-# wrote and the trace to fit (the delay sweep's, given all the streams,
-# its exit code); each option path it reads with its value when unset
+# wrote and the trace to fit (the delay sweep's, given all the files, its
+# exit code); each option path it reads with its value when unset
 # (None: none, or the edge builder's own; "fit" stands for every `fit.*`
 # path); and the file name, title and fit of its fit report
 _ANALYSES = {
@@ -307,11 +342,12 @@ _ANALYSES = {
 }
 
 
-def _read_table(path) -> np.ndarray:
+def _read_table(path, increasing=False) -> np.ndarray:
     """The data rows of a CSV of numbers as a 2-D array.  Blank lines and
     `#` comments are skipped and one header line is taken before the
     first data row; a second one, a row without as many numbers as the
-    first, or a number that is not finite makes OSError name its
+    first, a number that is not finite, or (if `increasing`) a first
+    number not above the row before's makes OSError name its
     `path:line`."""
     header, data = False, []
     with open(path, "r") as fh:
@@ -334,6 +370,9 @@ def _read_table(path) -> np.ndarray:
             if not all(map(math.isfinite, row)):
                 raise OSError(f"{path}:{lineno}: expected finite numbers, "
                               f"got {line!r}")
+            if increasing and data and not row[0] > data[-1][0]:
+                raise OSError(f"{path}:{lineno}: expected a first column "
+                              f"that strictly increases, got {line!r}")
             data.append(row)
     if not data:
         raise OSError(f"{path}: no data rows")
@@ -349,7 +388,7 @@ def _is_float(text: str) -> bool:
 
 
 def cmd_fit(args) -> int:
-    table = _read_table(args.trace)
+    table = _read_table(args.trace, increasing=True)
     if table.shape[1] < 2:
         raise OSError(f"{args.trace}: need at least two columns")
     fixed = {}

@@ -284,6 +284,9 @@ class DeviceParams:
             raise ValueError("p_mem must lie in [0, 1]")
         if not (math.isfinite(self.b_x_t) and self.b_x_t >= 0.0):
             raise ValueError("b_x_t must be >= 0")
+        if not (math.isfinite(self.f_e_hz) and math.isfinite(self.f_h_hz)):
+            raise ConfigError(f"b_x_t: {self.b_x_t:g} T gives a Larmor "
+                              f"frequency that is not finite")
         if not isinstance(self.noise, NoiseModel):
             raise ValueError("noise must be a NoiseModel")
 

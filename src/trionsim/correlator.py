@@ -11,7 +11,8 @@ explicit edges, and returns raw counts that add over disjoint shot
 ranges.
 
 The reducers rely on the order of every run of records where it enters
-(`montecarlo.run_batch` builds it, `events_io.read_events` checks it):
+(`montecarlo.run_batch` builds it, `events_io.EventFile.blocks` checks
+it, a block of whole shots at a time):
 records in (shot, time) order, each time at or after its shot's start
 and, for cw, at most one segment length after it.  So `build_map2d`
 pairs a shot's adjacent records in one pass, and `correlate_cw` takes
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Pol, orthogonal
+from .core import ConfigError, Pol, orthogonal
 from .montecarlo import ProtocolKind
 
 MAP_BIN_S = 10e-12
@@ -33,6 +34,8 @@ MAP_EDGES = MAP_BIN_S * np.arange(0, int(round(MAP_SPAN_S / MAP_BIN_S)) + 1)
 MAP_EDGES.setflags(write=False)
 LIFETIME_BIN_S = 10e-12
 CW_BIN_S = 100e-12
+# the most bins `lifetime_edges` and `cw_window_edges` make
+MAX_BINS = 1_000_000
 
 _PAIR_CHUNK = 200_000
 
@@ -158,16 +161,21 @@ def cw_window_edges(config, window_s: float,
     """The pair-delay bin edges over +/-window_s of a cw correlation of a
     run with `config`.  The edges must stay within one segment length:
     segments lie two lengths apart, so then no pair crosses a segment, and
-    per-batch pair counts sum to the whole stream's."""
+    per-batch pair counts sum to the whole stream's.  Fewer than 1 or
+    more than MAX_BINS / 2 bins each side raise ConfigError naming
+    `bin_s`."""
     if config.kind is not ProtocolKind.CW_G2:
         raise ValueError("cw correlations need a cw_g2 stream")
     if window_s > config.segment_length_s:
         raise ValueError("window exceeds the segment length")
     if bin_s <= 0:
         raise ValueError("bin width must be > 0")
-    if window_s < bin_s:
-        raise ValueError("window must cover at least one bin")
-    half = int(round(window_s / bin_s))
+    ratio = window_s / bin_s
+    if not 1 <= ratio <= MAX_BINS // 2:
+        raise ConfigError(f"bin_s: {bin_s:g} s over a window_s of "
+                          f"{window_s:g} s is {ratio:.3g} bins each side; "
+                          f"need 1 to {MAX_BINS // 2}")
+    half = int(round(ratio))
     edges = bin_s * np.arange(-half, half + 1)
     # rounding to whole bins may widen the window past the segment
     if edges[-1] > config.segment_length_s:
@@ -271,10 +279,15 @@ def lifetime_edges(device, config, bin_s: float = LIFETIME_BIN_S,
                    span_s: float | None = None) -> np.ndarray:
     """The within-shot time bin edges of `bin_lifetime` for a run of
     `device` with `config`; the span defaults to the shorter of the
-    repetition period and 10 T1."""
+    repetition period and 10 T1.  Fewer than 1 or more than MAX_BINS
+    bins raise ConfigError naming `bin_s`."""
     if span_s is None:
         span_s = min(config.rep_period_s, 10.0 * device.t1_s)
-    return bin_s * np.arange(0, int(round(span_s / bin_s)) + 1)
+    ratio = span_s / bin_s
+    if not 0.5 < ratio <= MAX_BINS:
+        raise ConfigError(f"bin_s: {bin_s:g} s over a span_s of {span_s:g} s "
+                          f"is {ratio:.3g} bins; need 1 to {MAX_BINS}")
+    return bin_s * np.arange(0, int(round(ratio)) + 1)
 
 
 def bin_lifetime(events: np.ndarray, config, edges) -> tuple:

@@ -131,7 +131,7 @@ def _map_runs(fn, runs, workers) -> list:
     return out
 
 
-def _histograms(edges, counts) -> tuple:
+def histograms(edges, counts) -> tuple:
     """A raw `Histogram1D` over `edges` of each summed count array."""
     return tuple(Histogram1D(edges, c, np.sqrt(c)) for c in counts)
 
@@ -154,7 +154,7 @@ def lifetime_run_histograms(runs, workers=None, digest=False) -> list:
     edges = [lifetime_edges(device, config) for device, config in runs]
     sums = _map_runs(_lifetime_batch_counts, [(d, c, (e, digest)) for (d, c), e
                                               in zip(runs, edges)], workers)
-    return [(*_histograms(e, counts), hexd)
+    return [(*histograms(e, counts), hexd)
             for e, (counts, hexd) in zip(edges, sums)]
 
 
@@ -176,7 +176,7 @@ def cw_run_histograms(runs, workers=None, digest=False) -> list:
     edges = [cw_window_edges(config, window) for _, config, window in runs]
     sums = _map_runs(_cw_batch_counts, [(d, c, (e, digest)) for (d, c, _), e
                                         in zip(runs, edges)], workers)
-    return [(*_histograms(e, counts), hexd)
+    return [(*histograms(e, counts), hexd)
             for e, (counts, hexd) in zip(edges, sums)]
 
 
@@ -567,7 +567,7 @@ def heralded_sweep(device, delays, n_shots, seed, workers=None):
         pulse_delay_s=float(dt)), None) for i, dt in enumerate(delays)]
     sums = [counts for counts, _ in
             _map_runs(_batch_herald_slices, runs, workers)]
-    return ([docp(*_histograms(MAP_EDGES, (rr, rl)))
+    return ([docp(*histograms(MAP_EDGES, (rr, rl)))
              for rr, rl, _ in sums], [used for _, _, used in sums])
 
 

@@ -8,9 +8,9 @@ polarization-resolved decay trace with its contrast, and the heralded
 contrast env(dt) cos(2 pi f_h dt).  Nothing in `trionsim` runs them;
 only the tests import this module.
 
-The stream helpers at the end apply each kind's reducer to a whole
-`EventStream`, over the edges that `analyze` builds from the same
-options.
+The stream helpers at the end read a whole `EventStream` from an event
+file and apply each kind's reducer to a whole stream, over the edges
+that `analyze` builds from the same options.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from trionsim.correlator import (CW_BIN_S, LIFETIME_BIN_S, DocpTrace,
                                  Histogram1D, bin_lifetime, build_map2d,
                                  correlate_cw, cw_window_edges, docp,
                                  lifetime_edges)
+from trionsim.events_io import read_events
 from trionsim.montecarlo import EventStream
 
 
@@ -232,6 +233,14 @@ def heralded_docp(params: DeviceParams, dt_s):
     env = envelope_factor(params.noise, t) if params.noise.affects_ground else 1.0
     out = env * np.cos(2.0 * math.pi * params.f_h_hz * t)
     return out if out.ndim else float(out)
+
+
+def read_stream(path) -> EventStream:
+    """The whole stream of an event file: the blocks `read_events` hands
+    out, joined."""
+    file = read_events(path)
+    events = np.concatenate([block for block, _ in file.blocks()])
+    return EventStream(events, file.device, file.config, file.diagnostics)
 
 
 def lifetime_docp_trace(stream: EventStream, bin_s: float = LIFETIME_BIN_S,

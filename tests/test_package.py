@@ -1,9 +1,11 @@
 """Package rules checked on the source: no trionsim module reaches a
 private (`_`-prefixed) name of another trionsim module, either by
 importing it or as an attribute of an imported module; and every public
-module-level function or class is used by the package itself, so code
-that only the tests run lives under `tests/` (`tests/oracles.py`); and
-each name that perfbench's tracer wraps is such a function."""
+module-level function or class is used by the package itself (imported
+by name, read as an attribute of its module, or read by bare name in its
+own module), so code that only the tests run lives under `tests/`
+(`tests/oracles.py`); and each name that perfbench's tracer wraps is
+such a function."""
 
 import ast
 from pathlib import Path
@@ -36,22 +38,67 @@ def test_no_private_names_reached_across_modules():
     assert not found, found
 
 
-def _names_referenced(tree, skip) -> set:
-    """Every name that `tree` reads, takes as an attribute or imports,
-    outside the subtree `skip`."""
-    names, todo = set(), [tree]
+def _source_module(node):
+    """The trionsim module that an ImportFrom reads from, None for the
+    package itself (`from . import mod`), or "" for another package."""
+    if node.level == 0:
+        head, _, rest = (node.module or "").partition(".")
+        return (rest or None) if head == "trionsim" else ""
+    return node.module
+
+
+def _is_used(module, node, trees) -> bool:
+    """Whether the package uses the module-level def or class `node` of
+    `module` (a key of `trees`, the parsed modules): when some module
+    imports it by name from `module`, or reads it as an attribute of
+    `module` bound by `from . import module`, or when `module` reads its
+    bare name outside `node` itself.  A local variable or an attribute of
+    another object that merely has the same name is no use."""
+    name = node.name
+    for tree in trees.values():
+        imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                   and _source_module(n) != ""]
+        if any(_source_module(n) == module and name in
+               [a.name for a in n.names] for n in imports):
+            return True
+        bound = {a.asname or a.name for n in imports
+                 if _source_module(n) is None for a in n.names
+                 if a.name == module}
+        if any(isinstance(n, ast.Attribute) and n.attr == name
+               and isinstance(n.value, ast.Name) and n.value.id in bound
+               for n in ast.walk(tree)):
+            return True
+    todo = [trees[module]]
     while todo:
-        node = todo.pop()
-        if node is skip:
+        n = todo.pop()
+        if n is node:
             continue
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names.update(a.name for a in node.names)
-        todo.extend(ast.iter_child_nodes(node))
-    return names
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) \
+                and n.id == name:
+            return True
+        todo.extend(ast.iter_child_nodes(n))
+    return False
+
+
+def test_a_same_named_local_is_no_use():
+    # `cli` reads a local `run`, and `other.run` is an attribute of some
+    # object: neither uses montecarlo.run; the import and the module
+    # attribute do
+    trees = {
+        "montecarlo": ast.parse("def run():\n    return run\n"),
+        "cli": ast.parse("def go(rows, other):\n"
+                         "    run = rows[0]\n"
+                         "    return run(), other.run()\n"),
+    }
+    [run] = trees["montecarlo"].body
+    assert not _is_used("montecarlo", run, trees)
+    for source in ("from .montecarlo import run\n",
+                   "from . import montecarlo\nmontecarlo.run()\n",
+                   "from trionsim import montecarlo as mc\nmc.run()\n"):
+        assert _is_used("montecarlo", run,
+                        {**trees, "cli": ast.parse(source)}), source
+    trees["montecarlo"].body.append(ast.parse("RUN = run").body[0])
+    assert _is_used("montecarlo", run, trees)
 
 
 # public names the package defines for its callers outside `src/`, each
@@ -66,7 +113,7 @@ def test_every_public_name_is_used():
     # a public module-level def or class must be referenced from the
     # package outside its own definition; the re-exports of __init__
     # and the tests do not count
-    trees = {path.name: ast.parse(path.read_text(), str(path))
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(_PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
     unused, excepted = [], set()
@@ -77,9 +124,8 @@ def test_every_public_name_is_used():
                 continue
             if node.name in _USED_OUTSIDE:
                 excepted.add(node.name)
-            elif not any(node.name in _names_referenced(other, node)
-                         for other in trees.values()):
-                unused.append(f"{name}: {node.name}")
+            elif not _is_used(name, node, trees):
+                unused.append(f"{name}.py: {node.name}")
     assert not unused, unused
     assert excepted == set(_USED_OUTSIDE)   # no stale exception
 
@@ -102,11 +148,10 @@ def test_traced_names_are_used_in_the_package():
              if path.name != "__init__.py"}
     unused = []
     for module, attr in targets.values():
-        tree = trees.get(module.removeprefix("trionsim."))
-        defs = [node for node in getattr(tree, "body", ())
+        stem = module.removeprefix("trionsim.")
+        defs = [node for node in getattr(trees.get(stem), "body", ())
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and node.name == attr]
-        if not defs or not any(attr in _names_referenced(other, defs[0])
-                               for other in trees.values()):
+        if not defs or not _is_used(stem, defs[0], trees):
             unused.append(f"{module}.{attr}")
     assert targets and not unused, unused

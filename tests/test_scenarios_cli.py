@@ -3,19 +3,25 @@
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trionsim
 from trionsim import cli
 from trionsim.cli import main
 from trionsim.core import MU_B_EV_PER_T
-from trionsim.events_io import read_events
+from trionsim.correlator import MAX_BINS
 from trionsim.rng import derive_seed
 from trionsim.scenarios import ConfigError, Scenario, load_scenario
+
+from oracles import read_stream
 
 
 def _scenario_dict(kind="docp_zero_field", **proto):
@@ -232,7 +238,7 @@ def test_cli_simulate_is_deterministic(tmp_path):
     blob_a = (tmp_path / "a" / "events.bin").read_bytes()
     blob_b = (tmp_path / "b" / "events.bin").read_bytes()
     assert blob_a == blob_b
-    stream = read_events(tmp_path / "a" / "events.bin")
+    stream = read_stream(tmp_path / "a" / "events.bin")
     assert len(stream) > 0
 
     # a seed override must change the stream
@@ -247,7 +253,7 @@ def test_cli_simulate_writes_one_file_per_sweep_delay(tmp_path):
     scn = _write_scenario(tmp_path / "s.json", d)
     assert main(["simulate", scn, "-o", str(tmp_path)]) == 0
     for label, delay in (("dt0.6ns", 0.6e-9), ("dt1ns", 1.0e-9)):
-        stream = read_events(tmp_path / f"events_{label}.bin")
+        stream = read_stream(tmp_path / f"events_{label}.bin")
         assert stream.config.pulse_delay_s == delay
 
 
@@ -626,6 +632,75 @@ def test_cli_analyze_cw_refuses_a_window_without_plateau(
     scn = _write_scenario(tmp_path / "s.json", d)
     assert main(["analyze", *analysis_files["cw"], "-o", str(out),
                  "--scenario", scn]) == 0
+
+
+def _cli(*args):
+    """`trionsim` with `args` in a fresh process, as a user runs it, so
+    that any warning numpy prints reaches its stderr: (exit code,
+    stderr)."""
+    src = str(Path(trionsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "trionsim.cli", *args],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("analysis, options", [
+    ("lifetime_field", {"bin_s": 1.0}),
+    ("lifetime_field", {"span_s": 1e-300}),
+    ("lifetime_field", {"bin_s": 1e-300}),
+    ("lifetime", {"bin_s": 1e-300}),
+    ("cw", {"window_s": 1e-9, "bin_s": 1e-300}),
+    ("cw", {"window_s": 1e-9, "bin_s": 2e-9}),
+])
+def test_cli_analyze_refuses_a_bin_count_out_of_range(
+        tmp_path, analysis_files, analysis, options):
+    # fewer than one bin or more than MAX_BINS, refused with exit 2 under
+    # the option's path before any record is read, and with no numpy
+    # warning on the way
+    d = _scenario_dict()
+    d["analysis"] = options
+    scn = _write_scenario(tmp_path / "s.json", d)
+    out = tmp_path / "out"
+    code, err = _cli("analyze", *analysis_files[analysis], "-o", str(out),
+                     "--scenario", scn)
+    assert code == 2
+    assert err.startswith("config error: analysis.bin_s: ")
+    bound = MAX_BINS // 2 if analysis == "cw" else MAX_BINS
+    assert err.rstrip().endswith(f"need 1 to {bound}")
+    assert "Warning" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_simulate_refuses_a_larmor_frequency_that_is_not_finite(
+        tmp_path):
+    # 1e300 T is a finite field whose Larmor frequencies overflow to inf
+    d = _scenario_dict("lifetime", n_shots=200)
+    d["device"]["b_x_t"] = 1e300
+    scn = _write_scenario(tmp_path / "s.json", d)
+    code, err = _cli("simulate", scn, "-o", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith("config error: device.b_x_t: ")
+    assert "not finite" in err
+    assert "Warning" not in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("times, line", [
+    ([1e-9] * 100, 3),
+    ([0.0, 1e-10, 2e-10, 1.5e-10, 3e-10], 5),
+])
+def test_cli_fit_refuses_times_that_do_not_strictly_increase(
+        tmp_path, times, line):
+    path = tmp_path / "trace.csv"
+    path.write_text("time_s,value\n" + "".join(
+        f"{t!r},{0.1 * (i % 3)}\n" for i, t in enumerate(times)))
+    code, err = _cli("fit", str(path))
+    assert code == 3
+    assert err.startswith(f"i/o error: {path}:{line}: expected a first "
+                          f"column that strictly increases")
+    assert "Warning" not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("delays, index, rule", [
