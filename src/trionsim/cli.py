@@ -113,11 +113,11 @@ def cmd_simulate(args) -> int:
     ext = "bin" if fmt == "binary" else "csv"
     with output_directory(args.outdir or scenario.outputs.directory) as outdir:
         for label, protocol in scenario.expand():
-            stream = montecarlo.run(scenario.device, protocol,
-                                    workers=args.workers)
             suffix = f"_{label}" if label else ""
             path = outdir / f"{scenario.outputs.prefix}events{suffix}.{ext}"
-            write_events(path, stream, fmt)
+            with montecarlo.run(scenario.device, protocol,
+                                workers=args.workers) as stream:
+                write_events(path, stream, fmt)
             print(f"wrote {path} ({len(stream)} events, "
                   f"digest {stream.content_digest[:16]})")
     return EXIT_OK

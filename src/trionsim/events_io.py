@@ -7,17 +7,21 @@ json` line per block, the column line, one row per event.  Both end in
 `# sha256 = <64 hex>\n` over every byte before it, checked before any
 parsing, and round-trip bit-exactly.  Format-1 files are refused.
 
-`read_events` is the one reader: it checks the trailer and the header,
-and hands out the records in checked blocks of whole shots, so that a
-reader holds one block of a file at a time.
+`write_events` is the one writer: it writes a stream's records a block
+at a time, under a temporary name that replaces the file once it is
+signed.  `read_events` is the one reader: it checks the trailer and the
+header, and hands out the records in checked blocks of whole shots, so
+that a reader holds one block of a file at a time.
 """
 from __future__ import annotations
 
 import hashlib
 import io
 import json
+import os
 import re
 from itertools import chain, islice
+from pathlib import Path
 
 import numpy as np
 
@@ -55,45 +59,52 @@ def compat_digest(device: DeviceParams, config: ProtocolConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _header_dict(stream: EventStream) -> dict:
-    return {"config": stream.config.to_dict(),
-            "device": stream.device.to_dict(),
-            "diagnostics": stream.diagnostics}
-
-
 def _write_signed(path, parts) -> None:
-    """Write each bytes-like part, then the trailer that signs them all."""
+    """Write each bytes-like part, then the trailer that signs them all,
+    to a temporary name beside `path` that replaces `path` once the
+    trailer is written, so a write that fails leaves no file there."""
+    path = Path(path)
+    part_path = path.with_name(f".{path.name}.{os.getpid()}.part")
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for part in parts:
-            digest.update(part)
-            fh.write(part)
-        fh.write(_TRAILER.format(digest.hexdigest()).encode())
+    try:
+        with open(part_path, "wb") as fh:
+            for part in parts:
+                digest.update(part)
+                fh.write(part)
+            fh.write(_TRAILER.format(digest.hexdigest()).encode())
+        os.replace(part_path, path)
+    except BaseException:
+        part_path.unlink(missing_ok=True)
+        raise
+
+
+def _csv_rows(blocks):
+    """The CSV rows of each block of records, _CSV_CHUNK rows per part."""
+    for block in blocks:
+        for start in range(0, block.size, _CSV_CHUNK):
+            rows = block[start:start + _CSV_CHUNK].tolist()
+            yield (_CSV_ROW * len(rows) % tuple(chain(*rows))).encode()
 
 
 def write_events(path, stream: EventStream, fmt: str = "binary") -> None:
-    writers = {"binary": write_events_binary, "csv": write_events_csv}
-    if fmt not in writers:
+    """Write a stream as a signed event file of format `fmt`: the magic,
+    the header (the stream's `diagnostics` are complete by then), the
+    records one block of `stream.blocks()` at a time, and the trailer."""
+    header = {"config": stream.config.to_dict(),
+              "device": stream.device.to_dict(),
+              "diagnostics": stream.diagnostics}
+    if fmt == "binary":
+        head = (MAGIC, _canonical(header).encode() + b"\n")
+        body = stream.blocks()
+    elif fmt == "csv":
+        head = (_CSV_MAGIC,
+                *(f"# {key} = {_canonical(block)}\n".encode()
+                  for key, block in sorted(header.items())),
+                _CSV_COLUMNS)
+        body = _csv_rows(stream.blocks())
+    else:
         raise ValueError(f"unknown event file format {fmt!r}")
-    writers[fmt](path, stream)
-
-
-def write_events_binary(path, stream: EventStream) -> None:
-    header = _canonical(_header_dict(stream)).encode() + b"\n"
-    _write_signed(path, (MAGIC, header,
-                         np.ascontiguousarray(stream.events).view(np.uint8)))
-
-
-def write_events_csv(path, stream: EventStream) -> None:
-    def parts():
-        yield _CSV_MAGIC
-        for key, block in sorted(_header_dict(stream).items()):
-            yield f"# {key} = {_canonical(block)}\n".encode()
-        yield _CSV_COLUMNS
-        for start in range(0, len(stream), _CSV_CHUNK):
-            rows = stream.events[start:start + _CSV_CHUNK].tolist()
-            yield (_CSV_ROW * len(rows) % tuple(chain(*rows))).encode()
-    _write_signed(path, parts())
+    _write_signed(path, chain(head, body))
 
 
 class EventFileError(ValueError):

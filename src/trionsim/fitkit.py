@@ -249,7 +249,8 @@ def fit_damped_cosine(trace, variant: str = "pulsed", t0: float = 0.0,
     variant an exclusion window of 150 ps on each side of t0 is applied
     by default, removing the correlation bins distorted by antibunching.
     Flat traces without a spectral peak return the degenerate f=0 branch
-    flagged by message "no-oscillation".
+    flagged by message "no-oscillation".  A trace whose weighted sum of
+    squares about its mean is not finite raises RuntimeError.
     """
     model = DampedCosineModel(variant, t0)
     if exclusion_window_s is None:
@@ -267,17 +268,24 @@ def fit_damped_cosine(trace, variant: str = "pulsed", t0: float = 0.0,
     sig = sig[valid] if sig is not None else None
     if t.size < 8 * max(n_free, 1):
         raise ValueError(f"need at least {8 * n_free} valid bins, have {t.size}")
+    # refuse a trace whose weighted sum of squares about its mean (the
+    # flat fit's sse) overflows, before any sse is computed from it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        weights = 1.0 / sig if sig is not None else np.ones_like(y)
+        mean = float(np.sum(weights ** 2 * y) / np.sum(weights ** 2))
+        spread = np.sum((weights * (y - mean)) ** 2)
+    if not np.isfinite(spread):
+        raise RuntimeError("the trace's weighted sum of squares is not "
+                           "finite")
 
     seed = _seed(model, t, y, sig, f_fixed=fixed.get("frequency"),
                  alpha0=fixed.get("alpha", 1.0))
     if seed is None:
-        w = 1.0 / sig if sig is not None else np.ones_like(y)
-        c = float(np.sum(w ** 2 * y) / np.sum(w ** 2))
-        params = dict(zip(PARAM_NAMES, [c, 0.0, 1.0, 1.0, 0.0, 0.0]))
+        params = dict(zip(PARAM_NAMES, [mean, 0.0, 1.0, 1.0, 0.0, 0.0]))
         params.update(fixed)
-        sse = float(np.sum((w * (y - params["offset"])) ** 2))
+        sse = float(np.sum((weights * (y - params["offset"])) ** 2))
         sigmas = {n: 0.0 for n in PARAM_NAMES}
-        sigmas["offset"] = float(1.0 / math.sqrt(np.sum(w ** 2)))
+        sigmas["offset"] = float(1.0 / math.sqrt(np.sum(weights ** 2)))
         return FitResult(params, sigmas, np.zeros((0, 0)), tuple(free),
                          sse, 0, True, "no-oscillation", t.size, [sse])
     for i, name in enumerate(PARAM_NAMES):
@@ -285,7 +293,6 @@ def fit_damped_cosine(trace, variant: str = "pulsed", t0: float = 0.0,
             seed[i] = fixed[name]
 
     idx_free = [PARAM_NAMES.index(n) for n in free]
-    weights = 1.0 / sig if sig is not None else np.ones_like(y)
 
     def eval_at(theta):
         p = seed.copy()

@@ -26,32 +26,34 @@ the recorded label and the keep flag from small lookup tables of the
 config's channels, so a photon costs its draws and a few table reads.
 
 Order: every batch returns its events in (shot, time) order, and the
-batches cover increasing shot ranges, so `run` concatenates them and
-never sorts a whole stream.  A pulsed or cw batch orders its photons'
-field arrays with one stable sort on the in-batch shot before it builds
-records; a lifetime batch records at most one photon per shot and needs
-no sort.
+batches cover increasing shot ranges, so `run` appends them to its spool
+as they come and never sorts a whole stream.  A pulsed or cw batch
+orders its photons' field arrays with one stable sort on the in-batch
+shot before it builds records; a lifetime batch records at most one
+photon per shot and needs no sort.
 
 Workers: `map_batches` runs a per-batch function over a task list, in
 task order, in this process at one worker and otherwise through one
 process pool for the whole list.  `run` maps the engine over the batches
-of one config and concatenates the events in the parent; it serves
-`simulate`, `analyze` and the tests.  Every `pipeline` preset instead
-submits the batches of all its configs to one `map_batches` call and
-reduces each batch where it runs: a cw batch's recorded photons
-(`cw_photons`) become RR and RL pair counts, a pulsed batch's
-(`pulsed_photons`, photon 2 drawn only for the heralded shots) the
-two-photon map rows of the heralded slice, and a lifetime batch's events
-decay histograms.  Only integer counts reach the parent, plus, for the
-presets that name their input stream by its digest, the batch's events
-to feed a running sha256.
+of one config and writes each batch's events, as it comes back, to an
+unnamed temporary file (the spool), keeping only the counters and a
+running sha256; it serves `simulate` and the tests.  Every `pipeline`
+preset instead submits the batches of all its configs to one
+`map_batches` call and reduces each batch where it runs: a cw batch's
+recorded photons (`cw_photons`) become RR and RL pair counts, a pulsed
+batch's (`pulsed_photons`, photon 2 drawn only for the heralded shots)
+the two-photon map rows of the heralded slice, and a lifetime batch's
+events decay histograms.  Only integer counts reach the parent, plus,
+for the presets that name their input stream by its digest, the batch's
+events to feed a running sha256.
 """
 from __future__ import annotations
 
 import math
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from hashlib import sha256
 
@@ -73,6 +75,7 @@ EVENT_DTYPE = np.dtype([
 
 LIFETIME_BATCH = 65536
 CW_SEGMENT_BATCH = 8192
+_SPOOL_BLOCK = 65536  # records read back from a run's spool per block
 # a cw batch sorts its events on a uint16 in-batch segment index
 assert CW_SEGMENT_BATCH < 2 ** 16
 
@@ -271,22 +274,39 @@ class ProtocolConfig:
         return construct(cls, path, **kw)
 
 
-@dataclass
 class EventStream:
-    """Detection events in (shot, time) order plus the configuration that
-    produced them; `run` builds one by concatenating sorted batches."""
+    """The detection events of one run in (shot, time) order, spooled to
+    an unnamed temporary file by `run`, with the configuration that
+    produced them, the run's summed counters (`diagnostics`) and the
+    sha256 of all the records (`content_digest`).
 
-    events: np.ndarray
-    device: DeviceParams
-    config: ProtocolConfig
-    diagnostics: dict = field(default_factory=dict)
+    `blocks` reads the records back, `_SPOOL_BLOCK` at a time.  The spool
+    is deleted when a `with` block on the stream ends, when the stream is
+    garbage-collected, or when the process dies.
+    """
+
+    def __init__(self, spool, device: DeviceParams, config: ProtocolConfig,
+                 diagnostics: dict, content_digest: str):
+        self._spool = spool
+        self.device, self.config = device, config
+        self.diagnostics, self.content_digest = diagnostics, content_digest
 
     def __len__(self):
-        return self.events.shape[0]
+        return self.diagnostics["n_events"]
 
-    @property
-    def content_digest(self) -> str:
-        return sha256(np.ascontiguousarray(self.events)).hexdigest()
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._spool.close()
+
+    def blocks(self):
+        """Yield the records in file order, at most `_SPOOL_BLOCK` at a
+        time; a stream with no events yields none."""
+        self._spool.seek(0)
+        for lo in range(0, len(self), _SPOOL_BLOCK):
+            yield np.fromfile(self._spool, dtype=EVENT_DTYPE,
+                              count=min(_SPOOL_BLOCK, len(self) - lo))
 
 
 def make_events(shots, channels, projections, times) -> np.ndarray:
@@ -643,24 +663,32 @@ def map_batches(fn, tasks: list, workers=None):
 
 
 def run(device: DeviceParams, config: ProtocolConfig, workers=None) -> EventStream:
-    """Simulate one protocol and return the stream in (shot, time) order.
+    """Simulate one protocol into a spooled stream in (shot, time) order.
 
     Batches cover increasing shot ranges and each comes back sorted, so
-    the stream is their concatenation.
+    each is appended to the spool as `map_batches` yields it and dropped
+    before the next is drawn; only its counters and the running digest
+    stay.  Every batch is drawn before this returns.
     """
-    results = list(map_batches(run_batch, batch_tasks(device, config),
-                               workers))
-    events = results[0][0] if len(results) == 1 else \
-        np.concatenate([ev for ev, _ in results])
-    diagnostics: dict = {}
-    for _, diag in results:
-        for key, val in diag.items():
-            if isinstance(val, (int, np.integer)):
-                diagnostics[key] = diagnostics.get(key, 0) + int(val)
-    diagnostics["n_events"] = int(events.shape[0])
+    spool = tempfile.TemporaryFile()
+    try:
+        digest, diagnostics, n_events = sha256(), {}, 0
+        for events, counters in map_batches(
+                run_batch, batch_tasks(device, config), workers):
+            spool.write(events)
+            digest.update(events)
+            n_events += events.shape[0]
+            del events  # hold no batch while the next one is drawn
+            for key, val in counters.items():
+                if isinstance(val, (int, np.integer)):
+                    diagnostics[key] = diagnostics.get(key, 0) + int(val)
+    except BaseException:
+        spool.close()
+        raise
+    diagnostics["n_events"] = n_events
     if "segment_length_s" in _KINDS[config.kind].reads:
         diagnostics["live_time_s"] = config.n_shots * config.segment_length_s
-    return EventStream(events, device, config, diagnostics)
+    return EventStream(spool, device, config, diagnostics, digest.hexdigest())
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,20 @@ polarization-resolved decay trace with its contrast, and the heralded
 contrast env(dt) cos(2 pi f_h dt).  Nothing in `trionsim` runs them;
 only the tests import this module.
 
-The stream helpers at the end read a whole `EventStream` from an event
-file and apply each kind's reducer to a whole stream, over the edges
-that `analyze` builds from the same options.
+The stream helpers at the end hold a whole stream in memory
+(`EventStream`): they join the blocks of a spooled `montecarlo.run` or
+of an event file, write a whole stream as one array (the reference that
+the block-at-a-time `events_io.write_events` is checked against), and
+apply each kind's reducer to a whole stream, over the edges that
+`analyze` builds from the same options.
 """
 from __future__ import annotations
 
 import enum
+import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -27,8 +32,10 @@ from trionsim.correlator import (CW_BIN_S, LIFETIME_BIN_S, DocpTrace,
                                  Histogram1D, bin_lifetime, build_map2d,
                                  correlate_cw, cw_window_edges, docp,
                                  lifetime_edges)
-from trionsim.events_io import read_events
-from trionsim.montecarlo import EventStream
+from trionsim import montecarlo
+from trionsim.events_io import (_CSV_COLUMNS, _CSV_MAGIC, _CSV_ROW, _TRAILER,
+                                MAGIC, _canonical, read_events)
+from trionsim.montecarlo import EVENT_DTYPE, ProtocolConfig
 
 
 class Subspace(enum.Enum):
@@ -235,12 +242,79 @@ def heralded_docp(params: DeviceParams, dt_s):
     return out if out.ndim else float(out)
 
 
+@dataclass
+class EventStream:
+    """A whole stream in memory: its records in (shot, time) order, the
+    configuration that produced them and the run's counters.
+    `events_io.write_events` writes it as it writes a spooled stream."""
+
+    events: np.ndarray
+    device: DeviceParams
+    config: ProtocolConfig
+    diagnostics: dict = field(default_factory=dict)
+
+    def __len__(self):
+        return self.events.shape[0]
+
+    @property
+    def content_digest(self) -> str:
+        return hashlib.sha256(np.ascontiguousarray(self.events)).hexdigest()
+
+    def blocks(self):
+        for lo in range(0, len(self), 65536):
+            yield self.events[lo:lo + 65536]
+
+
+def _joined(blocks) -> np.ndarray:
+    return np.concatenate([np.zeros(0, dtype=EVENT_DTYPE), *blocks])
+
+
+def run(device, config, workers=None) -> EventStream:
+    """The whole stream of `montecarlo.run`: the blocks of its spool,
+    joined, once the spool's running digest matches the joined
+    records'."""
+    with montecarlo.run(device, config, workers) as spooled:
+        stream = EventStream(_joined(spooled.blocks()), device, config,
+                             spooled.diagnostics)
+    assert stream.content_digest == spooled.content_digest
+    return stream
+
+
 def read_stream(path) -> EventStream:
     """The whole stream of an event file: the blocks `read_events` hands
     out, joined."""
     file = read_events(path)
-    events = np.concatenate([block for block, _ in file.blocks()])
+    events = _joined(block for block, _ in file.blocks())
     return EventStream(events, file.device, file.config, file.diagnostics)
+
+
+def _header(stream) -> dict:
+    return {"config": stream.config.to_dict(),
+            "device": stream.device.to_dict(),
+            "diagnostics": stream.diagnostics}
+
+
+def _write_whole(path, body: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(body + _TRAILER.format(
+            hashlib.sha256(body).hexdigest()).encode())
+
+
+def write_events_binary(path, stream: EventStream) -> None:
+    """A binary event file of a whole stream, its body built as one
+    bytes object."""
+    _write_whole(path, MAGIC + _canonical(_header(stream)).encode() + b"\n"
+                 + np.ascontiguousarray(stream.events).tobytes())
+
+
+def write_events_csv(path, stream: EventStream) -> None:
+    """A CSV event file of a whole stream, every row formatted in one
+    call."""
+    head = "".join(f"# {key} = {_canonical(block)}\n"
+                   for key, block in sorted(_header(stream).items()))
+    rows = stream.events.tolist()
+    _write_whole(path, _CSV_MAGIC + head.encode() + _CSV_COLUMNS
+                 + (_CSV_ROW * len(rows) % tuple(chain(*rows))).encode())
 
 
 def lifetime_docp_trace(stream: EventStream, bin_s: float = LIFETIME_BIN_S,

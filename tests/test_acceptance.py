@@ -27,7 +27,7 @@ from trionsim.fitkit import (
     fit_linear_zeeman,
     window_average,
 )
-from trionsim.montecarlo import EVENT_DTYPE, EventStream, ProtocolConfig, run
+from trionsim.montecarlo import EVENT_DTYPE, ProtocolConfig
 from trionsim.pipelines import (
     T2_FIT_WINDOW_S,
     _pump_sweep,
@@ -39,6 +39,7 @@ from trionsim.pipelines import (
 from trionsim.rng import derive_seed
 
 from oracles import (
+    EventStream,
     Propagator2,
     Subspace,
     correlate_stream,
@@ -48,6 +49,7 @@ from oracles import (
     lifetime_trace,
     make_propagator,
     rotation_x,
+    run,
 )
 
 

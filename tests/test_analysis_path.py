@@ -13,7 +13,7 @@ from trionsim.core import DeviceParams, NoiseModel
 from trionsim.correlator import DocpTrace, Map2D, write_docp_csv
 from trionsim.fitkit import fit_damped_cosine
 from trionsim.rng import derive_seed
-from trionsim.montecarlo import ProtocolConfig, batch_tasks, run
+from trionsim.montecarlo import ProtocolConfig, batch_tasks
 from trionsim.pipelines import (G_E, P_MEM, REF_G_H_CW, REF_G_H_PULSED,
                                 REF_T2STAR_S, REF_TAU_CW_S, T1_S,
                                 T1_SLICE_TOL_S, T2_FIT_WINDOW_S,
@@ -25,7 +25,7 @@ from trionsim.pipelines import (G_E, P_MEM, REF_G_H_CW, REF_G_H_PULSED,
 from trionsim.scenarios import (AnalysisOptions, FitOptions, OutputOptions,
                                 Scenario, save_scenario)
 
-from oracles import (correlate_stream, lifetime_histograms, read_stream,
+from oracles import (correlate_stream, lifetime_histograms, read_stream, run,
                      stream_maps)
 
 SEED = 20260815

@@ -25,10 +25,10 @@ from trionsim.correlator import (
     write_map_csv,
 )
 from trionsim.fitkit import fft_frequency
-from trionsim.montecarlo import (EVENT_DTYPE, EventStream, ProtocolConfig,
-                                 batch_tasks, run, run_batch)
+from trionsim.montecarlo import (EVENT_DTYPE, ProtocolConfig, batch_tasks,
+                                 run_batch)
 
-from oracles import correlate_stream, stream_maps
+from oracles import EventStream, correlate_stream, run, stream_maps
 
 
 def _device(**kw):

@@ -38,14 +38,14 @@ from trionsim.core import DeviceParams, NoiseModel, NoiseTarget, Pol
 from trionsim.correlator import MAP_BIN_S, build_map2d, count_photon_maps
 from trionsim.dynamics import addressed_z, precessed_z, r_probability
 from trionsim.montecarlo import (_PROJ, CW_REDRAW_WINDOW_S, LIFETIME_BATCH,
-                                 EventStream, ProtocolConfig, ProtocolKind,
-                                 _cw_batch, make_events, _pulsed_batch,
-                                 _pulsed_records, _recorded, batch_tasks,
-                                 pulsed_photons, run, run_batch)
+                                 ProtocolConfig, ProtocolKind, _cw_batch,
+                                 make_events, _pulsed_batch, _pulsed_records,
+                                 _recorded, batch_tasks, pulsed_photons,
+                                 run_batch)
 from trionsim.pipelines import sliced_docp
 from trionsim.rng import substream
 
-from oracles import correlate_stream
+from oracles import EventStream, correlate_stream, run
 
 
 def _detect(photon_codes, rng, det_pols, efficiency):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trionsim import montecarlo
 from trionsim.cli import main
 from trionsim.core import DeviceParams, NoiseModel
 from trionsim.events_io import (
@@ -18,12 +19,11 @@ from trionsim.events_io import (
     compat_digest,
     read_events,
     write_events,
-    write_events_binary,
-    write_events_csv,
 )
-from trionsim.montecarlo import EVENT_DTYPE, ProtocolConfig, run
+from trionsim.montecarlo import (EVENT_DTYPE, ProtocolConfig, batch_tasks,
+                                 run_batch)
 
-from oracles import read_stream
+from oracles import read_stream, run, write_events_binary, write_events_csv
 
 # "# sha256 = <64 hex>\n", the last line of every event file
 _TRAILER_LEN = len("# sha256 = \n") + 64
@@ -429,3 +429,54 @@ def test_simulated_files_read_back(tmp_path, fmt):
         if name == "lifetime":
             late = back.events["time"] >= (back.events["shot"] + 1.0) * rep
             assert np.count_nonzero(late) > 0.3 * len(back)
+
+
+# a run of each kind over several engine batches and spool blocks (their
+# sizes are cut down in the test), and a run that records no event
+_SIMULATED = {
+    "lifetime": (_device(), ProtocolConfig.lifetime(5000, 21)),
+    "docp_zero_field": (_device(b_x_t=0.0),
+                        ProtocolConfig.docp_zero_field(5000, 22)),
+    "pulsed": (_device(), ProtocolConfig.pulsed(5000, 23,
+                                                pulse_delay_s=1.6e-9)),
+    "cw": (_device(b_x_t=0.0375, g_h=0.35),
+           ProtocolConfig.cw(48, 24, pump_rate_hz=1e7,
+                             segment_length_s=2e-6)),
+    "no_events": (_device(), ProtocolConfig.lifetime(
+        3, 25, detection_efficiency=1e-9)),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+@pytest.mark.parametrize("name", sorted(_SIMULATED))
+def test_simulate_writes_the_file_of_the_whole_stream(
+        tmp_path, monkeypatch, capsys, name, fmt, workers):
+    """`simulate` streams each batch through its spool and writes the
+    file a block at a time; the file is byte for byte the one that the
+    whole-stream writer makes of the engine's batches, concatenated."""
+    monkeypatch.setattr(montecarlo, "LIFETIME_BATCH", 1024)
+    monkeypatch.setattr(montecarlo, "CW_SEGMENT_BATCH", 16)
+    monkeypatch.setattr(montecarlo, "_SPOOL_BLOCK", 1000)
+    device, config = _SIMULATED[name]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "device": device.to_dict(), "protocol": config.to_dict(),
+        "outputs": {"format": fmt, "prefix": "sim_"}}))
+    assert main(["simulate", str(scenario), "-o", str(tmp_path),
+                 "--workers", str(workers)]) == 0
+    whole = run(device, config)
+    batches = [run_batch(task)[0] for task in batch_tasks(device, config)]
+    assert len(batches) > 1 or name == "no_events"
+    assert whole.events.tobytes() == np.concatenate(batches).tobytes()
+    assert (len(whole) == 0) == (name == "no_events")
+    reference = tmp_path / f"whole.{fmt}"
+    {"binary": write_events_binary, "csv": write_events_csv}[fmt](
+        reference, whole)
+    path = tmp_path / f"sim_events.{'bin' if fmt == 'binary' else 'csv'}"
+    assert path.read_bytes() == reference.read_bytes()
+    assert capsys.readouterr().out == (
+        f"wrote {path} ({len(whole)} events, "
+        f"digest {whole.content_digest[:16]})\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [path.name, reference.name, scenario.name])

@@ -3,23 +3,24 @@
 import dataclasses
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from trionsim.core import (ConfigError, DeviceParams, NoiseModel, Pol,
                            larmor_frequency)
+from trionsim import montecarlo
 from trionsim.fitkit import fit_damped_cosine
 from trionsim.montecarlo import (
     EVENT_DTYPE,
-    EventStream,
     ProtocolConfig,
     ProtocolKind,
     resolve_workers,
-    run,
 )
 
-from oracles import heralded_docp, lifetime_docp_trace, stream_maps
+from oracles import (EventStream, heralded_docp, lifetime_docp_trace, run,
+                     stream_maps)
 
 
 def _device(g_e=2.09, g_h=0.362, t1_s=300e-12, p_mem=0.865, b_x_t=0.15,
@@ -201,6 +202,26 @@ def test_golden_content_digests(kind, workers):
     dev = _device(b_x_t=b_x_t,
                   noise=NoiseModel.lorentzian_from_t2star(15.9e-9))
     assert run(dev, config(), workers=workers).content_digest == digest
+
+
+def test_run_holds_no_earlier_batch(monkeypatch):
+    """At one worker `run` spools each batch's records and drops them
+    before it draws the next batch, so it holds one batch at a time."""
+    monkeypatch.setattr(montecarlo, "LIFETIME_BATCH", 1000)
+    engine, drawn, alive = montecarlo.run_batch, [], []
+
+    def batch(task):
+        alive.append([k for k, ref in enumerate(drawn) if ref() is not None])
+        events, counters = engine(task)
+        drawn.append(weakref.ref(events))
+        return events, counters
+
+    monkeypatch.setattr(montecarlo, "run_batch", batch)
+    with montecarlo.run(_device(), ProtocolConfig.lifetime(4000, 8),
+                        workers=1) as stream:
+        assert alive == [[], [], [], []]
+        assert all(ref() is None for ref in drawn)
+        assert len(stream) == sum(block.size for block in stream.blocks())
 
 
 def test_content_digest_of_a_strided_view_equals_its_copy():

@@ -1,5 +1,6 @@
 """Scenario schema strictness and command-line exit-code contract."""
 
+import errno
 import itertools
 import json
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import trionsim
-from trionsim import cli
+from trionsim import cli, events_io
 from trionsim.cli import main
 from trionsim.core import MU_B_EV_PER_T
 from trionsim.correlator import MAX_BINS
@@ -701,6 +702,65 @@ def test_cli_fit_refuses_times_that_do_not_strictly_increase(
     assert err.startswith(f"i/o error: {path}:{line}: expected a first "
                           f"column that strictly increases")
     assert "Warning" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("big", [[40], [40, 41]])
+def test_cli_fit_refuses_a_trace_whose_sum_of_squares_is_not_finite(
+        tmp_path, big):
+    # one value of 1e308 squares past float range, and two overflow the
+    # mean as well; the fit once reported such a trace converged, sse inf
+    t = np.arange(100) * 1e-11
+    y = 0.5 * np.cos(2 * np.pi * 5e9 * t)
+    y[big] = 1e308
+    path = tmp_path / "trace.csv"
+    path.write_text("".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(t, y)))
+    report = tmp_path / "report.txt"
+    code, err = _cli("fit", str(path), "-o", str(report))
+    assert code == 4
+    assert err == ("did not converge: the trace's weighted sum of squares "
+                   "is not finite\n")
+    assert not report.exists()
+
+
+class _FillingFile:
+    """A file opened for writing that takes `room` bytes, then fails as
+    a full disk does, after writing what fits."""
+
+    def __init__(self, fh, room):
+        self._fh, self._room = fh, room
+
+    def write(self, data):
+        data = bytes(data)
+        if len(data) > self._room:
+            self._fh.write(data[:self._room])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._room -= len(data)
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_cli_simulate_that_fails_mid_write_leaves_no_event_file(
+        tmp_path, monkeypatch, capsys, fmt):
+    def filling_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return _FillingFile(fh, 20_000) if "w" in mode else fh
+
+    monkeypatch.setattr(events_io, "open", filling_open, raising=False)
+    scn = _write_scenario(tmp_path / "s.json", _scenario_dict(n_shots=5000))
+    made = tmp_path / "new" / "dir"
+    assert main(["simulate", scn, "-o", str(made), "--format", fmt]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main(["simulate", scn, "-o", str(kept), "--format", fmt]) == 3
+    assert list(kept.iterdir()) == []
 
 
 @pytest.mark.parametrize("delays, index, rule", [
