@@ -21,7 +21,8 @@ from .correlator import (CW_BIN_S, LIFETIME_BIN_S, bin_lifetime, build_map2d,
                          plateau_normalized, write_docp_csv)
 from .events_io import (EventFileError, compat_digest, read_events,
                         write_events)
-from .fitkit import fit_damped_cosine, fit_linear_zeeman, format_fit_report
+from .fitkit import (ShortTraceError, fit_damped_cosine, fit_linear_zeeman,
+                     format_fit_report)
 from .montecarlo import ProtocolKind
 from .pipelines import (PRESETS, T1_SLICE_S, T1_SLICE_TOL_S,
                         T2_FIT_WINDOW_S, beat_fit, cw_histograms,
@@ -170,8 +171,22 @@ def cmd_analyze(args) -> int:
         if "fit" not in reads or not opts.fit.enabled:
             return EXIT_OK
         report_name, title, fit = report
-        return _emit_report(outdir / report_name, fit(trace, opts.fit),
+        return _emit_report(outdir / report_name, _fitted(fit, trace, opts),
                             title, file.content_digest[:16])
+
+
+def _fitted(fit, trace, opts):
+    """fit(trace, opts.fit); a trace with too few valid bins names the
+    field to change: `analysis.bin_s` when the whole bin grid is that
+    short, `analysis.fit.exclusion_window_s` when the bins outside the
+    window are, and otherwise `protocol.n_shots`, for too few events."""
+    try:
+        return fit(trace, opts.fit)
+    except ShortTraceError as exc:
+        field = ("analysis.bin_s" if exc.grid < exc.need else
+                 "analysis.fit.exclusion_window_s" if exc.outside < exc.need
+                 else "protocol.n_shots")
+        raise ConfigError(f"{field}: {exc}") from exc
 
 
 def _read_options(opts, reads, name) -> None:

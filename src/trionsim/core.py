@@ -239,7 +239,9 @@ class NoiseModel:
         if self.kind is NoiseKind.NONE or self.width_hz == 0.0:
             return np.zeros(size)
         if self.kind is NoiseKind.LORENTZIAN:
-            return self.width_hz * rng.standard_cauchy(size)
+            x = rng.standard_cauchy(size)
+            x *= self.width_hz  # in place: a cw jitter matrix is large
+            return x
         return rng.normal(0.0, self.width_hz, size)
 
     def to_dict(self) -> dict:

@@ -37,7 +37,7 @@ CW_BIN_S = 100e-12
 # the most bins `lifetime_edges` and `cw_window_edges` make
 MAX_BINS = 1_000_000
 
-_PAIR_CHUNK = 200_000
+_PAIR_CHUNK = 20_000
 
 
 @dataclass
@@ -185,27 +185,31 @@ def cw_window_edges(config, window_s: float,
 
 def _pair_deltas_binned(t0: np.ndarray, t1: np.ndarray,
                         edges: np.ndarray) -> np.ndarray:
-    """Counts of t1-t0 over all pairs within the edge span, in chunks of
-    about _PAIR_CHUNK pairs."""
+    """Counts of t1-t0 over all pairs within the edge span, taking t0
+    _PAIR_CHUNK values at a time and their pairs in chunks of about
+    _PAIR_CHUNK, so that no array grows with the click count."""
     counts = np.zeros(edges.size - 1, dtype=np.int64)
-    lo_all = np.searchsorted(t1, t0 + edges[0], side="left")
-    n_pairs = np.searchsorted(t1, t0 + edges[-1], side="right") - lo_all
-    cum = np.cumsum(n_pairs)
-    # chunk k ends after the first t0 whose running pair count reaches
-    # k * _PAIR_CHUNK, so it holds below _PAIR_CHUNK + max(n_pairs) pairs
-    stops = np.searchsorted(
-        cum, np.arange(_PAIR_CHUNK, cum[-1] if cum.size else 0, _PAIR_CHUNK))
-    bounds = np.unique(np.concatenate(([0], stops + 1, [t0.size])))
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        m = n_pairs[start:stop]
-        total = int(m.sum())
-        if total:
-            # flat indices of each [lo_i, lo_i + m_i) run
-            j = np.repeat(lo_all[start:stop] - (np.cumsum(m) - m), m)
-            j += np.arange(total)
-            d = t1[j]
-            d -= np.repeat(t0[start:stop], m)
-            counts += _bin_values(d, edges)
+    for first in range(0, t0.size, _PAIR_CHUNK):
+        s0 = t0[first:first + _PAIR_CHUNK]
+        lo = np.searchsorted(t1, s0 + edges[0], side="left")
+        n_pairs = np.searchsorted(t1, s0 + edges[-1], side="right")
+        n_pairs -= lo
+        cum = np.cumsum(n_pairs)
+        # chunk k ends after the first t0 whose running pair count reaches
+        # k * _PAIR_CHUNK, so it holds below _PAIR_CHUNK + max(n_pairs) pairs
+        stops = np.searchsorted(cum, np.arange(_PAIR_CHUNK, cum[-1],
+                                               _PAIR_CHUNK))
+        bounds = np.unique(np.concatenate(([0], stops + 1, [s0.size])))
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            m = n_pairs[start:stop]
+            total = int(m.sum())
+            if total:
+                # flat indices of each [lo_i, lo_i + m_i) run
+                j = np.repeat(lo[start:stop] - (np.cumsum(m) - m), m)
+                j += np.arange(total)
+                d = t1[j]
+                d -= np.repeat(s0[start:stop], m)
+                counts += _bin_values(d, edges)
     return counts
 
 

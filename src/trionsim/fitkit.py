@@ -25,6 +25,16 @@ _SSE_RTOL = 1e-9
 _MAX_ITER = 200
 
 
+class ShortTraceError(ValueError):
+    """A trace with fewer valid bins than a fit needs.  `grid` counts its
+    bins, and `outside` those outside the exclusion window, valid or
+    not."""
+
+    def __init__(self, need: int, have: int, grid: int, outside: int):
+        super().__init__(f"need at least {need} valid bins, have {have}")
+        self.need, self.grid, self.outside = need, grid, outside
+
+
 def _norm_grad(grad, hess_diag, sse) -> float:
     """Gradient in curvature units, invariant under parameter rescaling."""
     scale = np.sqrt(np.maximum(hess_diag, 1e-300) * (1.0 + sse))
@@ -249,8 +259,9 @@ def fit_damped_cosine(trace, variant: str = "pulsed", t0: float = 0.0,
     variant an exclusion window of 150 ps on each side of t0 is applied
     by default, removing the correlation bins distorted by antibunching.
     Flat traces without a spectral peak return the degenerate f=0 branch
-    flagged by message "no-oscillation".  A trace whose weighted sum of
-    squares about its mean is not finite raises RuntimeError.
+    flagged by message "no-oscillation".  A trace with too few valid bins
+    raises ShortTraceError, and one whose weighted sum of squares about
+    its mean is not finite RuntimeError.
     """
     model = DampedCosineModel(variant, t0)
     if exclusion_window_s is None:
@@ -260,14 +271,17 @@ def fit_damped_cosine(trace, variant: str = "pulsed", t0: float = 0.0,
         if name not in PARAM_NAMES:
             raise ValueError(f"unknown parameter {name!r}")
     t, y, sig, valid = _as_xy(trace)
-    if exclusion_window_s > 0:
-        valid = valid & (np.abs(t - t0) >= exclusion_window_s)
+    grid = t.size
+    outside = np.abs(t - t0) >= exclusion_window_s \
+        if exclusion_window_s > 0 else np.ones(grid, dtype=bool)
+    valid = valid & outside
     free = [n for n in PARAM_NAMES if n not in fixed]
     n_free = len(free)
     t, y = t[valid], y[valid]
     sig = sig[valid] if sig is not None else None
     if t.size < 8 * max(n_free, 1):
-        raise ValueError(f"need at least {8 * n_free} valid bins, have {t.size}")
+        raise ShortTraceError(8 * n_free, t.size, grid,
+                              int(np.count_nonzero(outside)))
     # refuse a trace whose weighted sum of squares about its mean (the
     # flat fit's sse) overflows, before any sse is computed from it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -75,7 +75,9 @@ EVENT_DTYPE = np.dtype([
 
 LIFETIME_BATCH = 65536
 CW_SEGMENT_BATCH = 8192
-_SPOOL_BLOCK = 65536  # records read back from a run's spool per block
+# records read back from a run's spool per block, and photons per block
+# of `_recorded`'s uniform draws
+_SPOOL_BLOCK = 65536
 # a cw batch sorts its events on a uint16 in-batch segment index
 assert CW_SEGMENT_BATCH < 2 ** 16
 
@@ -328,7 +330,11 @@ def _recorded(rng, config, shot, is_r, t):
     with the probability of its branch's label.  The draws are the
     channels (with more than one channel), the pass uniforms, then the
     efficiency uniforms (efficiency below 1), n of each, so the stream
-    consumption depends only on the config and n.  Records are taken
+    consumption depends only on the config and n.  The uniforms are
+    drawn and compared `_SPOOL_BLOCK` at a time, which holds no
+    photon-long float array: a Philox double takes one 64-bit word, so
+    the blocks draw what one call would.  The channels stay one call,
+    since bounded integer draws buffer within a call.  Records are taken
     with boolean masks; when every photon is recorded the inputs come
     back as they are.
     """
@@ -348,11 +354,18 @@ def _recorded(rng, config, shot, is_r, t):
 
     ch = rng.integers(0, nch, n, dtype=np.uint8) if nch > 1 \
         else np.zeros(n, dtype=np.uint8)
-    passes = rng.random(n) < p_pass[is_r.view(np.uint8) * nch + ch]
-    cell = passes.view(np.uint8) * nch + ch
+    # the branch cell of each photon, then in place its pass cell
+    cell = is_r.view(np.uint8) * nch + ch
+    blocks = [slice(lo, lo + _SPOOL_BLOCK) for lo in range(0, n, _SPOOL_BLOCK)]
+    for b in blocks:
+        passes = rng.random(ch[b].size) < p_pass[cell[b]]
+        cell[b] = passes.view(np.uint8) * nch + ch[b]
     keep = None if keep_table is None else keep_table[cell]
     if config.detection_efficiency < 1.0:
-        detected = rng.random(n) < config.detection_efficiency
+        detected = np.empty(n, dtype=bool)
+        for b in blocks:
+            np.less(rng.random(ch[b].size), config.detection_efficiency,
+                    out=detected[b])
         keep = detected if keep is None else keep & detected
     if keep is None:
         return shot, ch, label[cell], t
@@ -485,15 +498,57 @@ def _pulsed_batch(device, config, batch_index, start_shot, n):
                            photon2), counters
 
 
+def _hole_phase(rng, device, n, n_win):
+    """The hole phase function phase(t, base) of the n rows of a cw batch,
+    `base` a row's first cell, its jitter matrix drawn from `rng` when the
+    ground state jitters.  The matrix lives only in the function."""
+    w_h = 2.0 * math.pi * device.f_h_hz
+    win = CW_REDRAW_WINDOW_S
+    if not device.noise.affects_ground:
+        return lambda t, base: w_h * t
+    # hole phase in window k of row r: rate[r, k] t + off[r, k], that
+    # is w_h t + 2 pi (jitter cycles before k + delta[r, k] (t - k win))
+    rate = device.noise.sample(rng, (n, n_win))
+    off = np.cumsum(rate, axis=1)
+    rows = max(1, _SPOOL_BLOCK // n_win)  # a block of rows at a time
+    for lo in range(0, n, rows):
+        off[lo:lo + rows] -= rate[lo:lo + rows] * np.arange(1, n_win + 1)
+    off *= 2.0 * math.pi * win
+    rate *= 2.0 * math.pi
+    rate += w_h
+    rate, off = rate.ravel(), off.ravel()
+
+    def phase(t, base):
+        j = base + np.minimum((t * (1.0 / win)).astype(np.int64), n_win - 1)
+        return rate[j] * t + off[j]
+    return phase
+
+
 def _grown(a, used):
     """`a` at twice its size, its first `used` entries copied; the pages
     of the new half stay untouched until written.  The cw loop collects
-    its emissions in such buffers: a list of small per-round arrays, kept
-    alive among each round's temporaries, fragments the heap (12 MB more
-    peak RSS for fig2d at scale 0.125)."""
+    its emissions in such buffers, sized for the expected count so that
+    they seldom grow: each doubling leaves the old buffer as a hole in
+    the heap (about 9 MB more peak RSS for fig2d at scale 0.125 when
+    they started at 16 entries a segment), and a list of small per-round
+    arrays, kept alive among each round's temporaries, fragments it
+    (12 MB more)."""
     out = np.empty(2 * a.size, dtype=a.dtype)
     out[:used] = a[:used]
     return out
+
+
+def _compacted(a, keep):
+    """The entries of `a` where the bool `keep` (as long as `a` or
+    shorter) holds, moved in place to the front of `a`, as a view of it;
+    a block of `keep` at a time, so that no array of its size is made."""
+    n = 0
+    for lo in range(0, keep.size, _SPOOL_BLOCK):
+        hi = min(lo + _SPOOL_BLOCK, keep.size)
+        kept = a[lo:hi][keep[lo:hi]]
+        a[n:n + kept.size] = kept
+        n += kept.size
+    return a[:n]
 
 
 def cw_photons(task):
@@ -520,39 +575,21 @@ def cw_photons(task):
     segment leaves the arrays in the round its next attempt lands past
     its end.  Draw sizes follow earlier draws of the batch's own
     substream, so the events depend only on (seed, batch index).  Each
-    segment emits in time order, and one stable sort on the in-batch
-    segment index interleaves the rounds; the field arrays are put in that
-    order before the event times are taken from them.
+    segment emits in time order, so a stable sort on the in-batch segment
+    index interleaves the rounds: the channels and projections are put in
+    its order, while the segments and event times, which it leaves
+    sorted, are sorted in place.  A batch holds about 23 bytes per
+    recorded photon at its peak, and returns about 14.
     """
     device, config, batch_index, start_seg, n = task
     rng = substream(config.rng_seed, config.kind.value, batch_index)
     p_half = device.p_mem * 0.5
-    w_h = 2.0 * math.pi * device.f_h_hz
     seg_len = config.segment_length_s
     pump = config.pump_rate_hz
     s_addr = addressed_z(config.exc_pols[0])
-    win = CW_REDRAW_WINDOW_S
-    n_win = int(math.ceil(seg_len / win)) + 1
+    n_win = int(math.ceil(seg_len / CW_REDRAW_WINDOW_S)) + 1
 
-    if device.noise.affects_ground:
-        # hole phase in window k of row r: rate[r, k] t + off[r, k], that
-        # is w_h t + 2 pi (jitter cycles before k + delta[r, k] (t - k win))
-        rate = device.noise.sample(rng, (n, n_win))
-        off = np.cumsum(rate, axis=1)
-        off -= rate * np.arange(1, n_win + 1)
-        off *= 2.0 * math.pi * win
-        rate *= 2.0 * math.pi
-        rate += w_h
-        rate, off = rate.ravel(), off.ravel()
-
-        def phase(t, base):
-            j = base + np.minimum((t * (1.0 / win)).astype(np.int64),
-                                  n_win - 1)
-            return rate[j] * t + off[j]
-    else:
-        def phase(t, base):
-            return w_h * t
-
+    phase = _hole_phase(rng, device, n, n_win)
     if not device.noise.affects_excited:
         p_r = r_probability(s_addr * cw_branch_contrast(device.f_e_hz,
                                                         device.t1_s))
@@ -565,8 +602,12 @@ def cw_photons(task):
     amp = s_addr * np.where(rng.random(n) < 0.5, -1.0, 1.0)
     signs = np.array([-s_addr, s_addr])  # amp after an L, an R emission
 
-    # emissions in round order, in buffers that double when full
-    ev_seg, ev_is_r, ev_time = (np.empty(16 * n, dtype=t)
+    # emissions in round order, in buffers that double when full, sized
+    # 5% over the expected count: attempts at the pump rate succeed with
+    # p_mem / 2 on average, and a success holds its segment for T1
+    hit_hz = pump * p_half / (1.0 + pump * p_half * device.t1_s)
+    size = int(1.05 * n * seg_len * hit_hz) + 16 * n
+    ev_seg, ev_is_r, ev_time = (np.empty(size, dtype=t)
                                 for t in (np.uint16, bool, float))
     attempts = n_ev = 0
     guard = int(3.0 * seg_len * pump + 10.0 * math.sqrt(seg_len * pump) + 200)
@@ -601,18 +642,35 @@ def cw_photons(task):
     else:
         raise RuntimeError("cw segment loop exceeded its iteration guard")
 
+    del phase  # and with it the jitter matrices
+
+    # the emissions inside their segment, moved to the front of the loop
+    # buffers in place
     in_seg = ev_time[:n_ev] < seg_len
-    seg_idx, is_r, t_in_seg = (a[:n_ev][in_seg]
-                               for a in (ev_seg, ev_is_r, ev_time))
+    seg_idx, is_r, t = (_compacted(a, in_seg)
+                        for a in (ev_seg, ev_is_r, ev_time))
     del ev_seg, ev_is_r, ev_time, in_seg
     emissions = seg_idx.shape[0]
-    seg_idx, ch, proj, t_in_seg = _recorded(rng, config, seg_idx, is_r,
-                                            t_in_seg)
+    seg_idx, ch, proj, t = _recorded(rng, config, seg_idx, is_r, t)
     del is_r
-    order = np.argsort(seg_idx, kind="stable")
-    shots = (start_seg + seg_idx[order].astype(np.int64)).astype(np.uint32)
-    times = shots * config.stride_s + t_in_seg[order]
-    return (shots, ch[order], proj[order], times), {
+    # (segment, time) order: each segment emits in time order, so it is
+    # the order of the unique keys (segment, position), which sort in
+    # place; a stable argsort would hold a work buffer as large as its
+    # result.  t becomes the event times in the same pass.
+    key = np.arange(t.size, dtype=np.uint64)
+    for lo in range(0, t.size, _SPOOL_BLOCK):
+        b = slice(lo, lo + _SPOOL_BLOCK)
+        key[b] |= seg_idx[b].astype(np.uint64) << np.uint64(48)
+        t[b] += (seg_idx[b] + np.uint32(start_seg)) * config.stride_s
+    key.sort()
+    key &= np.uint64(2 ** 48 - 1)
+    ch, proj = ch[key.view(np.int64)], proj[key.view(np.int64)]
+    del key
+    # the segments lie a stride apart, so the event times and segments
+    # in that order are their own sorted values
+    t.sort()
+    seg_idx.sort()
+    return (seg_idx + np.uint32(start_seg), ch, proj, t), {
         "n_shots": n, "n_attempts": attempts, "n_emitted": emissions}
 
 

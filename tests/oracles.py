@@ -8,6 +8,10 @@ polarization-resolved decay trace with its contrast, and the heralded
 contrast env(dt) cos(2 pi f_h dt).  Nothing in `trionsim` runs them;
 only the tests import this module.
 
+`recorded_whole` is the engines' detection step as it was before its
+uniform draws were taken a block at a time: whole-array draws, which the
+blocked step must reproduce exactly.
+
 The stream helpers at the end hold a whole stream in memory
 (`EventStream`): they join the blocks of a spooled `montecarlo.run` or
 of an event file, write a whole stream as one array (the reference that
@@ -35,7 +39,7 @@ from trionsim.correlator import (CW_BIN_S, LIFETIME_BIN_S, DocpTrace,
 from trionsim import montecarlo
 from trionsim.events_io import (_CSV_COLUMNS, _CSV_MAGIC, _CSV_ROW, _TRAILER,
                                 MAGIC, _canonical, read_events)
-from trionsim.montecarlo import EVENT_DTYPE, ProtocolConfig
+from trionsim.montecarlo import _PROJ, EVENT_DTYPE, ProtocolConfig
 
 
 class Subspace(enum.Enum):
@@ -240,6 +244,35 @@ def heralded_docp(params: DeviceParams, dt_s):
     env = envelope_factor(params.noise, t) if params.noise.affects_ground else 1.0
     out = env * np.cos(2.0 * math.pi * params.f_h_hz * t)
     return out if out.ndim else float(out)
+
+
+def recorded_whole(rng, config, shot, is_r, t):
+    """`montecarlo._recorded` with each kind of draw taken as one
+    whole-array call: channels, then pass uniforms, then efficiency
+    uniforms (efficiency below 1), n of each.  Returns the recorded
+    photons as (shot, channel, projection, time) arrays, the inputs
+    themselves when every photon is recorded."""
+    det_pols = config.det_pols
+    n, nch = shot.shape[0], len(det_pols)
+    first = [int(p[0]) for p in det_pols]
+    split = [len(p) == 2 for p in det_pols]
+    p_pass = np.concatenate([_PROJ[int(Pol.L), first],
+                             _PROJ[int(Pol.R), first]])
+    label = np.array([int(p[-1]) for p in det_pols] + first, dtype=np.uint8)
+    keep_table = None if all(split) else np.array(split + [True] * nch)
+
+    ch = rng.integers(0, nch, n, dtype=np.uint8) if nch > 1 \
+        else np.zeros(n, dtype=np.uint8)
+    passes = rng.random(n) < p_pass[is_r.view(np.uint8) * nch + ch]
+    cell = passes.view(np.uint8) * nch + ch
+    keep = None if keep_table is None else keep_table[cell]
+    if config.detection_efficiency < 1.0:
+        detected = rng.random(n) < config.detection_efficiency
+        keep = detected if keep is None else keep & detected
+    if keep is None:
+        return shot, ch, label[cell], t
+    cell = cell[keep]
+    return shot[keep], cell % nch, label[cell], t[keep]
 
 
 @dataclass

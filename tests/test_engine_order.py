@@ -45,7 +45,7 @@ from trionsim.montecarlo import (_PROJ, CW_REDRAW_WINDOW_S, LIFETIME_BATCH,
 from trionsim.pipelines import sliced_docp
 from trionsim.rng import substream
 
-from oracles import EventStream, correlate_stream, run
+from oracles import EventStream, correlate_stream, recorded_whole, run
 
 
 def _detect(photon_codes, rng, det_pols, efficiency):
@@ -720,6 +720,31 @@ def test_recorded_equals_frozen_detect(detectors, eff, n):
         ch, proj, keep = _detect(codes, ref_rng, config.det_pols, eff)
         want = (shot[keep], ch[keep], proj[keep], t[keep])
         assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+        assert _same_state(rng.bit_generator.state,
+                           ref_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("eff", [1.0, 0.7])
+def test_recorded_blocks_equal_the_whole_array_step(eff):
+    # `_recorded` draws its uniforms a block at a time: over three block
+    # edges, with a lossy single-label channel beside a splitter, it must
+    # give the whole-array step's records byte for byte (cw segment
+    # indices included) and leave the generator where that step does
+    n = 3 * montecarlo._SPOOL_BLOCK + 12_345
+    config = ProtocolConfig.lifetime(n, 3,
+                                     det_pols=_DETECTORS["lossy_splitter"],
+                                     detection_efficiency=eff)
+    source = np.random.default_rng(25)
+    is_r = source.random(n) < 0.4
+    t = source.random(n)
+    for shot in (np.arange(n), (np.arange(n) % 8192).astype(np.uint16)):
+        rng, ref_rng = (substream(11, "detect", n) for _ in range(2))
+        got = _recorded(rng, config, shot, is_r, t)
+        want = recorded_whole(ref_rng, config, shot, is_r, t)
+        assert got[0].size < n
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             assert g.tobytes() == w.tobytes()

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from trionsim.core import (ConfigError, DeviceParams, NoiseModel, Pol,
                            larmor_frequency)
 from trionsim import montecarlo
+from trionsim.correlator import cw_window_edges
 from trionsim.fitkit import fit_damped_cosine
 from trionsim.montecarlo import (
     EVENT_DTYPE,
@@ -18,6 +20,7 @@ from trionsim.montecarlo import (
     ProtocolKind,
     resolve_workers,
 )
+from trionsim.pipelines import _cw_device, cw_histograms
 
 from oracles import (EventStream, heralded_docp, lifetime_docp_trace, run,
                      stream_maps)
@@ -399,3 +402,25 @@ def test_stream_diagnostics_and_filters():
     n_r = np.count_nonzero(stream.events["projection"] == Pol.R)
     n_l = np.count_nonzero(stream.events["projection"] == Pol.L)
     assert n_r + n_l == len(stream)
+
+
+def test_cw_batch_memory_per_photon():
+    # the traced peak of one cw batch's engine and pair counts, fig2d's
+    # 2e8 Hz pump over 256 segments (about 430,000 recorded photons): the
+    # records take 14 bytes per photon, and the engine's loop buffers,
+    # sort keys and detection arrays, or the pair counter's chunks, may
+    # not add more than 14 more.  The traced peak follows from the seed
+    # alone: tracemalloc counts the array data numpy allocates (not its
+    # sort work buffers), whose sizes the draws fix.
+    config = ProtocolConfig.cw(256, 25, 2e8)
+    edges = cw_window_edges(config, 40e-9)
+    [task] = montecarlo.batch_tasks(_cw_device(), config)
+    tracemalloc.start()
+    try:
+        photons, _ = montecarlo.cw_photons(task)
+        cw_histograms(*photons[1:], edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert photons[0].size > 400_000
+    assert peak < 28 * photons[0].size

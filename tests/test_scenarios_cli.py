@@ -190,6 +190,31 @@ def test_infinite_pump_rate_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n_shots, analysis, field", [
+    (64, {}, "protocol.n_shots"),
+    (20_000, {"bin_s": 2e-10}, "analysis.bin_s"),
+    (20_000, {"fit": {"exclusion_window_s": 2.9e-9}},
+     "analysis.fit.exclusion_window_s")])
+def test_trace_too_short_for_the_fit_names_its_field(tmp_path, capsys,
+                                                     n_shots, analysis,
+                                                     field):
+    # the lifetime fit needs 32 valid bins: 64 shots give too few counts,
+    # 0.2 ns bins over the 3 ns span too few bins, and a 2.9 ns exclusion
+    # window leaves too few bins outside it; each refusal names its field
+    d = _scenario_dict("lifetime", n_shots=n_shots)
+    d["device"]["b_x_t"] = 0.15
+    d["analysis"] = analysis
+    scn = _write_scenario(tmp_path / "short.json", d)
+    assert main(["simulate", scn, "-o", str(tmp_path / "ev")]) == 0
+    capsys.readouterr()
+    code = main(["analyze", str(tmp_path / "ev" / "events.bin"),
+                 "-o", str(tmp_path / "an"), "--scenario", scn])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: {field}: ") and \
+        "need at least 32 valid bins" in err
+
+
 def test_event_time_resolution_bounded_at_validation():
     # event times are float64 shot * stride + t: from 2^13 s on their
     # ULP exceeds 1 ps; the stride is the repetition period, or twice
