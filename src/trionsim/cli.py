@@ -8,24 +8,25 @@ from __future__ import annotations
 
 import argparse
 import math
-import operator
 import sys
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import montecarlo
+from .core import construct
 from .correlator import (CW_BIN_S, LIFETIME_BIN_S, bin_lifetime, build_map2d,
                          cw_window_edges, docp, lifetime_edges,
                          plateau_normalized, write_docp_csv)
 from .events_io import (EventFileError, compat_digest, read_events,
                         write_events)
-from .fitkit import (ShortTraceError, fit_damped_cosine, fit_linear_zeeman,
-                     format_fit_report)
+from .fitkit import (FitOptionError, ShortTraceError, fit_damped_cosine,
+                     fit_linear_zeeman, format_fit_report)
 from .montecarlo import ProtocolKind
 from .pipelines import (PRESETS, T1_SLICE_S, T1_SLICE_TOL_S,
-                        T2_FIT_WINDOW_S, beat_fit, cw_histograms,
+                        T2_FIT_WINDOW_S, add_counts, beat_fit, cw_histograms,
                         delay_sweep_fits, digest_meta, histograms,
                         lifetime_traces, output_directory, run_pipeline,
                         sliced_docp, write_delay_csv, write_g2_csv,
@@ -91,6 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "workers"):   # a refusal names where it came from
+            where = "TRIONSIM_WORKERS" if args.workers is None else "--workers"
+            args.workers = construct(montecarlo.resolve_workers, where,
+                                     args.workers)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -142,12 +147,11 @@ def _read_files(paths):
 def _summed(file, reduce) -> tuple:
     """The sums over the blocks of `file` of `reduce(records, n_shots)`,
     a tuple of integer counts (arrays or maps) that add over disjoint runs
-    of shots; `file.content_digest` is set once it returns."""
+    of shots (`add_counts`); `file.content_digest` is set once it
+    returns."""
     total = None
     for block in file.blocks():
-        counts = reduce(*block)
-        total = counts if total is None else \
-            tuple(map(operator.add, total, counts))
+        total = add_counts(total, reduce(*block))
     return total
 
 
@@ -176,12 +180,15 @@ def cmd_analyze(args) -> int:
 
 
 def _fitted(fit, trace, opts):
-    """fit(trace, opts.fit); a trace with too few valid bins names the
-    field to change: `analysis.bin_s` when the whole bin grid is that
-    short, `analysis.fit.exclusion_window_s` when the bins outside the
-    window are, and otherwise `protocol.n_shots`, for too few events."""
+    """fit(trace, opts.fit); a refused option names its `analysis.fit`
+    field, and a trace with too few valid bins the field to change:
+    `analysis.bin_s` when the whole bin grid is that short,
+    `analysis.fit.exclusion_window_s` when the bins outside the window
+    are, and otherwise `protocol.n_shots`, for too few events."""
     try:
         return fit(trace, opts.fit)
+    except FitOptionError as exc:
+        raise ConfigError(f"analysis.fit.{exc}") from exc
     except ShortTraceError as exc:
         field = ("analysis.bin_s" if exc.grid < exc.need else
                  "analysis.fit.exclusion_window_s" if exc.outside < exc.need
@@ -220,18 +227,10 @@ def _emit_report(path, fit, title, digest) -> int:
     return EXIT_OK if fit.converged else EXIT_NOCONV
 
 
-def _edges(build, *args) -> np.ndarray:
-    """`build(*args)`, the bin edges of an analysis, before any record is
-    read; a bin count that it refuses names its `analysis.` option."""
-    try:
-        return build(*args)
-    except ConfigError as exc:
-        raise ConfigError(f"analysis.{exc}") from exc
-
-
 def _analyze_lifetime(file, opts, outdir):
-    edges = _edges(lifetime_edges, file.device, file.config, opts.bin_s,
-                   opts.span_s)
+    # edges, and their refusals under `analysis`, before any record is read
+    edges = construct(lifetime_edges, "analysis", file.device, file.config,
+                      opts.bin_s, opts.span_s)
     co, cross = histograms(edges, _summed(file, lambda block, _: tuple(
         h.counts for h in bin_lifetime(block, file.config, edges))))
     meta = digest_meta(file.content_digest)
@@ -243,7 +242,8 @@ def _analyze_lifetime(file, opts, outdir):
 
 
 def _analyze_cw(file, opts, outdir):
-    edges = _edges(cw_window_edges, file.config, opts.window_s, opts.bin_s)
+    edges = construct(cw_window_edges, "analysis", file.config,
+                      opts.window_s, opts.bin_s)
 
     def reduce(block, _):
         records = (block["channel"], block["projection"], block["time"])
@@ -263,11 +263,6 @@ def _analyze_cw(file, opts, outdir):
     trace = docp(*raw)
     write_docp_csv(paths[1], trace, meta)
     return paths, trace
-
-
-def _cw_fit(trace, opts):
-    return fit_damped_cosine(trace, opts.variant, opts.t0,
-                             opts.exclusion_window_s, opts.fixed)
 
 
 def _file_maps(file):
@@ -344,7 +339,8 @@ _ANALYSES = {
         _analyze_cw,
         {"bin_s": CW_BIN_S, "window_s": 100e-9, "normalize": None,
          "start_stop": None, "fit": None, "fit.variant": "cw"},
-        ("fig2b_fit_report.txt", "cw docp damped cosine", _cw_fit)),
+        ("fig2b_fit_report.txt", "cw docp damped cosine",
+         partial(beat_fit, pin_envelope=False))),
     "pulsed": (
         _analyze_pulsed,
         {"t1_slice_s": T1_SLICE_S, "slice_tolerance_s": T1_SLICE_TOL_S,
@@ -402,6 +398,9 @@ def _is_float(text: str) -> bool:
         return False
 
 
+_FIT_FLAGS = {"t0": "--t0", "exclusion_window_s": "--exclusion-window"}
+
+
 def cmd_fit(args) -> int:
     table = _read_table(args.trace, increasing=True)
     if table.shape[1] < 2:
@@ -409,13 +408,21 @@ def cmd_fit(args) -> int:
     fixed = {}
     for item in args.fixed:
         name, _, value = item.partition("=")
-        if not value:
-            raise ConfigError(f"--fixed {item!r}: expected NAME=VALUE")
+        if not _is_float(value):
+            raise ConfigError(f"--fixed {item!r}: expected NAME=VALUE, "
+                              f"VALUE a number")
         fixed[name.strip()] = float(value)
-    trace = tuple(table.T[:3])
-    fit = fit_damped_cosine(trace, variant=args.variant, t0=args.t0,
-                            exclusion_window_s=args.exclusion_window,
-                            fixed=fixed)
+    try:
+        fit = fit_damped_cosine(tuple(table.T[:3]), args.variant, args.t0,
+                                args.exclusion_window, fixed)
+    except FitOptionError as exc:
+        flag = _FIT_FLAGS.get(exc.option) or \
+            exc.option.replace("fixed.", "--fixed ")
+        raise ConfigError(f"{flag}: {exc.reason}") from exc
+    except ShortTraceError as exc:
+        field = ("--exclusion-window" if exc.outside < exc.need
+                 else str(args.trace))
+        raise ConfigError(f"{field}: {exc}") from exc
     return _emit_report(args.report, fit, f"{args.variant} damped cosine",
                         str(args.trace))
 

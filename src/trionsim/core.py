@@ -71,11 +71,11 @@ def as_enum(value, path: str, enum_cls):
     return enum_cls(as_str(value, path, tuple(m.value for m in enum_cls)))
 
 
-def construct(cls, path: str, *args, **kwargs):
-    """`cls(*args, **kwargs)`; a constructor's ValueError becomes a
-    ConfigError under the block path `path`."""
+def construct(fn, path: str, *args, **kwargs):
+    """`fn(*args, **kwargs)`, a constructor or a check; a ValueError it
+    raises becomes a ConfigError under the path `path`."""
     try:
-        return cls(*args, **kwargs)
+        return fn(*args, **kwargs)
     except ConfigError as exc:   # already names a field of the block
         raise ConfigError(f"{path}.{exc}") from exc
     except ValueError as exc:
@@ -208,21 +208,6 @@ class NoiseModel:
         if t2star_s <= 0:
             raise ValueError("t2star must be > 0")
         return cls(NoiseKind.LORENTZIAN, 1.0 / (2.0 * math.pi * t2star_s), applies_to)
-
-    @classmethod
-    def gaussian_from_t2star(cls, t2star_s, applies_to=NoiseTarget.GROUND):
-        if t2star_s <= 0:
-            raise ValueError("t2star must be > 0")
-        return cls(NoiseKind.GAUSSIAN, 1.0 / (math.sqrt(2.0) * math.pi * t2star_s), applies_to)
-
-    @property
-    def t2star_s(self) -> float:
-        """Inherent 1/e dephasing time of the jitter ensemble (inf if quiet)."""
-        if self.kind is NoiseKind.NONE or self.width_hz == 0.0:
-            return math.inf
-        if self.kind is NoiseKind.LORENTZIAN:
-            return 1.0 / (2.0 * math.pi * self.width_hz)
-        return 1.0 / (math.sqrt(2.0) * math.pi * self.width_hz)
 
     @property
     def affects_ground(self) -> bool:

@@ -74,12 +74,6 @@ class Histogram1D:
     def total(self):
         return self.counts.sum()
 
-    def __add__(self, other: "Histogram1D") -> "Histogram1D":
-        if not np.array_equal(self.bin_edges, other.bin_edges):
-            raise ValueError("histograms have different binning")
-        return Histogram1D(self.bin_edges, self.counts + other.counts,
-                           np.sqrt(self.errors ** 2 + other.errors ** 2))
-
     def scaled(self, factor: float) -> "Histogram1D":
         return Histogram1D(self.bin_edges, self.counts * factor,
                            self.errors * factor)
@@ -164,9 +158,9 @@ def cw_window_edges(config, window_s: float,
     per-batch pair counts sum to the whole stream's.  Fewer than 1 or
     more than MAX_BINS / 2 bins each side raise ConfigError naming
     `bin_s`."""
-    if config.kind is not ProtocolKind.CW_G2:
+    if config.segment_s is None:
         raise ValueError("cw correlations need a cw_g2 stream")
-    if window_s > config.segment_length_s:
+    if window_s > config.segment_s:
         raise ValueError("window exceeds the segment length")
     if bin_s <= 0:
         raise ValueError("bin width must be > 0")
@@ -178,7 +172,7 @@ def cw_window_edges(config, window_s: float,
     half = int(round(ratio))
     edges = bin_s * np.arange(-half, half + 1)
     # rounding to whole bins may widen the window past the segment
-    if edges[-1] > config.segment_length_s:
+    if edges[-1] > config.segment_s:
         raise ValueError("window exceeds the segment length")
     return edges
 
@@ -395,11 +389,8 @@ def _pair_maps(t1, t2, proj, n_shots, t1_edges=None, t2_edges=None) -> tuple:
 
 
 def slice_map(map2d: Map2D, t1_fixed: float,
-              tolerance_s: float | None = None) -> Histogram1D:
+              tolerance_s: float) -> Histogram1D:
     """Marginalize rows with |t1 - t1_fixed| <= tolerance down to t2."""
-    widths = np.diff(map2d.t1_edges)
-    if tolerance_s is None:
-        tolerance_s = float(widths.max())
     rows = np.abs(map2d.t1_centers - t1_fixed) <= tolerance_s * (1 + 1e-9)
     if not rows.any():
         raise ValueError("no map rows inside the slice tolerance")

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConfigError, DeviceParams, check_keys
-from .montecarlo import EVENT_DTYPE, EventStream, ProtocolConfig, ProtocolKind
+from .montecarlo import EVENT_DTYPE, EventStream, ProtocolConfig
 
 MAGIC = b"TRIONSIM-EVENTS 2\n"
 _CSV_MAGIC = b"# trionsim-events 2\n"
@@ -283,10 +283,9 @@ def _check_records(events, first, config, name) -> None:
 
     A shot starts at shot * stride_s, the engine's own expression, so that
     start + tau never rounds below it.  A cw segment ends at start +
-    segment_length_s; the engine records only t < segment_length_s, and
-    start + t never rounds above that end.  Only cw times are bounded
-    above: a decay delay may carry a lifetime or pulsed photon past the
-    next shot's start.
+    `segment_s`; the engine records only t < segment_s, and start + t
+    never rounds above that end.  Other kinds have no `segment_s`: a decay
+    delay may carry a photon past the next shot's start.
     """
     # allowed[256 * channel + projection]
     allowed = np.zeros(256 * 256, dtype=bool)
@@ -307,9 +306,8 @@ def _check_records(events, first, config, name) -> None:
         (time < shot * config.stride_s, "time before its shot's start"),
         (later, "out of (shot, time) order"),
     ]
-    if config.kind is ProtocolKind.CW_G2:
-        checks.append((time > shot * config.stride_s
-                       + config.segment_length_s,
+    if config.segment_s is not None:
+        checks.append((time > shot * config.stride_s + config.segment_s,
                        "time past its segment's end"))
     bad = np.zeros(events.size, dtype=bool)
     for mask, _ in checks:

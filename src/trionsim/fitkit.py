@@ -16,13 +16,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MU_B_EV_PER_T
+from .core import MU_B_EV_PER_T, ConfigError
 
 PARAM_NAMES = ("offset", "amplitude", "t2star", "alpha", "frequency", "phase")
+# the domains of a fit's numbers past being finite, as (test, text): the
+# fit's steps keep each parameter in its own, and `fixed` pins inside it
+_ANY = (lambda v: True, "")
+_NON_NEGATIVE = (lambda v: v >= 0.0, " and >= 0")
+_DOMAIN = {"offset": _ANY, "amplitude": _NON_NEGATIVE,
+           "t2star": (lambda v: v > 0.0, " and > 0"),
+           "alpha": (lambda v: 0.0 < v <= 3.0, " and in (0, 3]"),
+           "frequency": _NON_NEGATIVE, "phase": _ANY}
 
 _GRAD_TOL = 1e-4
 _SSE_RTOL = 1e-9
 _MAX_ITER = 200
+
+
+class FitOptionError(ConfigError):
+    """A fit option that the fit refuses: `option` ("t0",
+    "exclusion_window_s" or "fixed.<parameter>") and the `reason`."""
+
+    def __init__(self, option: str, reason: str):
+        super().__init__(f"{option}: {reason}")
+        self.option, self.reason = option, reason
 
 
 class ShortTraceError(ValueError):
@@ -245,11 +262,27 @@ def _seed(model, t, y, sig, f_fixed=None, alpha0=1.0):
 
 
 def _domain_ok(p) -> bool:
-    c, a0, t2, alpha, f, phi = p
-    return (a0 >= 0.0 and t2 > 0.0 and 0.0 < alpha <= 3.0 and f >= 0.0
-            and np.all(np.isfinite(p)))
+    return all(math.isfinite(v) and _DOMAIN[name][0](v)
+               for name, v in zip(PARAM_NAMES, p))
 
 
+def check_fit_options(t0: float = 0.0, exclusion_window_s=None,
+                      fixed: dict | None = None) -> None:
+    """Refuse, as FitOptionError, a `t0` that is not finite, an
+    `exclusion_window_s` that is not finite and >= 0, and a `fixed` entry
+    that names no parameter or pins one outside its domain."""
+    for name in fixed or ():
+        if name not in _DOMAIN:
+            raise FitOptionError(f"fixed.{name}", "not a parameter")
+    for option, v, (test, text) in [
+            ("t0", t0, _ANY),
+            ("exclusion_window_s", exclusion_window_s or 0.0, _NON_NEGATIVE),
+            *((f"fixed.{n}", v, _DOMAIN[n]) for n, v in (fixed or {}).items())]:
+        if not (math.isfinite(v) and test(v)):
+            raise FitOptionError(option, f"must be finite{text}, got {v:g}")
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_damped_cosine(trace, variant: str = "pulsed", t0: float = 0.0,
                       exclusion_window_s: float | None = None,
                       fixed: dict | None = None) -> FitResult:
@@ -259,35 +292,38 @@ def fit_damped_cosine(trace, variant: str = "pulsed", t0: float = 0.0,
     variant an exclusion window of 150 ps on each side of t0 is applied
     by default, removing the correlation bins distorted by antibunching.
     Flat traces without a spectral peak return the degenerate f=0 branch
-    flagged by message "no-oscillation".  A trace with too few valid bins
-    raises ShortTraceError, and one whose weighted sum of squares about
-    its mean is not finite RuntimeError.
+    flagged by message "no-oscillation".  Options outside their domain
+    (`check_fit_options`), or a pulsed t0 after the first valid time,
+    raise FitOptionError; a trace with too few valid bins ShortTraceError;
+    and one whose weighted sum of squares about its mean, or at the
+    starting values, is not finite RuntimeError.  Floating-point warnings
+    are off: those checks catch what overflows.
     """
+    check_fit_options(t0, exclusion_window_s, fixed)
     model = DampedCosineModel(variant, t0)
     if exclusion_window_s is None:
         exclusion_window_s = 150e-12 if variant == "cw" else 0.0
     fixed = dict(fixed or {})
-    for name in fixed:
-        if name not in PARAM_NAMES:
-            raise ValueError(f"unknown parameter {name!r}")
     t, y, sig, valid = _as_xy(trace)
     grid = t.size
-    outside = np.abs(t - t0) >= exclusion_window_s \
-        if exclusion_window_s > 0 else np.ones(grid, dtype=bool)
+    outside = np.abs(t - t0) >= exclusion_window_s
     valid = valid & outside
     free = [n for n in PARAM_NAMES if n not in fixed]
     n_free = len(free)
     t, y = t[valid], y[valid]
     sig = sig[valid] if sig is not None else None
+    if variant == "pulsed" and t.size and t.min() < t0:
+        raise FitOptionError("t0", f"{t0:g} s is after the first valid "
+                             f"time {t.min():g} s; the pulsed variant "
+                             f"needs every time >= t0")
     if t.size < 8 * max(n_free, 1):
         raise ShortTraceError(8 * n_free, t.size, grid,
                               int(np.count_nonzero(outside)))
     # refuse a trace whose weighted sum of squares about its mean (the
     # flat fit's sse) overflows, before any sse is computed from it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        weights = 1.0 / sig if sig is not None else np.ones_like(y)
-        mean = float(np.sum(weights ** 2 * y) / np.sum(weights ** 2))
-        spread = np.sum((weights * (y - mean)) ** 2)
+    weights = 1.0 / sig if sig is not None else np.ones_like(y)
+    mean = float(np.sum(weights ** 2 * y) / np.sum(weights ** 2))
+    spread = np.sum((weights * (y - mean)) ** 2)
     if not np.isfinite(spread):
         raise RuntimeError("the trace's weighted sum of squares is not "
                            "finite")
@@ -316,22 +352,25 @@ def fit_damped_cosine(trace, variant: str = "pulsed", t0: float = 0.0,
     def sse_of(p):
         return float(np.sum((weights * (model.evaluate(p, t) - y)) ** 2))
 
+    def jac_grad(p):   # the weighted Jacobian of the free parameters, J^T r
+        jac = (weights[:, None] * model.jacobian(p, t))[:, idx_free]
+        return jac, jac.T @ (weights * (model.evaluate(p, t) - y))
+
     theta = seed[idx_free].copy()
     p_cur = eval_at(theta)
     sse = sse_of(p_cur)
+    if not math.isfinite(sse):
+        raise RuntimeError("the weighted sum of squares at the starting "
+                           "values is not finite")
     history = [sse]
     lam = 1e-3
-    converged = False
     message = "max iterations reached"
     n_iter = 0
     while n_iter < _MAX_ITER:
         n_iter += 1
-        resid = weights * (model.evaluate(p_cur, t) - y)
-        jac = (weights[:, None] * model.jacobian(p_cur, t))[:, idx_free]
-        grad = jac.T @ resid
+        jac, grad = jac_grad(p_cur)
         hess = jac.T @ jac
         if _norm_grad(grad, np.diag(hess), sse) <= _GRAD_TOL:
-            converged = True
             message = "converged"
             break
         damped = hess + lam * np.diag(np.diag(hess).clip(min=1e-300))
@@ -357,13 +396,9 @@ def fit_damped_cosine(trace, variant: str = "pulsed", t0: float = 0.0,
             history.append(sse)
             lam = max(lam / 3.0, 1e-12)
             if small:
-                resid = weights * (model.evaluate(p_cur, t) - y)
-                jac = (weights[:, None]
-                       * model.jacobian(p_cur, t))[:, idx_free]
-                grad = jac.T @ resid
-                hd = np.sum(jac * jac, axis=0)
-                if _norm_grad(grad, hd, sse) <= _GRAD_TOL:
-                    converged = True
+                jac, grad = jac_grad(p_cur)
+                if _norm_grad(grad, np.sum(jac * jac, axis=0),
+                              sse) <= _GRAD_TOL:
                     message = "converged"
                     break
         else:
@@ -372,7 +407,7 @@ def fit_damped_cosine(trace, variant: str = "pulsed", t0: float = 0.0,
                 message = "stalled"
                 break
 
-    jac = (weights[:, None] * model.jacobian(p_cur, t))[:, idx_free]
+    jac, _ = jac_grad(p_cur)
     hess = jac.T @ jac
     try:
         cov = np.linalg.inv(hess)
@@ -386,7 +421,7 @@ def fit_damped_cosine(trace, variant: str = "pulsed", t0: float = 0.0,
     for i, name in enumerate(free):
         sigmas[name] = float(math.sqrt(max(cov[i, i], 0.0)))
     return FitResult(params, sigmas, cov, tuple(free), sse, n_iter,
-                     converged, message, t.size, history)
+                     message == "converged", message, t.size, history)
 
 
 def fit_linear_zeeman(b_t, delta_e_ev, errors_ev=None,

@@ -126,12 +126,10 @@ class ProtocolConfig:
     channels.  For cw runs `n_shots` counts independent segments of
     `segment_length_s` live time each, and shots start `stride_s` apart.
 
-    Every kind reads the polarizations and `detection_efficiency`; of
-    the timing fields (`_TIMING`), lifetime and docp_zero_field read
-    `rep_period_s`, pulsed_2pc also `pulse_delay_s`, and cw_g2
-    `pump_rate_hz` and `segment_length_s`, each finite and > 0.  A field
-    left as None takes its default (none for those two); a field the
-    kind does not read is refused unless it holds its default.
+    Every kind reads the polarizations, `detection_efficiency` and the
+    timing fields (`_TIMING`) its `_KINDS` row lists, each finite and >
+    0.  A field left as None takes its default; a field the kind does not
+    read is refused unless it holds its default.
     """
 
     kind: ProtocolKind
@@ -192,9 +190,9 @@ class ProtocolConfig:
         if "pulse_delay_s" in row.reads and \
                 self.pulse_delay_s >= self.rep_period_s:
             raise ValueError("pulse_delay_s must be below rep_period_s")
-        if "segment_length_s" in row.reads:
+        if self.segment_s is not None:
             cells = min(self.n_shots, row.batch()) * (
-                math.ceil(self.segment_length_s / CW_REDRAW_WINDOW_S) + 1)
+                math.ceil(self.segment_s / CW_REDRAW_WINDOW_S) + 1)
             if cells > CW_JITTER_CELLS_MAX:
                 raise ConfigError(
                     f"segment_length_s: {cells:.3g} jitter values per cw "
@@ -207,12 +205,19 @@ class ProtocolConfig:
                 f"are coarser than 1 ps (limit {EVENT_TIME_MAX_S:g} s)")
 
     @property
+    def segment_s(self) -> float | None:
+        """The live time after which a shot records nothing:
+        `segment_length_s` for a kind that reads it (cw), else None."""
+        reads = "segment_length_s" in _KINDS[self.kind].reads
+        return self.segment_length_s if reads else None
+
+    @property
     def stride_s(self) -> float:
         """Time from one shot's start to the next: `rep_period_s`, or for
         cw two segment lengths, so that no pair within one segment length
         crosses segments.  Event times are shot * stride_s + t in shot."""
-        if "segment_length_s" in _KINDS[self.kind].reads:
-            return 2.0 * self.segment_length_s
+        if self.segment_s is not None:
+            return 2.0 * self.segment_s
         return self.rep_period_s
 
     @classmethod
@@ -701,7 +706,7 @@ def resolve_workers(workers=None) -> int:
         env = os.environ.get("TRIONSIM_WORKERS", "").strip()
         workers = int(env) if env else 1
     if workers < 1:
-        raise ValueError("worker count must be >= 1")
+        raise ValueError(f"worker count must be >= 1, got {workers}")
     return min(workers, os.cpu_count() or 1)
 
 
@@ -744,8 +749,8 @@ def run(device: DeviceParams, config: ProtocolConfig, workers=None) -> EventStre
         spool.close()
         raise
     diagnostics["n_events"] = n_events
-    if "segment_length_s" in _KINDS[config.kind].reads:
-        diagnostics["live_time_s"] = config.n_shots * config.segment_length_s
+    if config.segment_s is not None:
+        diagnostics["live_time_s"] = config.n_shots * config.segment_s
     return EventStream(spool, device, config, diagnostics, digest.hexdigest())
 
 

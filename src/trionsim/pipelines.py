@@ -108,11 +108,11 @@ def _map_runs(fn, runs, workers) -> list:
 
     fn reduces one batch where it runs and returns (counts, events):
     counts a tuple of integer counts (numbers, arrays or maps) that add
-    up over the batches of a run, events the batch's event records or
-    None.  Each run comes back as (summed counts, sha256 hex digest of
-    the events in batch order, or None if fn returned none).  `run` only
-    concatenates its sorted batches, so that digest is the run's
-    `content_digest`.
+    up over the batches of a run (`add_counts`), events the batch's event
+    records or None.  Each run comes back as (summed counts, sha256 hex
+    digest of the events in batch order, or None if fn returned none).
+    `run` only concatenates its sorted batches, so that digest is the
+    run's `content_digest`.
     """
     tasks = [[(t, arg) for t in montecarlo.batch_tasks(device, config)]
              for device, config, arg in runs]
@@ -122,8 +122,7 @@ def _map_runs(fn, runs, workers) -> list:
     for ts in tasks:
         total = digest = None
         for counts, events in islice(results, len(ts)):
-            total = counts if total is None else \
-                tuple(map(operator.add, total, counts))
+            total = add_counts(total, counts)
             if events is not None:
                 digest = digest or sha256()
                 digest.update(events)
@@ -131,9 +130,27 @@ def _map_runs(fn, runs, workers) -> list:
     return out
 
 
+def add_counts(total, counts) -> tuple:
+    """`total` plus `counts` entry by entry, tuples of integer counts
+    (numbers, arrays or maps); a `total` of None holds none yet."""
+    if total is None:
+        return counts
+    return tuple(map(operator.add, total, counts))
+
+
 def histograms(edges, counts) -> tuple:
     """A raw `Histogram1D` over `edges` of each summed count array."""
     return tuple(Histogram1D(edges, c, np.sqrt(c)) for c in counts)
+
+
+def _run_histograms(batch_counts, runs, edges, workers, digest) -> list:
+    """(raw histograms over its `edges`..., content digest or None) of
+    every (device, config, ...) run, from the counts that batch_counts(
+    (batch, (edges, digest))) takes where each batch runs."""
+    sums = _map_runs(batch_counts, [(d, c, (e, digest)) for (d, c, *_), e
+                                    in zip(runs, edges)], workers)
+    return [(*histograms(e, counts), hexd)
+            for e, (counts, hexd) in zip(edges, sums)]
 
 
 def _lifetime_batch_counts(task):
@@ -148,14 +165,10 @@ def _lifetime_batch_counts(task):
 
 def lifetime_run_histograms(runs, workers=None, digest=False) -> list:
     """(co, cross, content digest) of every (device, config) lifetime or
-    zero-field run: its raw `bin_lifetime` histograms over the default
-    `lifetime_edges`, reduced per batch where the batches run.  Without
-    `digest` the digest is None."""
-    edges = [lifetime_edges(device, config) for device, config in runs]
-    sums = _map_runs(_lifetime_batch_counts, [(d, c, (e, digest)) for (d, c), e
-                                              in zip(runs, edges)], workers)
-    return [(*histograms(e, counts), hexd)
-            for e, (counts, hexd) in zip(edges, sums)]
+    zero-field run, binned over its default `lifetime_edges`."""
+    return _run_histograms(_lifetime_batch_counts, runs,
+                           [lifetime_edges(d, c) for d, c in runs], workers,
+                           digest)
 
 
 def _cw_batch_counts(task):
@@ -170,14 +183,11 @@ def _cw_batch_counts(task):
 
 def cw_run_histograms(runs, workers=None, digest=False) -> list:
     """(RR, RL, content digest) of every (device, config, window_s) cw
-    run: its raw `cw_histograms`, reduced per batch where the batches
-    run.  cw pairs never cross a segment, so the summed counts are the
-    whole stream's.  Without `digest` the digest is None."""
-    edges = [cw_window_edges(config, window) for _, config, window in runs]
-    sums = _map_runs(_cw_batch_counts, [(d, c, (e, digest)) for (d, c, _), e
-                                        in zip(runs, edges)], workers)
-    return [(*histograms(e, counts), hexd)
-            for e, (counts, hexd) in zip(edges, sums)]
+    run: its raw `cw_histograms`.  cw pairs never cross a segment, so the
+    summed counts are the whole stream's."""
+    return _run_histograms(_cw_batch_counts, runs,
+                           [cw_window_edges(c, w) for _, c, w in runs],
+                           workers, digest)
 
 
 @contextmanager
@@ -219,13 +229,14 @@ def run_pipeline(name: str, outdir, seed: int = 20260815, scale: float = 1.0,
     return PipelineResult(name, rows, files)
 
 
-def beat_fit(trace, opts: FitOptions | None = None):
-    """Damped-cosine fit of a beat trace under a scenario's `analysis.fit`
-    options, T2* and alpha pinned to 1 unless `opts.fixed` says otherwise."""
+def beat_fit(trace, opts: FitOptions | None = None, pin_envelope=True):
+    """Damped-cosine fit of a trace under a scenario's `analysis.fit`
+    options; a beat's envelope, T2* and alpha, is pinned to 1 unless
+    `opts.fixed` says otherwise."""
     opts = opts or FitOptions()
-    return fit_damped_cosine(
-        trace, opts.variant or "pulsed", opts.t0, opts.exclusion_window_s,
-        {"t2star": 1.0, "alpha": 1.0, **opts.fixed})
+    pinned = {"t2star": 1.0, "alpha": 1.0} if pin_envelope else {}
+    return fit_damped_cosine(trace, opts.variant or "pulsed", opts.t0,
+                             opts.exclusion_window_s, {**pinned, **opts.fixed})
 
 
 def lifetime_traces(outdir, co, cross, meta):

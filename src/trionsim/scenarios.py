@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 from .core import (ConfigError, DeviceParams, as_bool, as_number, as_str,
                    check_keys, construct)
-from .fitkit import PARAM_NAMES
-from .montecarlo import ProtocolConfig, ProtocolKind
+from .fitkit import PARAM_NAMES, check_fit_options
+from .montecarlo import ProtocolConfig
 from .rng import derive_seed
 
 
@@ -25,9 +25,6 @@ class FitOptions:
     t0: float = 0.0
     exclusion_window_s: float | None = None
     fixed: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -107,14 +104,12 @@ def _parse_protocol(d):
     """The protocol block; a `pulse_delay_s` list is a delay sweep, and
     the config carries its first delay.  The block is checked with the
     smallest positive delay, which every block that takes some delay
-    takes, so a refusal there is the block's own (under `protocol`); then
-    each delay is checked against it under its own path."""
+    takes, so a refusal there is the block's own (under `protocol`, and
+    `protocol.pulse_delay_s: not used by <kind>` for a kind without a
+    delay); then each delay is checked against it under its own path."""
     delays = d.get("pulse_delay_s") if isinstance(d, dict) else None
     if not isinstance(delays, list):
         return ProtocolConfig.from_dict(d, "protocol"), None
-    if d.get("kind") != ProtocolKind.PULSED_2PC.value:
-        raise ConfigError("protocol.pulse_delay_s: sweep lists are only "
-                          "valid for pulsed_2pc")
     sweep = tuple(as_number(v, f"protocol.pulse_delay_s[{i}]")
                   for i, v in enumerate(delays))
     if not sweep:
@@ -170,6 +165,8 @@ def _parse_fit(d: dict) -> FitOptions:
         check_keys(d["fixed"], "analysis.fit.fixed", (), PARAM_NAMES)
         opts.fixed = {name: as_number(value, f"analysis.fit.fixed.{name}")
                       for name, value in d["fixed"].items()}
+    construct(check_fit_options, "analysis.fit", opts.t0,
+              opts.exclusion_window_s, opts.fixed)
     return opts
 
 

@@ -30,8 +30,8 @@ from itertools import chain
 import numpy as np
 
 from trionsim.core import (PLANCK_EV_S, DeviceParams, NoiseKind, NoiseModel,
-                           Pol, jones_vector, larmor_frequency, orthogonal,
-                           zeeman_splitting)
+                           NoiseTarget, Pol, jones_vector, larmor_frequency,
+                           orthogonal, zeeman_splitting)
 from trionsim.correlator import (CW_BIN_S, LIFETIME_BIN_S, DocpTrace,
                                  Histogram1D, bin_lifetime, build_map2d,
                                  correlate_cw, cw_window_edges, docp,
@@ -202,6 +202,23 @@ def envelope_factor(noise: NoiseModel, t_s):
     return out if out.ndim else float(out)
 
 
+def gaussian_from_t2star(t2star_s, applies_to=NoiseTarget.GROUND):
+    """Gaussian jitter whose ensemble envelope decays to 1/e at t2star."""
+    if t2star_s <= 0:
+        raise ValueError("t2star must be > 0")
+    return NoiseModel(NoiseKind.GAUSSIAN,
+                      1.0 / (math.sqrt(2.0) * math.pi * t2star_s), applies_to)
+
+
+def noise_t2star(noise: NoiseModel) -> float:
+    """Inherent 1/e dephasing time of the jitter ensemble (inf if quiet)."""
+    if noise.kind is NoiseKind.NONE or noise.width_hz == 0.0:
+        return math.inf
+    if noise.kind is NoiseKind.LORENTZIAN:
+        return 1.0 / (2.0 * math.pi * noise.width_hz)
+    return 1.0 / (math.sqrt(2.0) * math.pi * noise.width_hz)
+
+
 def lifetime_trace(params: DeviceParams, exc_pol: Pol, det_pol: Pol, t_s):
     """Polarization-resolved decay trace after a circular excitation pulse.
 
@@ -348,6 +365,15 @@ def write_events_csv(path, stream: EventStream) -> None:
     rows = stream.events.tolist()
     _write_whole(path, _CSV_MAGIC + head.encode() + _CSV_COLUMNS
                  + (_CSV_ROW * len(rows) % tuple(chain(*rows))).encode())
+
+
+def merged_histograms(a: Histogram1D, b: Histogram1D) -> Histogram1D:
+    """The sum of two histograms over the same edges, their errors added
+    in quadrature."""
+    if not np.array_equal(a.bin_edges, b.bin_edges):
+        raise ValueError("histograms have different binning")
+    return Histogram1D(a.bin_edges, a.counts + b.counts,
+                       np.sqrt(a.errors ** 2 + b.errors ** 2))
 
 
 def lifetime_docp_trace(stream: EventStream, bin_s: float = LIFETIME_BIN_S,

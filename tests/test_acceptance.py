@@ -44,6 +44,7 @@ from oracles import (
     Subspace,
     correlate_stream,
     envelope_factor,
+    gaussian_from_t2star,
     lifetime_docp_trace,
     lifetime_histograms,
     lifetime_trace,
@@ -188,7 +189,7 @@ def test_criterion_6_closed_forms_match_monte_carlo():
     n = 100_000
     worst_env = 0.0
     for noise in (NoiseModel.lorentzian_from_t2star(15.9e-9),
-                  NoiseModel.gaussian_from_t2star(15.9e-9)):
+                  gaussian_from_t2star(15.9e-9)):
         df = noise.sample(rng, n)
         for t in (1e-9, 3e-9, 8e-9, 15.9e-9, 40e-9):
             mc = float(np.mean(np.cos(2.0 * math.pi * df * t)))

@@ -28,7 +28,8 @@ from trionsim.fitkit import fft_frequency
 from trionsim.montecarlo import (EVENT_DTYPE, ProtocolConfig, batch_tasks,
                                  run_batch)
 
-from oracles import EventStream, correlate_stream, run, stream_maps
+from oracles import (EventStream, correlate_stream, merged_histograms, run,
+                     stream_maps)
 
 
 def _device(**kw):
@@ -253,7 +254,7 @@ def test_histogram_merge_matches_single_pass():
     odd = stream.events[stream.events["shot"] % 2 == 1]
     parts = [bin_lifetime(ev, stream.config, edges) for ev in (even, odd)]
     for whole, *halves in zip(full, *parts):
-        merged = halves[0] + halves[1]
+        merged = merged_histograms(*halves)
         assert np.array_equal(merged.counts, whole.counts)
         assert np.allclose(merged.errors ** 2, whole.counts)
 

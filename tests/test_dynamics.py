@@ -29,6 +29,7 @@ from oracles import (
     Subspace,
     emit_amplitudes,
     envelope_factor,
+    gaussian_from_t2star,
     heralded_docp,
     larmor_halfperiod,
     lifetime_docp,
@@ -240,7 +241,7 @@ def test_envelope_factor_closed_forms():
     lor = NoiseModel.lorentzian_from_t2star(16.51e-9)
     assert envelope_factor(lor, 16.51e-9) == pytest.approx(math.exp(-1.0),
                                                            rel=1e-12)
-    gauss = NoiseModel.gaussian_from_t2star(15.9e-9)
+    gauss = gaussian_from_t2star(15.9e-9)
     assert envelope_factor(gauss, 15.9e-9) == pytest.approx(math.exp(-1.0),
                                                             rel=1e-12)
     with pytest.raises(ValueError):
@@ -259,7 +260,7 @@ def test_envelope_factor_matches_sampled_mean():
     rng = np.random.default_rng(26)
     n = 100_000
     for noise in (NoiseModel.lorentzian_from_t2star(16.51e-9),
-                  NoiseModel.gaussian_from_t2star(15.9e-9)):
+                  gaussian_from_t2star(15.9e-9)):
         draws = noise.sample(rng, n)
         for t in (1e-9, 5e-9, 15e-9, 40e-9):
             sampled = np.mean(np.cos(2.0 * math.pi * draws * t))

@@ -45,7 +45,8 @@ from trionsim.montecarlo import (_PROJ, CW_REDRAW_WINDOW_S, LIFETIME_BATCH,
 from trionsim.pipelines import sliced_docp
 from trionsim.rng import substream
 
-from oracles import EventStream, correlate_stream, recorded_whole, run
+from oracles import (EventStream, correlate_stream, gaussian_from_t2star,
+                     recorded_whole, run)
 
 
 def _detect(photon_codes, rng, det_pols, efficiency):
@@ -277,7 +278,7 @@ _CW_CASES = {
     "ground_lorentzian": (NoiseModel.lorentzian_from_t2star(_T2), {}),
     "excited_only": (NoiseModel.lorentzian_from_t2star(
         _T2, NoiseTarget.EXCITED), {}),
-    "both_gaussian": (NoiseModel.gaussian_from_t2star(
+    "both_gaussian": (gaussian_from_t2star(
         _T2, NoiseTarget.BOTH), {}),
     "l_pump": (NoiseModel.lorentzian_from_t2star(_T2),
                {"exc_pol": Pol.L}),

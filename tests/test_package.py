@@ -1,11 +1,14 @@
 """Package rules checked on the source: no trionsim module reaches a
 private (`_`-prefixed) name of another trionsim module, either by
-importing it or as an attribute of an imported module; and every public
+importing it or as an attribute of an imported module; every public
 module-level function or class is used by the package itself (imported
 by name, read as an attribute of its module, or read by bare name in its
-own module), so code that only the tests run lives under `tests/`
-(`tests/oracles.py`); and each name that perfbench's tracer wraps is
-such a function."""
+own module), and so is every public method, property and classmethod of
+a module-level class (read as an attribute outside its own def; dunders
+that Python calls by protocol are exempt, and those reached through an
+operator are named), so code that only the tests run lives under
+`tests/` (`tests/oracles.py`); and each name that perfbench's tracer
+wraps is such a function."""
 
 import ast
 from pathlib import Path
@@ -109,25 +112,91 @@ _USED_OUTSIDE = {
 }
 
 
+# dunders that Python calls by protocol: construction, `with` and `len`
+_PROTOCOL_DUNDERS = {"__init__", "__post_init__", "__enter__", "__exit__",
+                     "__len__"}
+
+# dunders that the package reaches through an operator, each with the
+# operator and the reason it stays
+_OPERATOR_DUNDERS = {
+    "Map2D.__add__": "`operator.add` in pipelines.add_counts sums the maps "
+                     "of a run's batches and of a file's blocks",
+    "FitResult.__getitem__": "`fit[name]` reads a fitted parameter in "
+                             "pipelines and cli",
+}
+
+
+def _attribute_is_read(method, trees) -> bool:
+    """Whether some module of `trees` reads the name of `method`, a def
+    in a class body, as an attribute (of any object) outside `method`
+    itself."""
+    todo = list(trees.values())
+    while todo:
+        n = todo.pop()
+        if n is method:
+            continue
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) \
+                and n.attr == method.name:
+            return True
+        todo.extend(ast.iter_child_nodes(n))
+    return False
+
+
+def test_a_method_read_only_in_its_own_def_is_no_use():
+    trees = {"m": ast.parse("class A:\n"
+                            "    def go(self):\n"
+                            "        return self.go\n"
+                            "    def __add__(self, other):\n"
+                            "        return self\n")}
+    go, add = trees["m"].body[0].body
+    assert not _attribute_is_read(go, trees)
+    assert not _attribute_is_read(add, trees)
+    trees["cli"] = ast.parse("def f(a):\n    return a.go()\n")
+    assert _attribute_is_read(go, trees)
+    trees["cli"] = ast.parse("def f(a):\n    a.go = 1\n")
+    assert not _attribute_is_read(go, trees)
+
+
+def _is_public(name) -> bool:
+    """A name without a leading `_`, or a dunder."""
+    return not name.startswith("_") or (name.startswith("__")
+                                        and name.endswith("__"))
+
+
 def test_every_public_name_is_used():
     # a public module-level def or class must be referenced from the
-    # package outside its own definition; the re-exports of __init__
-    # and the tests do not count
+    # package outside its own definition, and a public method, property
+    # or classmethod of a module-level class read as an attribute outside
+    # its own def; the re-exports of __init__ and the tests do not count.
+    # A dunder counts as public: one that Python calls by protocol is
+    # exempt, and one reached through an operator is named in
+    # _OPERATOR_DUNDERS
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(_PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
     unused, excepted = [], set()
     for name, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name in _USED_OUTSIDE:
                 excepted.add(node.name)
-            elif not _is_used(name, node, trees):
+            elif _is_public(node.name) and not _is_used(name, node, trees):
                 unused.append(f"{name}.py: {node.name}")
+            methods = node.body if isinstance(node, ast.ClassDef) else ()
+            for method in methods:
+                if not isinstance(method, ast.FunctionDef) \
+                        or method.name in _PROTOCOL_DUNDERS:
+                    continue
+                label = f"{node.name}.{method.name}"
+                if label in _OPERATOR_DUNDERS:
+                    excepted.add(label)
+                elif _is_public(method.name) \
+                        and not _attribute_is_read(method, trees):
+                    unused.append(f"{name}.py: {label}")
     assert not unused, unused
-    assert excepted == set(_USED_OUTSIDE)   # no stale exception
+    # no stale exception
+    assert excepted == set(_USED_OUTSIDE) | set(_OPERATOR_DUNDERS)
 
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -1,6 +1,8 @@
 """Scenario schema strictness and command-line exit-code contract."""
 
+import contextlib
 import errno
+import io
 import itertools
 import json
 import math
@@ -8,17 +10,22 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trionsim
 from trionsim import cli, events_io
 from trionsim.cli import main
 from trionsim.core import MU_B_EV_PER_T
 from trionsim.correlator import MAX_BINS
+from trionsim.fitkit import PARAM_NAMES
 from trionsim.rng import derive_seed
 from trionsim.scenarios import ConfigError, Scenario, load_scenario
 
@@ -246,7 +253,8 @@ def test_delay_sweep_expands_with_derived_seeds():
 
 def test_delay_sweep_requires_pulsed_kind():
     d = _scenario_dict("lifetime", pulse_delay_s=[1e-9, 2e-9])
-    with pytest.raises(ConfigError, match="only valid for pulsed_2pc"):
+    with pytest.raises(ConfigError,
+                       match="protocol.pulse_delay_s: not used by lifetime"):
         Scenario.from_dict(d)
 
 
@@ -745,6 +753,155 @@ def test_cli_fit_refuses_a_trace_whose_sum_of_squares_is_not_finite(
     assert err == ("did not converge: the trace's weighted sum of squares "
                    "is not finite\n")
     assert not report.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--fixed", "t2star=0"], "--fixed t2star: must be finite and > 0, got 0"),
+    (["--fixed", "alpha=inf"],
+     "--fixed alpha: must be finite and in (0, 3], got inf"),
+    (["--fixed", "alpha=abc"],
+     "--fixed 'alpha=abc': expected NAME=VALUE, VALUE a number"),
+    (["--fixed", "bogus=1"], "--fixed bogus: not a parameter"),
+    (["--t0", "nan"], "--t0: must be finite, got nan"),
+    (["--t0", "1e-9"], "--t0: 1e-09 s is after the first valid time 1e-10 s"),
+    (["--exclusion-window=-1"],
+     "--exclusion-window: must be finite and >= 0, got -1"),
+    (["--exclusion-window", "nan"],
+     "--exclusion-window: must be finite and >= 0, got nan"),
+    (["--exclusion-window", "1"],
+     "--exclusion-window: need at least 40 valid bins, have 0"),
+])
+def test_cli_fit_refuses_an_option_by_its_flag(tmp_path, capsys, args,
+                                               message):
+    # each once printed numpy warnings and exited 4, exited 2 without
+    # naming the option, or (a negative or nan window) was read as none
+    path = _fit_trace(tmp_path / "trace.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", str(path), "--fixed", "offset=0", *args])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("fit, message", [
+    ('{"fixed": {"alpha": Infinity}}',
+     "analysis.fit.fixed.alpha: must be finite and in (0, 3], got inf"),
+    ('{"t0": NaN}', "analysis.fit.t0: must be finite, got nan"),
+    ('{"exclusion_window_s": -1}',
+     "analysis.fit.exclusion_window_s: must be finite and >= 0, got -1"),
+    ('{"exclusion_window_s": NaN}',
+     "analysis.fit.exclusion_window_s: must be finite and >= 0, got nan"),
+])
+def test_scenario_refuses_a_fit_option_outside_its_domain(tmp_path, fit,
+                                                          message):
+    # Python's json reads Infinity and NaN without complaint
+    text = (json.dumps(_scenario_dict())[:-1]
+            + f', "analysis": {{"fit": {fit}}}}}')
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == message
+
+
+def test_cli_analyze_pulsed_fit_refuses_a_t0_after_the_trace(
+        tmp_path, capsys, analysis_files):
+    d = _scenario_dict()
+    d["analysis"] = {"fit": {"t0": 1e-9}}
+    scn = _write_scenario(tmp_path / "s.json", d)
+    assert main(["analyze", *analysis_files["lifetime_field"], "-o",
+                 str(tmp_path / "out"), "--scenario", scn]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: analysis.fit.t0: 1e-09 s is after the first valid "
+        "time")
+
+
+@pytest.mark.parametrize("args, env, message", [
+    (["--workers", "0"], None, "--workers: worker count must be >= 1, got 0"),
+    (["--workers", "-5"], None,
+     "--workers: worker count must be >= 1, got -5"),
+    ([], "abc", "TRIONSIM_WORKERS: invalid literal for int() with base 10: "
+                "'abc'"),
+    ([], "0", "TRIONSIM_WORKERS: worker count must be >= 1, got 0"),
+])
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_cli_worker_count_refusal_names_its_source(
+        tmp_path, capsys, monkeypatch, command, args, env, message):
+    if env is None:
+        monkeypatch.delenv("TRIONSIM_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("TRIONSIM_WORKERS", env)
+    target = (_write_scenario(tmp_path / "s.json", _scenario_dict())
+              if command == "simulate" else "fig1d")
+    out = tmp_path / "out"
+    assert main([command, target, "-o", str(out), *args]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def _fit_trace(path):
+    """A small valid trace CSV: a damped cosine with errors, 60 rows from
+    t = 0.1 ns."""
+    t = np.arange(1, 61) * 1e-10
+    y = 0.3 * np.exp(-t / 3e-9) * np.cos(2 * np.pi * 0.76e9 * t)
+    y += 0.01 * np.random.default_rng(3).standard_normal(t.size)
+    path.write_text("time_s,value,error\n" + "".join(
+        f"{a!r},{b!r},0.01\n" for a, b in zip(t.tolist(), y.tolist())))
+    return path
+
+
+def _main_on_fd2(args):
+    """main(args) in this process with its Python warnings recorded and
+    file descriptor 2 sent to a file, since LAPACK writes there directly:
+    (exit code, what reached stderr or fd 2, the warnings)."""
+    err = io.StringIO()
+    with tempfile.TemporaryFile() as fd2, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        saved = os.dup(2)
+        try:
+            os.dup2(fd2.fileno(), 2)
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(args)
+        finally:
+            os.dup2(saved, 2)
+            os.close(saved)
+        fd2.seek(0)
+        text = err.getvalue() + fd2.read().decode(errors="replace")
+    return code, text, caught
+
+
+_FIT_OPTIONS = ["--t0", "--exclusion-window",
+              *(f"--fixed {name}" for name in PARAM_NAMES)]
+
+
+@pytest.fixture(scope="module")
+def fit_trace(tmp_path_factory):
+    return _fit_trace(tmp_path_factory.mktemp("fit") / "trace.csv")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(variant=st.sampled_from(["pulsed", "cw"]),
+       flag=st.sampled_from(_FIT_OPTIONS),
+       value=st.sampled_from(["0", "1e-300", "-1e-300", "1e300", "-1e300",
+                              "nan", "inf", "-inf", "-1"]))
+def test_fit_option_values_keep_the_exit_contract(fit_trace, variant, flag,
+                                                  value):
+    """One `fit` option of a small valid trace set to an edge value: the
+    exit code is 0, 2, 3 or 4, nothing reaches stderr but the exit line,
+    with no traceback and no warning, and an exit-2 line names the
+    option."""
+    option = (f"--fixed={flag.split()[1]}={value}" if " " in flag
+              else f"{flag}={value}")
+    code, err, caught = _main_on_fd2(["fit", str(fit_trace), "--variant",
+                                      variant, option])
+    assert code in (0, 2, 3, 4), (option, err)
+    assert not caught, (option, [str(w.message) for w in caught])
+    assert "Traceback" not in err and "Warning" not in err, (option, err)
+    assert err.count("\n") <= 1, (option, err)
+    if code == 2:
+        assert err.startswith(f"config error: {flag}: "), (option, err)
 
 
 class _FillingFile:
