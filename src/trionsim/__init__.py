@@ -7,7 +7,8 @@ from .core import (CIRCULAR, MU_B_EV_PER_T, PLANCK_EV_S, DeviceParams,
                    NoiseKind, NoiseModel, NoiseTarget, Pol, jones_vector,
                    larmor_frequency, orthogonal, pol_from_label, project,
                    zeeman_splitting)
-from .dynamics import (addressed_z, cw_branch_contrast, precessed_z,
+from .dynamics import (addressed_z, cw_branch_contrast, half_angle_shift,
+                       half_angle_weight, precessed_r_probability,
                        r_probability)
 from .montecarlo import (EVENT_DTYPE, EventStream, ProtocolConfig,
                          ProtocolKind, resolve_workers, run)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import fields, replace
 from functools import partial
@@ -39,8 +40,21 @@ EXIT_IO = 3
 EXIT_NOCONV = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a token of a minus sign and a digit
+    (or a point and a digit) as a value, as Python 3.13's does, so that
+    `--t0 -1e-300` gives --t0 its number; older versions read only
+    `-<digits>` and `-<digits>.<digits>` as numbers and took the
+    exponent form for an unknown option.  Its subcommands' parsers are of
+    this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trionsim",
         description="Four-level trion spin simulator and analysis chain")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .rng import gaussian, lorentzian
+
 MU_B_EV_PER_T = 5.7883818e-5
 PLANCK_EV_S = 4.135667696e-15
 
@@ -220,14 +222,12 @@ class NoiseModel:
             NoiseTarget.EXCITED, NoiseTarget.BOTH)
 
     def sample(self, rng: np.random.Generator, size):
-        """Draw frequency offsets in Hz."""
+        """Draw frequency offsets in Hz, one `rng` word per value."""
         if self.kind is NoiseKind.NONE or self.width_hz == 0.0:
             return np.zeros(size)
         if self.kind is NoiseKind.LORENTZIAN:
-            x = rng.standard_cauchy(size)
-            x *= self.width_hz  # in place: a cw jitter matrix is large
-            return x
-        return rng.normal(0.0, self.width_hz, size)
+            return lorentzian(rng, self.width_hz, size)
+        return gaussian(rng, self.width_hz, size)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind.value, "width_hz": self.width_hz,

@@ -349,43 +349,47 @@ def count_photon_maps(photon1, photon2, config, first_shot: int,
     # position of each shot's photon 2, -1 where none was recorded
     at2 = np.full(n_shots, -1, dtype=np.int64)
     at2[shot2] = np.arange(shot2.size)
-    j = at2[shot1]
+    j = at2.take(shot1)
     i = np.flatnonzero(j >= 0)
-    j = j[i]
-    apart = ch1[i] != ch2[j]
-    i, j = i[apart], j[apart]
-    first_on_0 = ch1[i] == 0
+    j = j.take(i)
+    apart = np.flatnonzero(ch1.take(i) != ch2.take(j))
+    i, j = i.take(apart), j.take(apart)
+    first_on_0 = ch1.take(i) == 0
     # within-shot times as (event time) - shot * stride_s
-    base = (first_shot + shot1[i]) * config.stride_s
-    w1 = (base + tau1[i]) - base
-    w2 = (base + tau2[j]) - base
+    base = (first_shot + shot1.take(i)) * config.stride_s
+    w1 = (base + tau1.take(i)) - base
+    w2 = (base + tau2.take(j)) - base
     t1 = np.where(first_on_0, w1, w2)
     t2 = np.where(first_on_0, w2, w1) - config.pulse_delay_s
-    proj = np.where(first_on_0, proj2[j], proj1[i])
+    proj = np.where(first_on_0, proj2.take(j), proj1.take(i))
     return _pair_maps(t1, t2, proj, n_shots, t1_edges)
 
 
 def _pair_maps(t1, t2, proj, n_shots, t1_edges=None, t2_edges=None) -> tuple:
     """The R and L maps of the (t1, t2) pairs of the shots used out of
     `n_shots`, each pair in the map of its channel-1 projection `proj`;
-    edges left as None take MAP_EDGES."""
+    edges left as None take MAP_EDGES.  Only the pairs whose t1 falls
+    inside the t1 edges have their t2 binned."""
     t1_edges = MAP_EDGES if t1_edges is None else np.asarray(t1_edges, float)
     t2_edges = MAP_EDGES if t2_edges is None else np.asarray(t2_edges, float)
-    k1 = np.searchsorted(t1_edges, t1, side="right") - 1
-    k2 = np.searchsorted(t2_edges, t2, side="right") - 1
     n1, n2 = t1_edges.size - 1, t2_edges.size - 1
-    ok = (k1 >= 0) & (k1 < n1) & (k2 >= 0) & (k2 < n2)
-    flat = k1 * n2 + k2
+    k1 = np.searchsorted(t1_edges, t1, side="right") - 1
+    at = np.flatnonzero((k1 >= 0) & (k1 < n1))
+    k2 = np.searchsorted(t2_edges, t2.take(at), side="right") - 1
+    ok = np.flatnonzero((k2 >= 0) & (k2 < n2))
+    at = at.take(ok)
+    flat = k1.take(at) * n2 + k2.take(ok)
+    proj_ok = proj.take(at)
 
-    def one(mine):
-        hit = mine & ok
-        counts = np.bincount(flat[hit], minlength=n1 * n2)
-        used = int(np.count_nonzero(mine))
+    def one(label):
+        flat_mine = np.compress(proj_ok == label, flat)
+        counts = np.bincount(flat_mine, minlength=n1 * n2)
+        used = int(np.count_nonzero(proj == label))
         return Map2D(t1_edges, t2_edges,
                      counts.reshape(n1, n2).astype(np.int64),
                      {"shots_used": used, "shots_dropped": int(n_shots - used),
-                      "pairs_in_range": int(np.count_nonzero(hit))})
-    return one(proj == int(Pol.R)), one(proj == int(Pol.L))
+                      "pairs_in_range": int(flat_mine.size)})
+    return one(int(Pol.R)), one(int(Pol.L))
 
 
 def slice_map(map2d: Map2D, t1_fixed: float,

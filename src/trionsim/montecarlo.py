@@ -5,7 +5,10 @@ cw polarization-resolved autocorrelation, pulsed two-photon heralding,
 and the zero-field circular-memory measurement.
 
 Spin bookkeeping: every precession and selection rule, and the Bloch
-sign convention, comes from the kernel in `dynamics`.
+sign convention, comes from the kernel in `dynamics`.  A branch or
+success probability is a squared cosine of a half angle, which the
+kernel takes from numpy's vectorised tangent; the cw loop keeps half its
+hole phase and folds a hole's sign into its stored half-phase reference.
 
 Determinism: work is cut into fixed-size batches and every batch draws
 from its own counter-based stream keyed by (seed, protocol, batch index).
@@ -17,13 +20,19 @@ count.  Shots (and cw segments) are statistically independent of each
 other.  The pulsed engine draws only for the photons that exist, and the
 cw engine only for its live segments and its successes, so their later
 draw sizes follow counts taken from earlier draws, within the same
-stream.
+stream.  Every draw is one uniform double per value, turned into its
+distribution by a transform in `rng` (exponential delays, Lorentzian or
+Gaussian jitter, channels), so the events depend on the Philox words and
+those transforms, not on numpy's `Generator` methods.
 
 Detection: every engine ends in one step, `_recorded`, which routes
 each photon to a channel and draws whether it passes that channel's
 projector and whether it is detected.  It reads the pass probability,
 the recorded label and the keep flag from small lookup tables of the
 config's channels, so a photon costs its draws and a few table reads.
+The engines select entries by index (`flatnonzero`, `take`, or
+`compress` in place of a boolean mask), and the heralded sweep builds no
+array over a batch's shots but the initial-state draw.
 
 Order: every batch returns its events in (shot, time) order, and the
 batches cover increasing shot ranges, so `run` appends them to its spool
@@ -62,9 +71,10 @@ import numpy as np
 from .core import (CIRCULAR, ConfigError, DeviceParams, Pol, as_enum,
                    as_int, as_number, as_pols, check_keys, construct,
                    jones_vector, orthogonal, pol_from_label, project)
-from .dynamics import (addressed_z, cw_branch_contrast, precessed_z,
+from .dynamics import (addressed_z, cw_branch_contrast, half_angle_shift,
+                       half_angle_weight, precessed_r_probability,
                        r_probability)
-from .rng import substream
+from .rng import channels, exponential, substream
 
 EVENT_DTYPE = np.dtype([
     ("shot", "<u4"),
@@ -92,6 +102,10 @@ CW_JITTER_CELLS_MAX = 2 ** 24
 # Event times are stored as float64 shot * stride + t; from 2^13 s on
 # their ULP exceeds 1 ps, a tenth of the finest (10 ps) analysis bins.
 EVENT_TIME_MAX_S = 2.0 ** 13
+
+# Bloch z of a hole eigenstate, indexed by whether it is the R one
+_SIGN = np.array([-1.0, 1.0])
+_SIGN.setflags(write=False)
 
 # |<b|a>|^2 for all label pairs, indexed by the Pol wire codes.
 _PROJ = np.array([[project(jones_vector(a), b) for b in Pol] for a in Pol])
@@ -334,14 +348,14 @@ def _recorded(rng, config, shot, is_r, t):
     A photon goes to a uniformly drawn channel and passes its projector
     with the probability of its branch's label.  The draws are the
     channels (with more than one channel), the pass uniforms, then the
-    efficiency uniforms (efficiency below 1), n of each, so the stream
-    consumption depends only on the config and n.  The uniforms are
-    drawn and compared `_SPOOL_BLOCK` at a time, which holds no
-    photon-long float array: a Philox double takes one 64-bit word, so
-    the blocks draw what one call would.  The channels stay one call,
-    since bounded integer draws buffer within a call.  Records are taken
-    with boolean masks; when every photon is recorded the inputs come
-    back as they are.
+    efficiency uniforms (efficiency below 1), n of each, one word each
+    (`rng`), so the stream consumption depends only on the config and n.
+    Each kind is drawn `_SPOOL_BLOCK` at a time, which holds no
+    photon-long float array and draws what one call would.  The table
+    cells of a block are taken as uint8, widened to index the tables
+    (`take`), so no photon-long index array is made either.  Records are
+    taken with `np.compress`; when every photon is recorded the inputs
+    come back as they are.
     """
     det_pols = config.det_pols
     n, nch = shot.shape[0], len(det_pols)
@@ -357,25 +371,31 @@ def _recorded(rng, config, shot, is_r, t):
     label = np.array([int(p[-1]) for p in det_pols] + first, dtype=np.uint8)
     keep_table = None if all(split) else np.array(split + [True] * nch)
 
-    ch = rng.integers(0, nch, n, dtype=np.uint8) if nch > 1 \
-        else np.zeros(n, dtype=np.uint8)
-    # the branch cell of each photon, then in place its pass cell
-    cell = is_r.view(np.uint8) * nch + ch
     blocks = [slice(lo, lo + _SPOOL_BLOCK) for lo in range(0, n, _SPOOL_BLOCK)]
+    ch = np.zeros(n, dtype=np.uint8)
+    if nch > 1:
+        for b in blocks:
+            ch[b] = channels(rng, nch, ch[b].size)
+    proj = np.empty(n, dtype=np.uint8)
+    keep = None if keep_table is None else np.empty(n, dtype=bool)
     for b in blocks:
-        passes = rng.random(ch[b].size) < p_pass[cell[b]]
-        cell[b] = passes.view(np.uint8) * nch + ch[b]
-    keep = None if keep_table is None else keep_table[cell]
+        # the branch cell of each photon, then its pass cell
+        cell = is_r[b].view(np.uint8) * nch + ch[b]
+        passes = rng.random(cell.size) < p_pass.take(cell.astype(np.intp))
+        cell = (passes.view(np.uint8) * nch + ch[b]).astype(np.intp)
+        label.take(cell, out=proj[b])
+        if keep is not None:
+            keep_table.take(cell, out=keep[b])
     if config.detection_efficiency < 1.0:
         detected = np.empty(n, dtype=bool)
         for b in blocks:
             np.less(rng.random(ch[b].size), config.detection_efficiency,
                     out=detected[b])
-        keep = detected if keep is None else keep & detected
+        keep = detected if keep is None else np.logical_and(
+            keep, detected, out=keep)
     if keep is None:
-        return shot, ch, label[cell], t
-    cell = cell[keep]
-    return shot[keep], cell % nch, label[cell], t[keep]
+        return shot, ch, proj, t
+    return tuple(np.compress(keep, a) for a in (shot, ch, proj, t))
 
 
 def _decay(rng, device, s, n):
@@ -383,11 +403,16 @@ def _decay(rng, device, s, n):
     Bloch z `s`: the depolarizing preparation gives the correct trion
     eigenstate with (1+p)/2, which precesses at f_e (plus the excited
     jitter) until it decays."""
-    z_t0 = np.where(rng.random(n) < 0.5 * (1.0 + device.p_mem), s, -s)
-    tau = rng.exponential(device.t1_s, n)
-    df = device.noise.sample(rng, n) if device.noise.affects_excited else 0.0
-    z_t = precessed_z(z_t0, 2.0 * math.pi * (device.f_e_hz + df) * tau)
-    return tau, rng.random(n) < r_probability(z_t)
+    correct = rng.random(n) < 0.5 * (1.0 + device.p_mem)
+    tau = exponential(rng, device.t1_s, n)
+    theta = device.noise.sample(rng, n) if device.noise.affects_excited \
+        else np.zeros(n)
+    theta += device.f_e_hz
+    theta *= tau
+    theta *= 2.0 * math.pi
+    z_t0 = (s * _SIGN).take(correct.view(np.uint8))
+    p_r = precessed_r_probability(z_t0, theta, out=theta)
+    return tau, rng.random(n) < p_r
 
 
 def _lifetime_batch(device, config, batch_index, start_shot, n):
@@ -419,19 +444,28 @@ def _photon2(rng, device, config, shot, z_g, t_g):
     """The recorded photon 2 of the entries of `shot` (in shot order)
     whose hole sits in the ground state at pulse 2 (`t_g` > 0) and is
     excited there, and the count of those emissions.  `z_g` and `t_g`
-    hold, per in-batch shot, the hole Bloch z the precession starts from
-    and its time in the ground state before pulse 2."""
-    shot = shot[t_g[shot] > 0.0]
-    shot = shot[rng.random(shot.size) < device.p_mem]
+    hold, per entry, the hole Bloch z the precession starts from and its
+    time in the ground state before pulse 2."""
+    at = np.flatnonzero(t_g > 0.0)
+    at = at.take(np.flatnonzero(rng.random(at.size) < device.p_mem))
+    shot, z_g, t_g = (a.take(at) for a in (shot, z_g, t_g))
     n2 = shot.size
     noise = device.noise
-    df_h = noise.sample(rng, n2) if noise.affects_ground else 0.0
-    tau2 = rng.exponential(device.t1_s, n2)
-    df_e = noise.sample(rng, n2) if noise.affects_excited else 0.0
-    theta = (2.0 * math.pi * (device.f_h_hz + df_h) * t_g[shot]
-             + 2.0 * math.pi * (device.f_e_hz + df_e) * tau2)
-    is_r = rng.random(n2) < r_probability(precessed_z(z_g[shot], theta))
-    return _recorded(rng, config, shot, is_r, config.pulse_delay_s + tau2), n2
+    # the precession angle, 2 pi ((f_h + df_h) t_g + (f_e + df_e) tau2)
+    theta = noise.sample(rng, n2) if noise.affects_ground else np.zeros(n2)
+    tau2 = exponential(rng, device.t1_s, n2)
+    theta_e = noise.sample(rng, n2) if noise.affects_excited \
+        else np.zeros(n2)
+    theta += device.f_h_hz
+    theta *= t_g
+    theta_e += device.f_e_hz
+    theta_e *= tau2
+    theta += theta_e
+    theta *= 2.0 * math.pi
+    p_r = precessed_r_probability(z_g, theta, out=theta)
+    is_r = rng.random(n2) < p_r
+    tau2 += config.pulse_delay_s
+    return _recorded(rng, config, shot, is_r, tau2), n2
 
 
 def pulsed_photons(task, heralded_only=False):
@@ -462,35 +496,44 @@ def pulsed_photons(task, heralded_only=False):
     shot order, then the others in shot order.  With `heralded_only`
     the second substream is never built: photon 2 holds the heralded
     shots alone, the only ones that can form a pair, and `n_emitted`
-    counts photon 1 and the heralded shots' photon 2.
+    counts photon 1 and the heralded shots' photon 2.  That path holds
+    no array over all n shots but the initial-state draw: the heralded
+    shots' photon 2 starts from photon 1's recorded entries.
     """
     device, config, batch_index, _, n = task
     rng = substream(config.rng_seed, config.kind.value, batch_index)
     dt = config.pulse_delay_s
     s1 = addressed_z(config.exc_pols[0])
 
-    # hole Bloch z from the initial eigenstate; pulse 1 addresses s1
-    z_g = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    shot1 = np.flatnonzero(z_g == s1)
+    # the initial hole Bloch z is +1 where the uniform is below 1/2;
+    # pulse 1 excites the shots that start in s1
+    up = rng.random(n) < 0.5
+    shot1 = np.flatnonzero(up if s1 > 0.0 else ~up)
     tau1, is_r1 = _decay(rng, device, s1, shot1.size)
-    photon1 = _recorded(rng, config, shot1, is_r1, tau1)
+    # photon 1 recorded, with its entry of shot1 in place of the shot
+    at1, ch1, proj1, t1 = _recorded(rng, config, np.arange(shot1.size),
+                                    is_r1, tau1)
+    photon1 = (shot1.take(at1), ch1, proj1, t1)
 
     # ground state at pulse 2: an addressed shot precesses from its herald
     # for dt - tau1 (still in the trion if not positive), an unaddressed
     # one from its initial state for dt
-    z_g[shot1] = np.where(is_r1, 1.0, -1.0)
-    t_g = np.full(n, dt)
-    t_g[shot1] = dt - tau1
-    heralded = np.zeros(n, dtype=bool)
-    heralded[photon1[0]] = True
-    photon2, n2 = _photon2(rng, device, config, np.flatnonzero(heralded),
-                           z_g, t_g)
+    herald = _SIGN.take(is_r1.view(np.uint8))
+    photon2, n2 = _photon2(rng, device, config, photon1[0],
+                           herald.take(at1), dt - t1)
     if not heralded_only:
+        z_g = _SIGN.take(up.view(np.uint8))
+        z_g[shot1] = herald
+        t_g = np.full(n, dt)
+        t_g[shot1] = dt - tau1
+        rest = np.ones(n, dtype=bool)
+        rest[photon1[0]] = False
+        rest = np.flatnonzero(rest)
         unpaired = substream(config.rng_seed, config.kind.value,
                              batch_index, "unpaired")
-        rest, n_rest = _photon2(unpaired, device, config,
-                                np.flatnonzero(~heralded), z_g, t_g)
-        photon2 = tuple(np.concatenate(a) for a in zip(photon2, rest))
+        others, n_rest = _photon2(unpaired, device, config, rest,
+                                  z_g.take(rest), t_g.take(rest))
+        photon2 = tuple(np.concatenate(a) for a in zip(photon2, others))
         n2 += n_rest
     return photon1, photon2, {"n_shots": n, "n_emitted": shot1.size + n2}
 
@@ -503,30 +546,31 @@ def _pulsed_batch(device, config, batch_index, start_shot, n):
                            photon2), counters
 
 
-def _hole_phase(rng, device, n, n_win):
-    """The hole phase function phase(t, base) of the n rows of a cw batch,
-    `base` a row's first cell, its jitter matrix drawn from `rng` when the
-    ground state jitters.  The matrix lives only in the function."""
-    w_h = 2.0 * math.pi * device.f_h_hz
+def _hole_half_phase(rng, device, n, n_win):
+    """Half the hole phase, half_phase(t, base), of the n rows of a cw
+    batch, `base` a row's first cell, its jitter matrix drawn from `rng`
+    when the ground state jitters.  The matrix lives only in the
+    function."""
+    w_h = math.pi * device.f_h_hz
     win = CW_REDRAW_WINDOW_S
     if not device.noise.affects_ground:
         return lambda t, base: w_h * t
-    # hole phase in window k of row r: rate[r, k] t + off[r, k], that
-    # is w_h t + 2 pi (jitter cycles before k + delta[r, k] (t - k win))
+    # half the hole phase in window k of row r: rate[r, k] t + off[r, k],
+    # that is w_h t + pi (jitter cycles before k + delta[r, k] (t - k win))
     rate = device.noise.sample(rng, (n, n_win))
     off = np.cumsum(rate, axis=1)
     rows = max(1, _SPOOL_BLOCK // n_win)  # a block of rows at a time
     for lo in range(0, n, rows):
         off[lo:lo + rows] -= rate[lo:lo + rows] * np.arange(1, n_win + 1)
-    off *= 2.0 * math.pi * win
-    rate *= 2.0 * math.pi
+    off *= math.pi * win
+    rate *= math.pi
     rate += w_h
     rate, off = rate.ravel(), off.ravel()
 
-    def phase(t, base):
+    def half_phase(t, base):
         j = base + np.minimum((t * (1.0 / win)).astype(np.int64), n_win - 1)
         return rate[j] * t + off[j]
-    return phase
+    return half_phase
 
 
 def _grown(a, used):
@@ -550,7 +594,7 @@ def _compacted(a, keep):
     n = 0
     for lo in range(0, keep.size, _SPOOL_BLOCK):
         hi = min(lo + _SPOOL_BLOCK, keep.size)
-        kept = a[lo:hi][keep[lo:hi]]
+        kept = np.compress(keep[lo:hi], a[lo:hi])
         a[n:n + kept.size] = kept
         n += kept.size
     return a[:n]
@@ -588,28 +632,33 @@ def cw_photons(task):
     """
     device, config, batch_index, start_seg, n = task
     rng = substream(config.rng_seed, config.kind.value, batch_index)
-    p_half = device.p_mem * 0.5
     seg_len = config.segment_length_s
     pump = config.pump_rate_hz
     s_addr = addressed_z(config.exc_pols[0])
     n_win = int(math.ceil(seg_len / CW_REDRAW_WINDOW_S)) + 1
 
-    phase = _hole_phase(rng, device, n, n_win)
+    half_phase = _hole_half_phase(rng, device, n, n_win)
     if not device.noise.affects_excited:
         p_r = r_probability(s_addr * cw_branch_contrast(device.f_e_hz,
                                                         device.t1_s))
 
-    # per live segment: in-batch index, jitter-row base, clock, reference
-    # phase and the signed success amplitude s_addr * (hole Bloch z)
+    # per live segment: in-batch index, jitter-row base, clock, and the
+    # half-phase reference: half the hole phase at the last emission (0
+    # at the start) less the half-angle shift of the success amplitude
+    # s_addr * (hole Bloch z), so that an attempt succeeds with
+    # p_mem cos^2(half_phase - ref), p_mem (1 + amp cos(phase delta))/2
     seg = np.arange(n, dtype=np.uint16)
     base = np.arange(n) * n_win
-    clock, ref = np.zeros(n), np.zeros(n)
-    amp = s_addr * np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    signs = np.array([-s_addr, s_addr])  # amp after an L, an R emission
+    clock = np.zeros(n)
+    # the shift of a hole of Bloch z -1 (as an L emission leaves it) and
+    # +1 (an R one); a segment's hole starts in either with 1/2
+    shifts = half_angle_shift(s_addr * _SIGN)
+    ref = -shifts.take((rng.random(n) >= 0.5).view(np.uint8))
 
     # emissions in round order, in buffers that double when full, sized
     # 5% over the expected count: attempts at the pump rate succeed with
     # p_mem / 2 on average, and a success holds its segment for T1
+    p_half = device.p_mem * 0.5
     hit_hz = pump * p_half / (1.0 + pump * p_half * device.t1_s)
     size = int(1.05 * n * seg_len * hit_hz) + 16 * n
     ev_seg, ev_is_r, ev_time = (np.empty(size, dtype=t)
@@ -619,15 +668,17 @@ def cw_photons(task):
     for _ in range(guard):
         if not seg.size:
             break
-        t_att = clock + rng.exponential(1.0 / pump, seg.size)
+        t_att = clock + exponential(rng, 1.0 / pump, seg.size)
         if t_att.max() >= seg_len:
             live = t_att < seg_len
-            seg, base, ref, amp, t_att = (
-                a[live] for a in (seg, base, ref, amp, t_att))
+            seg, base, ref, t_att = (np.compress(live, a)
+                                     for a in (seg, base, ref, t_att))
         attempts += seg.size
-        hit = (rng.random(seg.size) < p_half * (
-            1.0 + precessed_z(amp, phase(t_att, base) - ref))).nonzero()[0]
-        t_em = t_att[hit] + rng.exponential(device.t1_s, hit.size)
+        half = half_phase(t_att, base)
+        half -= ref
+        p_hit = half_angle_weight(half, device.p_mem, out=half)
+        hit = (rng.random(seg.size) < p_hit).nonzero()[0]
+        t_em = t_att[hit] + exponential(rng, device.t1_s, hit.size)
         if device.noise.affects_excited:
             p_r = r_probability(s_addr * cw_branch_contrast(
                 device.f_e_hz + device.noise.sample(rng, hit.size),
@@ -642,12 +693,11 @@ def cw_photons(task):
         # a success consumes the hole until the emission re-creates it
         clock = t_att
         clock[hit] = t_em
-        ref[hit] = phase(t_em, base[hit])
-        amp[hit] = signs[is_r.view(np.uint8)]
+        ref[hit] = half_phase(t_em, base[hit]) - shifts[is_r.view(np.uint8)]
     else:
         raise RuntimeError("cw segment loop exceeded its iteration guard")
 
-    del phase  # and with it the jitter matrices
+    del half_phase  # and with it the jitter matrices
 
     # the emissions inside their segment, moved to the front of the loop
     # buffers in place

@@ -8,9 +8,11 @@ polarization-resolved decay trace with its contrast, and the heralded
 contrast env(dt) cos(2 pi f_h dt).  Nothing in `trionsim` runs them;
 only the tests import this module.
 
-`recorded_whole` is the engines' detection step as it was before its
-uniform draws were taken a block at a time: whole-array draws, which the
-blocked step must reproduce exactly.
+`precessed_z` is the cosine form of the precession that the engines'
+half-angle kernel replaced.  `recorded_whole` is the engines' detection
+step as it was before its draws were taken a block at a time:
+whole-array draws of the same `rng` transforms, which the blocked step
+must reproduce exactly.
 
 The stream helpers at the end hold a whole stream in memory
 (`EventStream`): they join the blocks of a spooled `montecarlo.run` or
@@ -40,6 +42,7 @@ from trionsim import montecarlo
 from trionsim.events_io import (_CSV_COLUMNS, _CSV_MAGIC, _CSV_ROW, _TRAILER,
                                 MAGIC, _canonical, read_events)
 from trionsim.montecarlo import _PROJ, EVENT_DTYPE, ProtocolConfig
+from trionsim.rng import channels
 
 
 class Subspace(enum.Enum):
@@ -155,6 +158,13 @@ def make_propagator(params: DeviceParams, subspace: Subspace, dt_s: float) -> Pr
     g = params.g_h if subspace is Subspace.GROUND else params.g_e
     f = larmor_frequency(g, params.b_x_t)
     return Propagator2(rotation_x(2.0 * math.pi * f * dt_s), dt_s, subspace)
+
+
+def precessed_z(z0, theta):
+    """Bloch z of an eigenstate of Bloch z `z0` precessed by `theta` about
+    x: the cosine form of the rotation that the engines' half-angle
+    kernel (`dynamics.precessed_r_probability`) is checked against."""
+    return z0 * np.cos(theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,8 +288,7 @@ def recorded_whole(rng, config, shot, is_r, t):
     label = np.array([int(p[-1]) for p in det_pols] + first, dtype=np.uint8)
     keep_table = None if all(split) else np.array(split + [True] * nch)
 
-    ch = rng.integers(0, nch, n, dtype=np.uint8) if nch > 1 \
-        else np.zeros(n, dtype=np.uint8)
+    ch = channels(rng, nch, n) if nch > 1 else np.zeros(n, dtype=np.uint8)
     passes = rng.random(n) < p_pass[is_r.view(np.uint8) * nch + ch]
     cell = passes.view(np.uint8) * nch + ch
     keep = None if keep_table is None else keep_table[cell]

@@ -19,7 +19,9 @@ from trionsim.core import (
 from trionsim.dynamics import (
     addressed_z,
     cw_branch_contrast,
-    precessed_z,
+    half_angle_shift,
+    half_angle_weight,
+    precessed_r_probability,
     r_probability,
 )
 
@@ -35,6 +37,7 @@ from oracles import (
     lifetime_docp,
     lifetime_trace,
     make_propagator,
+    precessed_z,
     rotation_x,
 )
 
@@ -316,15 +319,17 @@ def test_precessed_eigenstates_match_the_propagator():
                 z0.append(_bloch_yz(state)[1])
                 theta.append(2.0 * math.pi * _larmor(dev, sub) * dt)
                 want_z.append(_bloch_yz(_propagate(state, dev, dt))[1])
-        z0, theta = np.array(z0), np.array(theta)
+        z0, theta, want_z = np.array(z0), np.array(theta), np.array(want_z)
         assert np.abs(precessed_z(z0, theta) - want_z).max() < 1e-12
+        assert np.abs(precessed_r_probability(z0, theta)
+                      - r_probability(want_z)).max() < 1e-12
 
 
 def test_ground_then_trion_precession_is_one_rotation():
     # the pulsed photon 2: a hole eigenstate precesses in the ground
     # doublet, pulse 2 lifts its amplitudes to the trion doublet, and the
-    # trion precesses until it emits; both rotate about x, so the trion's
-    # Bloch z is precessed_z(z0, theta_h + theta_e)
+    # trion precesses until it emits; both rotate about x, so the trion
+    # emits R with precessed_r_probability(z0, theta_h + theta_e)
     rng = np.random.default_rng(29)
     z0, theta, want = [], [], []
     for _ in range(60):
@@ -333,12 +338,69 @@ def test_ground_then_trion_precession_is_one_rotation():
         for hole in (SpinHalfState.hole_up(), SpinHalfState.hole_down()):
             ground = _propagate(hole, dev, dt_h)
             trion = SpinHalfState(ground.amplitudes, Subspace.TRION)
-            want.append(_bloch_yz(_propagate(trion, dev, dt_e))[1])
+            want.append(emit_amplitudes(_propagate(trion, dev, dt_e))[1]
+                        .weight)
             z0.append(_bloch_yz(hole)[1])
             theta.append(2.0 * math.pi * (dev.f_h_hz * dt_h
                                           + dev.f_e_hz * dt_e))
-    assert np.abs(precessed_z(np.array(z0), np.array(theta))
-                  - want).max() < 1e-12
+    z0, theta = np.array(z0), np.array(theta)
+    assert np.abs(r_probability(precessed_z(z0, theta)) - want).max() < 1e-12
+    assert np.abs(precessed_r_probability(z0, theta) - want).max() < 1e-12
+
+
+def _kernel_angles(rng):
+    """Angles for the exact kernel checks: 0 (the tangent is 0), odd
+    multiples of pi (the tangent of the half angle is near 1e16, its
+    square near 1e32), and magnitudes from 1e-6 to 1e12 of either sign."""
+    mag = 10.0 ** rng.uniform(-6.0, 12.0, 3000)
+    return np.concatenate([
+        [0.0, -0.0, 1e12, -1e12],
+        (2.0 * np.arange(-40, 41) + 1.0) * math.pi,
+        (2.0 * rng.integers(-10 ** 9, 10 ** 9, 40) + 1.0) * math.pi,
+        np.where(rng.random(mag.size) < 0.5, -mag, mag)])
+
+
+@pytest.mark.parametrize("z0", [1.0, -1.0])
+def test_half_angle_kernel_is_exact(z0):
+    # (1 + z0 cos theta)/2 from the half-angle tangent, against numpy's
+    # cosine and the spinor layer, within 1e-12 for |theta| up to 1e12
+    theta = _kernel_angles(np.random.default_rng(30))
+    got = precessed_r_probability(np.full(theta.size, z0), theta)
+    assert not np.any(np.isnan(got))
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    assert np.abs(got - r_probability(precessed_z(z0, theta))).max() < 1e-12
+    assert got[0] == got[1] == r_probability(z0)
+    odd = np.arange(4, 4 + 81 + 40)
+    assert np.abs(got[odd] - r_probability(-z0)).max() < 1e-12
+    # the spinor layer: the trion eigenstate of Bloch z z0 rotated by
+    # theta about x, weighed by the selection rules (the R branch)
+    trion = SpinHalfState.trion_down() if z0 > 0 else \
+        SpinHalfState.trion_up()
+    assert _bloch_yz(trion)[1] == z0
+    for th, p in zip(theta[::7], got[::7]):
+        state = Propagator2(rotation_x(th), 0.0, Subspace.TRION).apply(trion)
+        assert abs(p - emit_amplitudes(state)[1].weight) < 1e-12
+    # a scalar angle and a scalar z0 give the same value as a 0-d array
+    assert float(precessed_r_probability(z0, 1e12)) == got[2]
+
+
+def test_shifted_half_angle_weight_is_the_r_weight():
+    # the cw loop's form: scale cos^2(theta/2 + shift(z0)) is
+    # scale (1 + z0 cos theta)/2; adding the shift rounds the half angle
+    # to its ulp, so the check runs to |theta| of 1e3
+    rng = np.random.default_rng(31)
+    theta = rng.uniform(-1e3, 1e3, 4000)
+    theta[:81] = (2.0 * np.arange(-40, 41) + 1.0) * math.pi
+    z0 = np.where(rng.random(theta.size) < 0.5, -1.0, 1.0)
+    got = half_angle_weight(0.5 * theta + half_angle_shift(z0), 0.7)
+    assert np.all((got >= 0.0) & (got <= 0.7))
+    assert np.abs(got - 0.7 * r_probability(precessed_z(z0, theta))).max() \
+        < 1e-12
+    assert half_angle_shift(1.0) == 0.0
+    assert half_angle_shift(-1.0) == 0.5 * math.pi
+    half = np.array([0.0, 0.25, 1e300])
+    out = half_angle_weight(half, out=half)
+    assert out is half and out[0] == 1.0 and 0.0 <= out[2] <= 1.0
 
 
 @pytest.mark.parametrize("f_t1", [0.02, 0.1, 0.3, 1.0, 3.0])

@@ -23,6 +23,10 @@ The detection step `_recorded` reads its pass probability, recorded
 label and keep flag from small per-channel tables.  It must equal the
 frozen `_detect` that it replaced, plus that step's mask and gather,
 exactly: every record and dtype, and the generator state after the call.
+
+The frozen copies take their draws through the same `rng` transforms as
+the engines (one uniform per value: channels, exponential delays and,
+through `NoiseModel.sample`, the jitter); their logic is kept as it was.
 """
 
 import itertools
@@ -36,22 +40,23 @@ from hypothesis import strategies as st
 from trionsim import montecarlo
 from trionsim.core import DeviceParams, NoiseModel, NoiseTarget, Pol
 from trionsim.correlator import MAP_BIN_S, build_map2d, count_photon_maps
-from trionsim.dynamics import addressed_z, precessed_z, r_probability
+from trionsim.dynamics import addressed_z, r_probability
 from trionsim.montecarlo import (_PROJ, CW_REDRAW_WINDOW_S, LIFETIME_BATCH,
                                  ProtocolConfig, ProtocolKind, _cw_batch,
                                  make_events, _pulsed_batch, _pulsed_records,
                                  _recorded, batch_tasks, pulsed_photons,
                                  run_batch)
 from trionsim.pipelines import sliced_docp
-from trionsim.rng import substream
+from trionsim.rng import channels, exponential, substream
 
 from oracles import (EventStream, correlate_stream, gaussian_from_t2star,
-                     recorded_whole, run)
+                     precessed_z, recorded_whole, run)
 
 
 def _detect(photon_codes, rng, det_pols, efficiency):
-    """The detection step before it was table-driven, kept as it was; the
-    frozen engines below call it.
+    """The detection step before it was table-driven, kept as it was but
+    for its channel draw, `rng.channels`; the frozen engines below call
+    it.
 
     Route photons over channels and sample the recorded projection.
 
@@ -61,7 +66,7 @@ def _detect(photon_codes, rng, det_pols, efficiency):
     n = photon_codes.shape[0]
     nch = len(det_pols)
     if nch > 1:
-        ch = rng.integers(0, nch, n, dtype=np.uint8)
+        ch = channels(rng, nch, n)
     else:
         ch = np.zeros(n, dtype=np.uint8)
     u = rng.random(n)
@@ -140,14 +145,14 @@ def _reference_cw_batch(device, config, batch_index, start_seg, n):
     for _ in range(guard):
         if not active.any():
             break
-        t_att = t_clock + rng.exponential(1.0 / pump, n)
+        t_att = t_clock + exponential(rng, 1.0 / pump, n)
         active &= t_att < seg_len
         ph_att = noise_phase(t_att)
         theta = 2.0 * math.pi * f_h * (t_att - t_reset) + (ph_att - ph_reset)
         b_z = s * np.cos(theta)
         u1 = rng.random(n)
         success = active & (u1 < p * 0.5 * (1.0 + s_addr * b_z))
-        tau = rng.exponential(device.t1_s, n)
+        tau = exponential(rng, device.t1_s, n)
         df_e = device.noise.sample(rng, n) if excited_noise else 0.0
         omega_t1 = 2.0 * math.pi * (f_e + df_e) * device.t1_s
         c_bar = 1.0 / (1.0 + omega_t1 ** 2)
@@ -208,12 +213,12 @@ def _reference_pulsed_batch(device, config, batch_index, start_shot, n):
 
     z0 = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     correct = rng.random(n) < 0.5 * (1.0 + p)
-    tau1 = rng.exponential(device.t1_s, n)
+    tau1 = exponential(rng, device.t1_s, n)
     df_e1 = device.noise.sample(rng, n) if device.noise.affects_excited else 0.0
     df_h = device.noise.sample(rng, n) if device.noise.affects_ground else 0.0
     u_b1 = rng.random(n)
     u_s2 = rng.random(n)
-    tau2 = rng.exponential(device.t1_s, n)
+    tau2 = exponential(rng, device.t1_s, n)
     df_e2 = device.noise.sample(rng, n) if device.noise.affects_excited else 0.0
     u_b2 = rng.random(n)
 

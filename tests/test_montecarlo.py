@@ -185,16 +185,16 @@ _GOLDEN_RUNS = {
     "lifetime": (0.15, lambda: ProtocolConfig.lifetime(
         70_000, 11, det_pols=((Pol.R,), (Pol.H, Pol.V)),
         detection_efficiency=0.8),
-        "6830d3247cfe25e625c9e8bfe9f27c9fae1a984d0b2d72434d6da3af1fd42f00"),
+        "26f87be3e56a5c650f1a92f561af4a871dbb3d681e5bfd6ac96b173b46c94041"),
     "docp_zero_field": (0.0, lambda: ProtocolConfig.docp_zero_field(
         70_000, 12),
-        "ae4801173a5911edc822fb111befe0618059d7a2164ec5c957991c4cc3465b3a"),
+        "5b8c3cb6c7d71dedc424b904c5b76c33c0b0402841da9e3058c3fa9411c20d4a"),
     "cw_g2": (0.0375, lambda: ProtocolConfig.cw(
         8_200, 13, pump_rate_hz=1e7, segment_length_s=2e-6),
-        "facbbf2b41173e3445c7eb93fffbf7ec17f5de0f13c810888d3d467033779a3f"),
+        "a5a915e0686c4c189aa371f6e6b0071376fc49497e6342215cbb5b7a9f509940"),
     "pulsed_2pc": (0.15, lambda: ProtocolConfig.pulsed(
         70_000, 14, pulse_delay_s=1.6e-9, detection_efficiency=0.9),
-        "6a521889cb93756f6fcda194f627ff89e33dc4a5385f4efd92bab62049551bb4"),
+        "9adf6d4286a3834c08bf3ab8ed45735338a230ee364a61807347639edeb84cfd"),
 }
 
 

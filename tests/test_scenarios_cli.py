@@ -783,6 +783,26 @@ def test_cli_fit_refuses_an_option_by_its_flag(tmp_path, capsys, args,
     assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
+def test_cli_reads_a_negative_exponent_form_as_the_option_value(tmp_path,
+                                                                  capsys):
+    # a value given as its own argument, as `-1e-300` and `-1e300`: argparse
+    # once took either for an unknown option and exited 2 with "expected
+    # one argument"
+    path = _fit_trace(tmp_path / "trace.csv")
+    report = tmp_path / "report.txt"
+    assert main(["fit", str(path), "--t0", "-1e-300", "-o",
+                 str(report)]) == 0
+    assert report.exists()
+    capsys.readouterr()
+    assert main(["fit", str(path), "--exclusion-window", "-1e300"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: --exclusion-window: must be finite and >= 0, "
+        "got -1e+300")
+    args = cli.build_parser().parse_args(
+        ["pipeline", "fig1d", "--scale", "-2.5E-3", "--seed", "-5"])
+    assert (args.scale, args.seed) == (-2.5e-3, -5)
+
+
 @pytest.mark.parametrize("fit, message", [
     ('{"fixed": {"alpha": Infinity}}',
      "analysis.fit.fixed.alpha: must be finite and in (0, 3], got inf"),
