@@ -352,10 +352,10 @@ def _recorded(rng, config, shot, is_r, t):
     (`rng`), so the stream consumption depends only on the config and n.
     Each kind is drawn `_SPOOL_BLOCK` at a time, which holds no
     photon-long float array and draws what one call would.  The table
-    cells of a block are taken as uint8, widened to index the tables
-    (`take`), so no photon-long index array is made either.  Records are
-    taken with `np.compress`; when every photon is recorded the inputs
-    come back as they are.
+    cells stay uint8, one byte a photon, and are widened to index the
+    tables (`take`) a block at a time, so no photon-long index array is
+    made either.  Records are taken with `np.compress`; when every
+    photon is recorded the inputs come back as they are.
     """
     det_pols = config.det_pols
     n, nch = shot.shape[0], len(det_pols)
@@ -376,16 +376,19 @@ def _recorded(rng, config, shot, is_r, t):
     if nch > 1:
         for b in blocks:
             ch[b] = channels(rng, nch, ch[b].size)
+    # the branch cell of each photon, then in place its pass cell
+    cell = is_r.view(np.uint8) * nch + ch
+    for b in blocks:
+        passes = rng.random(ch[b].size) < p_pass.take(cell[b].astype(np.intp))
+        cell[b] = passes.view(np.uint8) * nch + ch[b]
     proj = np.empty(n, dtype=np.uint8)
     keep = None if keep_table is None else np.empty(n, dtype=bool)
     for b in blocks:
-        # the branch cell of each photon, then its pass cell
-        cell = is_r[b].view(np.uint8) * nch + ch[b]
-        passes = rng.random(cell.size) < p_pass.take(cell.astype(np.intp))
-        cell = (passes.view(np.uint8) * nch + ch[b]).astype(np.intp)
-        label.take(cell, out=proj[b])
+        at = cell[b].astype(np.intp)
+        label.take(at, out=proj[b])
         if keep is not None:
-            keep_table.take(cell, out=keep[b])
+            keep_table.take(at, out=keep[b])
+    del cell
     if config.detection_efficiency < 1.0:
         detected = np.empty(n, dtype=bool)
         for b in blocks:

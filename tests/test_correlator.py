@@ -328,6 +328,43 @@ def test_map2d_pairs_each_shot_of_exactly_two_records():
     assert m_l.t2_edges[j[0]] <= 0.3e-9 < m_l.t2_edges[j[0] + 1]
 
 
+def test_map2d_counts_equal_a_pair_by_pair_count():
+    # one used shot per pair, with t1 and t2 each before, inside and past
+    # its edges: a pair counts only where both fall inside, and the maps
+    # bin t2 only for the pairs whose t1 does
+    rng = np.random.default_rng(8)
+    delay, n = 0.3e-9, 3000
+    t1_edges = 0.1e-9 + 20e-12 * np.arange(6)
+    t2_edges = 0.05e-9 + 37e-12 * np.arange(9)
+    t1 = rng.uniform(0.0, 0.3e-9, n)
+    t2 = rng.uniform(0.0, 0.5e-9, n)
+    proj = np.where(rng.random(n) < 0.5, int(Pol.R), int(Pol.L))
+    events = np.zeros(2 * n, dtype=EVENT_DTYPE)
+    events["shot"] = np.repeat(np.arange(n), 2)
+    events["channel"] = np.tile([0, 1], n)
+    events["projection"] = np.column_stack((np.full(n, int(Pol.R)),
+                                            proj)).ravel()
+    events["time"] = np.column_stack((t1, delay + t2)).ravel() \
+        + events["shot"] * 12.5e-9
+    config = ProtocolConfig.pulsed(n, 1, pulse_delay_s=delay)
+    maps = build_map2d(events, config, n, t1_edges, t2_edges)
+    held1 = events["time"][0::2] - np.arange(n) * 12.5e-9
+    held2 = events["time"][1::2] - np.arange(n) * 12.5e-9 - delay
+    for label, m in zip((Pol.R, Pol.L), maps):
+        want = np.zeros((5, 8), dtype=np.int64)
+        for a, b, p in zip(held1, held2, proj):
+            i = np.searchsorted(t1_edges, a, side="right") - 1
+            j = np.searchsorted(t2_edges, b, side="right") - 1
+            if p == int(label) and 0 <= i < 5 and 0 <= j < 8:
+                want[i, j] += 1
+        used = int(np.count_nonzero(proj == int(label)))
+        assert np.array_equal(m.counts, want)
+        assert m.diagnostics == {"shots_used": used,
+                                 "shots_dropped": n - used,
+                                 "pairs_in_range": int(want.sum())}
+        assert 0 < want.sum() < used
+
+
 @pytest.mark.parametrize("projection", [Pol.R, Pol.L])
 def test_map2d_of_batches_sums_to_whole_stream_map(projection):
     # three engine batches, the last one partial; each batch's events
