@@ -26,12 +26,12 @@ from .events_io import (EventFileError, compat_digest, read_events,
 from .fitkit import (FitOptionError, ShortTraceError, fit_damped_cosine,
                      fit_linear_zeeman, format_fit_report)
 from .montecarlo import ProtocolKind
-from .pipelines import (PRESETS, T1_SLICE_S, T1_SLICE_TOL_S,
+from .pipelines import (CW_WINDOW_S, PRESETS, T1_SLICE_S, T1_SLICE_TOL_S,
                         T2_FIT_WINDOW_S, add_counts, beat_fit, cw_histograms,
-                        delay_sweep_fits, digest_meta, histograms,
-                        lifetime_traces, output_directory, run_pipeline,
-                        sliced_docp, write_delay_csv, write_g2_csv,
-                        write_herald_maps)
+                        delay_sweep_fits, digest_meta, herald_maps,
+                        histograms, lifetime_traces, output_directory,
+                        run_pipeline, sliced_docp, write_delay_csv,
+                        write_g2_csv, write_herald_maps)
 from .scenarios import AnalysisOptions, ConfigError, load_scenario
 
 EXIT_OK = 0
@@ -159,13 +159,13 @@ def _read_files(paths):
 
 
 def _summed(file, reduce) -> tuple:
-    """The sums over the blocks of `file` of `reduce(records, n_shots)`,
-    a tuple of integer counts (arrays or maps) that add over disjoint runs
-    of shots (`add_counts`); `file.content_digest` is set once it
+    """The sums over the blocks of `file` of `reduce(records)`, a tuple
+    of integer counts (numbers or arrays) that add over disjoint runs of
+    shots (`add_counts`); `file.content_digest` is set once it
     returns."""
     total = None
     for block in file.blocks():
-        total = add_counts(total, reduce(*block))
+        total = add_counts(total, reduce(block))
     return total
 
 
@@ -245,8 +245,8 @@ def _analyze_lifetime(file, opts, outdir):
     # edges, and their refusals under `analysis`, before any record is read
     edges = construct(lifetime_edges, "analysis", file.device, file.config,
                       opts.bin_s, opts.span_s)
-    co, cross = histograms(edges, _summed(file, lambda block, _: tuple(
-        h.counts for h in bin_lifetime(block, file.config, edges))))
+    co, cross = histograms(edges, _summed(
+        file, lambda block: bin_lifetime(block, file.config, edges)))
     meta = digest_meta(file.content_digest)
     paths = [lifetime_traces(outdir, co, cross, meta),
              outdir / "lifetime_docp.csv"]
@@ -259,12 +259,12 @@ def _analyze_cw(file, opts, outdir):
     edges = construct(cw_window_edges, "analysis", file.config,
                       opts.window_s, opts.bin_s)
 
-    def reduce(block, _):
+    def reduce(block):
         records = (block["channel"], block["projection"], block["time"])
-        hists = cw_histograms(*records, edges)
+        counts = cw_histograms(*records, edges)
         if opts.start_stop:
-            hists += cw_histograms(*records, edges, start_stop=True)
-        return tuple(h.counts for h in hists)
+            counts += cw_histograms(*records, edges, start_stop=True)
+        return counts
 
     counts = _summed(file, reduce)
     raw = histograms(edges, counts[:2])
@@ -281,8 +281,8 @@ def _analyze_cw(file, opts, outdir):
 
 def _file_maps(file):
     """The R and L maps (`build_map2d`) of a pulsed file."""
-    return _summed(file, lambda block, n_shots: build_map2d(
-        block, file.config, n_shots))
+    return herald_maps(_summed(
+        file, lambda block: build_map2d(block, file.config)))
 
 
 def _analyze_pulsed(file, opts, outdir):
@@ -351,7 +351,7 @@ _ANALYSES = {
         _analyze_lifetime, {"bin_s": LIFETIME_BIN_S, "span_s": None}, None),
     "cw": (
         _analyze_cw,
-        {"bin_s": CW_BIN_S, "window_s": 100e-9, "normalize": None,
+        {"bin_s": CW_BIN_S, "window_s": CW_WINDOW_S, "normalize": None,
          "start_stop": None, "fit": None, "fit.variant": "cw"},
         ("fig2b_fit_report.txt", "cw docp damped cosine",
          partial(beat_fit, pin_envelope=False))),

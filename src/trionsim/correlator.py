@@ -7,8 +7,9 @@ merge-associative, and invariant under bin refinement.
 Each protocol kind has one reducer, which the `pipeline` workers call on
 an engine batch and `analyze` on a file's records: `bin_lifetime`,
 `correlate_cw` and `build_map2d`.  Each takes a run of whole shots and
-explicit edges, and returns raw counts that add over disjoint shot
-ranges.
+explicit edges, and returns raw integer counts that add over disjoint
+shot ranges (`correlate_cw` as a `Histogram1D`), from whose sums the
+caller builds each histogram or map once.
 
 The reducers rely on the order of every run of records where it enters
 (`montecarlo.run_batch` builds it, `events_io.EventFile.blocks` checks
@@ -20,7 +21,7 @@ each channel's times as sorted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,7 +107,6 @@ class Map2D:
     t1_edges: np.ndarray
     t2_edges: np.ndarray
     counts: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.counts.shape != (self.t1_edges.size - 1,
@@ -120,16 +120,6 @@ class Map2D:
     @property
     def t2_centers(self) -> np.ndarray:
         return 0.5 * (self.t2_edges[:-1] + self.t2_edges[1:])
-
-    def __add__(self, other: "Map2D") -> "Map2D":
-        """Counts and diagnostics of two maps of disjoint shot ranges."""
-        if not (np.array_equal(self.t1_edges, other.t1_edges)
-                and np.array_equal(self.t2_edges, other.t2_edges)):
-            raise ValueError("maps have different binning")
-        keys = {**self.diagnostics, **other.diagnostics}
-        return Map2D(self.t1_edges, self.t2_edges, self.counts + other.counts,
-                     {k: self.diagnostics.get(k, 0) + other.diagnostics.get(k, 0)
-                      for k in keys})
 
 
 def _bin_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -289,30 +279,29 @@ def lifetime_edges(device, config, bin_s: float = LIFETIME_BIN_S,
 
 
 def bin_lifetime(events: np.ndarray, config, edges) -> tuple:
-    """Raw co- and cross-polarized (to the excitation) histograms over
+    """The co- and cross-polarized (to the excitation) counts over
     `edges` of the within-shot detection times of `events`, records of a
-    run with `config`, taken in one pass."""
+    run with `config`, taken in one pass: two int64 arrays."""
     exc = config.exc_pols[0]
     # time - shot * stride_s, with no second record-long array
     t_rel = events["shot"] * config.stride_s
     np.subtract(events["time"], t_rel, out=t_rel)
     proj = events["projection"]
-    counts = (_bin_values(t_rel[proj == int(p)], edges)
-              for p in (exc, orthogonal(exc)))
-    return tuple(Histogram1D(edges, c, np.sqrt(c)) for c in counts)
+    return tuple(_bin_values(t_rel[proj == int(p)], edges)
+                 for p in (exc, orthogonal(exc)))
 
 
-def build_map2d(events: np.ndarray, config, n_shots: int,
-                t1_edges=None, t2_edges=None) -> tuple:
-    """The R and L maps of the events of `n_shots` shots of a run with
-    `config`, in (shot, time) order, paired in one pass.
+def build_map2d(events: np.ndarray, config, t1_edges=None,
+                t2_edges=None) -> tuple:
+    """The R and L map counts of the events of a run with `config`, in
+    (shot, time) order, paired in one pass (`_pair_maps`).
 
     t1 is the channel-0 click time after pulse 1, t2 the channel-1 click
     time after pulse 2, and the channel-1 click's projection picks the
     map.  A shot is used when it has exactly two records, one on each
-    channel; every other shot is dropped and tallied.  Maps of disjoint
-    shot ranges add up (`Map2D.__add__`) to the map of their union, so
-    each engine batch can be reduced on its own.
+    channel; every other shot is dropped.  The counts of disjoint shot
+    ranges add up to those of their union, so each engine batch can be
+    reduced on its own.
     """
     if config.kind is not ProtocolKind.PULSED_2PC:
         raise ValueError("two-photon maps need a pulsed_2pc stream")
@@ -328,21 +317,20 @@ def build_map2d(events: np.ndarray, config, n_shots: int,
     t1 = events["time"][i0] - shot[i0] * config.stride_s
     t2 = (events["time"][i1] - shot[i1] * config.stride_s
           - config.pulse_delay_s)
-    return _pair_maps(t1, t2, events["projection"][i1], n_shots,
-                      t1_edges, t2_edges)
+    return _pair_maps(t1, t2, events["projection"][i1], t1_edges, t2_edges)
 
 
 def count_photon_maps(photon1, photon2, config, first_shot: int,
                       n_shots: int, t1_edges=None) -> tuple:
-    """The R and L maps (`build_map2d`) of one pulsed batch, taken from
-    its recorded photons 1 and 2 as `montecarlo.pulsed_photons` returns
-    them, with no events built.
+    """The R and L map counts (`build_map2d`) of one pulsed batch of
+    `n_shots` shots, taken from its recorded photons 1 and 2 as
+    `montecarlo.pulsed_photons` returns them, with no events built.
 
     A shot has exactly one click per channel when both its photons are
     recorded on different channels; the channel-1 photon's projection
     picks its map.  Times are taken with the same float arithmetic as
-    the events' and `build_map2d`'s, so the maps equal `build_map2d` of
-    the batch's events (over the same edges) bit for bit.
+    the events' and `build_map2d`'s, so the counts equal `build_map2d`
+    of the batch's events (over the same edges) bit for bit.
     """
     shot1, ch1, proj1, tau1 = photon1
     shot2, ch2, proj2, tau2 = photon2
@@ -362,14 +350,16 @@ def count_photon_maps(photon1, photon2, config, first_shot: int,
     t1 = np.where(first_on_0, w1, w2)
     t2 = np.where(first_on_0, w2, w1) - config.pulse_delay_s
     proj = np.where(first_on_0, proj2.take(j), proj1.take(i))
-    return _pair_maps(t1, t2, proj, n_shots, t1_edges)
+    return _pair_maps(t1, t2, proj, t1_edges)
 
 
-def _pair_maps(t1, t2, proj, n_shots, t1_edges=None, t2_edges=None) -> tuple:
-    """The R and L maps of the (t1, t2) pairs of the shots used out of
-    `n_shots`, each pair in the map of its channel-1 projection `proj`;
-    edges left as None take MAP_EDGES.  Only the pairs whose t1 falls
-    inside the t1 edges have their t2 binned."""
+def _pair_maps(t1, t2, proj, t1_edges=None, t2_edges=None) -> tuple:
+    """(R counts, L counts, R pairs, L pairs) of the (t1, t2) pairs of
+    the shots used, each pair in the map of its channel-1 projection
+    `proj`: the maps as int64 arrays over (t1 bin, t2 bin), and each
+    map's count of pairs (its shots used), in range or not.  Edges left
+    as None take MAP_EDGES.  Only the pairs whose t1 falls inside the t1
+    edges have their t2 binned."""
     t1_edges = MAP_EDGES if t1_edges is None else np.asarray(t1_edges, float)
     t2_edges = MAP_EDGES if t2_edges is None else np.asarray(t2_edges, float)
     n1, n2 = t1_edges.size - 1, t2_edges.size - 1
@@ -380,24 +370,28 @@ def _pair_maps(t1, t2, proj, n_shots, t1_edges=None, t2_edges=None) -> tuple:
     at = at.take(ok)
     flat = k1.take(at) * n2 + k2.take(ok)
     proj_ok = proj.take(at)
+    labels = (int(Pol.R), int(Pol.L))
+    counts = (np.bincount(np.compress(proj_ok == label, flat),
+                          minlength=n1 * n2).reshape(n1, n2).astype(np.int64)
+              for label in labels)
+    return (*counts, *(int(np.count_nonzero(proj == label))
+                       for label in labels))
 
-    def one(label):
-        flat_mine = np.compress(proj_ok == label, flat)
-        counts = np.bincount(flat_mine, minlength=n1 * n2)
-        used = int(np.count_nonzero(proj == label))
-        return Map2D(t1_edges, t2_edges,
-                     counts.reshape(n1, n2).astype(np.int64),
-                     {"shots_used": used, "shots_dropped": int(n_shots - used),
-                      "pairs_in_range": int(flat_mine.size)})
-    return one(int(Pol.R)), one(int(Pol.L))
+
+def slice_rows(t1_edges, t1_fixed: float, tolerance_s: float) -> slice:
+    """The rows of a map over `t1_edges` that `slice_map` sums: those
+    whose centre lies within tolerance_s of t1_fixed."""
+    centers = 0.5 * (t1_edges[:-1] + t1_edges[1:])
+    rows = np.flatnonzero(abs(centers - t1_fixed) <= tolerance_s * (1 + 1e-9))
+    if not rows.size:
+        raise ValueError("no map rows inside the slice tolerance")
+    return slice(rows[0], rows[-1] + 1)
 
 
 def slice_map(map2d: Map2D, t1_fixed: float,
               tolerance_s: float) -> Histogram1D:
     """Marginalize rows with |t1 - t1_fixed| <= tolerance down to t2."""
-    rows = np.abs(map2d.t1_centers - t1_fixed) <= tolerance_s * (1 + 1e-9)
-    if not rows.any():
-        raise ValueError("no map rows inside the slice tolerance")
+    rows = slice_rows(map2d.t1_edges, t1_fixed, tolerance_s)
     counts = map2d.counts[rows].sum(axis=0)
     return Histogram1D(map2d.t2_edges, counts, np.sqrt(counts))
 

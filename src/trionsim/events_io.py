@@ -131,9 +131,8 @@ class EventFile:
         self._fh.close()
 
     def blocks(self):
-        """Yield (records, n_shots) pairs: the records in blocks of whole
-        shots, in file order, each with the number of shots it spans (the
-        spans tile [0, config.n_shots)); the last block may be empty.
+        """Yield the records in blocks of whole shots, in file order; the
+        last block may be empty.
 
         Each raw read is checked against the header (`_check_records`),
         from the record before it on, before any of it is yielded.  The
@@ -143,7 +142,7 @@ class EventFile:
         """
         digest = hashlib.sha256()
         carry = np.zeros(0, dtype=EVENT_DTYPE)
-        read = start = 0    # records read, first shot of the next block
+        read = 0    # records read
         with self._fh:
             for raw in self._reads():
                 digest.update(raw)
@@ -151,15 +150,12 @@ class EventFile:
                 _check_records(data, read - carry.size, self.config,
                                self._name)
                 read += raw.size
-                shots = data["shot"]
-                cut = int(np.searchsorted(shots, shots[-1]))
+                cut = int(np.searchsorted(data["shot"], data["shot"][-1]))
                 if cut:
-                    stop = int(shots[cut])
-                    yield data[:cut], stop - start
-                    start = stop
+                    yield data[:cut]
                 carry = data[cut:]
         self.content_digest = digest.hexdigest()
-        yield carry, self.config.n_shots - start
+        yield carry
 
     def _reads(self):
         """The records, _CHECK_BLOCK at a time (binary) or parsed from

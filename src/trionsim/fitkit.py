@@ -135,7 +135,6 @@ class FrequencyEstimate:
 class ZeemanFit:
     g: float
     sigma_g: float
-    slope_ev_per_t: float
     intercept_ev: float
     residual_sse: float
 
@@ -453,7 +452,7 @@ def fit_linear_zeeman(b_t, delta_e_ev, errors_ev=None,
     intercept = 0.0 if through_origin else float(coef[1])
     sigma_slope = math.sqrt(max(cov[0, 0], 0.0))
     return ZeemanFit(slope / MU_B_EV_PER_T, sigma_slope / MU_B_EV_PER_T,
-                     slope, intercept, sse)
+                     intercept, sse)
 
 
 def window_average(times, values, window) -> WindowAverage:

@@ -21,10 +21,11 @@ import numpy as np
 from . import montecarlo
 from .core import (ConfigError, DeviceParams, MU_B_EV_PER_T, NoiseModel,
                    PLANCK_EV_S, larmor_frequency)
-from .correlator import (MAP_EDGES, Histogram1D, bin_lifetime, build_map2d,
-                         correlate_cw, count_photon_maps, cw_window_edges,
-                         docp, lifetime_edges, plateau_normalized, slice_map,
-                         write_csv, write_docp_csv, write_map_csv)
+from .correlator import (MAP_EDGES, Histogram1D, Map2D, bin_lifetime,
+                         build_map2d, correlate_cw, count_photon_maps,
+                         cw_window_edges, docp, lifetime_edges,
+                         plateau_normalized, slice_map, slice_rows, write_csv,
+                         write_docp_csv, write_map_csv)
 from .fitkit import (fft_frequency, fit_damped_cosine, fit_linear_zeeman,
                      format_fit_report, loglog_trend, window_average)
 from .montecarlo import ProtocolConfig
@@ -40,20 +41,24 @@ G_E = 2.09
 # (co-polarized probability maximum at 150 mT), +/- one bin
 T1_SLICE_S = 228e-12
 T1_SLICE_TOL_S = 10e-12
-# the t1 edges of the map rows that slice sums, [220, 240) ps
-_SLICE_T1_EDGES = MAP_EDGES[22:25]
+# the t1 edges of the map rows that the slice sums, [220, 240) ps
+_SLICE_ROWS = slice_rows(MAP_EDGES, T1_SLICE_S, T1_SLICE_TOL_S)
+_SLICE_T1_EDGES = MAP_EDGES[_SLICE_ROWS.start:_SLICE_ROWS.stop + 1]
 T2_FIT_WINDOW_S = (50e-12, 270e-12)
 
-# pump sweep: nominal laser powers (uW) with their attempt rates; the
+# the correlation window of the cw presets and of `analyze`
+CW_WINDOW_S = 100e-9
+# pump sweep, one row per pump point: nominal laser power (uW), attempt
+# rate (Hz), segments at scale 1 and correlation window (s); the
 # power-to-rate mapping is a modeling choice, only the 20x span matters
-POWER_SWEEP = ((0.5, 2e7), (2.0, 8e7), (5.0, 2e8), (10.0, 4e8))
-_SWEEP_SEGMENTS = {2e7: 24576, 8e7: 8192, 2e8: 4096, 4e8: 2048}
-_SWEEP_WINDOWS = {2e7: 100e-9, 8e7: 60e-9, 2e8: 40e-9, 4e8: 30e-9}
+POWER_SWEEP = ((0.5, 2e7, 24576, 100e-9), (2.0, 8e7, 8192, 60e-9),
+               (5.0, 2e8, 4096, 40e-9), (10.0, 4e8, 2048, 30e-9))
 
 # reference values quoted for the device this model reproduces
 REF_G_E = 2.09
 REF_P_MEM = 0.865
 REF_G_H_CW = 0.35
+REF_B_CW_T = 0.0375
 REF_TAU_CW_S = 16.51e-9
 REF_G_H_PULSED = 0.362
 REF_T2STAR_S = 15.9e-9
@@ -107,8 +112,8 @@ def _map_runs(fn, runs, workers) -> list:
     one `montecarlo.map_batches` call.
 
     fn reduces one batch where it runs and returns (counts, events):
-    counts a tuple of integer counts (numbers, arrays or maps) that add
-    up over the batches of a run (`add_counts`), events the batch's event
+    counts a tuple of integer counts (numbers or arrays) that add up
+    over the batches of a run (`add_counts`), events the batch's event
     records or None.  Each run comes back as (summed counts, sha256 hex
     digest of the events in batch order, or None if fn returned none).
     `run` only concatenates its sorted batches, so that digest is the
@@ -132,7 +137,7 @@ def _map_runs(fn, runs, workers) -> list:
 
 def add_counts(total, counts) -> tuple:
     """`total` plus `counts` entry by entry, tuples of integer counts
-    (numbers, arrays or maps); a `total` of None holds none yet."""
+    (numbers or arrays); a `total` of None holds none yet."""
     if total is None:
         return counts
     return tuple(map(operator.add, total, counts))
@@ -159,8 +164,8 @@ def _lifetime_batch_counts(task):
     the digest."""
     batch, (edges, with_events) = task
     events, _ = montecarlo.run_batch(batch)
-    counts = tuple(h.counts for h in bin_lifetime(events, batch[1], edges))
-    return counts, events if with_events else None
+    return (bin_lifetime(events, batch[1], edges),
+            events if with_events else None)
 
 
 def lifetime_run_histograms(runs, workers=None, digest=False) -> list:
@@ -177,14 +182,14 @@ def _cw_batch_counts(task):
     when the task asks for the digest."""
     batch, (edges, with_events) = task
     photons, _ = montecarlo.cw_photons(batch)
-    counts = tuple(h.counts for h in cw_histograms(*photons[1:], edges))
-    return counts, montecarlo.make_events(*photons) if with_events else None
+    return (cw_histograms(*photons[1:], edges),
+            montecarlo.make_events(*photons) if with_events else None)
 
 
 def cw_run_histograms(runs, workers=None, digest=False) -> list:
     """(RR, RL, content digest) of every (device, config, window_s) cw
-    run: its raw `cw_histograms`.  cw pairs never cross a segment, so the
-    summed counts are the whole stream's."""
+    run: the raw histograms of its `cw_histograms` counts.  cw pairs
+    never cross a segment, so the summed counts are the whole stream's."""
     return _run_histograms(_cw_batch_counts, runs,
                            [cw_window_edges(c, w) for _, c, w in runs],
                            workers, digest)
@@ -292,7 +297,7 @@ def _run_fig1f(outdir, seed, scale, workers):
     return rows, [str(path), str(report)]
 
 
-def _cw_device(b_t: float = 0.0375, g_h: float = REF_G_H_CW,
+def _cw_device(b_t: float = REF_B_CW_T, g_h: float = REF_G_H_CW,
                t2star_s: float = REF_TAU_CW_S) -> DeviceParams:
     return _device(b_t=b_t, g_h=g_h,
                    noise=NoiseModel.lorentzian_from_t2star(t2star_s))
@@ -304,10 +309,10 @@ def _cw_config(n_segments, seed, pump_rate_hz=1e7):
 
 
 def cw_histograms(channel, projection, time, edges, start_stop=False):
-    """Raw RR and RL pair correlations (`correlate_cw`) over `edges` of
-    cw records given as field arrays in (segment, time) order."""
-    return tuple(correlate_cw(channel, projection, time, p, edges, start_stop)
-                 for p in ("RR", "RL"))
+    """The RR and RL pair counts (`correlate_cw`) over `edges` of cw
+    records given as field arrays in (segment, time) order."""
+    return tuple(correlate_cw(channel, projection, time, p, edges,
+                              start_stop).counts for p in ("RR", "RL"))
 
 
 def write_g2_csv(path, h_rr, h_rl, meta):
@@ -341,9 +346,9 @@ def cw_osc_params(h_rr, h_rl, window_s) -> dict:
 
 def _run_fig2a(outdir, seed, scale, workers):
     [(*hists, digest)] = cw_run_histograms(
-        [(_cw_device(), _cw_config(_n_of(scale, 8192), seed), 100e-9)],
+        [(_cw_device(), _cw_config(_n_of(scale, 8192), seed), CW_WINDOW_S)],
         workers, True)
-    h_rr, h_rl = (plateau_normalized(h, 100e-9) for h in hists)
+    h_rr, h_rl = (plateau_normalized(h, CW_WINDOW_S) for h in hists)
     path = outdir / "fig2a_g2.csv"
     write_g2_csv(path, h_rr, h_rl, digest_meta(digest))
     center = np.argmin(np.abs(h_rr.centers))
@@ -356,11 +361,11 @@ def _run_fig2a(outdir, seed, scale, workers):
 def _run_fig2b(outdir, seed, scale, workers):
     device = _cw_device()
     [(*hists, digest)] = cw_run_histograms(
-        [(device, _cw_config(_n_of(scale, 49152), seed), 100e-9)],
+        [(device, _cw_config(_n_of(scale, 49152), seed), CW_WINDOW_S)],
         workers, True)
     path = outdir / "fig2b_docp.csv"
     write_docp_csv(path, docp(*hists), digest_meta(digest))
-    osc = cw_osc_params(*hists, 100e-9)
+    osc = cw_osc_params(*hists, CW_WINDOW_S)
     f_hz = osc["frequency"]
     g_h = PLANCK_EV_S * f_hz / (MU_B_EV_PER_T * device.b_x_t)
     g_sigma = (PLANCK_EV_S * osc["frequency_sigma"]
@@ -374,7 +379,7 @@ def _run_fig2b(outdir, seed, scale, workers):
     rows = [
         SummaryRow("fig2b", "f_hz", device.f_h_hz,
                    f_hz, osc["frequency_sigma"],
-                   larmor_frequency(REF_G_H_CW, 0.0375)),
+                   larmor_frequency(REF_G_H_CW, REF_B_CW_T)),
         SummaryRow("fig2b", "g_h", device.g_h, g_h, g_sigma, REF_G_H_CW),
         SummaryRow("fig2b", "tau_s", REF_TAU_CW_S, osc["t2star"],
                    osc["t2star_sigma"], REF_TAU_CW_S),
@@ -390,10 +395,10 @@ def _run_fig2c(outdir, seed, scale, workers):
     fields = (0.025, 0.0375, 0.05, 0.075)
     # jitter width grows linearly with field (frequency-proportional
     # nuclear-field spread), pinned to the 37.5 mT reference point
-    runs = [(_cw_device(b_t=b_t, t2star_s=REF_TAU_CW_S * 0.0375 / b_t),
+    runs = [(_cw_device(b_t=b_t, t2star_s=REF_TAU_CW_S * REF_B_CW_T / b_t),
              _cw_config(_n_of(scale, 16384), derive_seed(seed, "b", i)),
-             100e-9) for i, b_t in enumerate(fields)]
-    oscs = [cw_osc_params(h_rr, h_rl, 100e-9)
+             CW_WINDOW_S) for i, b_t in enumerate(fields)]
+    oscs = [cw_osc_params(h_rr, h_rl, CW_WINDOW_S)
             for h_rr, h_rl, _ in cw_run_histograms(runs, workers)]
     freqs, f_sig, taus = (np.array([o[k] for o in oscs])
                           for k in ("frequency", "frequency_sigma", "t2star"))
@@ -417,11 +422,11 @@ def _run_fig2c(outdir, seed, scale, workers):
 def _pump_sweep(outdir, seed, scale, workers):
     """Shared cw power sweep; returns per-power oscillation parameters."""
     device = _cw_device()
-    runs = [(device, _cw_config(_n_of(scale, _SWEEP_SEGMENTS[pump]),
-                                derive_seed(seed, "p", i), pump),
-             _SWEEP_WINDOWS[pump]) for i, (_, pump) in enumerate(POWER_SWEEP)]
-    return [(power_uw, pump, cw_osc_params(h_rr, h_rl, _SWEEP_WINDOWS[pump]))
-            for (power_uw, pump), (h_rr, h_rl, _)
+    runs = [(device, _cw_config(_n_of(scale, segments),
+                                derive_seed(seed, "p", i), pump), window)
+            for i, (_, pump, segments, window) in enumerate(POWER_SWEEP)]
+    return [(power_uw, pump, cw_osc_params(h_rr, h_rl, window))
+            for (power_uw, pump, _, window), (h_rr, h_rl, _)
             in zip(POWER_SWEEP, cw_run_histograms(runs, workers))]
 
 
@@ -474,6 +479,11 @@ def _pulsed_device() -> DeviceParams:
                    noise=NoiseModel.lorentzian_from_t2star(REF_T2STAR_S))
 
 
+def herald_maps(counts) -> tuple:
+    """The R and L `Map2D` over MAP_EDGES of summed `build_map2d` counts."""
+    return tuple(Map2D(MAP_EDGES, MAP_EDGES, c) for c in counts[:2])
+
+
 def write_herald_maps(outdir, map_r, map_l, meta) -> list:
     paths = [outdir / "fig3b_map.csv", outdir / "fig3b_map_rl.csv"]
     for path, map2d in zip(paths, (map_r, map_l)):
@@ -488,18 +498,19 @@ def sliced_docp(map_r, map_l, t1_s=T1_SLICE_S, tolerance_s=T1_SLICE_TOL_S):
 
 
 def _batch_maps(task):
-    """One pulsed batch's R and L maps (`build_map2d`) and its events."""
+    """One pulsed batch's `build_map2d` counts and its events."""
     batch, _ = task
     events, _ = montecarlo.run_batch(batch)
-    return build_map2d(events, batch[1], batch[4]), events
+    return build_map2d(events, batch[1]), events
 
 
 def _run_fig3b(outdir, seed, scale, workers):
     device = _pulsed_device()
     config = ProtocolConfig.pulsed(n_shots=_n_of(scale, 2_400_000),
                                    rng_seed=seed, pulse_delay_s=1.6e-9)
-    [((map_r, map_l), digest)] = _map_runs(_batch_maps,
-                                           [(device, config, None)], workers)
+    [(counts, digest)] = _map_runs(_batch_maps, [(device, config, None)],
+                                   workers)
+    map_r, map_l = herald_maps(counts)
     paths = write_herald_maps(outdir, map_r, map_l, digest_meta(digest))
     fit = beat_fit(sliced_docp(map_r, map_l))
     f_e = device.f_e_hz
@@ -552,10 +563,9 @@ def _batch_herald_slices(task):
     batch, _ = task
     _, config, _, start, count = batch
     photon1, photon2, _ = montecarlo.pulsed_photons(batch, heralded_only=True)
-    maps = count_photon_maps(photon1, photon2, config, start, count,
-                             _SLICE_T1_EDGES)
-    return (*(slice_map(m, T1_SLICE_S, T1_SLICE_TOL_S).counts for m in maps),
-            maps[0].diagnostics["shots_used"]), None
+    rr, rl, used_r, _ = count_photon_maps(photon1, photon2, config, start,
+                                          count, _SLICE_T1_EDGES)
+    return (rr.sum(axis=0), rl.sum(axis=0), used_r), None
 
 
 def heralded_sweep(device, delays, n_shots, seed, workers=None):
@@ -662,13 +672,13 @@ def _run_fig3d(outdir, seed, scale, workers):
 
 def _run_figs6(outdir, seed, scale, workers):
     [(h_rr, h_rl, digest)] = cw_run_histograms(
-        [(_cw_device(), _cw_config(_n_of(scale, 8192), seed), 100e-9)],
+        [(_cw_device(), _cw_config(_n_of(scale, 8192), seed), CW_WINDOW_S)],
         workers, True)
     est = fft_frequency(docp(h_rr, h_rl))
     path = outdir / "figs6_fft.csv"
     write_csv(path, digest_meta(digest), ("frequency_hz", "magnitude"),
               zip(est.freqs_hz, est.magnitude))
-    f_ref = larmor_frequency(REF_G_H_CW, 0.0375)
+    f_ref = larmor_frequency(REF_G_H_CW, REF_B_CW_T)
     rows = [SummaryRow("figs6", "fft_peak_hz", f_ref, est.frequency_hz,
                        est.sigma_hz, f_ref)]
     return rows, [str(path)]

