@@ -34,12 +34,13 @@ The engines select entries by index (`flatnonzero`, `take`, or
 `compress` in place of a boolean mask), and the heralded sweep builds no
 array over a batch's shots but the initial-state draw.
 
-Order: every batch returns its events in (shot, time) order, and the
-batches cover increasing shot ranges, so `run` appends them to its spool
-as they come and never sorts a whole stream.  A pulsed or cw batch
-orders its photons' field arrays with one stable sort on the in-batch
-shot before it builds records; a lifetime batch records at most one
-photon per shot and needs no sort.
+Order: every engine returns its recorded photons as the four field
+arrays of their events in (shot, time) order, and `run_batch` makes the
+records.  The batches cover increasing shot ranges, so `run` appends
+them to its spool as they come and never sorts a whole stream.  A pulsed
+or cw engine orders its field arrays with one stable sort on the
+in-batch shot; a lifetime batch records at most one photon per shot and
+needs no sort.
 
 Workers: `map_batches` runs a per-batch function over a task list, in
 task order, in this process at one worker and otherwise through one
@@ -401,46 +402,60 @@ def _recorded(rng, config, shot, is_r, t):
     return tuple(np.compress(keep, a) for a in (shot, ch, proj, t))
 
 
-def _decay(rng, device, s, n):
-    """(decay delay, R branch) of n trions excited from the hole state of
-    Bloch z `s`: the depolarizing preparation gives the correct trion
-    eigenstate with (1+p)/2, which precesses at f_e (plus the excited
-    jitter) until it decays."""
-    correct = rng.random(n) < 0.5 * (1.0 + device.p_mem)
+def _decay(rng, device, z, turns=None):
+    """(decay delay, R branch) of trions that precess from Bloch z `z`:
+    by `turns` in the ground state first (None for photon 1), then at
+    f_e (plus the excited jitter) until they decay, one rotation by the
+    summed angle, whose end picks the branch."""
+    n = z.size
     tau = exponential(rng, device.t1_s, n)
     theta = device.noise.sample(rng, n) if device.noise.affects_excited \
         else np.zeros(n)
     theta += device.f_e_hz
     theta *= tau
+    if turns is not None:
+        theta += turns
     theta *= 2.0 * math.pi
-    z_t0 = (s * _SIGN).take(correct.view(np.uint8))
-    p_r = precessed_r_probability(z_t0, theta, out=theta)
+    p_r = precessed_r_probability(z, theta, out=theta)
     return tau, rng.random(n) < p_r
 
 
-def _lifetime_batch(device, config, batch_index, start_shot, n):
+def _photon1(rng, device, s, n):
+    """(decay delay, R branch) of n trions excited from the hole state of
+    Bloch z `s`: the depolarizing preparation gives the correct trion
+    eigenstate with (1+p)/2, which then decays (`_decay`)."""
+    correct = rng.random(n) < 0.5 * (1.0 + device.p_mem)
+    return _decay(rng, device, (s * _SIGN).take(correct.view(np.uint8)))
+
+
+def _event_fields(start_shot, stride_s, shot, ch, proj, t):
+    """Event fields of recorded photons given by in-batch shot and time
+    in shot."""
+    shots = (start_shot + shot).astype(np.uint32)
+    return shots, ch, proj, shots * stride_s + t
+
+
+def _lifetime_batch(task):
     """Independent excite-and-decay shots (lifetime and zero-field DOCP).
-    A shot records at most one photon, so the records need no sort."""
+    A shot records at most one photon, so the fields need no sort."""
+    device, config, batch_index, start_shot, n = task
     rng = substream(config.rng_seed, config.kind.value, batch_index)
-    tau, is_r = _decay(rng, device, addressed_z(config.exc_pols[0]), n)
-    shot, ch, proj, t = _recorded(rng, config, np.arange(n), is_r, tau)
-    shots = (start_shot + shot).astype(np.uint32)
-    events = make_events(shots, ch, proj, shots * config.stride_s + t)
-    return events, {"n_shots": n, "n_emitted": n}
+    tau, is_r = _photon1(rng, device, addressed_z(config.exc_pols[0]), n)
+    photons = _recorded(rng, config, np.arange(n), is_r, tau)
+    return _event_fields(start_shot, config.stride_s, *photons), {
+        "n_shots": n, "n_emitted": n}
 
 
-def _pulsed_records(start_shot, stride_s, photon1, photon2):
-    """Events of a pulsed batch's recorded photons 1 and 2, each given as
-    (in-batch shot, channel, projection, time in shot), photon 1 in shot
-    order.  A shot records at most one photon 2, so photon 2 may come in
-    any shot order.  Photon 1 goes first and one stable sort on the
-    in-batch shot puts the field arrays in (shot, time) order before the
-    records are built: a shot records both photons only if tau1 < dt."""
+def _pulsed_fields(start_shot, stride_s, photon1, photon2):
+    """Event fields of a pulsed batch's recorded photons 1 and 2, each
+    given as (in-batch shot, channel, projection, time in shot), photon 1
+    in shot order.  A shot records at most one photon 2, so photon 2 may
+    come in any shot order.  Photon 1 goes first and one stable sort on
+    the in-batch shot puts them in (shot, time) order: a shot records
+    both photons only if tau1 < dt."""
     order = np.argsort(np.concatenate((photon1[0], photon2[0])), kind="stable")
-    shot, ch, proj, t = (np.concatenate(a)[order]
-                         for a in zip(photon1, photon2))
-    shots = (start_shot + shot).astype(np.uint32)
-    return make_events(shots, ch, proj, shots * stride_s + t)
+    return _event_fields(start_shot, stride_s, *(
+        np.concatenate(a)[order] for a in zip(photon1, photon2)))
 
 
 def _photon2(rng, device, config, shot, z_g, t_g):
@@ -448,27 +463,18 @@ def _photon2(rng, device, config, shot, z_g, t_g):
     whose hole sits in the ground state at pulse 2 (`t_g` > 0) and is
     excited there, and the count of those emissions.  `z_g` and `t_g`
     hold, per entry, the hole Bloch z the precession starts from and its
-    time in the ground state before pulse 2."""
+    time in the ground state before pulse 2, where it precesses at f_h
+    (plus the ground jitter)."""
     at = np.flatnonzero(t_g > 0.0)
     at = at.take(np.flatnonzero(rng.random(at.size) < device.p_mem))
     shot, z_g, t_g = (a.take(at) for a in (shot, z_g, t_g))
-    n2 = shot.size
-    noise = device.noise
-    # the precession angle, 2 pi ((f_h + df_h) t_g + (f_e + df_e) tau2)
-    theta = noise.sample(rng, n2) if noise.affects_ground else np.zeros(n2)
-    tau2 = exponential(rng, device.t1_s, n2)
-    theta_e = noise.sample(rng, n2) if noise.affects_excited \
-        else np.zeros(n2)
-    theta += device.f_h_hz
-    theta *= t_g
-    theta_e += device.f_e_hz
-    theta_e *= tau2
-    theta += theta_e
-    theta *= 2.0 * math.pi
-    p_r = precessed_r_probability(z_g, theta, out=theta)
-    is_r = rng.random(n2) < p_r
+    turns = device.noise.sample(rng, shot.size) \
+        if device.noise.affects_ground else np.zeros(shot.size)
+    turns += device.f_h_hz
+    turns *= t_g
+    tau2, is_r = _decay(rng, device, z_g, turns)
     tau2 += config.pulse_delay_s
-    return _recorded(rng, config, shot, is_r, tau2), n2
+    return _recorded(rng, config, shot, is_r, tau2), shot.size
 
 
 def pulsed_photons(task, heralded_only=False):
@@ -512,7 +518,7 @@ def pulsed_photons(task, heralded_only=False):
     # pulse 1 excites the shots that start in s1
     up = rng.random(n) < 0.5
     shot1 = np.flatnonzero(up if s1 > 0.0 else ~up)
-    tau1, is_r1 = _decay(rng, device, s1, shot1.size)
+    tau1, is_r1 = _photon1(rng, device, s1, shot1.size)
     # photon 1 recorded, with its entry of shot1 in place of the shot
     at1, ch1, proj1, t1 = _recorded(rng, config, np.arange(shot1.size),
                                     is_r1, tau1)
@@ -541,12 +547,13 @@ def pulsed_photons(task, heralded_only=False):
     return photon1, photon2, {"n_shots": n, "n_emitted": shot1.size + n2}
 
 
-def _pulsed_batch(device, config, batch_index, start_shot, n):
-    """Events of a two-pulse heralding batch, from `pulsed_photons`."""
-    photon1, photon2, counters = pulsed_photons(
-        (device, config, batch_index, start_shot, n))
-    return _pulsed_records(start_shot, config.stride_s, photon1,
-                           photon2), counters
+def _pulsed_batch(task):
+    """Event fields and counters of a two-pulse heralding batch task,
+    from `pulsed_photons`."""
+    _, config, _, start_shot, _ = task
+    photon1, photon2, counters = pulsed_photons(task)
+    return _pulsed_fields(start_shot, config.stride_s, photon1,
+                          photon2), counters
 
 
 def _hole_half_phase(rng, device, n, n_win):
@@ -590,19 +597,6 @@ def _grown(a, used):
     return out
 
 
-def _compacted(a, keep):
-    """The entries of `a` where the bool `keep` (as long as `a` or
-    shorter) holds, moved in place to the front of `a`, as a view of it;
-    a block of `keep` at a time, so that no array of its size is made."""
-    n = 0
-    for lo in range(0, keep.size, _SPOOL_BLOCK):
-        hi = min(lo + _SPOOL_BLOCK, keep.size)
-        kept = np.compress(keep[lo:hi], a[lo:hi])
-        a[n:n + kept.size] = kept
-        n += kept.size
-    return a[:n]
-
-
 def cw_photons(task):
     """The recorded photons of a cw batch task as the field arrays of its
     events (segment, channel, projection, event time) in (segment, time)
@@ -625,13 +619,14 @@ def cw_photons(task):
     A round draws the gap and success uniform for the live segments, and
     the decay delay, branch and excited jitter for the successes only; a
     segment leaves the arrays in the round its next attempt lands past
-    its end.  Draw sizes follow earlier draws of the batch's own
-    substream, so the events depend only on (seed, batch index).  Each
-    segment emits in time order, so a stable sort on the in-batch segment
-    index interleaves the rounds: the channels and projections are put in
-    its order, while the segments and event times, which it leaves
-    sorted, are sorted in place.  A batch holds about 23 bytes per
-    recorded photon at its peak, and returns about 14.
+    its end, and an emission past its segment's end is never stored.
+    Draw sizes follow earlier draws of the batch's own substream, so the
+    events depend only on (seed, batch index).  Each segment emits in
+    time order, so a stable sort on the in-batch segment index
+    interleaves the rounds: the channels and projections are put in its
+    order, while the segments and event times, which it leaves sorted,
+    are sorted in place.  A batch holds about 23 bytes per recorded
+    photon at its peak, and returns about 14.
     """
     device, config, batch_index, start_seg, n = task
     rng = substream(config.rng_seed, config.kind.value, batch_index)
@@ -687,12 +682,17 @@ def cw_photons(task):
                 device.f_e_hz + device.noise.sample(rng, hit.size),
                 device.t1_s))
         is_r = rng.random(hit.size) < p_r
-        end = n_ev + hit.size
+        # only the emissions inside their segment are stored
+        emitted = seg[hit], is_r, t_em
+        if hit.size and t_em.max() >= seg_len:
+            in_seg = t_em < seg_len
+            emitted = [np.compress(in_seg, a) for a in emitted]
+        end = n_ev + emitted[0].size
         if end > ev_time.size:
             ev_seg, ev_is_r, ev_time = (_grown(a, n_ev)
                                         for a in (ev_seg, ev_is_r, ev_time))
-        ev_seg[n_ev:end], ev_is_r[n_ev:end] = seg[hit], is_r
-        ev_time[n_ev:end], n_ev = t_em, end
+        ev_seg[n_ev:end], ev_is_r[n_ev:end], ev_time[n_ev:end] = emitted
+        n_ev = end
         # a success consumes the hole until the emission re-creates it
         clock = t_att
         clock[hit] = t_em
@@ -702,15 +702,9 @@ def cw_photons(task):
 
     del half_phase  # and with it the jitter matrices
 
-    # the emissions inside their segment, moved to the front of the loop
-    # buffers in place
-    in_seg = ev_time[:n_ev] < seg_len
-    seg_idx, is_r, t = (_compacted(a, in_seg)
-                        for a in (ev_seg, ev_is_r, ev_time))
-    del ev_seg, ev_is_r, ev_time, in_seg
-    emissions = seg_idx.shape[0]
-    seg_idx, ch, proj, t = _recorded(rng, config, seg_idx, is_r, t)
-    del is_r
+    seg_idx, ch, proj, t = _recorded(rng, config, ev_seg[:n_ev],
+                                     ev_is_r[:n_ev], ev_time[:n_ev])
+    del ev_seg, ev_is_r, ev_time
     # (segment, time) order: each segment emits in time order, so it is
     # the order of the unique keys (segment, position), which sort in
     # place; a stable argsort would hold a work buffer as large as its
@@ -729,13 +723,7 @@ def cw_photons(task):
     t.sort()
     seg_idx.sort()
     return (seg_idx + np.uint32(start_seg), ch, proj, t), {
-        "n_shots": n, "n_attempts": attempts, "n_emitted": emissions}
-
-
-def _cw_batch(device, config, batch_index, start_seg, n):
-    """Events of a cw batch, from `cw_photons`."""
-    photons, counters = cw_photons((device, config, batch_index, start_seg, n))
-    return make_events(*photons), counters
+        "n_shots": n, "n_attempts": attempts, "n_emitted": n_ev}
 
 
 def batch_tasks(device: DeviceParams, config: ProtocolConfig) -> list:
@@ -748,8 +736,9 @@ def batch_tasks(device: DeviceParams, config: ProtocolConfig) -> list:
 
 def run_batch(task):
     """(events, counters) of one batch task, the events in (shot, time)
-    order."""
-    return _KINDS[task[1].kind].engine(*task)
+    order: the records of its engine's field arrays."""
+    fields, counters = _KINDS[task[1].kind].engine(task)
+    return make_events(*fields), counters
 
 
 def resolve_workers(workers=None) -> int:
@@ -816,7 +805,7 @@ class _Kind:
     det_pols: tuple  # its default detection channels
     channels: int    # its detection channel count, 0 for any
     batch: object    # its batch size, read from the constant when called
-    engine: object   # a batch task's fields -> (events, counters)
+    engine: object   # a batch task -> (its event fields, counters)
 
 
 _KINDS = {
@@ -827,7 +816,7 @@ _KINDS = {
     ProtocolKind.CW_G2: _Kind(
         reads=("pump_rate_hz", "segment_length_s"), exc_pols=(Pol.R,),
         det_pols=((Pol.R, Pol.L), (Pol.R, Pol.L)), channels=2,
-        batch=lambda: CW_SEGMENT_BATCH, engine=_cw_batch),
+        batch=lambda: CW_SEGMENT_BATCH, engine=cw_photons),
     ProtocolKind.PULSED_2PC: _Kind(
         reads=("rep_period_s", "pulse_delay_s"), exc_pols=(Pol.R, Pol.H),
         det_pols=((Pol.R,), (Pol.R, Pol.L)), channels=2,

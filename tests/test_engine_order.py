@@ -43,10 +43,9 @@ from trionsim.correlator import (MAP_BIN_S, Map2D, build_map2d,
                                  count_photon_maps)
 from trionsim.dynamics import addressed_z, r_probability
 from trionsim.montecarlo import (_PROJ, CW_REDRAW_WINDOW_S, LIFETIME_BATCH,
-                                 ProtocolConfig, ProtocolKind, _cw_batch,
-                                 make_events, _pulsed_batch, _pulsed_records,
-                                 _recorded, batch_tasks, pulsed_photons,
-                                 run_batch)
+                                 ProtocolConfig, ProtocolKind, make_events,
+                                 _pulsed_fields, _recorded, batch_tasks,
+                                 pulsed_photons, run_batch)
 from trionsim.pipelines import add_counts, sliced_docp
 from trionsim.rng import channels, exponential, substream
 
@@ -332,13 +331,20 @@ def _cw_pair_moments(device, config, events, first_seg, n):
 @pytest.mark.parametrize("pump, seg_len", [(5e7, 2e-6), (4e8, 5e-7)])
 @pytest.mark.parametrize("case", sorted(_CW_CASES))
 def test_cw_batch_matches_reference_loop(case, pump, seg_len):
+    """False-failure rate about 1e-5 to 3e-5 a case, 2e-4 over the 12:
+    three two-sided 5 sigma count checks, 3 x 5.7e-7, and one chi^2 over
+    k bins bounded by k + 5 sqrt(2k), which a chi^2 with k degrees of
+    freedom exceeds with probability 1.1e-5 at k = 120 and 3.1e-5 at
+    k = 54, the range these cases take (7.2e-5 at the k = 30 floor).
+    The variances are sample variances over 1024 segments, which lifts a
+    5 sigma tail to about 6.7e-7 (Student t, 1023 degrees of freedom)."""
     noise, options = _CW_CASES[case]
     device = _device(noise)
     n, first = 1024, 8192
     config = ProtocolConfig.cw(n, 77, pump_rate_hz=pump,
                                segment_length_s=seg_len, **options)
     # batch 1 of a run, so the shot offset enters the event times
-    events, diag = _cw_batch(device, config, 1, first, n)
+    events, diag = run_batch((device, config, 1, first, n))
     ref_events, ref_diag = _reference_cw_batch(device, config, 1, first, n)
     ref_events = _lexsorted(ref_events)
     assert diag["n_shots"] == ref_diag["n_shots"] == n
@@ -369,9 +375,13 @@ def test_cw_batch_matches_reference_loop(case, pump, seg_len):
     assert chi2 <= k + 5.0 * math.sqrt(2.0 * k), (chi2, k)
 
 
-@pytest.mark.parametrize("engine", [_cw_batch, _reference_cw_batch],
+@pytest.mark.parametrize("engine", [lambda *task: run_batch(task),
+                                    _reference_cw_batch],
                          ids=["engine", "reference"])
 def test_cw_zero_field_closed_form(engine):
+    """False-failure rate about 1.7e-6 an engine: three two-sided 5 sigma
+    checks, 3 x 5.7e-7, the attempts' sigma taken from the approximate
+    variance below."""
     # No field and quiet noise: nothing precesses, and the trion always
     # decays back to the addressed hole state.  A segment whose hole
     # starts opposite to the pump never succeeds; one that starts on it
@@ -485,7 +495,7 @@ def _pulsed_totals(batch, device, config):
 
 
 def _counted_pulsed_batch(device, config, batch_index, start_shot, n):
-    """`_pulsed_batch`, with the recorded count of each photon taken from
+    """`run_batch`, with the recorded count of each photon taken from
     its `_recorded` calls (photon 1's, then photon 2's of the heralded
     shots and of the others, summed): the engine detects only photons
     that exist."""
@@ -498,8 +508,8 @@ def _counted_pulsed_batch(device, config, batch_index, start_shot, n):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_recorded", counting_recorded)
-        events, diag = _pulsed_batch(device, config, batch_index,
-                                     start_shot, n)
+        events, diag = run_batch((device, config, batch_index,
+                                  start_shot, n))
     assert len(recorded) == 3
     return events, dict(diag, recorded=(recorded[0], sum(recorded[1:])))
 
@@ -507,6 +517,12 @@ def _counted_pulsed_batch(device, config, batch_index, start_shot, n):
 @pytest.mark.parametrize("herald", sorted(_HERALDS))
 @pytest.mark.parametrize("dt", [0.2e-9, 3e-9])
 def test_pulsed_batch_matches_reference_statistics(dt, herald):
+    """False-failure rate about 5e-5 a case, 2e-4 over the 4: five
+    two-sided count checks of at least 5 sigma each, at most 5 x 5.7e-7,
+    and one chi^2 over k bins bounded by k + 5 sqrt(2k), which a chi^2
+    with k degrees of freedom exceeds with probability 5.3e-5 at k = 37
+    and 4.1e-5 at k = 44, the range these cases take (3.5e-4 at the
+    k = 10 floor)."""
     device = DeviceParams(g_e=2.09, g_h=0.362, t1_s=300e-12, p_mem=0.865,
                           b_x_t=0.15,
                           noise=NoiseModel.lorentzian_from_t2star(_T2))
@@ -618,7 +634,8 @@ def test_photon_maps_bin_times_as_the_events_hold_them():
     photon2 = (shots, np.ones(n, np.uint8),
                rng.choice([int(Pol.R), int(Pol.L)], n).astype(np.uint8),
                dt + near_edges())
-    events = _pulsed_records(start, config.rep_period_s, photon1, photon2)
+    events = make_events(*_pulsed_fields(start, config.rep_period_s,
+                                         photon1, photon2))
     got = count_photon_maps(photon1, photon2, config, start, n)
     want = build_map2d(events, config)
     for a, b in zip(got[:2], want[:2]):

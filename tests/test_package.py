@@ -12,6 +12,7 @@ as an attribute), so code and data that only the tests read live under
 wraps is such a function."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import trionsim
@@ -51,37 +52,65 @@ def _source_module(node):
     return node.module
 
 
-def _is_used(module, node, trees) -> bool:
+def _reads(trees):
+    """What the modules of `trees` read, from one walk of each: the set
+    of (module, name) pairs that some module imports by name from a
+    trionsim module or reads as an attribute of one bound by
+    `from . import module`, and a Counter of the bare names
+    (("name", n)) and attributes (("attr", n)) loaded inside each module
+    tree and each def, class and field declaration in it."""
+    used, loads = set(), {}
+    for tree in trees.values():
+        imports, module_attrs = [], set()
+        todo = [(tree, ())]
+        while todo:
+            node, scopes = todo.pop()
+            if isinstance(node, (ast.Module, ast.FunctionDef,
+                                 ast.AsyncFunctionDef, ast.ClassDef,
+                                 ast.AnnAssign)):
+                scopes += (loads.setdefault(node, Counter()),)
+            key = None
+            if isinstance(node, ast.ImportFrom) \
+                    and _source_module(node) != "":
+                imports.append(node)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Load):
+                key = ("name", node.id)
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.value, ast.Name):
+                    module_attrs.add((node.value.id, node.attr))
+                if isinstance(node.ctx, ast.Load):
+                    key = ("attr", node.attr)
+            if key:
+                for counts in scopes:
+                    counts[key] += 1
+            todo.extend((n, scopes) for n in ast.iter_child_nodes(node))
+        used |= {(_source_module(n), a.name) for n in imports
+                 for a in n.names}
+        bound = {a.asname or a.name: a.name for n in imports
+                 if _source_module(n) is None for a in n.names}
+        used |= {(bound[alias], attr) for alias, attr in module_attrs
+                 if alias in bound}
+    return used, loads
+
+
+def _loaded_outside(key, node, trees, loads) -> bool:
+    """Whether the trees load `key` outside `node`."""
+    total = sum(loads[tree][key] for tree in trees)
+    return total > loads[node][key]
+
+
+def _is_used(module, node, trees, reads=None) -> bool:
     """Whether the package uses the module-level def or class `node` of
     `module` (a key of `trees`, the parsed modules): when some module
     imports it by name from `module`, or reads it as an attribute of
     `module` bound by `from . import module`, or when `module` reads its
     bare name outside `node` itself.  A local variable or an attribute of
-    another object that merely has the same name is no use."""
-    name = node.name
-    for tree in trees.values():
-        imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-                   and _source_module(n) != ""]
-        if any(_source_module(n) == module and name in
-               [a.name for a in n.names] for n in imports):
-            return True
-        bound = {a.asname or a.name for n in imports
-                 if _source_module(n) is None for a in n.names
-                 if a.name == module}
-        if any(isinstance(n, ast.Attribute) and n.attr == name
-               and isinstance(n.value, ast.Name) and n.value.id in bound
-               for n in ast.walk(tree)):
-            return True
-    todo = [trees[module]]
-    while todo:
-        n = todo.pop()
-        if n is node:
-            continue
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) \
-                and n.id == name:
-            return True
-        todo.extend(ast.iter_child_nodes(n))
-    return False
+    another object that merely has the same name is no use.  `reads` is
+    `_reads(trees)`, built when not given."""
+    used, loads = reads or _reads(trees)
+    return (module, node.name) in used or _loaded_outside(
+        ("name", node.name), node, [trees[module]], loads)
 
 
 def test_a_same_named_local_is_no_use():
@@ -132,21 +161,14 @@ _UNREAD_FIELDS = {
 }
 
 
-def _attribute_is_read(node, trees, name=None) -> bool:
+def _attribute_is_read(node, trees, name=None, reads=None) -> bool:
     """Whether some module of `trees` reads `name` (by default the name
     of `node`, a def in a class body) as an attribute (of any object)
-    outside `node` itself."""
-    name = name or node.name
-    todo = list(trees.values())
-    while todo:
-        n = todo.pop()
-        if n is node:
-            continue
-        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) \
-                and n.attr == name:
-            return True
-        todo.extend(ast.iter_child_nodes(n))
-    return False
+    outside `node` itself.  `reads` is `_reads(trees)`, built when not
+    given."""
+    _, loads = reads or _reads(trees)
+    return _loaded_outside(("attr", name or node.name), node,
+                           trees.values(), loads)
 
 
 def _dataclass_fields(node):
@@ -213,6 +235,7 @@ def test_every_public_name_is_used():
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(_PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
+    reads = _reads(trees)
     unused, excepted = [], set()
     for name, tree in trees.items():
         for node in tree.body:
@@ -220,7 +243,8 @@ def test_every_public_name_is_used():
                 continue
             if node.name in _USED_OUTSIDE:
                 excepted.add(node.name)
-            elif _is_public(node.name) and not _is_used(name, node, trees):
+            elif _is_public(node.name) \
+                    and not _is_used(name, node, trees, reads):
                 unused.append(f"{name}.py: {node.name}")
             methods = node.body if isinstance(node, ast.ClassDef) else ()
             for method in methods:
@@ -231,13 +255,15 @@ def test_every_public_name_is_used():
                 if label in _OPERATOR_DUNDERS:
                     excepted.add(label)
                 elif _is_public(method.name) \
-                        and not _attribute_is_read(method, trees):
+                        and not _attribute_is_read(method, trees,
+                                                   reads=reads):
                     unused.append(f"{name}.py: {label}")
             for decl in _dataclass_fields(node):
                 label = f"{node.name}.{decl.target.id}"
                 if label in _UNREAD_FIELDS:
                     excepted.add(label)
-                elif not _attribute_is_read(decl, trees, decl.target.id):
+                elif not _attribute_is_read(decl, trees, decl.target.id,
+                                            reads):
                     unused.append(f"{name}.py: {label}")
     assert not unused, unused
     # no stale exception
@@ -261,12 +287,13 @@ def test_traced_names_are_used_in_the_package():
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(_PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
+    reads = _reads(trees)
     unused = []
     for module, attr in targets.values():
         stem = module.removeprefix("trionsim.")
         defs = [node for node in getattr(trees.get(stem), "body", ())
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and node.name == attr]
-        if not defs or not _is_used(stem, defs[0], trees):
+        if not defs or not _is_used(stem, defs[0], trees, reads):
             unused.append(f"{module}.{attr}")
     assert targets and not unused, unused
